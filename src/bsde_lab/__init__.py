@@ -1,7 +1,20 @@
 """Numerical laboratory for multidimensional BSDEs with Osgood-type
 non-Lipschitz drivers: hypothesis checkers, a regression Monte Carlo
 fixed-point solver, and desk-scale analysis of the associated constants
-and integral recursions."""
+and integral recursions.
+
+BSDE_LAB_THREADS, when set, caps the BLAS and OpenMP worker threads.  It is
+read here, before numpy loads, because the BLAS fixes its thread pool when it
+is first loaded; thread variables the environment already sets win.
+"""
+
+import os as _os
+
+_threads = _os.environ.get("BSDE_LAB_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
 
 from .analysis import (
     BihariCurve,

@@ -5,19 +5,12 @@ Configs are strict JSON; unknown keys are rejected by name.  All numeric CSV
 output renders with 17 significant digits so reruns are byte-comparable.
 """
 
-import os
-
-_threads = os.environ.get("BSDE_LAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +18,13 @@ import numpy as np
 from . import analysis, oracle
 from .generator import (EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
                         auto_envelope, check_h1, check_h3, custom_generator,
-                        estimate_lipschitz_z, example1_generator,
-                        linear_generator, verify_envelope, zero_generator)
-from .modulus import (H1STAR_TO_H1, DIVERGENT, ModulusSpec, check_shape,
-                      example1_h_modulus, linear_modulus, load_tabulated_csv,
+                        default_h1_modulus, estimate_lipschitz_z,
+                        example1_generator, linear_generator, verify_envelope,
+                        zero_generator)
+from .modulus import (DIVERGENT, ModulusSpec, check_shape, example1_h_modulus,
+                      linear_modulus, load_tabulated_csv,
                       linear_growth_coefficient, osgood_classify,
-                      power_modulus, tabulated_modulus, transform_modulus)
+                      power_modulus, tabulated_modulus)
 from .paths import PathEnsemble, generate_ensemble, load_ensemble, save_ensemble
 from .solver import (BasisSpec, TerminalSpec, constant_terminal,
                      coordinate_terminal, custom_terminal, picard_solve,
@@ -70,6 +64,25 @@ def _typed(block: dict, key: str, kind, path: str, default=None):
     return val
 
 
+def _field_kind(annotation):
+    """The value type a config field holds: X for an `X | None` annotation."""
+    return next((a for a in typing.get_args(annotation) if a is not type(None)),
+                annotation)
+
+
+def _parse_fields(block: dict, cls, path: str, **parsed):
+    """Build the config dataclass cls from block.
+
+    Key names, types and defaults come from the fields of cls; an absent or
+    null key keeps its default.  parsed holds the keys the caller read by hand.
+    """
+    kinds = {f.name: _field_kind(f.type) for f in fields(cls)}
+    _require_keys(block, set(kinds), path)
+    return cls(**parsed, **{key: _typed(block, key, kind, path)
+                            for key, kind in kinds.items()
+                            if key not in parsed and block.get(key) is not None})
+
+
 @dataclass
 class PathsConfig:
     M: int = 16384
@@ -90,6 +103,7 @@ class SolverConfig:
     picard_max_iter: int = 25
     init: float | None = None
     split: float | str | None = None
+    # accepted for existing configs; the solver has only the blocked reduction
     deterministic_reduction: bool = True
 
 
@@ -131,17 +145,7 @@ class RunConfig:
 
 
 def _parse_paths(block: dict) -> PathsConfig:
-    _require_keys(block, {"M", "N", "d", "T", "seed", "antithetic",
-                          "paths_file"}, "paths")
-    cfg = PathsConfig(
-        M=_typed(block, "M", int, "paths", 16384),
-        N=_typed(block, "N", int, "paths", 50),
-        d=_typed(block, "d", int, "paths", 1),
-        T=_typed(block, "T", float, "paths", 1.0),
-        seed=_typed(block, "seed", int, "paths", 0),
-        antithetic=_typed(block, "antithetic", bool, "paths", False),
-        paths_file=_typed(block, "paths_file", str, "paths", None),
-    )
+    cfg = _parse_fields(block, PathsConfig, "paths")
     if cfg.M < 1 or cfg.N < 1 or cfg.d < 1:
         raise ConfigError("paths counts M, N, d must all be >= 1")
     if cfg.T <= 0.0:
@@ -150,9 +154,6 @@ def _parse_paths(block: dict) -> PathsConfig:
 
 
 def _parse_solver(block: dict) -> SolverConfig:
-    _require_keys(block, {"p", "basis_degree", "ridge", "picard_tol",
-                          "picard_max_iter", "init", "split",
-                          "deterministic_reduction"}, "solver")
     init = block.get("init")
     if init is not None:
         if init == "zero":
@@ -175,17 +176,10 @@ def _parse_solver(block: dict) -> SolverConfig:
         else:
             raise ConfigError("solver.split must be 'auto', a number, or "
                               "{\"T1\": t}")
-    cfg = SolverConfig(
-        p=_typed(block, "p", float, "solver", 2.0),
-        basis_degree=_typed(block, "basis_degree", int, "solver", 3),
-        ridge=_typed(block, "ridge", float, "solver", None),
-        picard_tol=_typed(block, "picard_tol", float, "solver", 1e-4),
-        picard_max_iter=_typed(block, "picard_max_iter", int, "solver", 25),
-        init=init,
-        split=split,
-        deterministic_reduction=_typed(block, "deterministic_reduction", bool,
-                                       "solver", True),
-    )
+    cfg = _parse_fields(block, SolverConfig, "solver", init=init, split=split)
+    if not cfg.deterministic_reduction:
+        raise ConfigError("solver.deterministic_reduction must be true: the "
+                          "unblocked reduction path was removed")
     if cfg.p <= 1.0:
         raise ConfigError("solver.p must exceed 1")
     if cfg.picard_max_iter < 1:
@@ -315,39 +309,13 @@ def _parse_envelope(block: dict) -> EnvelopeA:
                      lam=lam, phi=phi, f=f)
 
 
-def _parse_constants(block: dict) -> ConstantsConfig:
-    _require_keys(block, {"k_prime_p", "k_doubleprime_p", "c1", "c3", "c2"},
-                  "constants")
-    return ConstantsConfig(
-        k_prime_p=_typed(block, "k_prime_p", float, "constants", 2.0),
-        k_doubleprime_p=_typed(block, "k_doubleprime_p", float, "constants", 2.0),
-        c1=_typed(block, "c1", float, "constants", None),
-        c3=_typed(block, "c3", float, "constants", None),
-        c2=_typed(block, "c2", float, "constants", None),
-    )
-
-
-def _parse_bihari(block: dict) -> BihariConfig:
-    _require_keys(block, {"M_bound", "T1", "n_max", "quad_steps"}, "bihari")
-    return BihariConfig(
-        M_bound=_typed(block, "M_bound", float, "bihari", None),
-        T1=_typed(block, "T1", float, "bihari", None),
-        n_max=_typed(block, "n_max", int, "bihari", 60),
-        quad_steps=_typed(block, "quad_steps", int, "bihari", 2048),
-    )
-
-
 def _parse_study(block: dict) -> StudyConfig:
-    _require_keys(block, {"M_values", "N_values"}, "study")
-    cfg = StudyConfig()
-    for key, attr in (("M_values", "M_values"), ("N_values", "N_values")):
-        if key in block:
-            vals = block[key]
-            if (not isinstance(vals, list) or not vals
-                    or not all(isinstance(v, int) and v >= 1 for v in vals)):
-                raise ConfigError(f"field 'study.{key}' must be a list of "
-                                  "positive integers")
-            setattr(cfg, attr, vals)
+    cfg = _parse_fields(block, StudyConfig, "study")
+    for key in ("M_values", "N_values"):
+        vals = getattr(cfg, key)
+        if not vals or not all(isinstance(v, int) and v >= 1 for v in vals):
+            raise ConfigError(f"field 'study.{key}' must be a list of "
+                              "positive integers")
     return cfg
 
 
@@ -364,15 +332,16 @@ def parse_config(text: str) -> RunConfig:
                         "output_dir"}, "")
     if "generator" not in doc:
         raise ConfigError("generator required")
-    paths = _parse_paths(doc.get("paths", {}) or {})
-    solver = _parse_solver(doc.get("solver", {}) or {})
+    paths = _parse_paths(doc.get("paths") or {})
+    solver = _parse_solver(doc.get("solver") or {})
     gen = _parse_generator(doc["generator"], paths.d)
     terminal = _parse_terminal(doc["terminal"]) if "terminal" in doc else None
     modulus = _parse_modulus(doc["modulus"]) if "modulus" in doc else None
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
-    constants = _parse_constants(doc.get("constants", {}) or {})
-    bihari = _parse_bihari(doc.get("bihari", {}) or {})
-    study = _parse_study(doc.get("study", {}) or {})
+    constants = _parse_fields(doc.get("constants") or {}, ConstantsConfig,
+                              "constants")
+    bihari = _parse_fields(doc.get("bihari") or {}, BihariConfig, "bihari")
+    study = _parse_study(doc.get("study") or {})
     output_dir = _typed(doc, "output_dir", str, "", "out")
     return RunConfig(paths=paths, solver=solver, generator=gen,
                      terminal=terminal, modulus=modulus, envelope=envelope,
@@ -388,19 +357,15 @@ def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
                              antithetic=pc.antithetic)
 
 
-def _default_h1_modulus(cfg: RunConfig) -> ModulusSpec:
-    gen, p = cfg.generator, cfg.solver.p
-    cap = 100.0
-    if gen.family == "zero":
-        return linear_modulus(1.0, domain_cap=cap)
-    if gen.family == "linear":
-        a_norm = abs(gen.a) if np.isscalar(gen.a) else \
-            float(np.linalg.norm(np.asarray(gen.a), 2))
-        return linear_modulus(a_norm ** p, domain_cap=cap)
-    if gen.family == "example1":
-        h = example1_h_modulus(gen.p, gen.delta, domain_cap=10.0)
-        return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
-    raise ConfigError("custom generators need an explicit modulus block")
+def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
+    """The configured modulus, else the family's: linear on [0, 100], or
+    example1's h on [0, 10] through the H1* -> H1 transform."""
+    if cfg.modulus is not None:
+        return cfg.modulus
+    mod = default_h1_modulus(cfg.generator, cfg.solver.p, 100.0, 10.0)
+    if mod is None:
+        raise ConfigError("custom generators need an explicit modulus block")
+    return mod
 
 
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
@@ -420,14 +385,12 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
         terminal_moment=term_moment, h3_moment=h3.estimate)
 
 
-def _resolve_split(cfg: RunConfig, ens: PathEnsemble,
-                   mod: ModulusSpec | None) -> float | None:
+def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
     if split is None:
         return None
     if split == "auto":
-        t1 = _bundle(cfg, ens, mod if mod is not None
-                     else _default_h1_modulus(cfg)).t1
+        t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
         return t1 if t1 > 0.0 else cfg.paths.T / 2.0
     return float(split)
 
@@ -443,7 +406,7 @@ def _write_rows(path: Path, header: list, rows: list) -> None:
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
-    mod = cfg.modulus if cfg.modulus is not None else _default_h1_modulus(cfg)
+    mod = _h1_modulus(cfg)
     sampler = SamplerConfig(count=8192, seed=cfg.paths.seed + 1,
                             horizon=cfg.paths.T)
 
@@ -468,9 +431,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     rows.append(("h3", math.isfinite(h3.estimate) and not h3.unstable,
                  h3.estimate, f"se={_fmt(h3.standard_error)};"
                  f"unstable={h3.unstable}"))
-    env = cfg.envelope
-    if env is None and gen.family != "custom":
-        env = auto_envelope(gen, p)
+    env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p)
     if env is not None:
         er = verify_envelope(gen, env, p, ens, sampler)
         rows.append(("envelope", er.passed, er.max_defect, f"tol={_fmt(er.tol)}"))
@@ -488,12 +449,11 @@ def _solve(cfg: RunConfig, ens: PathEnsemble):
     if cfg.terminal is None:
         raise ConfigError("terminal block required to solve")
     sc = cfg.solver
-    split = _resolve_split(cfg, ens, cfg.modulus)
+    split = _resolve_split(cfg, ens)
     basis = BasisSpec(degree=sc.basis_degree, ridge=sc.ridge)
     return picard_solve(cfg.generator, cfg.terminal, ens, basis, p=sc.p,
                         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
-                        init=sc.init, split=split,
-                        deterministic=sc.deterministic_reduction)
+                        init=sc.init, split=split)
 
 
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:
@@ -505,19 +465,12 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 
 def _infer_oracle(cfg: RunConfig) -> oracle.OracleInstance:
-    gen, term = cfg.generator, cfg.terminal
-    if term is None:
+    if cfg.terminal is None:
         raise ConfigError("terminal block required for oracle comparison")
-    horizon = cfg.paths.T
-    if gen.family == "zero" and term.kind == "coordinate":
-        return oracle.OracleInstance("martingale_coordinate", T=horizon, j=term.j)
-    if gen.family == "zero" and term.kind == "square_norm":
-        return oracle.OracleInstance("martingale_square", T=horizon)
-    if (gen.family == "linear" and term.kind == "constant"
-            and np.isscalar(gen.a) and gen.b == 0.0 and np.isscalar(gen.c)):
-        return oracle.OracleInstance("linear_drift", T=horizon, a=gen.a,
-                                     c=gen.c, v=float(term.value[0]))
-    raise ConfigError("no closed-form oracle matches this generator/terminal")
+    inst = oracle.match_oracle(cfg.generator, cfg.terminal, cfg.paths.T)
+    if inst is None:
+        raise ConfigError("no closed-form oracle matches this generator/terminal")
+    return inst
 
 
 def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
@@ -533,7 +486,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
-    mod = cfg.modulus if cfg.modulus is not None else _default_h1_modulus(cfg)
+    mod = _h1_modulus(cfg)
     bc = cfg.bihari
     m_bound, t1 = bc.M_bound, bc.T1
     if m_bound is None or t1 is None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulus import ModulusSpec, check_shape, eval_modulus, example1_h_modulus, transform_modulus, H1STAR_TO_H1
+from .modulus import (H1STAR_TO_H1, ModulusSpec, check_shape, eval_modulus,
+                      example1_h_modulus, linear_modulus, transform_modulus)
 from .paths import PathEnsemble
 
 _GEN_FAMILIES = ("zero", "linear", "example1", "custom")
@@ -363,25 +364,43 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     return EnvelopeReport(float(defect[i]), witness, float(defect[i]) <= tol, tol)
 
 
-def auto_envelope(gen: GeneratorSpec, p: float, radius: float = 5.0) -> EnvelopeA:
-    """Canonical envelope for a builtin generator family."""
-    from .modulus import linear_modulus  # local to keep module top uncluttered
+def default_h1_modulus(gen: GeneratorSpec, p: float, domain_cap: float,
+                       h_cap: float) -> ModulusSpec | None:
+    """A modulus rho with |g(y1, z) - g(y2, z)|^p <= rho(|y1 - y2|^p) for a
+    builtin family; None for custom drivers.
 
+    zero and linear get rho(u) = mu u on [0, domain_cap], with mu = 1 for zero
+    (any modulus bounds it; the identity also passes the shape and divergence
+    checks) and mu = ||a||^p for linear.  example1 gets the H1* -> H1 transform
+    of its h taken on [0, h_cap].
+    """
     if gen.family == "zero":
-        return EnvelopeA(psi=linear_modulus(0.0, domain_cap=radius ** p), lam=0.0)
+        return linear_modulus(1.0, domain_cap=domain_cap)
     if gen.family == "linear":
         a_norm = abs(gen.a) if np.isscalar(gen.a) else \
             float(np.linalg.norm(np.asarray(gen.a), 2))
+        return linear_modulus(a_norm ** p, domain_cap=domain_cap)
+    if gen.family == "example1":
+        h = example1_h_modulus(gen.p, gen.delta, domain_cap=h_cap)
+        return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
+    return None
+
+
+def auto_envelope(gen: GeneratorSpec, p: float,
+                  radius: float = 5.0) -> EnvelopeA | None:
+    """Canonical envelope for a builtin generator family on |y| <= radius;
+    None for custom drivers, whose growth is unknown."""
+    if gen.family == "custom":
+        return None
+    if gen.family == "example1" and gen.d != 1:
+        raise ValueError("auto envelope for example1 assumes d = 1")
+    lam = analytic_lipschitz_z(gen)
+    if gen.family == "zero":
+        return EnvelopeA(psi=linear_modulus(0.0, domain_cap=radius ** p), lam=lam)
+    psi = default_h1_modulus(gen, p, radius ** p, radius)
+    if gen.family == "linear":
         c_norm = abs(gen.c) if np.isscalar(gen.c) else \
             float(np.linalg.norm(np.asarray(gen.c)))
-        return EnvelopeA(psi=linear_modulus(a_norm ** p, domain_cap=radius ** p),
-                         lam=abs(gen.b) * math.sqrt(gen.k),
-                         phi=ProcessSpec("constant", value=c_norm))
-    if gen.family == "example1":
-        if gen.d != 1:
-            raise ValueError("auto envelope for example1 assumes d = 1")
-        h = example1_h_modulus(gen.p, gen.delta, domain_cap=radius)
-        psi = transform_modulus(h, H1STAR_TO_H1, p=p).modulus
-        return EnvelopeA(psi=psi, lam=1.0,
-                         f=ProcessSpec("abs_brownian_coordinate", index=0))
-    raise ValueError("auto envelope is only defined for builtin families")
+        return EnvelopeA(psi=psi, lam=lam, phi=ProcessSpec("constant", value=c_norm))
+    return EnvelopeA(psi=psi, lam=lam,
+                     f=ProcessSpec("abs_brownian_coordinate", index=0))

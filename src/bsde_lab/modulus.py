@@ -139,10 +139,12 @@ def _eval_array(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
 
 
 def eval_modulus(mod: ModulusSpec, u):
-    """Evaluate the modulus at u >= 0 (scalar or array)."""
+    """Evaluate the modulus at finite u >= 0 (scalar or array)."""
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("modulus argument must be nonnegative")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("modulus argument must be finite")
     out = _eval_array(mod, np.atleast_1d(arr).copy())
     if arr.ndim == 0:
         return float(out[0])

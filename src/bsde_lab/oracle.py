@@ -36,6 +36,20 @@ class OracleInstance:
             raise ValueError("oracle horizon must be positive")
 
 
+def match_oracle(gen, term, horizon: float) -> OracleInstance | None:
+    """The closed form for a GeneratorSpec / TerminalSpec pair on [0, horizon],
+    or None when the pair has none."""
+    if gen.family == "zero" and term.kind == "coordinate":
+        return OracleInstance("martingale_coordinate", T=horizon, j=term.j)
+    if gen.family == "zero" and term.kind == "square_norm":
+        return OracleInstance("martingale_square", T=horizon)
+    if (gen.family == "linear" and term.kind == "constant"
+            and np.isscalar(gen.a) and gen.b == 0.0 and np.isscalar(gen.c)):
+        return OracleInstance("linear_drift", T=horizon, a=gen.a, c=gen.c,
+                              v=float(term.value[0]))
+    return None
+
+
 def _drift_value(inst: OracleInstance, tau: float) -> float:
     if abs(inst.a) < 1e-12:
         return inst.v + inst.c * tau

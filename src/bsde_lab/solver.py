@@ -139,39 +139,36 @@ def polynomial_features(state: np.ndarray, degree: int) -> np.ndarray:
     return feats
 
 
-def _normal_matrix(feats: np.ndarray, deterministic: bool,
-                   block: int = 8192) -> np.ndarray:
-    if not deterministic:
-        return feats.T @ feats
-    n = feats.shape[1]
-    gram = np.zeros((n, n))
+def _blocked_product(feats: np.ndarray, other: np.ndarray,
+                     block: int = 8192) -> np.ndarray:
+    """feats.T @ other summed over row blocks of fixed size in a fixed order."""
+    out = np.zeros((feats.shape[1], other.shape[1]))
     for lo in range(0, feats.shape[0], block):
-        chunk = feats[lo:lo + block]
-        gram += chunk.T @ chunk
-    return gram
-
-
-def _cross_moment(feats: np.ndarray, targets: np.ndarray, deterministic: bool,
-                  block: int = 8192) -> np.ndarray:
-    if not deterministic:
-        return feats.T @ targets
-    out = np.zeros((feats.shape[1], targets.shape[1]))
-    for lo in range(0, feats.shape[0], block):
-        out += feats[lo:lo + block].T @ targets[lo:lo + block]
+        out += feats[lo:lo + block].T @ other[lo:lo + block]
     return out
 
 
-def _factorize(gram: np.ndarray, ridge: float):
+def _regression_setup(state: np.ndarray, basis: BasisSpec):
+    """Features of state (M, d) and the Cholesky factor of their ridge Gram matrix."""
+    feats = polynomial_features(state, basis.degree)
+    gram = _blocked_product(feats, feats)
     try:
-        return scipy.linalg.cho_factor(gram + ridge * np.eye(gram.shape[0]))
+        factor = scipy.linalg.cho_factor(
+            gram + basis.ridge_for(state.shape[0]) * np.eye(gram.shape[0]))
     except scipy.linalg.LinAlgError as exc:
         raise SingularRegressionError(
             "normal equations are singular; pass a ridge > 0") from exc
+    return feats, factor
+
+
+def _project(feats: np.ndarray, factor, targets: np.ndarray):
+    """Fitted values (M, m) and coefficients (n_basis, m) of targets (M, m)."""
+    coeffs = scipy.linalg.cho_solve(factor, _blocked_product(feats, targets))
+    return feats @ coeffs, coeffs
 
 
 def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
-                                    basis: BasisSpec,
-                                    deterministic: bool = True):
+                                    basis: BasisSpec):
     """Ridge-regularized least-squares projection of targets on state polynomials.
 
     targets (M, m) and state (M, d); returns (fitted (M, m), coefficients
@@ -188,11 +185,8 @@ def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
         raise ValueError("targets and state must share the sample axis")
     if m <= basis.size(state.shape[1]):
         raise ValueError("need more samples than basis functions")
-    feats = polynomial_features(state, basis.degree)
-    gram = _normal_matrix(feats, deterministic)
-    factor = _factorize(gram, basis.ridge_for(m))
-    coeffs = scipy.linalg.cho_solve(factor, _cross_moment(feats, targets, deterministic))
-    return feats @ coeffs, coeffs
+    feats, factor = _regression_setup(state, basis)
+    return _project(feats, factor, targets)
 
 
 @dataclass
@@ -240,7 +234,7 @@ class PicardReport:
 
 def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
                     terminal: np.ndarray, ens: PathEnsemble, basis: BasisSpec,
-                    i_lo: int, i_hi: int, deterministic: bool):
+                    i_lo: int, i_hi: int):
     """One frozen-argument sweep on grid indices [i_lo, i_hi]."""
     grid = ens.grid
     m, k, d = ens.M, terminal.shape[1], ens.d
@@ -249,23 +243,17 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
     y = np.empty((m, steps + 1, k))
     z = np.empty((m, steps, k, d))
     y[:, steps] = terminal
-    ridge = basis.ridge_for(m)
 
     for i in range(i_hi - 1, i_lo - 1, -1):
         local = i - i_lo
         y_next = y[:, local + 1]
-        feats = polynomial_features(ens.values[:, i, :], basis.degree)
-        gram = _normal_matrix(feats, deterministic)
-        factor = _factorize(gram, ridge)
-        coef_y = scipy.linalg.cho_solve(
-            factor, _cross_moment(feats, y_next, deterministic))
-        cont = feats @ coef_y
+        feats, factor = _regression_setup(ens.values[:, i, :], basis)
+        cont, _ = _project(feats, factor, y_next)
         # martingale residual keeps the z targets mean-zero given the state
         resid = y_next - cont
         z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
-        coef_z = scipy.linalg.cho_solve(
-            factor, _cross_moment(feats, z_targets.reshape(m, k * d), deterministic))
-        z_i = (feats @ coef_z).reshape(m, k, d)
+        z_fit, _ = _project(feats, factor, z_targets.reshape(m, k * d))
+        z_i = z_fit.reshape(m, k, d)
         g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
                                  frozen_y[:, i], z_i)
         y_i = cont + g * dt
@@ -278,8 +266,7 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
 
 def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
                       terminal: TerminalSpec, ens: PathEnsemble,
-                      basis: BasisSpec,
-                      deterministic: bool = True) -> DiscreteSolution:
+                      basis: BasisSpec) -> DiscreteSolution:
     """Solve one linearized equation with the driver's y argument frozen.
 
     frozen_y is the previous iterate shaped (M, N+1, k); None means the zero
@@ -293,8 +280,7 @@ def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
         raise ValueError("frozen_y must be shaped (M, N+1, k)")
     if gen.k != k or gen.d != ens.d:
         raise ValueError("generator dims disagree with terminal/ensemble")
-    y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N,
-                           deterministic)
+    y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N)
     return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
 
@@ -312,8 +298,7 @@ def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:
 
 def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
                  basis: BasisSpec, p: float = 2.0, tol: float = 1e-4,
-                 max_iter: int = 25, init=None, split: float | None = None,
-                 deterministic: bool = True):
+                 max_iter: int = 25, init=None, split: float | None = None):
     """Iterate frozen-argument sweeps until the iterate distance falls below tol.
 
     dist_y(n) estimates E[sup_t |y^(n+1) - y^n|^p] on the common ensemble; the
@@ -367,7 +352,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         dists: list[float] = []
         while True:
             y_w, z_w = _backward_sweep(gen, frozen_w, boundary, ens, basis,
-                                       i_lo, i_hi, deterministic)
+                                       i_lo, i_hi)
             if prev_y is not None:
                 dy, dz = analysis.iterate_distance_arrays(
                     y_w, prev_y, z_w, prev_z, grid.dt, p)

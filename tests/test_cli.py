@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bsde_lab as bl
+from bsde_lab import cli
 from bsde_lab.cli import ConfigError, main, parse_config, run
 
 
@@ -122,6 +125,74 @@ def test_init_and_split_forms():
     }))
     assert cfg.solver.init is None
     assert cfg.solver.split == "auto"
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent
+                  / "scripts" / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_example_configs_parse(path):
+    cfg = parse_config(path.read_text())
+    assert cfg.terminal is not None
+
+
+def test_example_configs_present():
+    assert {p.name for p in CONFIGS} >= {
+        "example1.json", "linear_drift.json", "martingale.json",
+        "martingale_square.json"}
+
+
+def test_parse_reads_every_field():
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "zero"},
+        "paths": {"M": 64, "N": 4, "d": 1, "T": 2, "seed": 5,
+                  "antithetic": True, "paths_file": "p.bsde"},
+        "solver": {"p": 3, "basis_degree": 2, "ridge": 0.5, "picard_tol": 1e-3,
+                   "picard_max_iter": 7, "deterministic_reduction": True},
+        "constants": {"k_prime_p": 3.0, "k_doubleprime_p": 4.0, "c1": 1.0,
+                      "c3": 2.0, "c2": 0.5},
+        "bihari": {"M_bound": 2.0, "T1": 0.25, "n_max": 5, "quad_steps": 64},
+        "study": {"M_values": [32], "N_values": [2, 3]},
+    }))
+    assert (cfg.paths.M, cfg.paths.N, cfg.paths.T, cfg.paths.seed) == (64, 4, 2.0, 5)
+    assert cfg.paths.antithetic and cfg.paths.paths_file == "p.bsde"
+    assert isinstance(cfg.paths.T, float) and isinstance(cfg.solver.p, float)
+    assert (cfg.solver.p, cfg.solver.basis_degree, cfg.solver.ridge,
+            cfg.solver.picard_tol, cfg.solver.picard_max_iter) == (3.0, 2, 0.5, 1e-3, 7)
+    assert (cfg.constants.k_prime_p, cfg.constants.k_doubleprime_p,
+            cfg.constants.c1, cfg.constants.c3, cfg.constants.c2) == (3.0, 4.0, 1.0, 2.0, 0.5)
+    assert (cfg.bihari.M_bound, cfg.bihari.T1, cfg.bihari.n_max,
+            cfg.bihari.quad_steps) == (2.0, 0.25, 5, 64)
+    assert (cfg.study.M_values, cfg.study.N_values) == ([32], [2, 3])
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("paths", "antithetic", 1),
+    ("solver", "basis_degree", 2.5),
+    ("solver", "deterministic_reduction", "yes"),
+    ("bihari", "n_max", True),
+    ("constants", "c1", "big"),
+    ("study", "M_values", 8),
+])
+def test_field_type_errors_name_the_field(block, key, value):
+    with pytest.raises(ConfigError, match=f"{block}.{key}"):
+        parse_config(json.dumps({"generator": {"family": "zero"},
+                                 block: {key: value}}))
+
+
+def test_study_lists_must_hold_positive_integers():
+    with pytest.raises(ConfigError, match="study.N_values"):
+        parse_config(json.dumps({"generator": {"family": "zero"},
+                                 "study": {"N_values": [4, 0]}}))
+
+
+def test_unblocked_reduction_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, _config(
+        tmp_path, solver={"deterministic_reduction": False}))
+    assert main(["solve", str(path)]) == 2
+    assert "unblocked reduction path was removed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- subcommands
@@ -271,3 +342,44 @@ def test_main_paths_file_flag(tmp_path):
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 0
     lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
     assert len(lines) == 128 * 6 + 1
+
+
+# ------------------------------------------------------ family defaults
+
+_MATRIX_A = [[0.5, 0.1], [0.0, 0.3]]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("gen, mu", [
+    ({"family": "zero", "k": 1}, lambda p: 1.0),
+    ({"family": "linear", "params": {"a": 0.5}, "k": 1}, lambda p: 0.5 ** p),
+    ({"family": "linear", "params": {"a": _MATRIX_A}, "k": 2},
+     lambda p: float(np.linalg.norm(np.asarray(_MATRIX_A), 2)) ** p),
+])
+def test_default_h1_modulus_linear_families(gen, mu, p):
+    cfg = parse_config(json.dumps({"generator": gen, "solver": {"p": p}}))
+    mod = cli._h1_modulus(cfg)
+    assert mod.family == "linear"
+    assert mod.mu == mu(p)
+    assert mod.domain_cap == 100.0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_default_h1_modulus_example1(p):
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "example1", "params": {"p": 2.0}},
+        "solver": {"p": p}}))
+    mod = cli._h1_modulus(cfg)
+    h = bl.example1_h_modulus(2.0, domain_cap=10.0)
+    expected = bl.transform_modulus(h, bl.H1STAR_TO_H1, p=p).modulus
+    assert mod.family == "tabulated"
+    assert mod.domain_cap == 10.0 ** p
+    assert mod.breakpoints == expected.breakpoints
+
+
+def test_default_h1_modulus_custom_needs_block():
+    bl.register_generator("cli_pin_custom", lambda t, b, y, z: -y)
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "custom", "params": {"name": "cli_pin_custom"}}}))
+    with pytest.raises(ConfigError, match="explicit modulus"):
+        cli._h1_modulus(cfg)

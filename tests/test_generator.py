@@ -193,6 +193,30 @@ def test_envelope_example1_passes(small_ensemble):
     assert rep.passed, rep.max_defect
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("gen, mu", [
+    (bl.zero_generator(1, 1), lambda p: 0.0),
+    (bl.linear_generator(a=0.5, c=0.2), lambda p: 0.5 ** p),
+    (bl.linear_generator(a=[[0.5, 0.1], [0.0, 0.3]], b=0.2, c=[0.2, 0.1], k=2),
+     lambda p: float(np.linalg.norm([[0.5, 0.1], [0.0, 0.3]], 2)) ** p),
+])
+def test_auto_envelope_psi_linear_families(gen, mu, p):
+    psi = bl.auto_envelope(gen, p).psi
+    assert psi.family == "linear"
+    assert psi.mu == mu(p)
+    assert psi.domain_cap == 5.0 ** p
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_auto_envelope_psi_example1(p):
+    psi = bl.auto_envelope(bl.example1_generator(p=2.0, d=1), p).psi
+    h = bl.example1_h_modulus(2.0, domain_cap=5.0)
+    expected = bl.transform_modulus(h, bl.H1STAR_TO_H1, p=p).modulus
+    assert psi.family == "tabulated"
+    assert psi.domain_cap == 5.0 ** p
+    assert psi.breakpoints == expected.breakpoints
+
+
 def test_envelope_low_lambda_fails_with_large_z_witness(small_ensemble):
     gen = bl.example1_generator(p=2.0, d=1)
     env = bl.auto_envelope(gen, 2.0)

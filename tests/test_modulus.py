@@ -49,6 +49,19 @@ def test_negative_argument_rejected():
         bl.eval_modulus(bl.linear_modulus(1.0), -0.1)
 
 
+@pytest.mark.parametrize("mod", [
+    bl.linear_modulus(1.0),
+    bl.example1_h_modulus(2.0),
+    bl.tabulated_modulus([(0.0, 0.0), (0.5, 0.4), (1.0, 0.6)]),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_argument_rejected(mod, bad):
+    with pytest.raises(ValueError, match="finite"):
+        bl.eval_modulus(mod, [bad, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        bl.eval_modulus(mod, bad)
+
+
 def test_tabulated_exact_at_breakpoints_and_linear_beyond():
     mod = bl.tabulated_modulus([(0.0, 0.0), (1.0, 2.0), (2.0, 3.0)])
     assert bl.eval_modulus(mod, 1.0) == 2.0
