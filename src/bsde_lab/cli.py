@@ -6,44 +6,38 @@ output renders with 17 significant digits so reruns are byte-comparable.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
+import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, oracle
-from .generator import (EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
-                        auto_envelope, check_h1, check_h3, custom_generator,
-                        default_h1_modulus, estimate_lipschitz_z,
-                        example1_generator, linear_generator, verify_envelope,
-                        zero_generator)
-from .modulus import (DIVERGENT, ModulusSpec, check_shape, example1_h_modulus,
-                      linear_modulus, load_tabulated_csv,
-                      linear_growth_coefficient, osgood_classify,
-                      power_modulus, tabulated_modulus)
+from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, EnvelopeA,
+                        GeneratorSpec, ProcessSpec, SamplerConfig,
+                        auto_envelope, check_h1, check_h3, default_h1_modulus,
+                        estimate_lipschitz_z, verify_envelope)
+from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusSpec, check_shape,
+                      linear_growth_coefficient, load_tabulated_csv,
+                      osgood_classify, tabulated_modulus)
 from .paths import PathEnsemble, generate_ensemble, load_ensemble, save_ensemble
-from .solver import (BasisSpec, TerminalSpec, constant_terminal,
-                     coordinate_terminal, custom_terminal, picard_solve,
-                     save_picard_report_csv, save_solution_csv,
-                     square_norm_terminal, terminal_values)
-
-SUBCOMMANDS = ("check", "solve", "oracle-compare", "bihari", "constants",
-               "gen-paths", "convergence-study")
+from .solver import (TERMINAL_KINDS, BasisSpec, TerminalSpec, format_number,
+                     picard_solve, save_picard_report_csv, save_solution_csv,
+                     terminal_values, write_csv)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _require_keys(block: dict, allowed: set, path: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{path}' must be an object")
     for key in block:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path}.{key}'" if path else
@@ -51,36 +45,45 @@ def _require_keys(block: dict, allowed: set, path: str) -> None:
 
 
 def _typed(block: dict, key: str, kind, path: str, default=None):
+    """block[key] checked against kind: a type, a union of types (None aside),
+    or a spec class, whose value is a nested tagged block."""
     if key not in block or block[key] is None:
         return default
     val = block[key]
     name = f"{path}.{key}" if path else key
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
+    if kind in _TAGGED:
+        return _parse_tagged(val, name, kind)
+    kinds = (kind,)
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        kinds = tuple(a for a in typing.get_args(kind) if a is not type(None))
+    if float in kinds and type(val) is int:
         val = float(val)
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(f"field '{name}' must be {kind.__name__}")
-    if not isinstance(val, kind):
-        raise ConfigError(f"field '{name}' must be {kind.__name__}")
+    if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
+        raise ConfigError(f"field '{name}' must be "
+                          + " or ".join(k.__name__ for k in kinds))
     return val
 
 
-def _field_kind(annotation):
-    """The value type a config field holds: X for an `X | None` annotation."""
-    return next((a for a in typing.get_args(annotation) if a is not type(None)),
-                annotation)
+def _kwargs(fn, block: dict, path: str, outer=(), **given) -> dict:
+    """Keyword arguments for fn, a config dataclass or a factory, from block.
 
-
-def _parse_fields(block: dict, cls, path: str, **parsed):
-    """Build the config dataclass cls from block.
-
-    Key names, types and defaults come from the fields of cls; an absent or
-    null key keeps its default.  parsed holds the keys the caller read by hand.
+    Key names, types and defaults come from fn's signature; an absent or null
+    key keeps its default.  given holds the arguments the caller read itself,
+    and the names in outer belong to the enclosing block, not to this one.
     """
-    kinds = {f.name: _field_kind(f.type) for f in fields(cls)}
-    _require_keys(block, set(kinds), path)
-    return cls(**parsed, **{key: _typed(block, key, kind, path)
-                            for key, kind in kinds.items()
-                            if key not in parsed and block.get(key) is not None})
+    signature = inspect.signature(fn).parameters
+    hints = typing.get_type_hints(fn)
+    names = [n for n in signature if n not in outer]
+    _require_keys(block, set(names), path)
+    kwargs = dict(given)
+    for n in names:
+        if n in given:
+            continue
+        if block.get(n) is not None:
+            kwargs[n] = _typed(block, n, hints[n], path)
+        elif signature[n].default is inspect.Parameter.empty:
+            raise ConfigError(f"{path}.{n} required")
+    return kwargs
 
 
 @dataclass
@@ -145,7 +148,7 @@ class RunConfig:
 
 
 def _parse_paths(block: dict) -> PathsConfig:
-    cfg = _parse_fields(block, PathsConfig, "paths")
+    cfg = PathsConfig(**_kwargs(PathsConfig, block, "paths"))
     if cfg.M < 1 or cfg.N < 1 or cfg.d < 1:
         raise ConfigError("paths counts M, N, d must all be >= 1")
     if cfg.T <= 0.0:
@@ -176,7 +179,8 @@ def _parse_solver(block: dict) -> SolverConfig:
         else:
             raise ConfigError("solver.split must be 'auto', a number, or "
                               "{\"T1\": t}")
-    cfg = _parse_fields(block, SolverConfig, "solver", init=init, split=split)
+    cfg = SolverConfig(**_kwargs(SolverConfig, block, "solver", init=init,
+                                 split=split))
     if not cfg.deterministic_reduction:
         raise ConfigError("solver.deterministic_reduction must be true: the "
                           "unblocked reduction path was removed")
@@ -187,130 +191,76 @@ def _parse_solver(block: dict) -> SolverConfig:
     return cfg
 
 
-def _parse_generator(block: dict, d: int) -> GeneratorSpec:
-    _require_keys(block, {"family", "params", "k", "d"}, "generator")
-    family = _typed(block, "family", str, "generator")
-    if family is None:
-        raise ConfigError("generator.family required")
-    params = block.get("params", {}) or {}
-    k = _typed(block, "k", int, "generator", 1)
-    gd = _typed(block, "d", int, "generator", d)
-    if gd != d:
-        raise ConfigError("generator.d must match paths.d")
-    if family == "zero":
-        _require_keys(params, set(), "generator.params")
-        return zero_generator(k=k, d=gd)
-    if family == "linear":
-        _require_keys(params, {"a", "b", "c"}, "generator.params")
-        return linear_generator(a=params.get("a", 0.0), b=params.get("b", 0.0),
-                                c=params.get("c", 0.0), k=k, d=gd)
-    if family == "example1":
-        _require_keys(params, {"p", "delta"}, "generator.params")
-        return example1_generator(p=_typed(params, "p", float, "generator.params", 2.0),
-                                  delta=_typed(params, "delta", float,
-                                               "generator.params", None),
-                                  d=gd)
-    if family == "custom":
-        _require_keys(params, {"name"}, "generator.params")
-        name = _typed(params, "name", str, "generator.params")
-        if name is None:
-            raise ConfigError("generator.params.name required for custom")
-        return custom_generator(name, k=k, d=gd)
-    raise ConfigError(f"unknown generator family '{family}'")
+def _tabulated(breakpoints: list | None = None, csv_path: str | None = None,
+               domain_cap: float | None = None) -> ModulusSpec:
+    """A tabulated modulus from its breakpoints or from a `u,v` CSV file."""
+    if (breakpoints is None) == (csv_path is None):
+        raise ValueError("a tabulated modulus takes exactly one of "
+                         "breakpoints and csv_path")
+    if csv_path is not None:
+        return load_tabulated_csv(csv_path, domain_cap=domain_cap)
+    return tabulated_modulus(breakpoints, domain_cap=domain_cap)
 
 
-def _parse_terminal(block: dict) -> TerminalSpec:
-    _require_keys(block, {"kind", "params", "k"}, "terminal")
-    kind = _typed(block, "kind", str, "terminal")
-    params = block.get("params", {}) or {}
-    k = _typed(block, "k", int, "terminal", 1)
-    if kind == "coordinate":
-        _require_keys(params, {"j"}, "terminal.params")
-        return coordinate_terminal(_typed(params, "j", int, "terminal.params", 0))
-    if kind == "square_norm":
-        _require_keys(params, set(), "terminal.params")
-        return square_norm_terminal()
-    if kind == "constant":
-        _require_keys(params, {"value"}, "terminal.params")
-        value = params.get("value", 0.0)
-        return constant_terminal(value, k=k if np.isscalar(value) else None)
-    if kind == "custom":
-        _require_keys(params, {"name"}, "terminal.params")
-        name = _typed(params, "name", str, "terminal.params")
-        if name is None:
-            raise ConfigError("terminal.params.name required for custom")
-        return custom_terminal(name, k=k)
-    raise ConfigError(f"unknown terminal kind '{kind}'")
+# Each tagged block: the key naming its family, family -> factory, the keys
+# beside that key and params, and the family when the key is absent.
+_TAGGED = {
+    GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k", "d"), None),
+    TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
+    ModulusSpec: ("family", {**MODULUS_FAMILIES, "tabulated": _tabulated},
+                  ("domain_cap",), None),
+    ProcessSpec: ("kind", PROCESS_KINDS, (), "zero"),
+}
 
 
-def _parse_modulus(block: dict, path: str = "modulus") -> ModulusSpec:
-    _require_keys(block, {"family", "params", "domain_cap"}, path)
-    family = _typed(block, "family", str, path)
-    params = block.get("params", {}) or {}
-    cap = _typed(block, "domain_cap", float, path, 1.0)
-    if family == "linear":
-        _require_keys(params, {"mu"}, f"{path}.params")
-        return linear_modulus(_typed(params, "mu", float, f"{path}.params", 0.0),
-                              domain_cap=cap)
-    if family == "power":
-        _require_keys(params, {"c", "alpha"}, f"{path}.params")
-        return power_modulus(_typed(params, "c", float, f"{path}.params", 1.0),
-                             _typed(params, "alpha", float, f"{path}.params", 1.0),
-                             domain_cap=cap)
-    if family == "example1h":
-        _require_keys(params, {"p", "delta"}, f"{path}.params")
-        return example1_h_modulus(_typed(params, "p", float, f"{path}.params", 2.0),
-                                  _typed(params, "delta", float, f"{path}.params", None),
-                                  domain_cap=cap)
-    if family == "tabulated":
-        _require_keys(params, {"breakpoints", "csv_path"}, f"{path}.params")
-        if "csv_path" in params:
-            return load_tabulated_csv(params["csv_path"], domain_cap=cap)
-        pts = params.get("breakpoints")
-        if not isinstance(pts, list):
-            raise ConfigError(f"field '{path}.params.breakpoints' must be a list")
-        return tabulated_modulus(pts, domain_cap=cap)
-    raise ConfigError(f"unknown modulus family '{family}'")
+def _parse_tagged(block, path: str, spec: type, **preset):
+    """Build a spec from a tagged block through its family's factory.
 
-
-def _parse_process(block: dict, path: str) -> ProcessSpec:
-    _require_keys(block, {"kind", "params"}, path)
-    kind = _typed(block, "kind", str, path, "zero")
-    params = block.get("params", {}) or {}
-    if kind == "zero":
-        _require_keys(params, set(), f"{path}.params")
-        return ProcessSpec("zero")
-    if kind == "constant":
-        _require_keys(params, {"value"}, f"{path}.params")
-        return ProcessSpec("constant", value=_typed(params, "value", float,
-                                                    f"{path}.params", 0.0))
-    if kind == "abs_brownian_coordinate":
-        _require_keys(params, {"index"}, f"{path}.params")
-        return ProcessSpec("abs_brownian_coordinate",
-                           index=_typed(params, "index", int, f"{path}.params", 0))
-    if kind == "modulus_of_frozen_path":
-        _require_keys(params, {"mod", "exponent"}, f"{path}.params")
-        return ProcessSpec("modulus_of_frozen_path",
-                           mod=_parse_modulus(params.get("mod", {}),
-                                              f"{path}.params.mod"),
-                           exponent=_typed(params, "exponent", float,
-                                           f"{path}.params", 2.0))
-    raise ConfigError(f"unknown process kind '{kind}'")
+    block['params'] holds the factory's keyword arguments (see _kwargs).  Each
+    outer key, typed by the spec's field of that name and else taken from
+    preset, goes to the factory when it has that parameter, and the built spec
+    must agree with it.
+    """
+    tag, table, outer, default = _TAGGED[spec]
+    _require_keys(block, {tag, "params", *outer}, path)
+    name = _typed(block, tag, str, path, default)
+    if name not in table:
+        raise ConfigError(f"{path}.{tag} required" if name is None
+                          else f"unknown {path} {tag} '{name}'")
+    factory = table[name]
+    spec_types = typing.get_type_hints(spec)
+    given = {n: _typed(block, n, spec_types[n], path, preset.get(n)) for n in outer}
+    accepted = inspect.signature(factory).parameters
+    passed = {n: v for n, v in given.items() if v is not None and n in accepted}
+    kwargs = _kwargs(factory, block.get("params") or {}, f"{path}.params", outer,
+                     **passed)
+    try:
+        built = factory(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for n, v in given.items():
+        if v is not None and getattr(built, n) != v:
+            raise ConfigError(f"field '{path}.{n}' is {v}, but {tag} '{name}' "
+                              f"has {n} = {getattr(built, n)}")
+    return built
 
 
 def _parse_envelope(block: dict) -> EnvelopeA:
     _require_keys(block, {"psi", "lambda", "phi", "f"}, "envelope")
-    if "psi" not in block:
+    psi = _typed(block, "psi", ModulusSpec, "envelope")
+    if psi is None:
         raise ConfigError("envelope.psi required")
     lam = _typed(block, "lambda", float, "envelope", 0.0)
-    phi = _parse_process(block.get("phi", {"kind": "zero"}), "envelope.phi")
-    f = _parse_process(block.get("f", {"kind": "zero"}), "envelope.f")
-    return EnvelopeA(psi=_parse_modulus(block["psi"], "envelope.psi"),
-                     lam=lam, phi=phi, f=f)
+    phi = _typed(block, "phi", ProcessSpec, "envelope", ProcessSpec())
+    f = _typed(block, "f", ProcessSpec, "envelope", ProcessSpec())
+    try:
+        return EnvelopeA(psi=psi, lam=lam, phi=phi, f=f)
+    except ValueError as exc:
+        raise ConfigError(f"envelope: {exc}") from exc
 
 
 def _parse_study(block: dict) -> StudyConfig:
-    cfg = _parse_fields(block, StudyConfig, "study")
+    cfg = StudyConfig(**_kwargs(StudyConfig, block, "study"))
     for key in ("M_values", "N_values"):
         vals = getattr(cfg, key)
         if not vals or not all(isinstance(v, int) and v >= 1 for v in vals):
@@ -334,13 +284,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("generator required")
     paths = _parse_paths(doc.get("paths") or {})
     solver = _parse_solver(doc.get("solver") or {})
-    gen = _parse_generator(doc["generator"], paths.d)
-    terminal = _parse_terminal(doc["terminal"]) if "terminal" in doc else None
-    modulus = _parse_modulus(doc["modulus"]) if "modulus" in doc else None
+    gen = _parse_tagged(doc["generator"], "generator", GeneratorSpec, d=paths.d)
+    if gen.d != paths.d:
+        raise ConfigError("generator.d must match paths.d")
+    terminal = _typed(doc, "terminal", TerminalSpec, "")
+    modulus = _typed(doc, "modulus", ModulusSpec, "")
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
-    constants = _parse_fields(doc.get("constants") or {}, ConstantsConfig,
-                              "constants")
-    bihari = _parse_fields(doc.get("bihari") or {}, BihariConfig, "bihari")
+    constants = ConstantsConfig(**_kwargs(ConstantsConfig,
+                                          doc.get("constants") or {}, "constants"))
+    bihari = BihariConfig(**_kwargs(BihariConfig, doc.get("bihari") or {}, "bihari"))
     study = _parse_study(doc.get("study") or {})
     output_dir = _typed(doc, "output_dir", str, "", "out")
     return RunConfig(paths=paths, solver=solver, generator=gen,
@@ -350,19 +302,22 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
+    """The ensemble in paths_file, else a generated one."""
     pc = cfg.paths
-    if pc.paths_file and Path(pc.paths_file).exists():
-        return load_ensemble(pc.paths_file)
+    if pc.paths_file:
+        try:
+            return load_ensemble(pc.paths_file)
+        except ValueError as exc:
+            raise ConfigError(f"paths file '{pc.paths_file}': {exc}") from exc
     return generate_ensemble(pc.M, pc.N, pc.d, pc.T, pc.seed,
                              antithetic=pc.antithetic)
 
 
 def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
-    """The configured modulus, else the family's: linear on [0, 100], or
-    example1's h on [0, 10] through the H1* -> H1 transform."""
+    """The configured modulus, else the family's default on [0, 10^p]."""
     if cfg.modulus is not None:
         return cfg.modulus
-    mod = default_h1_modulus(cfg.generator, cfg.solver.p, 100.0, 10.0)
+    mod = default_h1_modulus(cfg.generator, cfg.solver.p, 10.0)
     if mod is None:
         raise ConfigError("custom generators need an explicit modulus block")
     return mod
@@ -395,14 +350,6 @@ def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     return float(split)
 
 
-def _write_rows(path: Path, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str))
-                              else _fmt(c) for c in row) + "\n")
-
-
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
@@ -421,33 +368,37 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
                  float(osg.increments[-1]),
                  f"classification={osg.classification};rule={osg.rule}"))
     h1 = check_h1(gen, mod, p, sampler)
-    rows.append(("h1", h1.passed, h1.max_ratio, f"tol={_fmt(h1.tol)}"))
+    rows.append(("h1", h1.passed, h1.max_ratio,
+                 f"tol={format_number(h1.tol)}"))
     lip = estimate_lipschitz_z(gen, sampler)
     lip_ok = math.isfinite(lip.sampled) and (
         lip.analytic is None or lip.sampled <= lip.analytic + 1e-9)
-    rows.append(("h2_lipschitz_z", lip_ok, lip.sampled,
-                 f"analytic={'' if lip.analytic is None else _fmt(lip.analytic)}"))
+    analytic = "" if lip.analytic is None else format_number(lip.analytic)
+    rows.append(("h2_lipschitz_z", lip_ok, lip.sampled, f"analytic={analytic}"))
     h3 = check_h3(gen, ens, p)
     rows.append(("h3", math.isfinite(h3.estimate) and not h3.unstable,
-                 h3.estimate, f"se={_fmt(h3.standard_error)};"
+                 h3.estimate, f"se={format_number(h3.standard_error)};"
                  f"unstable={h3.unstable}"))
     env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p)
     if env is not None:
         er = verify_envelope(gen, env, p, ens, sampler)
-        rows.append(("envelope", er.passed, er.max_defect, f"tol={_fmt(er.tol)}"))
+        rows.append(("envelope", er.passed, er.max_defect,
+                     f"tol={format_number(er.tol)}"))
     else:
         rows.append(("envelope", True, 0.0, "skipped: no envelope configured"))
 
-    _write_rows(out / "check_report.csv",
-                ["check", "passed", "value", "detail"],
-                [(name, str(ok).lower(), val, detail)
-                 for name, ok, val, detail in rows])
+    write_csv(out / "check_report.csv", ["check", "passed", "value", "detail"],
+              [(name, str(ok).lower(), val, detail)
+               for name, ok, val, detail in rows])
     return 0 if all(ok for _, ok, _, _ in rows) else 1
 
 
 def _solve(cfg: RunConfig, ens: PathEnsemble):
     if cfg.terminal is None:
         raise ConfigError("terminal block required to solve")
+    if cfg.terminal.k != cfg.generator.k:
+        raise ConfigError(f"terminal.k = {cfg.terminal.k} disagrees with "
+                          f"generator.k = {cfg.generator.k}")
     sc = cfg.solver
     split = _resolve_split(cfg, ens)
     basis = BasisSpec(degree=sc.basis_degree, ridge=sc.ridge)
@@ -478,10 +429,10 @@ def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     sol, report = _solve(cfg, ens)
     errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
-    _write_rows(out / "oracle_errors.csv",
-                ["sp_error", "z_rms_error", "iters", "converged"],
-                [(errs.sp_error, errs.z_rms_error, report.iterations,
-                  str(report.converged).lower())])
+    write_csv(out / "oracle_errors.csv",
+              ["sp_error", "z_rms_error", "iters", "converged"],
+              [(errs.sp_error, errs.z_rms_error, report.iterations,
+                str(report.converged).lower())])
     return 0
 
 
@@ -499,7 +450,7 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]
     rows = [tuple([curve.times[i]] + list(curve.values[:, i]))
             for i in range(curve.times.size)]
-    _write_rows(out / "bihari.csv", header, rows)
+    write_csv(out / "bihari.csv", header, rows)
     return 0
 
 
@@ -510,7 +461,7 @@ def _cmd_constants(cfg: RunConfig, out: Path) -> int:
             ("p", "lam", "T", "A", "k_prime_p", "k_doubleprime_p", "c2",
              "theta", "c_p", "c_lambda_p_T", "d_lambda_p_theta", "c1", "c3",
              "mu0", "m_bound", "t1")]
-    _write_rows(out / "constants.csv", ["name", "value"], rows)
+    write_csv(out / "constants.csv", ["name", "value"], rows)
     return 0
 
 
@@ -534,8 +485,8 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
             errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
             rows.append((m, n, errs.sp_error, errs.z_rms_error,
                          report.iterations))
-    _write_rows(out / "convergence.csv",
-                ["M", "N", "sp_error", "z_rms_error", "iters"], rows)
+    write_csv(out / "convergence.csv",
+              ["M", "N", "sp_error", "z_rms_error", "iters"], rows)
     return 0
 
 
@@ -555,6 +506,9 @@ def run(cmd: str, cfg: RunConfig) -> int:
     1 check failure, 2 usage/config error)."""
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown subcommand '{cmd}'")
+    paths_file = cfg.paths.paths_file
+    if paths_file and cmd != "gen-paths" and not Path(paths_file).is_file():
+        raise ConfigError(f"paths file '{paths_file}' does not exist")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _HANDLERS[cmd](cfg, out)
@@ -565,7 +519,7 @@ def main(argv=None) -> int:
         prog="bsde-lab",
         description="Checks, solves, and studies for BSDEs with "
                     "non-Lipschitz drivers.")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("config", help="path to a JSON run configuration")
     parser.add_argument("--paths-file", default=None,
                         help="reuse a persisted path ensemble")

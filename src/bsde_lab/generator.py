@@ -16,8 +16,6 @@ from .modulus import (H1STAR_TO_H1, ModulusSpec, check_shape, eval_modulus,
                       example1_h_modulus, linear_modulus, transform_modulus)
 from .paths import PathEnsemble
 
-_GEN_FAMILIES = ("zero", "linear", "example1", "custom")
-
 REGISTERED_GENERATORS: dict = {}
 
 
@@ -39,7 +37,7 @@ class GeneratorSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.family not in _GEN_FAMILIES:
+        if self.family not in GENERATOR_FAMILIES:
             raise ValueError(f"unknown generator family '{self.family}'")
         if self.k < 1 or self.d < 1:
             raise ValueError("generator dims must be >= 1")
@@ -49,8 +47,8 @@ def zero_generator(k: int = 1, d: int = 1) -> GeneratorSpec:
     return GeneratorSpec("zero", k=k, d=d)
 
 
-def linear_generator(a=0.0, b: float = 0.0, c=0.0, k: int = 1,
-                     d: int = 1) -> GeneratorSpec:
+def linear_generator(a: float | list = 0.0, b: float = 0.0, c: float | list = 0.0,
+                     k: int = 1, d: int = 1) -> GeneratorSpec:
     """g = a y + b |z| + c with scalar or k-by-k a and constant c in R^k."""
     if not np.isscalar(a):
         a = tuple(tuple(float(x) for x in row) for row in np.asarray(a, dtype=float))
@@ -78,6 +76,10 @@ def custom_generator(name: str, k: int = 1, d: int = 1) -> GeneratorSpec:
     if name not in REGISTERED_GENERATORS:
         raise ValueError(f"no registered generator named '{name}'")
     return GeneratorSpec("custom", k=k, d=d, name=name)
+
+
+GENERATOR_FAMILIES = {"zero": zero_generator, "linear": linear_generator,
+                      "example1": example1_generator, "custom": custom_generator}
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:
@@ -272,10 +274,6 @@ def check_h3(gen: GeneratorSpec, ens: PathEnsemble, p: float) -> H3Report:
     return H3Report(estimate, se, half, unstable)
 
 
-_PROCESS_KINDS = ("zero", "constant", "abs_brownian_coordinate",
-                  "modulus_of_frozen_path")
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """Descriptor for the nonnegative envelope processes phi_t and f_t."""
@@ -287,12 +285,35 @@ class ProcessSpec:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in _PROCESS_KINDS:
+        if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind '{self.kind}'")
         if self.kind == "constant" and self.value < 0.0:
             raise ValueError("constant process must be nonnegative")
         if self.kind == "modulus_of_frozen_path" and self.mod is None:
             raise ValueError("modulus_of_frozen_path needs a modulus")
+
+
+def zero_process() -> ProcessSpec:
+    return ProcessSpec("zero")
+
+
+def constant_process(value: float = 0.0) -> ProcessSpec:
+    return ProcessSpec("constant", value=value)
+
+
+def abs_brownian_coordinate_process(index: int = 0) -> ProcessSpec:
+    return ProcessSpec("abs_brownian_coordinate", index=index)
+
+
+def modulus_of_frozen_path_process(mod: ModulusSpec,
+                                   exponent: float = 2.0) -> ProcessSpec:
+    """mod(|Y_t|^exponent)^(1/exponent) along the frozen iterate Y."""
+    return ProcessSpec("modulus_of_frozen_path", mod=mod, exponent=exponent)
+
+
+PROCESS_KINDS = {"zero": zero_process, "constant": constant_process,
+                 "abs_brownian_coordinate": abs_brownian_coordinate_process,
+                 "modulus_of_frozen_path": modulus_of_frozen_path_process}
 
 
 def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
@@ -364,24 +385,24 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     return EnvelopeReport(float(defect[i]), witness, float(defect[i]) <= tol, tol)
 
 
-def default_h1_modulus(gen: GeneratorSpec, p: float, domain_cap: float,
-                       h_cap: float) -> ModulusSpec | None:
-    """A modulus rho with |g(y1, z) - g(y2, z)|^p <= rho(|y1 - y2|^p) for a
-    builtin family; None for custom drivers.
+def default_h1_modulus(gen: GeneratorSpec, p: float,
+                       radius: float) -> ModulusSpec | None:
+    """A modulus rho with |g(y1, z) - g(y2, z)|^p <= rho(|y1 - y2|^p) for
+    |y1 - y2| <= radius, for a builtin family; None for custom drivers.
 
-    zero and linear get rho(u) = mu u on [0, domain_cap], with mu = 1 for zero
-    (any modulus bounds it; the identity also passes the shape and divergence
-    checks) and mu = ||a||^p for linear.  example1 gets the H1* -> H1 transform
-    of its h taken on [0, h_cap].
+    Every family's rho lives on [0, radius^p].  zero and linear get
+    rho(u) = mu u, with mu = 1 for zero (any modulus bounds it; the identity
+    also passes the shape and divergence checks) and mu = ||a||^p for linear.
+    example1 gets the H1* -> H1 transform of its h taken on [0, radius].
     """
     if gen.family == "zero":
-        return linear_modulus(1.0, domain_cap=domain_cap)
+        return linear_modulus(1.0, domain_cap=radius ** p)
     if gen.family == "linear":
         a_norm = abs(gen.a) if np.isscalar(gen.a) else \
             float(np.linalg.norm(np.asarray(gen.a), 2))
-        return linear_modulus(a_norm ** p, domain_cap=domain_cap)
+        return linear_modulus(a_norm ** p, domain_cap=radius ** p)
     if gen.family == "example1":
-        h = example1_h_modulus(gen.p, gen.delta, domain_cap=h_cap)
+        h = example1_h_modulus(gen.p, gen.delta, domain_cap=radius)
         return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
     return None
 
@@ -397,10 +418,9 @@ def auto_envelope(gen: GeneratorSpec, p: float,
     lam = analytic_lipschitz_z(gen)
     if gen.family == "zero":
         return EnvelopeA(psi=linear_modulus(0.0, domain_cap=radius ** p), lam=lam)
-    psi = default_h1_modulus(gen, p, radius ** p, radius)
+    psi = default_h1_modulus(gen, p, radius)
     if gen.family == "linear":
         c_norm = abs(gen.c) if np.isscalar(gen.c) else \
             float(np.linalg.norm(np.asarray(gen.c)))
-        return EnvelopeA(psi=psi, lam=lam, phi=ProcessSpec("constant", value=c_norm))
-    return EnvelopeA(psi=psi, lam=lam,
-                     f=ProcessSpec("abs_brownian_coordinate", index=0))
+        return EnvelopeA(psi=psi, lam=lam, phi=constant_process(c_norm))
+    return EnvelopeA(psi=psi, lam=lam, f=abs_brownian_coordinate_process(0))

@@ -27,9 +27,6 @@ DIVERGENT = "divergent"
 CONVERGENT = "convergent"
 INCONCLUSIVE = "inconclusive"
 
-_FAMILIES = ("linear", "power", "example1h", "tabulated")
-
-
 @dataclass(frozen=True)
 class ModulusSpec:
     """One modulus of continuity.  Use the factory helpers below."""
@@ -44,19 +41,20 @@ class ModulusSpec:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in MODULUS_FAMILIES:
             raise ValueError(f"unknown modulus family '{self.family}'")
         if not (self.domain_cap > 0.0 and math.isfinite(self.domain_cap)):
             raise ValueError("domain_cap must be a positive finite real")
 
 
-def linear_modulus(mu: float, domain_cap: float = 1.0) -> ModulusSpec:
+def linear_modulus(mu: float = 0.0, domain_cap: float = 1.0) -> ModulusSpec:
     if mu < 0.0:
         raise ValueError("linear modulus needs mu >= 0")
     return ModulusSpec("linear", domain_cap=domain_cap, mu=float(mu))
 
 
-def power_modulus(c: float, alpha: float, domain_cap: float = 1.0) -> ModulusSpec:
+def power_modulus(c: float = 1.0, alpha: float = 1.0,
+                  domain_cap: float = 1.0) -> ModulusSpec:
     if c <= 0.0:
         raise ValueError("power modulus needs c > 0")
     if not 0.0 < alpha <= 2.0:
@@ -64,7 +62,7 @@ def power_modulus(c: float, alpha: float, domain_cap: float = 1.0) -> ModulusSpe
     return ModulusSpec("power", domain_cap=domain_cap, c=float(c), alpha=float(alpha))
 
 
-def example1_h_modulus(p: float, delta: float | None = None,
+def example1_h_modulus(p: float = 2.0, delta: float | None = None,
                        domain_cap: float = 1.0) -> ModulusSpec:
     """h(x) = x|ln x|^(1/p) below delta, tangent-line continuation above.
 
@@ -99,6 +97,10 @@ def tabulated_modulus(breakpoints, domain_cap: float | None = None) -> ModulusSp
         raise ValueError("tabulated breakpoints must be finite and nonnegative")
     cap = us[-1] if domain_cap is None else float(domain_cap)
     return ModulusSpec("tabulated", domain_cap=cap, breakpoints=tuple(pts))
+
+
+MODULUS_FAMILIES = {"linear": linear_modulus, "power": power_modulus,
+                    "example1h": example1_h_modulus, "tabulated": tabulated_modulus}
 
 
 def _example1_slope(p: float, delta: float) -> float:

@@ -57,23 +57,31 @@ def _drift_value(inst: OracleInstance, tau: float) -> float:
     return growth * inst.v + inst.c / inst.a * (growth - 1.0)
 
 
+def _closed_form(inst: OracleInstance, tau: np.ndarray, b: np.ndarray):
+    """Exact (y, z) at Brownian values b (..., d) with time to maturity tau,
+    an array that broadcasts against b's leading shape: y (..., 1), z (..., 1, d)."""
+    lead, d = b.shape[:-1], b.shape[-1]
+    if inst.kind == "martingale_coordinate":
+        if inst.j >= d:
+            raise ValueError("coordinate index out of range")
+        z = np.zeros(lead + (1, d))
+        z[..., 0, inst.j] = 1.0
+        return b[..., [inst.j]], z
+    if inst.kind == "martingale_square":
+        if d != 1:
+            raise ValueError("the squared-norm oracle is one-dimensional")
+        return b[..., [0]] ** 2 + tau[..., None], 2.0 * b[..., None, :]
+    vals = np.array([_drift_value(inst, s) for s in tau.ravel()])
+    y = np.broadcast_to(vals.reshape(tau.shape)[..., None], lead + (1,))
+    return y.copy(), np.zeros(lead + (1, d))
+
+
 def oracle_solution(inst: OracleInstance, t: float, brownian_state):
     """Exact (y, z) at time t given the Brownian value; y (1,), z (1, d)."""
     if not 0.0 <= t <= inst.T:
         raise ValueError("time outside [0, T]")
     b = np.atleast_1d(np.asarray(brownian_state, dtype=float))
-    d = b.size
-    if inst.kind == "martingale_coordinate":
-        if inst.j >= d:
-            raise ValueError("coordinate index out of range")
-        z = np.zeros((1, d))
-        z[0, inst.j] = 1.0
-        return np.array([b[inst.j]]), z
-    if inst.kind == "martingale_square":
-        if d != 1:
-            raise ValueError("the squared-norm oracle is one-dimensional")
-        return np.array([b[0] ** 2 + (inst.T - t)]), np.array([[2.0 * b[0]]])
-    return np.array([_drift_value(inst, inst.T - t)]), np.zeros((1, d))
+    return _closed_form(inst, np.asarray(inst.T - t), b)
 
 
 def oracle_paths(inst: OracleInstance, ens: PathEnsemble):
@@ -81,21 +89,8 @@ def oracle_paths(inst: OracleInstance, ens: PathEnsemble):
     grid = ens.grid
     if abs(grid.T - inst.T) > 1e-12:
         raise ValueError("ensemble horizon disagrees with the oracle")
-    m, d = ens.M, ens.d
-    if inst.kind == "martingale_coordinate":
-        y = ens.values[:, :, [inst.j]]
-        z = np.zeros((m, grid.N, 1, d))
-        z[:, :, 0, inst.j] = 1.0
-        return y, z
-    if inst.kind == "martingale_square":
-        if d != 1:
-            raise ValueError("the squared-norm oracle is one-dimensional")
-        y = ens.values[:, :, [0]] ** 2 + (grid.T - grid.times)[None, :, None]
-        z = 2.0 * ens.values[:, :-1, None, :]
-        return y, z
-    vals = np.array([_drift_value(inst, grid.T - t) for t in grid.times])
-    y = np.tile(vals[None, :, None], (m, 1, 1))
-    return y, np.zeros((m, grid.N, 1, d))
+    y, z = _closed_form(inst, grid.T - grid.times, ens.values)
+    return y, z[:, :-1]
 
 
 @dataclass(frozen=True)

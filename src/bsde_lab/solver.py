@@ -22,8 +22,6 @@ from . import analysis
 from .generator import GeneratorSpec, analytic_lipschitz_z, eval_generator_batch
 from .paths import PathEnsemble, TimeGrid
 
-_TERMINAL_KINDS = ("coordinate", "square_norm", "constant", "custom")
-
 REGISTERED_TERMINALS: dict = {}
 
 
@@ -49,7 +47,7 @@ class TerminalSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in _TERMINAL_KINDS:
+        if self.kind not in TERMINAL_KINDS:
             raise ValueError(f"unknown terminal kind '{self.kind}'")
 
 
@@ -61,8 +59,12 @@ def square_norm_terminal() -> TerminalSpec:
     return TerminalSpec("square_norm", k=1)
 
 
-def constant_terminal(value, k: int | None = None) -> TerminalSpec:
+def constant_terminal(value: float | list = 0.0,
+                      k: int | None = None) -> TerminalSpec:
+    """xi = value: a scalar, repeated over k coordinates, or a vector of length k."""
     vals = (float(value),) if np.isscalar(value) else tuple(float(v) for v in value)
+    if k is not None and not np.isscalar(value) and len(vals) != k:
+        raise ValueError(f"constant terminal value has {len(vals)} entries, k = {k}")
     return TerminalSpec("constant", k=k if k is not None else len(vals), value=vals)
 
 
@@ -70,6 +72,11 @@ def custom_terminal(name: str, k: int = 1) -> TerminalSpec:
     if name not in REGISTERED_TERMINALS:
         raise ValueError(f"no registered terminal named '{name}'")
     return TerminalSpec("custom", k=k, name=name)
+
+
+TERMINAL_KINDS = {"coordinate": coordinate_terminal,
+                  "square_norm": square_norm_terminal,
+                  "constant": constant_terminal, "custom": custom_terminal}
 
 
 def terminal_values(term: TerminalSpec, ens: PathEnsemble) -> np.ndarray:
@@ -389,29 +396,46 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     return DiscreteSolution(y=y_full, z=z_full, grid=grid), report
 
 
+_NUMBER = "{:.17g}"  # 17 significant digits round-trip a double
+
+
+def format_number(x) -> str:
+    """The number format of every CSV output, so reruns compare byte for byte."""
+    return _NUMBER.format(x)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write header and rows; strings go out as they are, numbers through
+    format_number.  Each column holds one kind throughout, so the first row
+    decides which cells are strings."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("{}" if isinstance(c, str) else _NUMBER
+                                for c in row) + "\n"
+            fh.write(line.format(*row))
+
+
 def save_solution_csv(sol: DiscreteSolution, path) -> None:
     """Columns path,step,t,y_1..y_k,z_11..z_kd; z rows at the terminal step are 0."""
     m, n_plus, k = sol.y.shape
     d = sol.z.shape[3]
-    times = sol.grid.times
+    times = sol.grid.times.tolist()
     header = (["path", "step", "t"]
               + [f"y_{i + 1}" for i in range(k)]
               + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        zeros = [0.0] * (k * d)
-        for pth in range(m):
-            for step in range(n_plus):
-                zvals = sol.z[pth, step].reshape(-1) if step < n_plus - 1 else zeros
-                row = [str(pth), str(step), f"{times[step]:.17g}"]
-                row += [f"{v:.17g}" for v in sol.y[pth, step]]
-                row += [f"{v:.17g}" for v in zvals]
-                fh.write(",".join(row) + "\n")
+    zeros = [0.0] * (k * d)
+    write_csv(path, header, (
+        (pth, step, t, *y, *z) for pth in range(m)
+        for step, (t, y, z) in enumerate(zip(
+            times, sol.y[pth].tolist(),
+            sol.z[pth].reshape(n_plus - 1, k * d).tolist() + [zeros]))))
 
 
 def save_picard_report_csv(report: PicardReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,dist_y,dist_z,sp_norm,converged\n")
-        for e in report.entries:
-            fh.write(f"{e.iteration},{e.dist_y:.17g},{e.dist_z:.17g},"
-                     f"{e.sp_norm:.17g},{str(report.converged).lower()}\n")
+    converged = str(report.converged).lower()
+    write_csv(path, ["iter", "dist_y", "dist_z", "sp_norm", "converged"],
+              [(e.iteration, e.dist_y, e.dist_z, e.sp_norm, converged)
+               for e in report.entries])

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -7,6 +8,9 @@ import pytest
 import bsde_lab as bl
 from bsde_lab import cli
 from bsde_lab.cli import ConfigError, main, parse_config, run
+from bsde_lab.generator import GENERATOR_FAMILIES, PROCESS_KINDS
+from bsde_lab.modulus import MODULUS_FAMILIES
+from bsde_lab.solver import TERMINAL_KINDS
 
 
 def _config(tmp_path, **overrides):
@@ -361,7 +365,7 @@ def test_default_h1_modulus_linear_families(gen, mu, p):
     mod = cli._h1_modulus(cfg)
     assert mod.family == "linear"
     assert mod.mu == mu(p)
-    assert mod.domain_cap == 100.0
+    assert mod.domain_cap == 10.0 ** p
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -383,3 +387,244 @@ def test_default_h1_modulus_custom_needs_block():
         "generator": {"family": "custom", "params": {"name": "cli_pin_custom"}}}))
     with pytest.raises(ConfigError, match="explicit modulus"):
         cli._h1_modulus(cfg)
+
+
+# ------------------------------------------------------- tagged blocks
+
+bl.register_generator("cli_block_custom", lambda t, b, y, z: -y)
+bl.register_terminal("cli_block_custom", lambda b_T: b_T[:, [0]])
+
+# Where each tagged block sits in a config document.
+_BLOCK_SPEC = {"generator": bl.GeneratorSpec, "terminal": bl.TerminalSpec,
+               "modulus": bl.ModulusSpec, "envelope.f": bl.ProcessSpec}
+
+# (block, family, params as JSON, the same arguments as the factory takes);
+# together the cases give every factory parameter of every family.
+_TAGGED_CASES = [
+    ("generator", "zero", {}, {}),
+    ("generator", "linear", {"a": 0.5, "b": 0.25, "c": 0.1},
+     {"a": 0.5, "b": 0.25, "c": 0.1}),
+    ("generator", "example1", {"p": 3.0, "delta": 0.1}, {"p": 3.0, "delta": 0.1}),
+    ("generator", "custom", {"name": "cli_block_custom"},
+     {"name": "cli_block_custom"}),
+    ("terminal", "coordinate", {"j": 2}, {"j": 2}),
+    ("terminal", "square_norm", {}, {}),
+    ("terminal", "constant", {"value": 2.5}, {"value": 2.5}),
+    ("terminal", "custom", {"name": "cli_block_custom"},
+     {"name": "cli_block_custom"}),
+    ("modulus", "linear", {"mu": 0.5}, {"mu": 0.5}),
+    ("modulus", "power", {"c": 2.0, "alpha": 0.5}, {"c": 2.0, "alpha": 0.5}),
+    ("modulus", "example1h", {"p": 3.0, "delta": 0.1}, {"p": 3.0, "delta": 0.1}),
+    ("modulus", "tabulated", {"breakpoints": [[0, 0], [2, 1]]},
+     {"breakpoints": [[0, 0], [2, 1]]}),
+    ("modulus", "tabulated", {"csv_path": "CSV"}, {"breakpoints": [[0, 0], [2, 1]]}),
+    ("envelope.f", "zero", {}, {}),
+    ("envelope.f", "constant", {"value": 0.5}, {"value": 0.5}),
+    ("envelope.f", "abs_brownian_coordinate", {"index": 0}, {"index": 0}),
+    ("envelope.f", "modulus_of_frozen_path",
+     {"mod": {"family": "power", "params": {"c": 2.0}}, "exponent": 3.0},
+     {"mod": bl.power_modulus(2.0), "exponent": 3.0}),
+]
+_LIBRARY_FACTORY = {(block, name): factory
+                    for block, table in (("generator", GENERATOR_FAMILIES),
+                                         ("terminal", TERMINAL_KINDS),
+                                         ("modulus", MODULUS_FAMILIES),
+                                         ("envelope.f", PROCESS_KINDS))
+                    for name, factory in table.items()}
+
+
+def _case_id(case):
+    return f"{case[0]}-{case[1]}-{'-'.join(case[2]) or 'none'}"
+
+
+def _tagged_doc(block, family, params, tmp_path):
+    if params.get("csv_path") == "CSV":
+        csv = tmp_path / "mod.csv"
+        csv.write_text("u,v\n0,0\n2,1\n")
+        params = dict(params, csv_path=str(csv))
+    tag = "family" if block in ("generator", "modulus") else "kind"
+    body = {tag: family, "params": params}
+    doc = {"generator": {"family": "zero"}, "paths": {"d": 1}}
+    if block == "envelope.f":
+        doc["envelope"] = {"psi": {"family": "linear"}, "f": body}
+    else:
+        doc[block] = body
+    return doc
+
+
+def _tagged_spec(cfg, block):
+    return cfg.envelope.f if block == "envelope.f" else getattr(cfg, block)
+
+
+def test_tagged_cases_cover_every_factory_parameter():
+    for block, spec in _BLOCK_SPEC.items():
+        tag, table, outer, _ = cli._TAGGED[spec]
+        for family, factory in table.items():
+            named = {key for b, f, params, _ in _TAGGED_CASES
+                     if (b, f) == (block, family) for key in params}
+            expected = set(inspect.signature(factory).parameters) - set(outer)
+            assert named == expected, (block, family)
+
+
+@pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
+def test_tagged_params_reach_the_factory(case, tmp_path):
+    block, family, params, kwargs = case
+    cfg = parse_config(json.dumps(_tagged_doc(block, family, params, tmp_path)))
+    assert _tagged_spec(cfg, block) == _LIBRARY_FACTORY[block, family](**kwargs)
+
+
+@pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
+def test_tagged_unknown_param_is_named(case, tmp_path):
+    block, family, params, _ = case
+    doc = _tagged_doc(block, family, dict(params, bogus=1), tmp_path)
+    with pytest.raises(ConfigError, match=f"{block}.params.bogus"):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
+def test_tagged_mistyped_param_names_the_field(case, tmp_path):
+    block, family, params, _ = case
+    for key in params:
+        bad = 5 if key in ("name", "csv_path") else "wrong"
+        doc = _tagged_doc(block, family, dict(params, **{key: bad}), tmp_path)
+        with pytest.raises(ConfigError, match=f"{block}.params.{key}"):
+            parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
+def test_tagged_omitted_param_keeps_the_factory_default(case, tmp_path):
+    block, family, params, kwargs = case
+    factory = _LIBRARY_FACTORY[block, family]
+    defaults = inspect.signature(factory).parameters
+    for key in params:
+        if key == "csv_path" or defaults[key].default is inspect.Parameter.empty:
+            continue
+        rest = {k: v for k, v in params.items() if k != key}
+        cfg = parse_config(json.dumps(_tagged_doc(block, family, rest, tmp_path)))
+        expected = factory(**{k: v for k, v in kwargs.items() if k != key})
+        assert _tagged_spec(cfg, block) == expected
+
+
+@pytest.mark.parametrize("block, tag", [("generator", "family"),
+                                        ("terminal", "kind"),
+                                        ("modulus", "family"),
+                                        ("envelope.f", "kind")])
+def test_tagged_unknown_family_is_named(block, tag, tmp_path):
+    doc = _tagged_doc(block, "nosuch", {}, tmp_path)
+    with pytest.raises(ConfigError, match=f"unknown {block} {tag} 'nosuch'"):
+        parse_config(json.dumps(doc))
+
+
+def test_tagged_required_param_is_named():
+    with pytest.raises(ConfigError, match="generator.params.name required"):
+        parse_config(json.dumps({"generator": {"family": "custom"}}))
+
+
+@pytest.mark.parametrize("process", [{}, {"params": {}}, {"kind": None}])
+def test_empty_process_block_means_zero(process):
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "zero"},
+        "envelope": {"psi": {"family": "linear"}, "phi": process}}))
+    assert cfg.envelope.phi == bl.ProcessSpec("zero")
+    assert cfg.envelope.f == bl.ProcessSpec("zero")
+
+
+@pytest.mark.parametrize("block, bad, field", [
+    ({"generator": {"family": "example1", "k": 2}}, "generator.k", "k = 1"),
+    ({"generator": {"family": "zero"},
+      "terminal": {"kind": "coordinate", "k": 3}}, "terminal.k", "k = 1"),
+    ({"generator": {"family": "zero"},
+      "terminal": {"kind": "square_norm", "k": 2}}, "terminal.k", "k = 1"),
+    ({"generator": {"family": "zero"},
+      "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]}, "k": 3}},
+     "terminal", "2 entries"),
+])
+def test_k_must_agree_with_the_family(block, bad, field):
+    with pytest.raises(ConfigError, match=f"{bad}.*{field}"):
+        parse_config(json.dumps(block))
+
+
+def test_k_that_agrees_with_the_family_parses():
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "example1", "k": 1},
+        "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]},
+                     "k": 2}}))
+    assert cfg.generator.k == 1
+    assert cfg.terminal == bl.constant_terminal([1.0, 2.0])
+
+
+def test_solve_rejects_terminal_k_unlike_generator_k(tmp_path, capsys):
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "constant", "params": {"value": [1.0, 2.0]}}))
+    assert main(["solve", str(path)]) == 2
+    assert "generator.k = 1" in capsys.readouterr().err
+
+
+def test_constant_terminal_rejects_vector_of_wrong_length():
+    with pytest.raises(ValueError, match="k = 3"):
+        bl.constant_terminal([1.0, 2.0], k=3)
+    assert bl.constant_terminal(2.0, k=3).k == 3
+
+
+def test_tabulated_domain_cap_defaults_to_last_breakpoint():
+    cfg = parse_config(json.dumps({
+        "generator": {"family": "zero"},
+        "modulus": {"family": "tabulated",
+                    "params": {"breakpoints": [[0, 0], [1, 1], [100, 10]]}}}))
+    assert cfg.modulus.domain_cap == 100.0
+    assert cfg.modulus == bl.tabulated_modulus([(0, 0), (1, 1), (100, 10)])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"modulus": {"family": "linear", "params": {"mu": -1}}}, "mu >= 0"),
+    ({"generator": {"family": "example1", "params": {"p": 0.5}}}, "p > 1"),
+    ({"generator": {"family": "zero", "k": 0}}, "dims must be >= 1"),
+    ({"generator": {"family": "linear", "params": {"a": [[1.0, 2.0]]}, "k": 2}},
+     "k-by-k"),
+    ({"modulus": {"family": "tabulated",
+                  "params": {"breakpoints": [[0, 0], [1, 1]],
+                             "csv_path": "m.csv"}}}, "exactly one of"),
+    ({"envelope": {"psi": {"family": "linear"}, "lambda": -1.0}}, "lambda"),
+])
+def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
+    path = _write(tmp_path, _config(tmp_path, **overrides))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "oracle-compare",
+                                     "bihari", "constants",
+                                     "convergence-study"])
+def test_missing_paths_file_exits_two(tmp_path, capsys, command):
+    doc = _config(tmp_path, terminal={"kind": "coordinate"},
+                  bihari={"M_bound": 1.0, "T1": 0.0, "n_max": 2,
+                          "quad_steps": 16},
+                  study={"M_values": [64], "N_values": [4]})
+    path = _write(tmp_path, doc)
+    missing = tmp_path / "absent.bsde"
+    assert main([command, str(path), "--paths-file", str(missing)]) == 2
+    assert "absent.bsde" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_gen_paths_writes_the_missing_paths_file(tmp_path):
+    path = _write(tmp_path, _config(tmp_path))
+    target = tmp_path / "new.bsde"
+    assert main(["gen-paths", str(path), "--paths-file", str(target)]) == 0
+    assert bl.load_ensemble(target).M == 1024
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "magic"])
+def test_bad_paths_file_exits_two(tmp_path, capsys, damage):
+    stored = tmp_path / "stored.bsde"
+    bl.save_ensemble(bl.generate_ensemble(32, 4, 1, 1.0, seed=1), stored)
+    raw = stored.read_bytes()
+    stored.write_bytes({"garbage": b"not an ensemble",
+                        "truncated": raw[:-8],
+                        "magic": b"XXXX" + raw[4:]}[damage])
+    path = _write(tmp_path, _config(tmp_path))
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
+    err = capsys.readouterr().err
+    assert "stored.bsde" in err and "Traceback" not in err

@@ -260,6 +260,18 @@ def test_solution_csv_layout(tmp_path, small_ensemble):
     assert len(lines) == n_rows + 1
 
 
+def test_solution_csv_bytes(tmp_path):
+    y = np.array([[[0.1, 2.0], [1.0 / 3.0, -0.0]]])
+    z = np.array([[[[0.5], [1e-20]]]])
+    sol = bl.DiscreteSolution(y=y, z=z, grid=bl.TimeGrid(T=0.3, N=1))
+    target = tmp_path / "solution.csv"
+    save_solution_csv(sol, target)
+    assert target.read_text() == (
+        "path,step,t,y_1,y_2,z_11,z_21\n"
+        "0,0,0,0.10000000000000001,2,0.5,9.9999999999999995e-21\n"
+        "0,1,0.29999999999999999,0.33333333333333331,-0,0,0\n")
+
+
 def test_picard_report_csv(tmp_path, small_ensemble):
     gen = bl.zero_generator(1, 1)
     _, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
