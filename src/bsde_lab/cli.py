@@ -26,7 +26,8 @@ from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusSpec, check_shape,
                       linear_growth_coefficient, load_tabulated_csv,
                       osgood_classify, tabulated_modulus)
 from .paths import PathEnsemble, generate_ensemble, load_ensemble, save_ensemble
-from .solver import (TERMINAL_KINDS, BasisSpec, TerminalSpec, format_number,
+from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
+                     SingularRegressionError, TerminalSpec, format_number,
                      picard_solve, save_picard_report_csv, save_solution_csv,
                      terminal_values, write_csv)
 
@@ -269,10 +270,14 @@ def _parse_study(block: dict) -> StudyConfig:
     return cfg
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"config holds {token}: numbers must be finite")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the JSON config document; unknown keys are rejected by name."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -474,6 +479,9 @@ def _cmd_gen_paths(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
+    if cfg.paths.paths_file:
+        raise ConfigError("convergence-study generates one ensemble per (M, N) "
+                          "and takes no paths file")
     inst = _infer_oracle(cfg)
     rows = []
     for m in cfg.study.M_values:
@@ -503,7 +511,8 @@ _HANDLERS = {
 
 def run(cmd: str, cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status (0 ok,
-    1 check failure, 2 usage/config error)."""
+    1 check failure, 2 usage/config error).  main also maps a numerical
+    failure of the solve to 1."""
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown subcommand '{cmd}'")
     paths_file = cfg.paths.paths_file
@@ -536,6 +545,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SingularRegressionError, PicardDivergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,12 +97,29 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
                         antithetic=antithetic)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file beside path that replaces it once the block completes; on an
+    exception it is deleted and path is left as it was."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, mode)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_ensemble(ens: PathEnsemble, path) -> None:
     """Write the binary format: magic 'BSDE', version, sizes, T, seed, raw f64."""
     header = _HEADER.pack(_MAGIC, _VERSION, ens.M, ens.grid.N, ens.d, 0,
                           ens.grid.T, ens.seed)
     payload = np.ascontiguousarray(ens.increments, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 

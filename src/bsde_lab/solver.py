@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import analysis
 from .generator import GeneratorSpec, analytic_lipschitz_z, eval_generator_batch
-from .paths import PathEnsemble, TimeGrid
+from .paths import PathEnsemble, TimeGrid, atomic_open
 
 REGISTERED_TERMINALS: dict = {}
 
@@ -265,7 +265,8 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
                                  frozen_y[:, i], z_i)
         y_i = cont + g * dt
         if not np.all(np.isfinite(y_i)):
-            raise RuntimeError(f"non-finite solution values at time index {i}")
+            raise PicardDivergenceError(
+                f"non-finite solution values at time index {i}")
         y[:, local] = y_i
         z[:, local] = z_i
     return y, z
@@ -407,8 +408,9 @@ def format_number(x) -> str:
 def write_csv(path, header: list, rows) -> None:
     """Write header and rows; strings go out as they are, numbers through
     format_number.  Each column holds one kind throughout, so the first row
-    decides which cells are strings."""
-    with open(path, "w") as fh:
+    decides which cells are strings.  path is replaced only by a complete
+    file."""
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         line = None
         for row in rows:

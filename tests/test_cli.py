@@ -1,5 +1,9 @@
 import inspect
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -628,3 +632,55 @@ def test_bad_paths_file_exits_two(tmp_path, capsys, damage):
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
     err = capsys.readouterr().err
     assert "stored.bsde" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, token", [
+    ({"paths": {"M": 64, "N": 4, "T": math.nan}}, "NaN"),
+    ({"modulus": {"family": "linear", "params": {"mu": math.nan}}}, "NaN"),
+    ({"modulus": {"family": "linear", "params": {"mu": math.inf}}}, "Infinity"),
+    ({"solver": {"picard_tol": -math.inf}}, "-Infinity"),
+])
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys, overrides, token):
+    path = _write(tmp_path, _config(tmp_path, **overrides))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and token in err
+
+
+@pytest.mark.parametrize("via_flag", [True, False])
+def test_convergence_study_rejects_a_paths_file(tmp_path, capsys, via_flag):
+    stored = tmp_path / "stored.bsde"
+    bl.save_ensemble(bl.generate_ensemble(64, 4, 1, 2.0, seed=1), stored)
+    doc = _config(tmp_path, terminal={"kind": "coordinate"},
+                  study={"M_values": [64], "N_values": [4]})
+    argv = ["convergence-study"]
+    if via_flag:
+        argv += [str(_write(tmp_path, doc)), "--paths-file", str(stored)]
+    else:
+        doc["paths"]["paths_file"] = str(stored)
+        argv += [str(_write(tmp_path, doc))]
+    assert main(argv) == 2
+    assert "no paths file" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"solver": {"ridge": 0.0}}, "singular"),
+    ({"generator": {"family": "linear", "params": {"a": 60.0}}}, "fivefold"),
+])
+def test_numerical_failures_exit_one(tmp_path, capsys, overrides, message):
+    path = _write(tmp_path, _config(tmp_path, **overrides))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(bl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bsde_lab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -168,6 +168,53 @@ def test_osgood_sample_curve_monotone():
     assert np.allclose(rep.increments, math.log(10.0), rtol=1e-6)
 
 
+def _decade_edges(u0, decades=8):
+    return u0 * 10.0 ** -np.arange(1, decades + 1), u0 * 10.0 ** -np.arange(decades)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+def test_osgood_increments_linear_closed_form(mu):
+    rep = bl.osgood_classify(bl.linear_modulus(mu, 4.0))
+    assert np.allclose(rep.increments, math.log(10.0) / mu, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_osgood_increments_power_closed_form(alpha, w):
+    c = 2.0
+    rep = bl.osgood_classify(bl.power_modulus(c, alpha, 3.0), weight_exponent=w)
+    lo, hi = _decade_edges(3.0)
+    beta = w * (1.0 - alpha)
+    exact = (hi ** beta - lo ** beta) / (beta * c ** w)
+    assert np.allclose(rep.increments, exact, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("w", [2.0, 3.0])
+def test_osgood_increments_example1h_closed_form(w):
+    # below delta, u^(w-1)/h(u)^w = 1/(u L^q) with L = -ln u and q = w/p
+    h = bl.example1_h_modulus(2.0)
+    rep = bl.osgood_classify(h, weight_exponent=w, u0=h.delta)
+    lo, hi = _decade_edges(h.delta)
+    q = w / h.p
+    l_lo, l_hi = -np.log(lo), -np.log(hi)
+    exact = (np.log(l_lo / l_hi) if q == 1.0
+             else (l_lo ** (1.0 - q) - l_hi ** (1.0 - q)) / (1.0 - q))
+    assert np.allclose(rep.increments, exact, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0])
+def test_osgood_increments_match_trapezoid_on_tabulated(w):
+    mod = random_concave_tabulated(np.random.default_rng(17))
+    rep = bl.osgood_classify(mod, weight_exponent=w)
+    lo, hi = _decade_edges(mod.domain_cap)
+    for j in range(8):
+        s = np.linspace(math.log(lo[j]), math.log(hi[j]), 200_001)
+        u = np.exp(s)
+        f = (u / bl.eval_modulus(mod, u)) ** w
+        ref = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(s)))
+        assert rep.increments[j] == pytest.approx(ref, rel=1e-5)
+
+
 def test_osgood_validation():
     mod = bl.linear_modulus(1.0)
     with pytest.raises(ValueError):

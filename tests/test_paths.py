@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsde_lab as bl
+import bsde_lab.paths as paths_module
 from bsde_lab.paths import EnsembleFormatError, EnsembleLengthError, TimeGrid
 
 
@@ -90,6 +91,36 @@ def test_round_trip(tmp_path, small_ensemble):
     assert back.grid.T == small_ensemble.grid.T
     assert np.array_equal(back.increments, small_ensemble.increments)
     assert np.array_equal(back.values, small_ensemble.values)
+
+
+class _FullDisk:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_leaves_the_old_file(tmp_path, small_ensemble, monkeypatch):
+    target = tmp_path / "paths.bsde"
+    target.write_bytes(b"old")
+    monkeypatch.setattr(paths_module, "open",
+                        lambda *args: _FullDisk(open(*args)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        bl.save_ensemble(small_ensemble, target)
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["paths.bsde"]
 
 
 def test_bad_magic(tmp_path, small_ensemble):

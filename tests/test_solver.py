@@ -7,7 +7,7 @@ import bsde_lab as bl
 from bsde_lab.solver import (PicardDivergenceError, SingularRegressionError,
                              polynomial_features, register_terminal,
                              save_picard_report_csv, save_solution_csv,
-                             terminal_values)
+                             terminal_values, write_csv)
 
 
 BASIS = bl.BasisSpec(degree=3)
@@ -185,6 +185,15 @@ def test_non_finite_sweep_aborts_with_time_index():
         bl.solve_frozen_bsde(gen, None, bl.constant_terminal(1.0), ens, BASIS)
 
 
+def test_non_finite_sweep_is_a_picard_divergence():
+    ens = bl.generate_ensemble(M=128, N=10, d=1, T=1.0, seed=5)
+    bl.register_generator("nan_late", lambda t, b, y, z: np.where(
+        t > 0.65, np.full_like(y, np.nan), np.zeros_like(y)))
+    gen = bl.custom_generator("nan_late", k=1, d=1)
+    with pytest.raises(PicardDivergenceError, match="time index 9"):
+        bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS, p=2.0)
+
+
 def test_picard_constant_init_same_limit(small_ensemble):
     gen = bl.example1_generator(p=2.0, d=1)
     term = bl.coordinate_terminal(0)
@@ -270,6 +279,20 @@ def test_solution_csv_bytes(tmp_path):
         "path,step,t,y_1,y_2,z_11,z_21\n"
         "0,0,0,0.10000000000000001,2,0.5,9.9999999999999995e-21\n"
         "0,1,0.29999999999999999,0.33333333333333331,-0,0,0\n")
+
+
+def test_failed_csv_write_leaves_the_old_file(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("old\n")
+
+    def rows():
+        yield (1.0, 2.0)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(target, ["a", "b"], rows())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_picard_report_csv(tmp_path, small_ensemble):
