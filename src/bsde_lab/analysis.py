@@ -17,21 +17,31 @@ class BihariOrderingError(RuntimeError):
     """The recursion lost its pointwise ordering beyond quadrature tolerance."""
 
 
+def sup_moment(y: np.ndarray, p: float) -> float:
+    """E[sup_t |y_t|^p] of y (M, N+1, k)."""
+    return float(np.mean(np.max(np.linalg.norm(y, axis=2), axis=1) ** p))
+
+
+def z_moment(z_sq: np.ndarray, dt: float, p: float) -> float:
+    """E[(int |z_t|^2 dt)^(p/2)] from z_sq (M, N, k, d), the entries of z
+    squared; squaring a temporary with ** 2 reuses its memory."""
+    step_sq = np.sum(z_sq, axis=(2, 3))
+    return float(np.mean((np.sum(step_sq, axis=1) * dt) ** (p / 2.0)))
+
+
+def sp_norm(y: np.ndarray, p: float) -> float:
+    """S^p norm estimate of y (M, N+1, k)."""
+    return sup_moment(y, p) ** (1.0 / p)
+
+
 def lp_norm_arrays(y: np.ndarray, z: np.ndarray, dt: float, p: float):
     """(sp, mp) norm estimates from raw arrays y (M,N+1,k), z (M,N,k,d)."""
-    sup_p = np.max(np.linalg.norm(y, axis=2), axis=1) ** p
-    sp = float(np.mean(sup_p) ** (1.0 / p))
-    zsq = np.sum(z * z, axis=(2, 3))
-    mp = float(np.mean((np.sum(zsq, axis=1) * dt) ** (p / 2.0)) ** (1.0 / p))
-    return sp, mp
+    return sp_norm(y, p), z_moment(z * z, dt, p) ** (1.0 / p)
 
 
 def iterate_distance_arrays(y_a, y_b, z_a, z_b, dt: float, p: float):
     """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)])."""
-    dy = float(np.mean(np.max(np.linalg.norm(y_a - y_b, axis=2), axis=1) ** p))
-    dzsq = np.sum((z_a - z_b) ** 2, axis=(2, 3))
-    dz = float(np.mean((np.sum(dzsq, axis=1) * dt) ** (p / 2.0)))
-    return dy, dz
+    return sup_moment(y_a - y_b, p), z_moment((z_a - z_b) ** 2, dt, p)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, EnvelopeA,
 from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusSpec, check_shape,
                       linear_growth_coefficient, load_tabulated_csv,
                       osgood_classify, tabulated_modulus)
-from .paths import PathEnsemble, generate_ensemble, load_ensemble, save_ensemble
+from .paths import (PathEnsemble, format_number, generate_ensemble,
+                    load_ensemble, save_ensemble, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
-                     SingularRegressionError, TerminalSpec, format_number,
-                     picard_solve, save_picard_report_csv, save_solution_csv,
-                     terminal_values, write_csv)
+                     SingularRegressionError, TerminalSpec, picard_solve,
+                     save_picard_report_csv, save_solution_csv, terminal_values)
 
 
 class ConfigError(ValueError):
@@ -96,6 +96,8 @@ class PathsConfig:
     seed: int = 0
     antithetic: bool = False
     paths_file: str | None = None
+    # the keys the config states, which a paths file must agree with
+    stated: frozenset = field(default=frozenset(), init=False, repr=False)
 
 
 @dataclass
@@ -150,6 +152,7 @@ class RunConfig:
 
 def _parse_paths(block: dict) -> PathsConfig:
     cfg = PathsConfig(**_kwargs(PathsConfig, block, "paths"))
+    cfg.stated = frozenset(k for k, v in block.items() if v is not None)
     if cfg.M < 1 or cfg.N < 1 or cfg.d < 1:
         raise ConfigError("paths counts M, N, d must all be >= 1")
     if cfg.T <= 0.0:
@@ -307,15 +310,25 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
-    """The ensemble in paths_file, else a generated one."""
+    """The ensemble in paths_file, once it agrees with the keys the paths
+    block states and with generator.d; else a generated one."""
     pc = cfg.paths
-    if pc.paths_file:
-        try:
-            return load_ensemble(pc.paths_file)
-        except ValueError as exc:
-            raise ConfigError(f"paths file '{pc.paths_file}': {exc}") from exc
-    return generate_ensemble(pc.M, pc.N, pc.d, pc.T, pc.seed,
-                             antithetic=pc.antithetic)
+    if not pc.paths_file:
+        return generate_ensemble(pc.M, pc.N, pc.d, pc.T, pc.seed,
+                                 antithetic=pc.antithetic)
+    try:
+        ens = load_ensemble(pc.paths_file)
+    except ValueError as exc:
+        raise ConfigError(f"paths file '{pc.paths_file}': {exc}") from exc
+    found = {"M": ens.M, "N": ens.grid.N, "d": ens.d, "T": ens.grid.T,
+             "seed": ens.seed, "antithetic": ens.antithetic}
+    checks = [(k, f"paths.{k}", getattr(pc, k)) for k in found if k in pc.stated]
+    checks.append(("d", "generator.d", cfg.generator.d))
+    for key, source, want in checks:
+        if found[key] != want:
+            raise ConfigError(f"paths file '{pc.paths_file}' has {key} = "
+                              f"{found[key]}, but {source} is {want}")
+    return ens
 
 
 def _h1_modulus(cfg: RunConfig) -> ModulusSpec:

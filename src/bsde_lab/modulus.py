@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .paths import write_csv
+
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
 INCONCLUSIVE = "inconclusive"
@@ -447,11 +449,7 @@ def transform_modulus(mod: ModulusSpec, kind: str, r: float | None = None,
 def save_tabulated_csv(mod: ModulusSpec, path) -> None:
     if mod.family != "tabulated":
         raise ValueError("only tabulated moduli serialize to CSV")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        for u, v in mod.breakpoints:
-            writer.writerow([f"{u:.17g}", f"{v:.17g}"])
+    write_csv(path, ["u", "v"], mod.breakpoints)
 
 
 def load_tabulated_csv(path, domain_cap: float | None = None) -> ModulusSpec:

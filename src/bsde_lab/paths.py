@@ -13,6 +13,7 @@ import numpy as np
 _MAGIC = b"BSDE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQIIdQ")
+_ANTITHETIC = 1  # header flags bit
 
 
 class EnsembleFormatError(ValueError):
@@ -114,9 +115,34 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
+_NUMBER = "{:.17g}"  # 17 significant digits round-trip a double
+
+
+def format_number(x) -> str:
+    """The number format of every CSV output, so reruns compare byte for byte."""
+    return _NUMBER.format(x)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write header and rows; strings go out as they are, numbers through
+    format_number.  Each column holds one kind throughout, so the first row
+    decides which cells are strings.  path is replaced only by a complete
+    file."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("{}" if isinstance(c, str) else _NUMBER
+                                for c in row) + "\n"
+            fh.write(line.format(*row))
+
+
 def save_ensemble(ens: PathEnsemble, path) -> None:
-    """Write the binary format: magic 'BSDE', version, sizes, T, seed, raw f64."""
-    header = _HEADER.pack(_MAGIC, _VERSION, ens.M, ens.grid.N, ens.d, 0,
+    """Write the binary format: magic 'BSDE', version, sizes, flags, T, seed,
+    raw f64.  Bit 0 of flags is antithetic; the other bits are zero."""
+    header = _HEADER.pack(_MAGIC, _VERSION, ens.M, ens.grid.N, ens.d,
+                          _ANTITHETIC if ens.antithetic else 0,
                           ens.grid.T, ens.seed)
     payload = np.ascontiguousarray(ens.increments, dtype="<f8").tobytes()
     with atomic_open(path, "wb") as fh:
@@ -129,19 +155,21 @@ def load_ensemble(path) -> PathEnsemble:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise EnsembleLengthError("file shorter than the ensemble header")
-    magic, version, m, n, d, placeholder, horizon, seed = _HEADER.unpack_from(raw)
+    magic, version, m, n, d, flags, horizon, seed = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise EnsembleFormatError(f"bad magic bytes {magic!r}")
     if version != _VERSION:
         raise EnsembleFormatError(f"unsupported format version {version}")
-    if placeholder != 0:
-        raise EnsembleFormatError("reserved header field must be zero")
+    if flags & ~_ANTITHETIC:
+        raise EnsembleFormatError(f"unknown header flags {flags:#x}")
     expected = m * n * d * 8
-    body = raw[_HEADER.size:]
-    if len(body) != expected:
+    found = len(raw) - _HEADER.size
+    if found != expected:
         raise EnsembleLengthError(
-            f"payload holds {len(body)} bytes, header implies {expected}")
-    increments = np.frombuffer(body, dtype="<f8").astype(float).reshape(m, n, d)
+            f"payload holds {found} bytes, header implies {expected}")
+    increments = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(
+        float).reshape(m, n, d)
     grid = TimeGrid(T=horizon, N=n)
     return PathEnsemble(M=m, d=d, grid=grid, seed=seed,
-                        increments=increments, values=_cumulate(increments))
+                        increments=increments, values=_cumulate(increments),
+                        antithetic=bool(flags & _ANTITHETIC))

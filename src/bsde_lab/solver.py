@@ -20,7 +20,8 @@ import scipy.linalg
 
 from . import analysis
 from .generator import GeneratorSpec, analytic_lipschitz_z, eval_generator_batch
-from .paths import PathEnsemble, TimeGrid, atomic_open
+# format_number stays importable from here beside write_csv
+from .paths import PathEnsemble, TimeGrid, format_number, write_csv
 
 REGISTERED_TERMINALS: dict = {}
 
@@ -220,11 +221,19 @@ class PicardEntry:
 
 @dataclass
 class PicardReport:
+    """Distances of every measured iterate; window_converged holds one flag
+    per horizon window, in the order of windows."""
+
     iterations: int
-    converged: bool
     tol: float
     entries: list[PicardEntry] = field(default_factory=list)
     windows: list[tuple[int, int]] = field(default_factory=list)
+    window_converged: list[bool] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """True when every window converged."""
+        return all(self.window_converged)
 
     @property
     def dist_y(self) -> list[float]:
@@ -272,6 +281,15 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
     return y, z
 
 
+def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
+                      ens: PathEnsemble) -> np.ndarray:
+    """xi (M, k), once the generator's k and d agree with it and the ensemble."""
+    xi = terminal_values(terminal, ens)
+    if gen.k != xi.shape[1] or gen.d != ens.d:
+        raise ValueError("generator dims disagree with terminal/ensemble")
+    return xi
+
+
 def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
                       terminal: TerminalSpec, ens: PathEnsemble,
                       basis: BasisSpec) -> DiscreteSolution:
@@ -280,14 +298,12 @@ def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
     frozen_y is the previous iterate shaped (M, N+1, k); None means the zero
     field (the first sweep of the fixed-point iteration).
     """
-    xi = terminal_values(terminal, ens)
-    k = xi.shape[1]
+    xi = _checked_terminal(gen, terminal, ens)
+    shape = (ens.M, ens.grid.N + 1, xi.shape[1])
     if frozen_y is None:
-        frozen_y = np.zeros((ens.M, ens.grid.N + 1, k))
-    if frozen_y.shape != (ens.M, ens.grid.N + 1, k):
+        frozen_y = np.zeros(shape)
+    if frozen_y.shape != shape:
         raise ValueError("frozen_y must be shaped (M, N+1, k)")
-    if gen.k != k or gen.d != ens.d:
-        raise ValueError("generator dims disagree with terminal/ensemble")
     y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N)
     return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
@@ -311,9 +327,10 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
 
     dist_y(n) estimates E[sup_t |y^(n+1) - y^n|^p] on the common ensemble; the
     loop stops once it reaches tol or max_iter distances have been measured.
-    Exhausting max_iter returns the best iterate with converged=False, while a
-    distance growing fivefold on two consecutive measurements aborts.  init is
-    None for the zero field or a constant (scalar or length-k) starting field.
+    Exhausting max_iter in a window keeps its last iterate and marks the
+    window unconverged, while a distance growing fivefold on two consecutive
+    measurements aborts.  init is None for the zero field or a constant
+    (scalar or length-k) starting field.
     With split = T1, windows of length T - T1 are processed backward from T,
     each chained to the previous window's boundary values.
 
@@ -323,101 +340,64 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    xi = terminal_values(terminal, ens)
+    xi = _checked_terminal(gen, terminal, ens)
     k = xi.shape[1]
-    if gen.k != k or gen.d != ens.d:
-        raise ValueError("generator dims disagree with terminal/ensemble")
 
     c_lip = analytic_lipschitz_z(gen)
     if c_lip is not None and ens.grid.dt * c_lip > 0.5:
         warnings.warn("explicit z step may be unstable: dt * C > 0.5",
                       RuntimeWarning)
 
+    vals = np.zeros(k) if init is None else np.asarray(init, dtype=float).reshape(-1)
+    if vals.size == 1:
+        vals = np.full(k, vals[0])
+    if vals.size != k:
+        raise ValueError("constant initial field must have length k")
     grid = ens.grid
-    if init is None:
-        frozen = np.zeros((ens.M, grid.N + 1, k))
-    else:
-        vals = np.asarray(init, dtype=float).reshape(-1)
-        if vals.size == 1:
-            vals = np.full(k, vals[0])
-        if vals.size != k:
-            raise ValueError("constant initial field must have length k")
-        frozen = np.tile(vals, (ens.M, grid.N + 1, 1))
-
+    # y is the frozen argument of every sweep and, window by window, the
+    # solution: a sweep on [i_lo, i_hi] reads it at i_lo..i_hi-1 only, which
+    # no earlier window has written.
+    y = np.empty((ens.M, grid.N + 1, k))
+    y[...] = vals
+    z = np.zeros((ens.M, grid.N, k, ens.d))
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
-    y_full = frozen.copy()
-    z_full = np.zeros((ens.M, grid.N, k, ens.d))
-    report = PicardReport(iterations=0, converged=True, tol=tol,
-                          windows=windows)
+    report = PicardReport(iterations=0, tol=tol, windows=windows)
 
     boundary = xi
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        frozen_w = frozen.copy()
-        prev_y = None
-        prev_z = None
-        window_ok = False
+        y_w, z_w = _backward_sweep(gen, y, boundary, ens, basis, i_lo, i_hi)
+        converged = False
         growth_streak = 0
         dists: list[float] = []
-        while True:
-            y_w, z_w = _backward_sweep(gen, frozen_w, boundary, ens, basis,
-                                       i_lo, i_hi)
-            if prev_y is not None:
-                dy, dz = analysis.iterate_distance_arrays(
-                    y_w, prev_y, z_w, prev_z, grid.dt, p)
-                sp, _ = analysis.lp_norm_arrays(y_w, z_w, grid.dt, p)
-                dists.append(dy)
-                report.iterations += 1
-                report.entries.append(PicardEntry(w_idx, report.iterations,
-                                                  dy, dz, sp))
-                if not math.isfinite(dy):
+        while not converged and len(dists) < max_iter:
+            y[:, i_lo:i_hi + 1] = y_w
+            y_next, z_next = _backward_sweep(gen, y, boundary, ens, basis,
+                                             i_lo, i_hi)
+            dy, dz = analysis.iterate_distance_arrays(
+                y_next, y_w, z_next, z_w, grid.dt, p)
+            dists.append(dy)
+            report.iterations += 1
+            report.entries.append(PicardEntry(
+                w_idx, report.iterations, dy, dz, analysis.sp_norm(y_next, p)))
+            if not math.isfinite(dy):
+                raise PicardDivergenceError(
+                    f"iterate distance became non-finite in window {w_idx}")
+            if len(dists) >= 2 and dy > 5.0 * dists[-2]:
+                growth_streak += 1
+                if growth_streak >= 2:
                     raise PicardDivergenceError(
-                        f"iterate distance became non-finite in window {w_idx}")
-                if len(dists) >= 2 and dy > 5.0 * dists[-2]:
-                    growth_streak += 1
-                    if growth_streak >= 2:
-                        raise PicardDivergenceError(
-                            f"iterate distance grew fivefold twice in a row "
-                            f"(window {w_idx}, dist_y={dy:.3e})")
-                else:
-                    growth_streak = 0
-                prev_y, prev_z = y_w, z_w
-                if dy <= tol:
-                    window_ok = True
-                    break
-                if len(dists) >= max_iter:
-                    break
+                        f"iterate distance grew fivefold twice in a row "
+                        f"(window {w_idx}, dist_y={dy:.3e})")
             else:
-                prev_y, prev_z = y_w, z_w
-            frozen_w[:, i_lo:i_hi + 1] = y_w
-        report.converged = report.converged and window_ok
-        y_full[:, i_lo:i_hi + 1] = prev_y
-        z_full[:, i_lo:i_hi] = prev_z
-        boundary = y_full[:, i_lo]
+                growth_streak = 0
+            y_w, z_w = y_next, z_next
+            converged = dy <= tol
+        report.window_converged.append(converged)
+        y[:, i_lo:i_hi + 1] = y_w
+        z[:, i_lo:i_hi] = z_w
+        boundary = y_w[:, 0]
 
-    return DiscreteSolution(y=y_full, z=z_full, grid=grid), report
-
-
-_NUMBER = "{:.17g}"  # 17 significant digits round-trip a double
-
-
-def format_number(x) -> str:
-    """The number format of every CSV output, so reruns compare byte for byte."""
-    return _NUMBER.format(x)
-
-
-def write_csv(path, header: list, rows) -> None:
-    """Write header and rows; strings go out as they are, numbers through
-    format_number.  Each column holds one kind throughout, so the first row
-    decides which cells are strings.  path is replaced only by a complete
-    file."""
-    with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        line = None
-        for row in rows:
-            if line is None:
-                line = ",".join("{}" if isinstance(c, str) else _NUMBER
-                                for c in row) + "\n"
-            fh.write(line.format(*row))
+    return DiscreteSolution(y=y, z=z, grid=grid), report
 
 
 def save_solution_csv(sol: DiscreteSolution, path) -> None:
@@ -437,7 +417,9 @@ def save_solution_csv(sol: DiscreteSolution, path) -> None:
 
 
 def save_picard_report_csv(report: PicardReport, path) -> None:
-    converged = str(report.converged).lower()
-    write_csv(path, ["iter", "dist_y", "dist_z", "sp_norm", "converged"],
-              [(e.iteration, e.dist_y, e.dist_z, e.sp_norm, converged)
-               for e in report.entries])
+    """Columns window,iter,dist_y,dist_z,sp_norm,converged; converged is the
+    flag of the row's own window."""
+    flags = [str(ok).lower() for ok in report.window_converged]
+    write_csv(path, ["window", "iter", "dist_y", "dist_z", "sp_norm", "converged"],
+              [(e.window, e.iteration, e.dist_y, e.dist_z, e.sp_norm,
+                flags[e.window]) for e in report.entries])

@@ -265,3 +265,19 @@ def test_apriori_collapsed_constant_reports_violation(small_ensemble):
                               terminal_moment=1.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)
     assert not rep.prop2_holds  # advisory semantics: reported, not raised
+
+
+def test_norms_and_distances_share_the_two_moments():
+    rng = np.random.default_rng(4)
+    y_a, y_b = rng.standard_normal((2, 64, 6, 2))
+    z_a, z_b = rng.standard_normal((2, 64, 5, 2, 3))
+    dt, p = 0.2, 3.0
+    sup = np.mean(np.max(np.linalg.norm(y_a, axis=2), axis=1) ** p)
+    zint = np.mean((np.sum(z_a ** 2, axis=(1, 2, 3)) * dt) ** (p / 2))
+    assert bl.analysis.sup_moment(y_a, p) == pytest.approx(sup, rel=1e-14)
+    assert bl.analysis.z_moment(z_a * z_a, dt, p) == pytest.approx(zint, rel=1e-14)
+    assert bl.analysis.lp_norm_arrays(y_a, z_a, dt, p) == (
+        bl.analysis.sp_norm(y_a, p), bl.analysis.z_moment(z_a * z_a, dt, p) ** (1 / p))
+    assert bl.analysis.iterate_distance_arrays(y_a, y_b, z_a, z_b, dt, p) == (
+        bl.analysis.sup_moment(y_a - y_b, p),
+        bl.analysis.z_moment((z_a - z_b) ** 2, dt, p))

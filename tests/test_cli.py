@@ -209,8 +209,8 @@ def test_solve_writes_report_and_solution(tmp_path):
     cfg = parse_config(json.dumps(_config(tmp_path)))
     assert run("solve", cfg) == 0
     report = (tmp_path / "out" / "picard_report.csv").read_text().splitlines()
-    assert report[0] == "iter,dist_y,dist_z,sp_norm,converged"
-    assert report[1].startswith("1,0,0,") and report[1].endswith("true")
+    assert report[0] == "window,iter,dist_y,dist_z,sp_norm,converged"
+    assert report[1].startswith("0,1,0,0,") and report[1].endswith("true")
     assert (tmp_path / "out" / "solution.csv").exists()
 
 
@@ -347,9 +347,70 @@ def test_main_paths_file_flag(tmp_path):
     stored = tmp_path / "stored.bsde"
     bl.save_ensemble(ens, stored)
     path = _write(tmp_path, _config(tmp_path))
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
+    assert not (tmp_path / "out" / "solution.csv").exists()
+    bare = _config(tmp_path)
+    del bare["paths"]
+    path = _write(tmp_path, bare, "bare.json")
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 0
     lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
     assert len(lines) == 128 * 6 + 1
+
+
+def _stored(tmp_path, M=300, N=7, d=1, T=2.0, seed=9, antithetic=False):
+    stored = tmp_path / "stored.bsde"
+    bl.save_ensemble(bl.generate_ensemble(M, N, d, T, seed=seed,
+                                          antithetic=antithetic), stored)
+    return stored
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("M", 256, "M = 300, but paths.M is 256"),
+    ("N", 10, "N = 7, but paths.N is 10"),
+    ("T", 1.0, "T = 2.0, but paths.T is 1.0"),
+    ("seed", 3, "seed = 9, but paths.seed is 3"),
+    ("antithetic", True, "antithetic = False, but paths.antithetic is True"),
+])
+def test_paths_file_disagreeing_with_a_stated_key_exits_two(
+        tmp_path, capsys, key, value, shown):
+    stored = _stored(tmp_path)
+    path = _write(tmp_path, _config(tmp_path, paths={key: value}))
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_paths_file_agreeing_with_every_stated_key_solves(tmp_path):
+    stored = _stored(tmp_path, antithetic=True)
+    path = _write(tmp_path, _config(tmp_path, paths={
+        "M": 300, "N": 7, "d": 1, "T": 2, "seed": 9, "antithetic": True,
+        "paths_file": str(stored)}))
+    assert main(["solve", str(path)]) == 0
+    lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
+    assert len(lines) == 300 * 8 + 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_paths_file_dimension_must_match_the_generator(tmp_path, capsys,
+                                                       command):
+    stored = _stored(tmp_path, d=3)
+    doc = _config(tmp_path)
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main([command, str(path), "--paths-file", str(stored)]) == 2
+    assert "d = 3, but generator.d is 1" in capsys.readouterr().err
+
+
+def test_paths_file_with_unknown_flags_exits_two(tmp_path, capsys):
+    stored = _stored(tmp_path)
+    raw = bytearray(stored.read_bytes())
+    raw[28] = 2
+    stored.write_bytes(bytes(raw))
+    doc = _config(tmp_path)
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
+    assert "flags" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ family defaults
@@ -684,3 +745,48 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+# ----------------------------------------------------- traced bindings
+# perfbench/worker.py times each stage and layer by replacing these module
+# attributes, so each must stay bound and reached through that binding.
+
+def test_benchmark_wrapped_bindings_are_called(tmp_path, monkeypatch):
+    from bsde_lab import analysis, generator, solver
+    bindings = [(cli, name) for name in (
+        "generate_ensemble", "load_ensemble", "save_ensemble", "picard_solve",
+        "save_solution_csv", "save_picard_report_csv")]
+    bindings += [(cli.oracle, "compare_to_oracle"),
+                 (solver, "polynomial_features"),
+                 (solver, "eval_generator_batch"),
+                 (analysis, "iterate_distance_arrays"),
+                 (generator, "eval_modulus")]
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in bindings:
+        key = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    assert callable(analysis.lp_norm_arrays)
+
+    paths = {"M": 256, "N": 5, "d": 1, "T": 1.0, "seed": 4}
+    stored = tmp_path / "ens.bsde"
+    gen = _write(tmp_path, {"generator": {"family": "zero"},
+                            "paths": dict(paths, paths_file=str(stored))},
+                 "gen.json")
+    assert main(["gen-paths", str(gen)]) == 0
+    ex1 = _write(tmp_path, _config(
+        tmp_path, paths=paths,
+        generator={"family": "example1", "params": {"p": 2.0}, "k": 1},
+        terminal={"kind": "coordinate", "params": {"j": 0}}), "ex1.json")
+    assert main(["solve", str(ex1)]) == 0
+    mart = _write(tmp_path, _config(
+        tmp_path, paths=paths,
+        terminal={"kind": "coordinate", "params": {"j": 0}}), "mart.json")
+    assert main(["oracle-compare", str(mart), "--paths-file", str(stored)]) == 0
+    assert sorted(calls) == sorted(f"{m.__name__}.{n}" for m, n in bindings)

@@ -389,6 +389,47 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert target.read_text().splitlines()[0] == "u,v"
 
 
+def test_tabulated_csv_is_lf_and_round_trips_17_digits(tmp_path):
+    mod = bl.tabulated_modulus([(0.0, 0.0), (0.1, 1.0 / 3.0), (1.5, 0.7)])
+    target = tmp_path / "mod.csv"
+    bl.modulus.save_tabulated_csv(mod, target)
+    assert target.read_bytes() == (b"u,v\n0,0\n0.10000000000000001,"
+                                   b"0.33333333333333331\n1.5,0.69999999999999996\n")
+    assert bl.modulus.load_tabulated_csv(target).breakpoints == mod.breakpoints
+
+
+class _FailingFile:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_tabulated_csv_write_leaves_the_old_file(tmp_path, monkeypatch):
+    import bsde_lab.paths as paths_module
+    mod = bl.tabulated_modulus([(0.0, 0.0), (1.0, 1.0)])
+    target = tmp_path / "mod.csv"
+    target.write_text("old\n")
+    monkeypatch.setattr(paths_module, "open",
+                        lambda *args: _FailingFile(open(*args)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        bl.modulus.save_tabulated_csv(mod, target)
+    assert target.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["mod.csv"]
+
+
 def test_tabulated_csv_header_required(tmp_path):
     target = tmp_path / "bad.csv"
     target.write_text("a,b\n0,0\n1,1\n")

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -155,11 +156,49 @@ def test_truncated_payload(tmp_path):
 
 @settings(max_examples=10)
 @given(m=st.integers(1, 8), n=st.integers(1, 6), d=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32))
-def test_round_trip_property(tmp_path_factory, m, n, d, seed):
-    ens = bl.generate_ensemble(m, n, d, 0.5, seed=seed)
+       horizon=st.floats(0.01, 100.0), seed=st.integers(0, 2 ** 64 - 1),
+       antithetic=st.booleans())
+def test_round_trip_property(tmp_path_factory, m, n, d, horizon, seed,
+                             antithetic):
+    ens = bl.generate_ensemble(m, n, d, horizon, seed=seed,
+                               antithetic=antithetic)
     target = tmp_path_factory.mktemp("ens") / "e.bsde"
     bl.save_ensemble(ens, target)
     back = bl.load_ensemble(target)
+    assert (back.M, back.d, back.grid, back.seed, back.antithetic) == (
+        m, d, ens.grid, seed, antithetic)
     assert np.array_equal(back.increments, ens.increments)
-    assert (back.M, back.d, back.grid.N, back.seed) == (m, d, n, seed)
+    assert np.array_equal(back.values, ens.values)
+
+
+def _flags(target):
+    return struct.unpack_from("<I", target.read_bytes(), 28)[0]
+
+
+def test_antithetic_is_header_flag_bit_zero(tmp_path):
+    target = tmp_path / "e.bsde"
+    bl.save_ensemble(bl.generate_ensemble(4, 3, 1, 1.0, seed=2), target)
+    assert _flags(target) == 0
+    bl.save_ensemble(bl.generate_ensemble(4, 3, 1, 1.0, seed=2,
+                                          antithetic=True), target)
+    assert _flags(target) == 1
+    assert bl.load_ensemble(target).antithetic
+
+
+@pytest.mark.parametrize("flags", [2, 3, 1 << 31])
+def test_unknown_header_flags_rejected(tmp_path, flags):
+    target = tmp_path / "e.bsde"
+    bl.save_ensemble(bl.generate_ensemble(4, 3, 1, 1.0, seed=2), target)
+    raw = bytearray(target.read_bytes())
+    struct.pack_into("<I", raw, 28, flags)
+    target.write_bytes(bytes(raw))
+    with pytest.raises(EnsembleFormatError, match="flags"):
+        bl.load_ensemble(target)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    target = tmp_path / "e.bsde"
+    bl.save_ensemble(bl.generate_ensemble(4, 3, 1, 1.0, seed=2), target)
+    target.write_bytes(target.read_bytes() + bytes(8))
+    with pytest.raises(EnsembleLengthError):
+        bl.load_ensemble(target)

@@ -302,5 +302,36 @@ def test_picard_report_csv(tmp_path, small_ensemble):
     target = tmp_path / "report.csv"
     save_picard_report_csv(rep, target)
     lines = target.read_text().splitlines()
-    assert lines[0] == "iter,dist_y,dist_z,sp_norm,converged"
-    assert lines[1].startswith("1,0,") and lines[1].endswith("true")
+    assert lines[0] == "window,iter,dist_y,dist_z,sp_norm,converged"
+    assert lines[1].startswith("0,1,0,") and lines[1].endswith("true")
+
+
+def test_picard_report_flags_each_window(tmp_path):
+    # window 0 ([T/2, T]) ends at dist_y ~ 5.8e-5, window 1 at ~ 2.2e-4
+    ens = bl.generate_ensemble(M=512, N=10, d=1, T=1.0, seed=5)
+    gen = bl.linear_generator(a=1.0, c=0.5)
+    _, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), ens,
+                             bl.BasisSpec(degree=2), tol=1e-4, max_iter=4,
+                             split=0.5)
+    assert len(rep.windows) == 2
+    assert rep.window_converged == [True, False]
+    assert not rep.converged
+    target = tmp_path / "report.csv"
+    save_picard_report_csv(rep, target)
+    rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [("0", "true")] * 4 + [("1", "false")] * 4
+
+
+def test_picard_solve_is_the_frozen_iteration(small_ensemble):
+    # one window: the returned pair is the third sweep, each sweep frozen at
+    # the y of the one before, the first at the constant init
+    gen = bl.example1_generator(2.0)
+    term = bl.coordinate_terminal(0)
+    sol, rep = bl.picard_solve(gen, term, small_ensemble, BASIS, tol=1e-30,
+                               max_iter=2, init=0.25)
+    assert rep.iterations == 2 and not rep.converged
+    prev = np.full((small_ensemble.M, small_ensemble.grid.N + 1, 1), 0.25)
+    for _ in range(3):
+        ref = bl.solve_frozen_bsde(gen, prev, term, small_ensemble, BASIS)
+        prev = ref.y
+    assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
