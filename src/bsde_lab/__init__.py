@@ -27,6 +27,7 @@ from .analysis import (
     picard_distance,
 )
 from .generator import (
+    DriverFamily,
     EnvelopeA,
     GeneratorSpec,
     ProcessSpec,
@@ -36,7 +37,6 @@ from .generator import (
     check_h3,
     custom_generator,
     estimate_lipschitz_z,
-    eval_generator,
     example1_generator,
     linear_generator,
     register_generator,

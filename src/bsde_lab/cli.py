@@ -12,21 +12,21 @@ import math
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, oracle
-from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, EnvelopeA,
-                        GeneratorSpec, ProcessSpec, SamplerConfig,
-                        auto_envelope, check_h1, check_h3, default_h1_modulus,
+from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, DriverFamily,
+                        EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
+                        auto_envelope, check_h1, check_h3,
                         estimate_lipschitz_z, verify_envelope)
 from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusSpec, check_shape,
                       linear_growth_coefficient, load_tabulated_csv,
                       osgood_classify, tabulated_modulus)
-from .paths import (PathEnsemble, format_number, generate_ensemble,
-                    load_ensemble, save_ensemble, write_csv)
+from .paths import (DimensionError, PathEnsemble, format_number,
+                    generate_ensemble, load_ensemble, save_ensemble, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
                      SingularRegressionError, TerminalSpec, picard_solve,
                      save_picard_report_csv, save_solution_csv, terminal_values)
@@ -160,31 +160,24 @@ def _parse_paths(block: dict) -> PathsConfig:
     return cfg
 
 
+def _word_or_number(block: dict, key: str, word: str, inner: str):
+    """solver.<key> given as word, a number, or {inner: number}; None if absent."""
+    val, name = block.get(key), f"solver.{key}"
+    if isinstance(val, dict):
+        _require_keys(val, {inner}, name)
+        return _typed(val, inner, float, name)
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    if val is not None and val != word:
+        raise ConfigError(f"{name} must be '{word}', a number, or {{\"{inner}\": ...}}")
+    return val
+
+
 def _parse_solver(block: dict) -> SolverConfig:
-    init = block.get("init")
-    if init is not None:
-        if init == "zero":
-            init = None
-        elif isinstance(init, dict):
-            _require_keys(init, {"constant"}, "solver.init")
-            init = _typed(init, "constant", float, "solver.init", 0.0)
-        elif isinstance(init, (int, float)) and not isinstance(init, bool):
-            init = float(init)
-        else:
-            raise ConfigError("solver.init must be 'zero', a number, or "
-                              "{\"constant\": v}")
-    split = block.get("split")
-    if split is not None and split != "auto":
-        if isinstance(split, dict):
-            _require_keys(split, {"T1"}, "solver.split")
-            split = _typed(split, "T1", float, "solver.split")
-        elif isinstance(split, (int, float)) and not isinstance(split, bool):
-            split = float(split)
-        else:
-            raise ConfigError("solver.split must be 'auto', a number, or "
-                              "{\"T1\": t}")
-    cfg = SolverConfig(**_kwargs(SolverConfig, block, "solver", init=init,
-                                 split=split))
+    init = _word_or_number(block, "init", "zero", "constant")
+    cfg = SolverConfig(**_kwargs(
+        SolverConfig, block, "solver", init=None if init == "zero" else init,
+        split=_word_or_number(block, "split", "auto", "T1")))
     if not cfg.deterministic_reduction:
         raise ConfigError("solver.deterministic_reduction must be true: the "
                           "unblocked reduction path was removed")
@@ -206,8 +199,8 @@ def _tabulated(breakpoints: list | None = None, csv_path: str | None = None,
     return tabulated_modulus(breakpoints, domain_cap=domain_cap)
 
 
-# Each tagged block: the key naming its family, family -> factory, the keys
-# beside that key and params, and the family when the key is absent.
+# Each tagged block: the key naming its family, family -> factory or record (read
+# at parse time), the keys beside that key and params, and the default family.
 _TAGGED = {
     GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k", "d"), None),
     TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
@@ -215,6 +208,10 @@ _TAGGED = {
                   ("domain_cap",), None),
     ProcessSpec: ("kind", PROCESS_KINDS, (), "zero"),
 }
+
+
+def _factory(entry):
+    return entry.factory if isinstance(entry, DriverFamily) else entry
 
 
 def _parse_tagged(block, path: str, spec: type, **preset):
@@ -231,7 +228,7 @@ def _parse_tagged(block, path: str, spec: type, **preset):
     if name not in table:
         raise ConfigError(f"{path}.{tag} required" if name is None
                           else f"unknown {path} {tag} '{name}'")
-    factory = table[name]
+    factory = _factory(table[name])
     spec_types = typing.get_type_hints(spec)
     given = {n: _typed(block, n, spec_types[n], path, preset.get(n)) for n in outer}
     accepted = inspect.signature(factory).parameters
@@ -285,9 +282,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"paths", "solver", "generator", "terminal", "modulus",
-                        "envelope", "constants", "bihari", "study",
-                        "output_dir"}, "")
+    _require_keys(doc, {f.name for f in fields(RunConfig)}, "")
     if "generator" not in doc:
         raise ConfigError("generator required")
     paths = _parse_paths(doc.get("paths") or {})
@@ -335,17 +330,17 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
     """The configured modulus, else the family's default on [0, 10^p]."""
     if cfg.modulus is not None:
         return cfg.modulus
-    mod = default_h1_modulus(cfg.generator, cfg.solver.p, 10.0)
-    if mod is None:
-        raise ConfigError("custom generators need an explicit modulus block")
-    return mod
+    h1_modulus = GENERATOR_FAMILIES[cfg.generator.family].h1_modulus
+    if h1_modulus is None:
+        raise ConfigError("this generator family needs an explicit modulus block")
+    return h1_modulus(cfg.generator, cfg.solver.p, 10.0)
 
 
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     gen, sc, cc = cfg.generator, cfg.solver, cfg.constants
-    lip = estimate_lipschitz_z(gen, SamplerConfig(seed=cfg.paths.seed + 1,
-                                                  horizon=cfg.paths.T))
-    lam = lip.analytic if lip.analytic is not None else lip.sampled
+    exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
+    lam = exact(gen) if exact is not None else estimate_lipschitz_z(
+        gen, SamplerConfig(seed=cfg.paths.seed + 1, horizon=ens.grid.T)).sampled
     growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
     term_moment = 0.0
     if cfg.terminal is not None:
@@ -353,19 +348,17 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
         term_moment = float(np.mean(np.linalg.norm(xi, axis=1) ** sc.p))
     h3 = check_h3(gen, ens, sc.p)
     return analysis.compute_constants(
-        sc.p, lam, cfg.paths.T, growth_a, k_prime_p=cc.k_prime_p,
+        sc.p, lam, ens.grid.T, growth_a, k_prime_p=cc.k_prime_p,
         k_doubleprime_p=cc.k_doubleprime_p, c1=cc.c1, c3=cc.c3, c2=cc.c2,
         terminal_moment=term_moment, h3_moment=h3.estimate)
 
 
 def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
-    if split is None:
-        return None
-    if split == "auto":
-        t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
-        return t1 if t1 > 0.0 else cfg.paths.T / 2.0
-    return float(split)
+    if split != "auto":
+        return split
+    t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
+    return t1 if t1 > 0.0 else ens.grid.T / 2.0
 
 
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
@@ -373,7 +366,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     gen, p = cfg.generator, cfg.solver.p
     mod = _h1_modulus(cfg)
     sampler = SamplerConfig(count=8192, seed=cfg.paths.seed + 1,
-                            horizon=cfg.paths.T)
+                            horizon=ens.grid.T)
 
     rows = []
     shape = check_shape(mod)
@@ -433,18 +426,18 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _infer_oracle(cfg: RunConfig) -> oracle.OracleInstance:
+def _infer_oracle(cfg: RunConfig, horizon: float) -> oracle.OracleInstance:
     if cfg.terminal is None:
         raise ConfigError("terminal block required for oracle comparison")
-    inst = oracle.match_oracle(cfg.generator, cfg.terminal, cfg.paths.T)
+    inst = oracle.match_oracle(cfg.generator, cfg.terminal, horizon)
     if inst is None:
         raise ConfigError("no closed-form oracle matches this generator/terminal")
     return inst
 
 
 def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
-    inst = _infer_oracle(cfg)
     ens = _acquire_ensemble(cfg)
+    inst = _infer_oracle(cfg, ens.grid.T)
     sol, report = _solve(cfg, ens)
     errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
     write_csv(out / "oracle_errors.csv",
@@ -457,18 +450,17 @@ def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
 def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
     mod = _h1_modulus(cfg)
     bc = cfg.bihari
-    m_bound, t1 = bc.M_bound, bc.T1
+    m_bound, t1, horizon = bc.M_bound, bc.T1, cfg.paths.T
     if m_bound is None or t1 is None:
         ens = _acquire_ensemble(cfg)
+        horizon = ens.grid.T
         cb = _bundle(cfg, ens, mod)
         m_bound = cb.m_bound if m_bound is None else m_bound
         t1 = cb.t1 if t1 is None else t1
-    curve = analysis.bihari_recursion(mod, m_bound, cfg.paths.T, t1,
+    curve = analysis.bihari_recursion(mod, m_bound, horizon, t1,
                                       bc.n_max, bc.quad_steps)
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]
-    rows = [tuple([curve.times[i]] + list(curve.values[:, i]))
-            for i in range(curve.times.size)]
-    write_csv(out / "bihari.csv", header, rows)
+    write_csv(out / "bihari.csv", header, zip(curve.times, *curve.values))
     return 0
 
 
@@ -495,12 +487,11 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
     if cfg.paths.paths_file:
         raise ConfigError("convergence-study generates one ensemble per (M, N) "
                           "and takes no paths file")
-    inst = _infer_oracle(cfg)
+    inst = _infer_oracle(cfg, cfg.paths.T)
     rows = []
     for m in cfg.study.M_values:
         for n in cfg.study.N_values:
-            ens = generate_ensemble(m, n, cfg.paths.d, cfg.paths.T,
-                                    cfg.paths.seed,
+            ens = generate_ensemble(m, n, cfg.paths.d, cfg.paths.T, cfg.paths.seed,
                                     antithetic=cfg.paths.antithetic)
             sol, report = _solve(cfg, ens)
             errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
@@ -524,8 +515,8 @@ _HANDLERS = {
 
 def run(cmd: str, cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status (0 ok,
-    1 check failure, 2 usage/config error).  main also maps a numerical
-    failure of the solve to 1."""
+    1 check failure, 2 usage/config error).  main also maps a spec that does
+    not fit the ensemble's dimension to 2 and a numerical failure to 1."""
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown subcommand '{cmd}'")
     paths_file = cfg.paths.paths_file
@@ -555,7 +546,7 @@ def main(argv=None) -> int:
         if args.output_dir:
             cfg.output_dir = args.output_dir
         return run(args.command, cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularRegressionError, PicardDivergenceError) as exc:

@@ -8,13 +8,14 @@ drivers register by name and must accept batched arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modulus import (H1STAR_TO_H1, ModulusSpec, check_shape, eval_modulus,
                       example1_h_modulus, linear_modulus, transform_modulus)
-from .paths import PathEnsemble
+from .paths import DimensionError, PathEnsemble
 
 REGISTERED_GENERATORS: dict = {}
 
@@ -78,10 +79,6 @@ def custom_generator(name: str, k: int = 1, d: int = 1) -> GeneratorSpec:
     return GeneratorSpec("custom", k=k, d=d, name=name)
 
 
-GENERATOR_FAMILIES = {"zero": zero_generator, "linear": linear_generator,
-                      "example1": example1_generator, "custom": custom_generator}
-
-
 def _frobenius(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(z * z, axis=(1, 2)))
 
@@ -96,50 +93,28 @@ def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
     m = brownian.shape[0]
     if brownian.shape != (m, gen.d) or y.shape != (m, gen.k) or z.shape != (m, gen.k, gen.d):
         raise ValueError("dimension mismatch between generator and batch arrays")
-    if gen.family == "zero":
-        return np.zeros((m, gen.k))
-    if gen.family == "linear":
-        if np.isscalar(gen.a):
-            out = gen.a * y
-        else:
-            out = y @ np.asarray(gen.a).T
-        out = out + gen.b * _frobenius(z)[:, None]
-        return out + np.asarray(gen.c, dtype=float)
-    if gen.family == "example1":
-        h = example1_h_modulus(gen.p, gen.delta)
-        val = (eval_modulus(h, np.abs(y[:, 0])) + _frobenius(z)
-               + np.linalg.norm(brownian, axis=1))
-        return val[:, None]
-    fn = REGISTERED_GENERATORS.get(gen.name)
-    if fn is None:
-        raise ValueError(f"no registered generator named '{gen.name}'")
-    out = np.asarray(fn(t, brownian, y, z), dtype=float)
+    out = GENERATOR_FAMILIES[gen.family].evaluate(gen, t, brownian, y, z)
     if out.shape != (m, gen.k):
-        raise ValueError("custom generator returned wrong shape")
+        raise ValueError(f"generator family '{gen.family}' returned wrong shape")
     return out
 
 
-def eval_generator(gen: GeneratorSpec, t: float, brownian_state, y, z) -> np.ndarray:
-    """Single-state driver value: brownian (d,), y (k,), z (k, d) -> (k,)."""
-    b = np.atleast_1d(np.asarray(brownian_state, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim == 1 and zv.size == gen.k * gen.d:
-        zv = zv.reshape(gen.k, gen.d)
-    if b.shape != (gen.d,) or yv.shape != (gen.k,) or zv.shape != (gen.k, gen.d):
-        raise ValueError("dimension mismatch in generator evaluation")
-    return eval_generator_batch(gen, t, b[None], yv[None], zv[None])[0]
+def _eval_linear(gen, t, brownian, y, z):
+    out = gen.a * y if np.isscalar(gen.a) else y @ np.asarray(gen.a).T
+    return out + gen.b * _frobenius(z)[:, None] + np.asarray(gen.c, dtype=float)
 
 
-def analytic_lipschitz_z(gen: GeneratorSpec) -> float | None:
-    """Exact z-Lipschitz constant for builtin families, None for custom."""
-    if gen.family == "zero":
-        return 0.0
-    if gen.family == "linear":
-        return abs(gen.b) * math.sqrt(gen.k)
-    if gen.family == "example1":
-        return 1.0
-    return None
+def _eval_example1(gen, t, brownian, y, z):
+    h = example1_h_modulus(gen.p, gen.delta)
+    return (eval_modulus(h, np.abs(y[:, 0])) + _frobenius(z)
+            + np.linalg.norm(brownian, axis=1))[:, None]
+
+
+def _eval_custom(gen, t, brownian, y, z):
+    fn = REGISTERED_GENERATORS.get(gen.name)
+    if fn is None:
+        raise ValueError(f"no registered generator named '{gen.name}'")
+    return np.asarray(fn(t, brownian, y, z), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,21 +128,21 @@ class SamplerConfig:
     brownian_scale: float = 3.0
 
 
-def _draw_box(sampler: SamplerConfig, gen: GeneratorSpec, rng):
+def _draw_box(sampler: SamplerConfig, gen: GeneratorSpec):
+    rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
     n = sampler.count
     t = rng.uniform(0.0, sampler.horizon, n)
     b_half = sampler.brownian_scale * math.sqrt(sampler.horizon)
     brownian = rng.uniform(-b_half, b_half, (n, gen.d))
-    return t, brownian
+    return rng, t, brownian
 
 
 def _auto_tol(gen: GeneratorSpec, mod: ModulusSpec | None) -> float:
     if mod is not None and mod.family == "tabulated":
         # piecewise-linear chords undercut a strictly concave modulus by ~1e-4
         return 1e-3
-    if gen.family != "custom":
-        return 1e-9
-    return 1e-6
+    # a family that states its constants is a closed form, exact to round-off
+    return 1e-9 if GENERATOR_FAMILIES[gen.family].lipschitz_z is not None else 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,8 +165,7 @@ def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
         raise ValueError("check_h1 needs p > 1")
     if tol is None:
         tol = _auto_tol(gen, mod)
-    rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
-    t, brownian = _draw_box(sampler, gen, rng)
+    rng, t, brownian = _draw_box(sampler, gen)
     n = sampler.count
     y1 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
     y2 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
@@ -224,9 +198,8 @@ class LipschitzZReport:
 
 def estimate_lipschitz_z(gen: GeneratorSpec,
                          sampler: SamplerConfig = SamplerConfig()) -> LipschitzZReport:
-    """Sampled max of |g(y,z1) - g(y,z2)| / |z1 - z2|, plus the exact builtin constant."""
-    rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
-    t, brownian = _draw_box(sampler, gen, rng)
+    """Sampled max of |g(y,z1) - g(y,z2)| / |z1 - z2|, and the exact one if known."""
+    rng, t, brownian = _draw_box(sampler, gen)
     n = sampler.count
     y = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
     z1 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k, gen.d))
@@ -238,7 +211,8 @@ def estimate_lipschitz_z(gen: GeneratorSpec,
     valid = dz > 0.0
     ratio = np.linalg.norm(g1 - g2, axis=1)[valid] / dz[valid]
     sampled = float(np.max(ratio)) if ratio.size else 0.0
-    return LipschitzZReport(sampled, analytic_lipschitz_z(gen))
+    exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
+    return LipschitzZReport(sampled, None if exact is None else exact(gen))
 
 
 @dataclass(frozen=True)
@@ -324,7 +298,8 @@ def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
         return np.full(len(path_idx), spec.value)
     if spec.kind == "abs_brownian_coordinate":
         if spec.index >= ens.d:
-            raise ValueError("brownian coordinate index out of range")
+            raise DimensionError(f"abs_brownian_coordinate index = {spec.index} "
+                                 f"is out of range for d = {ens.d}")
         return np.abs(ens.values[path_idx, t_idx, spec.index])
     if frozen is None:
         raise ValueError("modulus_of_frozen_path needs the frozen path array")
@@ -385,42 +360,69 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     return EnvelopeReport(float(defect[i]), witness, float(defect[i]) <= tol, tol)
 
 
-def default_h1_modulus(gen: GeneratorSpec, p: float,
-                       radius: float) -> ModulusSpec | None:
-    """A modulus rho with |g(y1, z) - g(y2, z)|^p <= rho(|y1 - y2|^p) for
-    |y1 - y2| <= radius, for a builtin family; None for custom drivers.
-
-    Every family's rho lives on [0, radius^p].  zero and linear get
-    rho(u) = mu u, with mu = 1 for zero (any modulus bounds it; the identity
-    also passes the shape and divergence checks) and mu = ||a||^p for linear.
-    example1 gets the H1* -> H1 transform of its h taken on [0, radius].
-    """
-    if gen.family == "zero":
-        return linear_modulus(1.0, domain_cap=radius ** p)
-    if gen.family == "linear":
-        a_norm = abs(gen.a) if np.isscalar(gen.a) else \
-            float(np.linalg.norm(np.asarray(gen.a), 2))
-        return linear_modulus(a_norm ** p, domain_cap=radius ** p)
-    if gen.family == "example1":
-        h = example1_h_modulus(gen.p, gen.delta, domain_cap=radius)
-        return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
-    return None
-
-
 def auto_envelope(gen: GeneratorSpec, p: float,
                   radius: float = 5.0) -> EnvelopeA | None:
-    """Canonical envelope for a builtin generator family on |y| <= radius;
-    None for custom drivers, whose growth is unknown."""
-    if gen.family == "custom":
-        return None
-    if gen.family == "example1" and gen.d != 1:
-        raise ValueError("auto envelope for example1 assumes d = 1")
-    lam = analytic_lipschitz_z(gen)
-    if gen.family == "zero":
-        return EnvelopeA(psi=linear_modulus(0.0, domain_cap=radius ** p), lam=lam)
-    psi = default_h1_modulus(gen, p, radius)
-    if gen.family == "linear":
-        c_norm = abs(gen.c) if np.isscalar(gen.c) else \
-            float(np.linalg.norm(np.asarray(gen.c)))
-        return EnvelopeA(psi=psi, lam=lam, phi=constant_process(c_norm))
-    return EnvelopeA(psi=psi, lam=lam, f=abs_brownian_coordinate_process(0))
+    """The family's canonical envelope on |y| <= radius; None when the family
+    does not state one (custom drivers, whose growth is unknown)."""
+    envelope = GENERATOR_FAMILIES[gen.family].envelope
+    return None if envelope is None else envelope(gen, p, radius)
+
+
+def _linear_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
+    a_norm = abs(gen.a) if np.isscalar(gen.a) else \
+        float(np.linalg.norm(np.asarray(gen.a), 2))
+    return linear_modulus(a_norm ** p, domain_cap=radius ** p)
+
+
+def _linear_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:
+    c_norm = abs(gen.c) if np.isscalar(gen.c) else \
+        float(np.linalg.norm(np.asarray(gen.c)))
+    return EnvelopeA(psi=_linear_h1(gen, p, radius), phi=constant_process(c_norm),
+                     lam=GENERATOR_FAMILIES[gen.family].lipschitz_z(gen))
+
+
+def _example1_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
+    h = example1_h_modulus(gen.p, gen.delta, domain_cap=radius)
+    return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
+
+
+def _example1_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:
+    if gen.d != 1:
+        raise DimensionError(f"the example1 envelope bounds |B_t| by |B_t^1|: it needs "
+                             f"generator.d = 1, not {gen.d}, or an envelope block")
+    return EnvelopeA(psi=_example1_h1(gen, p, radius), lam=1.0,
+                     f=abs_brownian_coordinate_process(0))
+
+
+@dataclass(frozen=True)
+class DriverFamily:
+    """A driver family: the factory its config block calls, the batched
+    evaluate(gen, t, brownian, y, z), and the facts the L^p theorem rests on,
+    None where unknown: the exact z-Lipschitz constant lipschitz_z(gen), an H1
+    modulus h1_modulus(gen, p, radius) on [0, radius^p] for |y1 - y2| <= radius,
+    and a growth envelope(gen, p, radius) on |y| <= radius."""
+
+    factory: Callable[..., GeneratorSpec]
+    evaluate: Callable[..., np.ndarray]
+    lipschitz_z: Callable[[GeneratorSpec], float] | None = None
+    h1_modulus: Callable[..., ModulusSpec] | None = None
+    envelope: Callable[..., EnvelopeA] | None = None
+
+
+GENERATOR_FAMILIES = {
+    # H1 moduli: zero takes rho(u) = u (any modulus bounds it; the identity also
+    # passes the shape and divergence checks), linear ||a||^p u, and example1
+    # the H1* -> H1 transform of its h taken on [0, radius]
+    "zero": DriverFamily(
+        zero_generator, lambda gen, t, b, y, z: np.zeros((b.shape[0], gen.k)),
+        lambda gen: 0.0,
+        lambda gen, p, radius: linear_modulus(1.0, domain_cap=radius ** p),
+        lambda gen, p, radius: EnvelopeA(
+            psi=linear_modulus(0.0, domain_cap=radius ** p), lam=0.0)),
+    "linear": DriverFamily(linear_generator, _eval_linear,
+                           lambda gen: abs(gen.b) * math.sqrt(gen.k),
+                           _linear_h1, _linear_envelope),
+    "example1": DriverFamily(example1_generator, _eval_example1,
+                             lambda gen: 1.0, _example1_h1, _example1_envelope),
+    "custom": DriverFamily(custom_generator, _eval_custom),
+}

@@ -19,7 +19,7 @@ class OracleInstance:
 
     martingale_coordinate: g = 0, xi = B_T^(j)   -> y = B_t^(j), z = e_j
     martingale_square:     g = 0, xi = |B_T|^2, d = 1 -> y = B_t^2 + (T - t), z = 2 B_t
-    linear_drift:          g = a y + c, xi = v deterministic -> y deterministic, z = 0
+    linear_drift:          g = a y + c, xi = v constant, k = 1 -> y deterministic, z = 0
     """
 
     kind: str
@@ -41,9 +41,9 @@ def match_oracle(gen, term, horizon: float) -> OracleInstance | None:
     or None when the pair has none."""
     if gen.family == "zero" and term.kind == "coordinate":
         return OracleInstance("martingale_coordinate", T=horizon, j=term.j)
-    if gen.family == "zero" and term.kind == "square_norm":
+    if gen.family == "zero" and term.kind == "square_norm" and gen.d == 1:
         return OracleInstance("martingale_square", T=horizon)
-    if (gen.family == "linear" and term.kind == "constant"
+    if (gen.family == "linear" and term.kind == "constant" and gen.k == 1
             and np.isscalar(gen.a) and gen.b == 0.0 and np.isscalar(gen.c)):
         return OracleInstance("linear_drift", T=horizon, a=gen.a, c=gen.c,
                               v=float(term.value[0]))

@@ -24,6 +24,10 @@ class EnsembleLengthError(ValueError):
     """Payload size disagrees with the header."""
 
 
+class DimensionError(ValueError):
+    """A spec needs a Brownian coordinate or dimension the ensemble lacks."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i T / N on [0, T]."""

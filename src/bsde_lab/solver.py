@@ -19,9 +19,9 @@ import numpy as np
 import scipy.linalg
 
 from . import analysis
-from .generator import GeneratorSpec, analytic_lipschitz_z, eval_generator_batch
+from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
 # format_number stays importable from here beside write_csv
-from .paths import PathEnsemble, TimeGrid, format_number, write_csv
+from .paths import DimensionError, PathEnsemble, TimeGrid, format_number, write_csv
 
 REGISTERED_TERMINALS: dict = {}
 
@@ -85,7 +85,8 @@ def terminal_values(term: TerminalSpec, ens: PathEnsemble) -> np.ndarray:
     b_T = ens.values[:, -1, :]
     if term.kind == "coordinate":
         if term.j >= ens.d:
-            raise ValueError("terminal coordinate index out of range")
+            raise DimensionError(f"terminal coordinate j = {term.j} is out of "
+                                 f"range for d = {ens.d}")
         return b_T[:, [term.j]]
     if term.kind == "square_norm":
         return np.sum(b_T * b_T, axis=1, keepdims=True)
@@ -343,8 +344,8 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     xi = _checked_terminal(gen, terminal, ens)
     k = xi.shape[1]
 
-    c_lip = analytic_lipschitz_z(gen)
-    if c_lip is not None and ens.grid.dt * c_lip > 0.5:
+    c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
+    if c_lip is not None and ens.grid.dt * c_lip(gen) > 0.5:
         warnings.warn("explicit z step may be unstable: dt * C > 0.5",
                       RuntimeWarning)
 

@@ -413,6 +413,45 @@ def test_paths_file_with_unknown_flags_exits_two(tmp_path, capsys):
     assert "flags" in capsys.readouterr().err
 
 
+def test_oracle_compare_takes_the_horizon_of_the_paths_file(tmp_path):
+    stored = _stored(tmp_path, M=16384, N=10, T=2.0)
+    doc = _config(tmp_path, terminal={"kind": "coordinate"})
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main(["oracle-compare", str(path), "--paths-file", str(stored)]) == 0
+    row = (tmp_path / "out" / "oracle_errors.csv").read_text().splitlines()[1]
+    sp_error, z_rms_error = (float(v) for v in row.split(",")[:2])
+    assert sp_error <= 0.05 and z_rms_error <= 0.10
+
+
+bl.register_generator("cli_time_scaled", lambda t, b, y, z: t[:, None] * y
+                      if np.ndim(t) else t * y)
+_LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
+
+
+@pytest.mark.parametrize("command, output, generator", [
+    ("solve", "picard_report.csv", _LINEAR),
+    ("constants", "constants.csv", _LINEAR),
+    ("bihari", "bihari.csv", _LINEAR),
+    ("check", "check_report.csv",
+     {"family": "custom", "params": {"name": "cli_time_scaled"}}),
+])
+def test_commands_take_the_horizon_of_the_paths_file(tmp_path, command,
+                                                     output, generator):
+    stored = _stored(tmp_path, M=512, N=10, T=2.0)
+    outputs = []
+    for paths in ({}, {"T": 2.0}):
+        doc = _config(tmp_path, paths=paths, solver={"split": "auto"},
+                      generator=generator,
+                      modulus={"family": "linear", "params": {"mu": 4.0},
+                               "domain_cap": 100.0},
+                      bihari={"n_max": 3, "quad_steps": 64})
+        path = _write(tmp_path, doc)
+        assert main([command, str(path), "--paths-file", str(stored)]) == 0
+        outputs.append((tmp_path / "out" / output).read_text())
+    assert outputs[0] == outputs[1]
+
+
 # ------------------------------------------------------ family defaults
 
 _MATRIX_A = [[0.5, 0.1], [0.0, 0.3]]
@@ -454,6 +493,37 @@ def test_default_h1_modulus_custom_needs_block():
         cli._h1_modulus(cfg)
 
 
+def _abs_z_generator(b: float = 0.5, d: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("abs_z", k=1, d=d, b=b)
+
+
+def test_a_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
+    monkeypatch.setitem(GENERATOR_FAMILIES, "abs_z", bl.DriverFamily(
+        _abs_z_generator,
+        lambda gen, t, brownian, y, z: gen.b * np.abs(z[:, :, 0]),
+        lipschitz_z=lambda gen: gen.b,
+        h1_modulus=lambda gen, p, radius: bl.linear_modulus(
+            1.0, domain_cap=radius ** p)))
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+        generator={"family": "abs_z", "params": {"b": 0.25}}))
+    assert main(["check", str(path)]) == 0
+    rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
+    assert [r for r in rows if r.startswith("h2_lipschitz_z,true,")][0] \
+        .endswith(",analytic=0.25")
+    assert main(["solve", str(path)]) == 0
+
+
+def test_bundle_samples_lipschitz_z_only_without_an_exact_constant(
+        tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a known constant")
+
+    monkeypatch.setattr(cli, "estimate_lipschitz_z", no_sampling)
+    path = _write(tmp_path, _config(tmp_path, paths={"M": 256, "N": 5}))
+    assert main(["constants", str(path)]) == 0
+
+
 # ------------------------------------------------------- tagged blocks
 
 bl.register_generator("cli_block_custom", lambda t, b, y, z: -y)
@@ -490,12 +560,12 @@ _TAGGED_CASES = [
      {"mod": {"family": "power", "params": {"c": 2.0}}, "exponent": 3.0},
      {"mod": bl.power_modulus(2.0), "exponent": 3.0}),
 ]
-_LIBRARY_FACTORY = {(block, name): factory
+_LIBRARY_FACTORY = {(block, name): cli._factory(entry)
                     for block, table in (("generator", GENERATOR_FAMILIES),
                                          ("terminal", TERMINAL_KINDS),
                                          ("modulus", MODULUS_FAMILIES),
                                          ("envelope.f", PROCESS_KINDS))
-                    for name, factory in table.items()}
+                    for name, entry in table.items()}
 
 
 def _case_id(case):
@@ -524,7 +594,8 @@ def _tagged_spec(cfg, block):
 def test_tagged_cases_cover_every_factory_parameter():
     for block, spec in _BLOCK_SPEC.items():
         tag, table, outer, _ = cli._TAGGED[spec]
-        for family, factory in table.items():
+        for family, entry in table.items():
+            factory = cli._factory(entry)
             named = {key for b, f, params, _ in _TAGGED_CASES
                      if (b, f) == (block, family) for key in params}
             expected = set(inspect.signature(factory).parameters) - set(outer)
@@ -650,6 +721,11 @@ def test_tabulated_domain_cap_defaults_to_last_breakpoint():
                   "params": {"breakpoints": [[0, 0], [1, 1]],
                              "csv_path": "m.csv"}}}, "exactly one of"),
     ({"envelope": {"psi": {"family": "linear"}, "lambda": -1.0}}, "lambda"),
+    ({"envelope": {"psi": {"family": "linear"},
+                   "f": {"kind": "abs_brownian_coordinate",
+                         "params": {"index": 1}}}}, "index = 1"),
+    ({"paths": {"M": 256, "N": 4, "d": 2},
+      "generator": {"family": "example1"}}, "generator.d = 1"),
 ])
 def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     path = _write(tmp_path, _config(tmp_path, **overrides))
@@ -657,6 +733,28 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle-compare", "constants"])
+def test_terminal_coordinate_beyond_d_exits_two(tmp_path, capsys, command):
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "coordinate", "params": {"j": 1}}))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: terminal coordinate j = 1")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"generator": {"family": "linear", "params": {"a": 0.5}, "k": 2},
+     "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]}}},
+    {"paths": {"M": 256, "N": 4, "d": 2}, "generator": {"family": "zero"},
+     "terminal": {"kind": "square_norm"}},
+], ids=["linear_drift-k2", "martingale_square-d2"])
+def test_oracle_compare_without_an_oracle_of_that_shape_exits_two(
+        tmp_path, capsys, overrides):
+    path = _write(tmp_path, _config(tmp_path, **overrides))
+    assert main(["oracle-compare", str(path)]) == 2
+    assert "no closed-form oracle matches" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "oracle-compare",

@@ -13,44 +13,47 @@ from bsde_lab.generator import (ProcessSpec, SamplerConfig, eval_generator_batch
 
 def test_zero_generator_returns_zero_vector():
     gen = bl.zero_generator(k=3, d=2)
-    out = bl.eval_generator(gen, 0.3, np.zeros(2), np.ones(3), np.ones((3, 2)))
-    assert np.array_equal(out, np.zeros(3))
+    out = eval_generator_batch(gen, 0.3, np.zeros((1, 2)), np.ones((1, 3)),
+                               np.ones((1, 3, 2)))
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_example1_evaluation():
     gen = bl.example1_generator(p=2.0, d=1)
-    out = bl.eval_generator(gen, 0.0, np.zeros(1), np.array([math.exp(-4)]),
-                            np.zeros((1, 1)))
-    assert out[0] == pytest.approx(2.0 * math.exp(-4), rel=1e-14)
+    out = eval_generator_batch(gen, 0.0, np.zeros((1, 1)),
+                               np.array([[math.exp(-4)]]), np.zeros((1, 1, 1)))
+    assert out[0, 0] == pytest.approx(2.0 * math.exp(-4), rel=1e-14)
 
 
 def test_linear_generator_scalar_a():
     gen = bl.linear_generator(a=1.0, b=0.0, c=0.0, k=1, d=2)
-    out = bl.eval_generator(gen, 0.0, np.zeros(2), np.array([3.0]),
-                            np.ones((1, 2)))
-    assert out[0] == 3.0
+    out = eval_generator_batch(gen, 0.0, np.zeros((1, 2)), np.array([[3.0]]),
+                               np.ones((1, 1, 2)))
+    assert out[0, 0] == 3.0
 
 
 def test_linear_generator_matrix_and_z_norm():
     a = [[0.0, 1.0], [1.0, 0.0]]
     gen = bl.linear_generator(a=a, b=2.0, c=[0.5, -0.0], k=2, d=1)
     z = np.array([[3.0], [4.0]])  # Frobenius norm 5
-    out = bl.eval_generator(gen, 0.0, np.zeros(1), np.array([1.0, 2.0]), z)
-    assert out == pytest.approx([2.0 + 10.0 + 0.5, 1.0 + 10.0])
+    out = eval_generator_batch(gen, 0.0, np.zeros((1, 1)),
+                               np.array([[1.0, 2.0]]), z[None])
+    assert out[0] == pytest.approx([2.0 + 10.0 + 0.5, 1.0 + 10.0])
 
 
 def test_dimension_mismatch_rejected():
     gen = bl.zero_generator(k=1, d=2)
     with pytest.raises(ValueError):
-        bl.eval_generator(gen, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 2)))
+        eval_generator_batch(gen, 0.0, np.zeros((1, 1)), np.zeros((1, 1)),
+                             np.zeros((1, 1, 2)))
 
 
 def test_custom_generator_registry():
     register_generator("double_y", lambda t, b, y, z: 2.0 * y)
     gen = bl.custom_generator("double_y", k=2, d=1)
-    out = bl.eval_generator(gen, 0.0, np.zeros(1), np.array([1.0, -1.0]),
-                            np.zeros((2, 1)))
-    assert np.array_equal(out, [2.0, -2.0])
+    out = eval_generator_batch(gen, 0.0, np.zeros((1, 1)),
+                               np.array([[1.0, -1.0]]), np.zeros((1, 2, 1)))
+    assert np.array_equal(out, [[2.0, -2.0]])
     with pytest.raises(ValueError):
         bl.custom_generator("never_registered")
 
@@ -99,8 +102,8 @@ def test_h1_witness_reproduces_ratio():
     mod = bl.linear_modulus(0.3, domain_cap=200.0)
     rep = bl.check_h1(gen, mod, 2.0, SamplerConfig(seed=1))
     w = rep.witness
-    g1 = bl.eval_generator(gen, w["t"], w["brownian"], w["y1"], w["z"])
-    g2 = bl.eval_generator(gen, w["t"], w["brownian"], w["y2"], w["z"])
+    g1, g2 = (eval_generator_batch(gen, w["t"], w["brownian"][None], y[None],
+                                   w["z"][None]) for y in (w["y1"], w["y2"]))
     num = np.linalg.norm(g1 - g2) ** 2.0
     den = bl.eval_modulus(mod, float(np.linalg.norm(w["y1"] - w["y2"])) ** 2.0)
     assert num / den == pytest.approx(rep.max_ratio, rel=1e-12)
@@ -259,14 +262,3 @@ def test_envelope_frozen_path_descriptor(small_ensemble):
     rep = bl.verify_envelope(gen, env, 2.0, small_ensemble, frozen=frozen)
     assert rep.passed  # |g| = 0 <= phi = 1
 
-
-def test_batch_eval_matches_scalar_loop():
-    gen = bl.example1_generator(p=2.0, d=2)
-    rng = np.random.default_rng(0)
-    brownian = rng.normal(size=(6, 2))
-    y = rng.normal(size=(6, 1))
-    z = rng.normal(size=(6, 1, 2))
-    batch = eval_generator_batch(gen, 0.5, brownian, y, z)
-    for i in range(6):
-        single = bl.eval_generator(gen, 0.5, brownian[i], y[i], z[i])
-        assert batch[i] == pytest.approx(single, rel=1e-14)
