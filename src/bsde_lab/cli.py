@@ -185,6 +185,8 @@ def _parse_solver(block: dict) -> SolverConfig:
         raise ConfigError("solver.p must exceed 1")
     if cfg.picard_max_iter < 1:
         raise ConfigError("solver.picard_max_iter must be >= 1")
+    if cfg.picard_tol <= 0.0:
+        raise ConfigError("solver.picard_tol must be positive")
     return cfg
 
 
@@ -355,13 +357,20 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
 
 def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
-    if split != "auto":
-        return split
-    t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
-    return t1 if t1 > 0.0 else ens.grid.T / 2.0
+    if split == "auto":
+        t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
+        return t1 if t1 > 0.0 else ens.grid.T / 2.0
+    if split is not None and split >= ens.grid.T:
+        raise ConfigError(f"solver.split is {split}, but the ensemble's horizon "
+                          f"T is {ens.grid.T}: the split needs T1 < T")
+    return split
 
 
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
+    for name in ("phi", "f") if cfg.envelope is not None else ():
+        if getattr(cfg.envelope, name).kind == "modulus_of_frozen_path":
+            raise ConfigError(f"envelope.{name} is modulus_of_frozen_path, but "
+                              "check has no frozen iterate to evaluate it on")
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
     mod = _h1_modulus(cfg)
@@ -451,12 +460,13 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
     mod = _h1_modulus(cfg)
     bc = cfg.bihari
     m_bound, t1, horizon = bc.M_bound, bc.T1, cfg.paths.T
-    if m_bound is None or t1 is None:
+    if m_bound is None or t1 is None or cfg.paths.paths_file:
         ens = _acquire_ensemble(cfg)
         horizon = ens.grid.T
-        cb = _bundle(cfg, ens, mod)
-        m_bound = cb.m_bound if m_bound is None else m_bound
-        t1 = cb.t1 if t1 is None else t1
+        if m_bound is None or t1 is None:
+            cb = _bundle(cfg, ens, mod)
+            m_bound = cb.m_bound if m_bound is None else m_bound
+            t1 = cb.t1 if t1 is None else t1
     curve = analysis.bihari_recursion(mod, m_bound, horizon, t1,
                                       bc.n_max, bc.quad_steps)
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]

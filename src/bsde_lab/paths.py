@@ -72,10 +72,12 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
                       antithetic: bool = False) -> PathEnsemble:
     """Simulate M independent d-dimensional Brownian paths on N uniform steps.
 
-    Increments come from per-path Philox substreams jumped from (seed, path
-    index), so the result is a pure function of (seed, M, N, d, T) regardless
-    of how generation is scheduled.  With antithetic=True, path 2j+1 is the
-    negation of path 2j.
+    Path j is drawn from Philox(key=seed) with counter word 2 set to j, which
+    is exactly Philox(key=seed).jumped(j): its increments are
+    sqrt(T/N) * Generator(Philox(key=seed).jumped(j)).standard_normal((N, d)).
+    So the result is a pure function of (seed, M, N, d, T) regardless of how
+    generation is scheduled.  With antithetic=True, path 2j+1 is the negation
+    of path 2j.
     """
     if M < 1 or N < 1 or d < 1:
         raise ValueError("M, N, d must all be >= 1")
@@ -88,14 +90,20 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
         raise MemoryError(
             f"cannot allocate ensemble of {M}x{N}x{d} float64 increments") from exc
 
-    root = np.random.Philox(key=seed)
-    scale = math.sqrt(grid.dt)
-    for j in range(M):
-        if antithetic and j % 2 == 1:
-            increments[j] = -increments[j - 1]
-        else:
-            rng = np.random.Generator(root.jumped(j))
-            increments[j] = scale * rng.standard_normal((N, d))
+    # One bit generator, moved to each path's substream: jumped(j) adds j to
+    # counter word 2 of the zero counter and empties the output buffer.  The
+    # state taken from the fresh generator has an empty buffer, so only its
+    # counter changes from path to path.
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for j in range(0, M, 2 if antithetic else 1):
+        state["state"]["counter"][2] = j
+        bitgen.state = state
+        rng.standard_normal(out=increments[j])
+    if antithetic:
+        np.negative(increments[:-1:2], out=increments[1::2])
+    increments *= math.sqrt(grid.dt)
 
     return PathEnsemble(M=M, d=d, grid=grid, seed=seed,
                         increments=increments, values=_cumulate(increments),
@@ -119,12 +127,12 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-_NUMBER = "{:.17g}"  # 17 significant digits round-trip a double
+NUMBER = "%.17g"  # 17 significant digits round-trip a double
 
 
 def format_number(x) -> str:
     """The number format of every CSV output, so reruns compare byte for byte."""
-    return _NUMBER.format(x)
+    return NUMBER % (x,)
 
 
 def write_csv(path, header: list, rows) -> None:
@@ -137,9 +145,9 @@ def write_csv(path, header: list, rows) -> None:
         line = None
         for row in rows:
             if line is None:
-                line = ",".join("{}" if isinstance(c, str) else _NUMBER
+                line = ",".join("%s" if isinstance(c, str) else NUMBER
                                 for c in row) + "\n"
-            fh.write(line.format(*row))
+            fh.write(line % tuple(row))
 
 
 def save_ensemble(ens: PathEnsemble, path) -> None:

@@ -20,8 +20,8 @@ import scipy.linalg
 
 from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
-# format_number stays importable from here beside write_csv
-from .paths import DimensionError, PathEnsemble, TimeGrid, format_number, write_csv
+from .paths import (NUMBER, DimensionError, PathEnsemble, TimeGrid, atomic_open,
+                    format_number, write_csv)
 
 REGISTERED_TERMINALS: dict = {}
 
@@ -401,20 +401,39 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     return DiscreteSolution(y=y, z=z, grid=grid), report
 
 
+# Rows per chunk of the solution writer, about 250 KB of text at k = d = 1:
+# larger chunks wrote no faster and held more memory.
+_SOLUTION_CHUNK_ROWS = 1 << 12
+
+
 def save_solution_csv(sol: DiscreteSolution, path) -> None:
-    """Columns path,step,t,y_1..y_k,z_11..z_kd; z rows at the terminal step are 0."""
+    """Columns path,step,t,y_1..y_k,z_11..z_kd; z rows at the terminal step are 0.
+
+    The cells are those of write_csv.  Each path's N+1 rows are one
+    `template % values`, whose template holds the path, step and t cells
+    already formatted; paths go out in chunks, so the text is never held
+    whole.
+    """
     m, n_plus, k = sol.y.shape
     d = sol.z.shape[3]
-    times = sol.grid.times.tolist()
     header = (["path", "step", "t"]
               + [f"y_{i + 1}" for i in range(k)]
               + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
-    zeros = [0.0] * (k * d)
-    write_csv(path, header, (
-        (pth, step, t, *y, *z) for pth in range(m)
-        for step, (t, y, z) in enumerate(zip(
-            times, sol.y[pth].tolist(),
-            sol.z[pth].reshape(n_plus - 1, k * d).tolist() + [zeros]))))
+    cells = ",".join([NUMBER] * (k + k * d))
+    # A path's rows without their path cell, which joining them puts in front.
+    rows = [""] + [f"{format_number(step)},{format_number(t)},{cells}\n"
+                   for step, t in enumerate(sol.grid.times.tolist())]
+    chunk = max(1, _SOLUTION_CHUNK_ROWS // n_plus)
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            block = np.zeros((hi - lo, n_plus, k + k * d))
+            block[:, :, :k] = sol.y[lo:hi]
+            block[:, :-1, k:] = sol.z[lo:hi].reshape(hi - lo, n_plus - 1, k * d)
+            fh.writelines((format_number(pth) + ",").join(rows) % tuple(values)
+                          for pth, values in enumerate(
+                              block.reshape(hi - lo, -1).tolist(), lo))
 
 
 def save_picard_report_csv(report: PicardReport, path) -> None:

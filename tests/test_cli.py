@@ -424,6 +424,34 @@ def test_oracle_compare_takes_the_horizon_of_the_paths_file(tmp_path):
     assert sp_error <= 0.05 and z_rms_error <= 0.10
 
 
+def test_bihari_with_given_bounds_takes_the_horizon_of_the_paths_file(
+        tmp_path):
+    stored = _stored(tmp_path, T=2.0)
+    doc = _config(tmp_path,
+                  modulus={"family": "linear", "params": {"mu": 0.25},
+                           "domain_cap": 2.0},
+                  bihari={"M_bound": 1.0, "T1": 0.0, "n_max": 2,
+                          "quad_steps": 64})
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main(["bihari", str(path), "--paths-file", str(stored)]) == 0
+    rows = (tmp_path / "out" / "bihari.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == 2.0
+
+
+@pytest.mark.parametrize("split, rc", [(1.5, 0), (2.0, 2), (2.5, 2)])
+def test_split_is_checked_against_the_horizon_of_the_paths_file(
+        tmp_path, capsys, split, rc):
+    stored = _stored(tmp_path, T=2.0)
+    doc = _config(tmp_path, solver={"split": split})
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == rc
+    if rc:
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver.split") and "T is 2.0" in err
+
+
 bl.register_generator("cli_time_scaled", lambda t, b, y, z: t[:, None] * y
                       if np.ndim(t) else t * y)
 _LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
@@ -733,6 +761,33 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"picard_tol": 0}, "solver.picard_tol must be positive"),
+    ({"picard_tol": -1e-6}, "solver.picard_tol must be positive"),
+    ({"split": 1.5}, "solver.split is 1.5"),
+    ({"split": {"T1": 1.0}}, "solver.split is 1.0"),
+])
+def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
+    path = _write(tmp_path, _config(tmp_path, solver=solver))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("process", ["phi", "f"])
+def test_check_with_a_frozen_path_envelope_exits_two(tmp_path, capsys,
+                                                     process):
+    frozen = {"kind": "modulus_of_frozen_path",
+              "params": {"mod": {"family": "linear"}}}
+    path = _write(tmp_path, _config(tmp_path, envelope={
+        "psi": {"family": "linear"}, process: frozen}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: envelope.{process} is modulus_of_frozen_path")
+    assert "no frozen iterate" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle-compare", "constants"])

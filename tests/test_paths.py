@@ -82,6 +82,21 @@ def test_antithetic_pairs_negate():
         assert np.array_equal(ens.increments[j + 1], -ens.increments[j])
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("seed", [0, 20240817, 2 ** 64 - 1])
+def test_each_path_is_its_jumped_philox_substream(antithetic, seed):
+    m, n, d, horizon = 9, 5, 3, 0.7
+    ens = bl.generate_ensemble(m, n, d, horizon, seed=seed,
+                               antithetic=antithetic)
+    for j in range(m):
+        drawn = j - 1 if antithetic and j % 2 else j
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(drawn))
+        expected = math.sqrt(horizon / n) * rng.standard_normal((n, d))
+        if drawn != j:
+            expected = -expected
+        assert ens.increments[j].tobytes() == expected.tobytes()
+
+
 def test_round_trip(tmp_path, small_ensemble):
     target = tmp_path / "paths.bsde"
     bl.save_ensemble(small_ensemble, target)

@@ -1,13 +1,18 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsde_lab as bl
+import bsde_lab.solver as solver_module
 from bsde_lab.solver import (PicardDivergenceError, SingularRegressionError,
-                             polynomial_features, register_terminal,
-                             save_picard_report_csv, save_solution_csv,
-                             terminal_values, write_csv)
+                             format_number, polynomial_features,
+                             register_terminal, save_picard_report_csv,
+                             save_solution_csv, terminal_values, write_csv)
 
 
 BASIS = bl.BasisSpec(degree=3)
@@ -279,6 +284,65 @@ def test_solution_csv_bytes(tmp_path):
         "path,step,t,y_1,y_2,z_11,z_21\n"
         "0,0,0,0.10000000000000001,2,0.5,9.9999999999999995e-21\n"
         "0,1,0.29999999999999999,0.33333333333333331,-0,0,0\n")
+
+
+# Cells whose renderings differ in form: signed zero, the least subnormal,
+# exponents, integer values and a repeating binary fraction.
+_CELLS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 3.0,
+                                    -2.0, 1.0 / 3.0, 1e16, 0.1]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 5), k=st.integers(1, 3),
+       d=st.integers(1, 3), horizon=st.floats(1e-3, 1e3),
+       chunk_rows=st.integers(1, 40), data=st.data())
+def test_solution_csv_is_the_generic_rendering(tmp_path_factory, m, n, k, d,
+                                                horizon, chunk_rows, data):
+    cells = data.draw(st.lists(_CELLS, min_size=m * (n + 1) * k + m * n * k * d,
+                               max_size=m * (n + 1) * k + m * n * k * d))
+    y = np.array(cells[:m * (n + 1) * k]).reshape(m, n + 1, k)
+    z = np.array(cells[m * (n + 1) * k:]).reshape(m, n, k, d)
+    sol = bl.DiscreteSolution(y=y, z=z, grid=bl.TimeGrid(T=horizon, N=n))
+    out = tmp_path_factory.mktemp("solution")
+    # a small chunk puts chunk boundaries inside the solution
+    with mock.patch.object(solver_module, "_SOLUTION_CHUNK_ROWS", chunk_rows):
+        save_solution_csv(sol, out / "fast.csv")
+    header = (["path", "step", "t"] + [f"y_{i + 1}" for i in range(k)]
+              + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
+    zeros = np.zeros((1, k * d))
+    write_csv(out / "generic.csv", header, [
+        (pth, step, t, *y_row, *z_row)
+        for pth in range(m)
+        for step, (t, y_row, z_row) in enumerate(zip(
+            sol.grid.times.tolist(), y[pth].tolist(),
+            np.vstack([z[pth].reshape(n, k * d), zeros]).tolist()))])
+    assert (out / "fast.csv").read_bytes() == (out / "generic.csv").read_bytes()
+    # the % format renders each cell as the format spec did
+    assert all(format_number(c) == "{:.17g}".format(c) for c in cells)
+
+
+# sha256 of an ensemble file and of a solution.csv of its own numbers
+# (y = B, z = B dB), both recorded before the writer and the generator were
+# rewritten.
+@pytest.mark.parametrize("antithetic, ensemble_sha, solution_sha", [
+    (False, "48da2b3961c20de24ffec081ff480dafd3f0fd72b40d2d703d8fef9fd193a8b4",
+     "f253c344b6e78566adf87085337e6e07386e152d01f455201ac15cb8f4b87ac0"),
+    (True, "3d4377273da397afd2c7cf75c84692f59c7bb6b5e2d4f8e63aabd3b06b142139",
+     "b4028ed3f48931e13196533a64c58b668cccf2f3ab446ad13655b47436de9efb"),
+])
+def test_ensemble_and_solution_bytes_are_pinned(tmp_path, antithetic,
+                                                ensemble_sha, solution_sha):
+    ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11, antithetic=antithetic)
+    bl.save_ensemble(ens, tmp_path / "paths.bsde")
+    sol = bl.DiscreteSolution(
+        y=ens.values[:, :, :2],
+        z=ens.values[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        grid=ens.grid)
+    save_solution_csv(sol, tmp_path / "solution.csv")
+    digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("paths.bsde", "solution.csv")]
+    assert digest == [ensemble_sha, solution_sha]
 
 
 def test_failed_csv_write_leaves_the_old_file(tmp_path):
