@@ -17,6 +17,10 @@ class BihariOrderingError(RuntimeError):
     """The recursion lost its pointwise ordering beyond quadrature tolerance."""
 
 
+class BihariBoundError(BihariOrderingError):
+    """phi_0 = (T - T1) mod(M) exceeds the uniform bound M."""
+
+
 def sup_moment(y: np.ndarray, p: float) -> float:
     """E[sup_t |y_t|^p] of y (M, N+1, k)."""
     return float(np.mean(np.max(np.linalg.norm(y, axis=2), axis=1) ** p))
@@ -89,7 +93,8 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
 
     Composite trapezoid on quad_steps panels; the pointwise ordering
     0 <= phi_{n+1} <= phi_n <= M is enforced and its violation beyond
-    quadrature tolerance raises BihariOrderingError.
+    quadrature tolerance raises BihariOrderingError (BihariBoundError when
+    phi_0 exceeds M).
     """
     rep = check_shape(mod, grid_size=4096, tol=1e-9)
     if not (rep.is_concave and rep.is_nondecreasing and rep.zero_at_zero):
@@ -107,7 +112,7 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
     rows[0] = (horizon - times) * eval_modulus(mod, m_bound)
     tol = 1e-9 * max(1.0, float(rows[0].max()))
     if rows[0].max() > m_bound + tol:
-        raise BihariOrderingError(
+        raise BihariBoundError(
             "phi_0 exceeds the uniform bound: (T - T1) mod(M) > M")
     for n in range(n_max):
         vals = eval_modulus(mod, rows[n])

@@ -262,6 +262,17 @@ def _parse_envelope(block: dict) -> EnvelopeA:
         raise ConfigError(f"envelope: {exc}") from exc
 
 
+def _parse_bihari(block: dict) -> BihariConfig:
+    cfg = BihariConfig(**_kwargs(BihariConfig, block, "bihari"))
+    if cfg.M_bound is not None and cfg.M_bound < 0.0:
+        raise ConfigError("bihari.M_bound must be nonnegative")
+    if cfg.n_max < 0:
+        raise ConfigError("bihari.n_max must be >= 0")
+    if cfg.quad_steps < 2:
+        raise ConfigError("bihari.quad_steps must be >= 2")
+    return cfg
+
+
 def _parse_study(block: dict) -> StudyConfig:
     cfg = StudyConfig(**_kwargs(StudyConfig, block, "study"))
     for key in ("M_values", "N_values"):
@@ -297,7 +308,7 @@ def parse_config(text: str) -> RunConfig:
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
     constants = ConstantsConfig(**_kwargs(ConstantsConfig,
                                           doc.get("constants") or {}, "constants"))
-    bihari = BihariConfig(**_kwargs(BihariConfig, doc.get("bihari") or {}, "bihari"))
+    bihari = _parse_bihari(doc.get("bihari") or {})
     study = _parse_study(doc.get("study") or {})
     output_dir = _typed(doc, "output_dir", str, "", "out")
     return RunConfig(paths=paths, solver=solver, generator=gen,
@@ -467,8 +478,17 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
             cb = _bundle(cfg, ens, mod)
             m_bound = cb.m_bound if m_bound is None else m_bound
             t1 = cb.t1 if t1 is None else t1
-    curve = analysis.bihari_recursion(mod, m_bound, horizon, t1,
-                                      bc.n_max, bc.quad_steps)
+    if bc.T1 is not None and bc.T1 >= horizon:
+        raise ConfigError(f"bihari.T1 is {bc.T1}, but the horizon T is "
+                          f"{horizon}: the recursion needs T1 < T")
+    try:
+        curve = analysis.bihari_recursion(mod, m_bound, horizon, t1,
+                                          bc.n_max, bc.quad_steps)
+    except analysis.BihariBoundError as exc:
+        if bc.M_bound is None:
+            raise
+        raise ConfigError(f"bihari.M_bound is {bc.M_bound}, too small for "
+                          f"this modulus: {exc}") from exc
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]
     write_csv(out / "bihari.csv", header, zip(curve.times, *curve.values))
     return 0
@@ -559,7 +579,8 @@ def main(argv=None) -> int:
     except (ConfigError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularRegressionError, PicardDivergenceError) as exc:
+    except (SingularRegressionError, PicardDivergenceError,
+            analysis.BihariOrderingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

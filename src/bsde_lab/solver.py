@@ -9,6 +9,7 @@ state, then y is the regressed continuation plus an explicit driver step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -125,6 +126,10 @@ class BasisSpec:
         return 1e-10 * m if self.ridge is None else self.ridge
 
 
+# Rows per block of the feature builder and of the regression's reductions.
+_ROW_BLOCK = 8192
+
+
 def _monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
     exps = [e for e in itertools.product(range(degree + 1), repeat=d)
             if sum(e) <= degree]
@@ -132,42 +137,75 @@ def _monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
     return exps
 
 
+@functools.cache
+def _product_plan(d: int, degree: int):
+    """How polynomial_features fills its columns: (n_basis, linear, products).
+
+    linear holds (column, j) for the column x_j; products holds
+    (column, left, right) for each monomial of degree >= 2, whose column is
+    left * right.  For a mixed monomial, right is the pure power of its last
+    nonzero coordinate and left the monomial without it; a pure power is
+    x_j^(k-1) * x_j.  Both factors come earlier in column order.  These are
+    the products, in the same order, that multiplying per-coordinate power
+    tables performs, so the features are bit for bit theirs.
+    """
+    exps = _monomial_exponents(d, degree)
+    index = {e: col for col, e in enumerate(exps)}
+    linear, products = [], []
+    for col, e in enumerate(exps):
+        if sum(e) == 0:
+            continue
+        j = max(i for i, ei in enumerate(e) if ei)
+        pure = tuple(e[j] if i == j else 0 for i in range(d))
+        if sum(e) == 1:
+            linear.append((col, j))
+        elif e == pure:
+            lower = tuple(ei - (i == j) for i, ei in enumerate(e))
+            unit = tuple(int(i == j) for i in range(d))
+            products.append((col, index[lower], index[unit]))
+        else:
+            rest = tuple(0 if i == j else ei for i, ei in enumerate(e))
+            products.append((col, index[rest], index[pure]))
+    return len(exps), tuple(linear), tuple(products)
+
+
 def polynomial_features(state: np.ndarray, degree: int) -> np.ndarray:
+    """Monomials of total degree <= degree in the columns of state (M, d),
+    shaped (M, n_basis), ordered by degree and then by exponent tuple."""
     state = np.atleast_2d(state)
     m, d = state.shape
-    exps = _monomial_exponents(d, degree)
-    feats = np.empty((m, len(exps)))
-    # per-coordinate power table up to degree, reused across monomials
-    powers = [np.vander(state[:, i], degree + 1, increasing=True) for i in range(d)]
-    for col, e in enumerate(exps):
-        f = np.ones(m)
-        for i, ei in enumerate(e):
-            if ei:
-                f = f * powers[i][:, ei]
-        feats[:, col] = f
+    n_basis, linear, products = _product_plan(d, degree)
+    feats = np.empty((m, n_basis))
+    # A block of rows is built one feature per contiguous row of cols, one
+    # multiply per feature, and transposed into feats while it is in cache.
+    cols = np.empty((n_basis, min(m, _ROW_BLOCK)))
+    for lo in range(0, m, _ROW_BLOCK):
+        block = cols[:, :min(m - lo, _ROW_BLOCK)]
+        block[0] = 1.0
+        for col, j in linear:
+            block[col] = state[lo:lo + _ROW_BLOCK, j]
+        for col, left, right in products:
+            np.multiply(block[left], block[right], out=block[col])
+        feats[lo:lo + _ROW_BLOCK] = block.T
     return feats
 
 
-def _blocked_product(feats: np.ndarray, other: np.ndarray,
-                     block: int = 8192) -> np.ndarray:
+def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
     """feats.T @ other summed over row blocks of fixed size in a fixed order."""
     out = np.zeros((feats.shape[1], other.shape[1]))
-    for lo in range(0, feats.shape[0], block):
-        out += feats[lo:lo + block].T @ other[lo:lo + block]
+    for lo in range(0, feats.shape[0], _ROW_BLOCK):
+        out += feats[lo:lo + _ROW_BLOCK].T @ other[lo:lo + _ROW_BLOCK]
     return out
 
 
-def _regression_setup(state: np.ndarray, basis: BasisSpec):
-    """Features of state (M, d) and the Cholesky factor of their ridge Gram matrix."""
-    feats = polynomial_features(state, basis.degree)
+def _gram_factor(feats: np.ndarray, ridge: float):
+    """Cholesky factor of the ridge Gram matrix of feats (M, n_basis)."""
     gram = _blocked_product(feats, feats)
     try:
-        factor = scipy.linalg.cho_factor(
-            gram + basis.ridge_for(state.shape[0]) * np.eye(gram.shape[0]))
+        return scipy.linalg.cho_factor(gram + ridge * np.eye(gram.shape[0]))
     except scipy.linalg.LinAlgError as exc:
         raise SingularRegressionError(
             "normal equations are singular; pass a ridge > 0") from exc
-    return feats, factor
 
 
 def _project(feats: np.ndarray, factor, targets: np.ndarray):
@@ -194,8 +232,8 @@ def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
         raise ValueError("targets and state must share the sample axis")
     if m <= basis.size(state.shape[1]):
         raise ValueError("need more samples than basis functions")
-    feats, factor = _regression_setup(state, basis)
-    return _project(feats, factor, targets)
+    feats = polynomial_features(state, basis.degree)
+    return _project(feats, _gram_factor(feats, basis.ridge_for(m)), targets)
 
 
 @dataclass
@@ -251,8 +289,14 @@ class PicardReport:
 
 def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
                     terminal: np.ndarray, ens: PathEnsemble, basis: BasisSpec,
-                    i_lo: int, i_hi: int):
-    """One frozen-argument sweep on grid indices [i_lo, i_hi]."""
+                    i_lo: int, i_hi: int, factors: list):
+    """One frozen-argument sweep on grid indices [i_lo, i_hi].
+
+    factors holds the Gram factor of each time index, or None where none has
+    been built; the sweep fills what it builds, so later sweeps of the same
+    solve reuse it.  The features are rebuilt: keeping them would hold
+    M * n_basis numbers per time step.
+    """
     grid = ens.grid
     m, k, d = ens.M, terminal.shape[1], ens.d
     dt = grid.dt
@@ -264,12 +308,14 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
     for i in range(i_hi - 1, i_lo - 1, -1):
         local = i - i_lo
         y_next = y[:, local + 1]
-        feats, factor = _regression_setup(ens.values[:, i, :], basis)
-        cont, _ = _project(feats, factor, y_next)
+        feats = polynomial_features(ens.values[:, i, :], basis.degree)
+        if factors[i] is None:
+            factors[i] = _gram_factor(feats, basis.ridge_for(m))
+        cont, _ = _project(feats, factors[i], y_next)
         # martingale residual keeps the z targets mean-zero given the state
         resid = y_next - cont
         z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
-        z_fit, _ = _project(feats, factor, z_targets.reshape(m, k * d))
+        z_fit, _ = _project(feats, factors[i], z_targets.reshape(m, k * d))
         z_i = z_fit.reshape(m, k, d)
         g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
                                  frozen_y[:, i], z_i)
@@ -305,7 +351,8 @@ def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
         frozen_y = np.zeros(shape)
     if frozen_y.shape != shape:
         raise ValueError("frozen_y must be shaped (M, N+1, k)")
-    y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N)
+    y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N,
+                           [None] * ens.grid.N)
     return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
 
@@ -363,17 +410,20 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     z = np.zeros((ens.M, grid.N, k, ens.d))
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
     report = PicardReport(iterations=0, tol=tol, windows=windows)
+    # Gram factors depend on the ensemble and the basis only: one per step.
+    factors = [None] * grid.N
 
     boundary = xi
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        y_w, z_w = _backward_sweep(gen, y, boundary, ens, basis, i_lo, i_hi)
+        y_w, z_w = _backward_sweep(gen, y, boundary, ens, basis, i_lo, i_hi,
+                                   factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
         while not converged and len(dists) < max_iter:
             y[:, i_lo:i_hi + 1] = y_w
             y_next, z_next = _backward_sweep(gen, y, boundary, ens, basis,
-                                             i_lo, i_hi)
+                                             i_lo, i_hi, factors)
             dy, dz = analysis.iterate_distance_arrays(
                 y_next, y_w, z_next, z_w, grid.dt, p)
             dists.append(dy)

@@ -439,6 +439,40 @@ def test_bihari_with_given_bounds_takes_the_horizon_of_the_paths_file(
     assert float(rows[-1].split(",")[0]) == 2.0
 
 
+@pytest.mark.parametrize("T1", [1.0, 1.5])
+def test_bihari_T1_at_or_beyond_the_horizon_exits_two(tmp_path, capsys, T1):
+    path = _write(tmp_path, _config(tmp_path, bihari={"T1": T1}))
+    assert main(["bihari", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bihari.T1 is {T1}") and "T is 1.0" in err
+
+
+def test_bihari_given_bound_below_phi_0_exits_two(tmp_path, capsys):
+    doc = _config(tmp_path, bihari={"M_bound": 1.0, "T1": 0.0})
+    doc["paths"]["T"] = 2.0
+    assert main(["bihari", str(_write(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.startswith("error: bihari.M_bound is 1.0")
+
+
+def test_bihari_ordering_failure_of_computed_bounds_exits_one(tmp_path,
+                                                               capsys):
+    doc = _config(tmp_path, bihari={"T1": 0.0},
+                  generator={"family": "example1", "params": {"p": 2.0},
+                             "k": 1})
+    assert main(["bihari", str(_write(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi_0 exceeds the uniform bound")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("M_bound", -1.0), ("n_max", -1), ("quad_steps", 1)])
+def test_bihari_settings_out_of_range_exit_two(tmp_path, capsys, key, value):
+    path = _write(tmp_path, _config(tmp_path, bihari={key: value}))
+    assert main(["bihari", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bihari.{key}")
+
+
 @pytest.mark.parametrize("split, rc", [(1.5, 0), (2.0, 2), (2.5, 2)])
 def test_split_is_checked_against_the_horizon_of_the_paths_file(
         tmp_path, capsys, split, rc):

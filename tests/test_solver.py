@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,50 @@ def test_basis_size():
     assert bl.BasisSpec(degree=3).size(1) == 4
     assert bl.BasisSpec(degree=3).size(2) == 10
     assert polynomial_features(np.zeros((5, 2)), 3).shape == (5, 10)
+
+
+def _power_table_features(state, degree):
+    """The feature builder before the product plan: per-coordinate power
+    tables multiplied into each column, kept as the bit-level reference."""
+    m, d = state.shape
+    exps = solver_module._monomial_exponents(d, degree)
+    feats = np.empty((m, len(exps)))
+    powers = [np.vander(state[:, i], degree + 1, increasing=True)
+              for i in range(d)]
+    for col, e in enumerate(exps):
+        f = np.ones(m)
+        for i, ei in enumerate(e):
+            if ei:
+                f = f * powers[i][:, ei]
+        feats[:, col] = f
+    return feats
+
+
+_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e100, -1e100]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_features_are_bytes_of_the_power_table_products(d, degree, data):
+    m = data.draw(st.integers(1, 12))
+    cells = data.draw(st.lists(_CELLS, min_size=m * d, max_size=m * d))
+    state = np.array(cells).reshape(m, d)
+    with np.errstate(all="ignore"):
+        feats = polynomial_features(state, degree)
+        ref = _power_table_features(state, degree)
+    assert feats.shape == ref.shape and feats.flags.c_contiguous
+    assert feats.tobytes() == ref.tobytes()
+
+
+def test_features_across_row_blocks_match_the_power_table_products():
+    rng = np.random.default_rng(4)
+    state = rng.normal(size=(2 * solver_module._ROW_BLOCK + 5, 4, 3))[:, 1, :]
+    state[:5, 1] = [0.0, -0.0, 5e-324, 1e100, -1e100]
+    with np.errstate(all="ignore"):
+        feats = polynomial_features(state, 4)
+        ref = _power_table_features(state, 4)
+    assert feats.tobytes() == ref.tobytes()
 
 
 def test_regress_constant_targets():
@@ -399,3 +444,55 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
         ref = bl.solve_frozen_bsde(gen, prev, term, small_ensemble, BASIS)
         prev = ref.y
     assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
+
+
+# sha256 of picard_solve's y and z bytes, recorded before the feature builder
+# became a product plan and the Gram factors were kept across sweeps.
+def _solve_case(name):
+    ens1 = bl.generate_ensemble(M=2048, N=20, d=1, T=1.0, seed=101)
+    if name == "example1":
+        return bl.picard_solve(bl.example1_generator(2.0),
+                               bl.coordinate_terminal(0), ens1, BASIS,
+                               tol=1e-6)
+    if name == "split":
+        return bl.picard_solve(bl.linear_generator(a=0.5, b=0.3, c=0.2),
+                               bl.coordinate_terminal(0), ens1, BASIS,
+                               tol=1e-8, split=0.4)
+    if name == "zero_d3":
+        ens = bl.generate_ensemble(M=9000, N=6, d=3, T=1.0, seed=102)
+        return bl.picard_solve(bl.zero_generator(1, 3),
+                               bl.square_norm_terminal(), ens, BASIS)
+    ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=103)
+    gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
+                              c=[0.1, 0.2], k=2, d=2)
+    return bl.picard_solve(gen, bl.constant_terminal([1.0, 2.0]), ens,
+                           bl.BasisSpec(int(name[-1])), tol=1e-8)
+
+
+@pytest.mark.parametrize("name, iterations, sha", [
+    ("example1", 7,
+     "20b5388acee1054c6a5878c7c407fce98679f04df61c3630491cbf751f3882c3"),
+    ("zero_d3", 1,
+     "b52edc04e4b3e79c66937ab928108b3a25976bfd3f8906933c84ef589309f79a"),
+    ("split", 9,
+     "1fc9689293876ff89e9d32e41fe1869d0394491d6d3c3f09b1ea53129044c35b"),
+    ("degree0", 5,
+     "6f73042fcf5c93e8054fdeb6af768aa92ccca3b6346a5fac513e01b6e91b757d"),
+    ("degree5", 5,
+     "2ede3ed3429c0c30084203a0ce76dcf2064d3fd5f20855a026b97780aca3fef5"),
+])
+def test_picard_solve_bytes_are_pinned(name, iterations, sha):
+    sol, rep = _solve_case(name)
+    assert rep.iterations == iterations
+    digest = hashlib.sha256(sol.y.tobytes())
+    digest.update(sol.z.tobytes())
+    assert digest.hexdigest() == sha
+
+
+@pytest.mark.parametrize("name", ["example1", "split"])
+def test_each_step_factors_its_gram_matrix_once_per_solve(name):
+    with mock.patch.object(scipy.linalg, "cho_factor",
+                           wraps=scipy.linalg.cho_factor) as factor:
+        sol, rep = _solve_case(name)
+    assert rep.iterations + 1 >= 8
+    assert factor.call_count == sol.grid.N
