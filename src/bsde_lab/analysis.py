@@ -162,21 +162,28 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         raise ValueError("needs p > 1")
     if lam < 0.0 or growth_a < 0.0 or horizon <= 0.0:
         raise ValueError("lambda, A must be >= 0 and T > 0")
+    if any(c is not None and c <= 0.0
+           for c in (k_prime_p, k_doubleprime_p, c1, c2, c3)):
+        raise ValueError("k'_p, k''_p, c1, c2 and c3 must be positive")
     c_p = p * min(p - 1.0, 1.0) / 2.0
-    c_lambda_p_t = 2.0 ** (p + 4.0) * (3.0 + 2.0 * lam ** 2 * horizon + horizon ** p)
-    theta = 2.0 ** (p + 2.0) * k_prime_p
-    d_lpt = (p - 1.0) * theta ** (1.0 / (p - 1.0)) + p * lam ** 2 / min(1.0, p - 1.0)
-    if c1 is None:
-        c1 = 2.0 * k_prime_p * d_lpt
-    if c3 is None:
-        c3 = 2.0 * k_prime_p * d_lpt
-    if c1 <= 0.0 or c3 <= 0.0:
-        raise ValueError("c1 and c3 must be positive")
-    if c2 is None:
-        c2 = 2.0 * k_prime_p
-    mu0 = c2 * math.exp(c3 * horizon) * (terminal_moment + h3_moment)
+    try:
+        c_lambda_p_t = 2.0 ** (p + 4.0) * (3.0 + 2.0 * lam ** 2 * horizon
+                                          + horizon ** p)
+        theta = 2.0 ** (p + 2.0) * k_prime_p
+        d_lpt = ((p - 1.0) * theta ** (1.0 / (p - 1.0))
+                 + p * lam ** 2 / min(1.0, p - 1.0))
+        if c1 is None:
+            c1 = 2.0 * k_prime_p * d_lpt
+        if c3 is None:
+            c3 = 2.0 * k_prime_p * d_lpt
+        if c2 is None:
+            c2 = 2.0 * k_prime_p
+        mu0 = c2 * math.exp(c3 * horizon) * (terminal_moment + h3_moment)
+    except OverflowError:
+        mu0 = math.inf
     if not math.isfinite(mu0):
-        raise ValueError("mu0 overflowed; reduce c3 or the horizon")
+        raise OverflowError(f"the derived constants overflow at p = {p}, "
+                            f"T = {horizon}; reduce c3 or the horizon")
     m_bound = 2.0 * mu0 + 2.0 * growth_a * horizon
     candidates = [horizon - math.log(2.0) / c1, horizon - math.log(2.0) / c3, 0.0]
     if growth_a > 0.0:

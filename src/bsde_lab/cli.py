@@ -157,6 +157,8 @@ def _parse_paths(block: dict) -> PathsConfig:
         raise ConfigError("paths counts M, N, d must all be >= 1")
     if cfg.T <= 0.0:
         raise ConfigError("paths.T must be positive")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"paths.seed is {cfg.seed}, but must be in [0, 2**64)")
     return cfg
 
 
@@ -187,6 +189,12 @@ def _parse_solver(block: dict) -> SolverConfig:
         raise ConfigError("solver.picard_max_iter must be >= 1")
     if cfg.picard_tol <= 0.0:
         raise ConfigError("solver.picard_tol must be positive")
+    if cfg.basis_degree < 0:
+        raise ConfigError("solver.basis_degree must be >= 0")
+    if cfg.ridge is not None and cfg.ridge < 0.0:
+        raise ConfigError("solver.ridge must be >= 0")
+    if isinstance(cfg.split, float) and cfg.split < 0.0:
+        raise ConfigError(f"solver.split is {cfg.split}, but must be >= 0")
     return cfg
 
 
@@ -262,6 +270,15 @@ def _parse_envelope(block: dict) -> EnvelopeA:
         raise ConfigError(f"envelope: {exc}") from exc
 
 
+def _parse_constants(block: dict) -> ConstantsConfig:
+    cfg = ConstantsConfig(**_kwargs(ConstantsConfig, block, "constants"))
+    for f in fields(ConstantsConfig):
+        val = getattr(cfg, f.name)
+        if val is not None and val <= 0.0:
+            raise ConfigError(f"constants.{f.name} is {val}, but must be positive")
+    return cfg
+
+
 def _parse_bihari(block: dict) -> BihariConfig:
     cfg = BihariConfig(**_kwargs(BihariConfig, block, "bihari"))
     if cfg.M_bound is not None and cfg.M_bound < 0.0:
@@ -306,8 +323,7 @@ def parse_config(text: str) -> RunConfig:
     terminal = _typed(doc, "terminal", TerminalSpec, "")
     modulus = _typed(doc, "modulus", ModulusSpec, "")
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
-    constants = ConstantsConfig(**_kwargs(ConstantsConfig,
-                                          doc.get("constants") or {}, "constants"))
+    constants = _parse_constants(doc.get("constants") or {})
     bihari = _parse_bihari(doc.get("bihari") or {})
     study = _parse_study(doc.get("study") or {})
     output_dir = _typed(doc, "output_dir", str, "", "out")
@@ -349,11 +365,16 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
     return h1_modulus(cfg.generator, cfg.solver.p, 10.0)
 
 
+def _sampler(cfg: RunConfig, ens: PathEnsemble) -> SamplerConfig:
+    """The one sampling box of every sampled check and constant."""
+    return SamplerConfig(count=8192, seed=cfg.paths.seed + 1, horizon=ens.grid.T)
+
+
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     gen, sc, cc = cfg.generator, cfg.solver, cfg.constants
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
-        gen, SamplerConfig(seed=cfg.paths.seed + 1, horizon=ens.grid.T)).sampled
+        gen, _sampler(cfg, ens)).sampled
     growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
     term_moment = 0.0
     if cfg.terminal is not None:
@@ -385,8 +406,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
     mod = _h1_modulus(cfg)
-    sampler = SamplerConfig(count=8192, seed=cfg.paths.seed + 1,
-                            horizon=ens.grid.T)
+    sampler = _sampler(cfg, ens)
 
     rows = []
     shape = check_shape(mod)
@@ -424,6 +444,16 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     return 0 if all(ok for _, ok, _, _ in rows) else 1
 
 
+def _basis(cfg: RunConfig, m: int, d: int, m_field: str) -> BasisSpec:
+    """The solver's basis, once m paths (from m_field) exceed its size in d."""
+    basis = BasisSpec(degree=cfg.solver.basis_degree, ridge=cfg.solver.ridge)
+    try:
+        basis.require_samples(m, d)
+    except ValueError as exc:
+        raise ConfigError(f"{m_field} and solver.basis_degree: {exc}") from exc
+    return basis
+
+
 def _solve(cfg: RunConfig, ens: PathEnsemble):
     if cfg.terminal is None:
         raise ConfigError("terminal block required to solve")
@@ -431,8 +461,8 @@ def _solve(cfg: RunConfig, ens: PathEnsemble):
         raise ConfigError(f"terminal.k = {cfg.terminal.k} disagrees with "
                           f"generator.k = {cfg.generator.k}")
     sc = cfg.solver
+    basis = _basis(cfg, ens.M, ens.d, "paths.M")
     split = _resolve_split(cfg, ens)
-    basis = BasisSpec(degree=sc.basis_degree, ridge=sc.ridge)
     return picard_solve(cfg.generator, cfg.terminal, ens, basis, p=sc.p,
                         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
                         init=sc.init, split=split)
@@ -518,6 +548,7 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("convergence-study generates one ensemble per (M, N) "
                           "and takes no paths file")
     inst = _infer_oracle(cfg, cfg.paths.T)
+    _basis(cfg, min(cfg.study.M_values), cfg.paths.d, "study.M_values")
     rows = []
     for m in cfg.study.M_values:
         for n in cfg.study.N_values:
@@ -580,7 +611,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularRegressionError, PicardDivergenceError,
-            analysis.BihariOrderingError) as exc:
+            analysis.BihariOrderingError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

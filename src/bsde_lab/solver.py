@@ -125,6 +125,12 @@ class BasisSpec:
     def ridge_for(self, m: int) -> float:
         return 1e-10 * m if self.ridge is None else self.ridge
 
+    def require_samples(self, m: int, d: int) -> None:
+        """ValueError unless m samples exceed the basis size in d dimensions."""
+        if m <= self.size(d):
+            raise ValueError(f"M = {m} paths must exceed the {self.size(d)} "
+                             f"basis functions of degree {self.degree} in d = {d}")
+
 
 # Rows per block of the feature builder and of the regression's reductions.
 _ROW_BLOCK = 8192
@@ -191,10 +197,13 @@ def polynomial_features(state: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """feats.T @ other summed over row blocks of fixed size in a fixed order."""
+    """feats.T @ other summed over row blocks of fixed size in a fixed order;
+    FloatingPointError if a sum is not finite."""
     out = np.zeros((feats.shape[1], other.shape[1]))
     for lo in range(0, feats.shape[0], _ROW_BLOCK):
         out += feats[lo:lo + _ROW_BLOCK].T @ other[lo:lo + _ROW_BLOCK]
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite regression moments")
     return out
 
 
@@ -230,8 +239,7 @@ def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
     m = state.shape[0]
     if targets.shape[0] != m:
         raise ValueError("targets and state must share the sample axis")
-    if m <= basis.size(state.shape[1]):
-        raise ValueError("need more samples than basis functions")
+    basis.require_samples(m, state.shape[1])
     feats = polynomial_features(state, basis.degree)
     return _project(feats, _gram_factor(feats, basis.ridge_for(m)), targets)
 
@@ -243,10 +251,6 @@ class DiscreteSolution:
     y: np.ndarray
     z: np.ndarray
     grid: TimeGrid
-
-    @property
-    def k(self) -> int:
-        return self.y.shape[2]
 
 
 @dataclass(frozen=True)
@@ -263,11 +267,13 @@ class PicardReport:
     """Distances of every measured iterate; window_converged holds one flag
     per horizon window, in the order of windows."""
 
-    iterations: int
-    tol: float
     entries: list[PicardEntry] = field(default_factory=list)
     windows: list[tuple[int, int]] = field(default_factory=list)
     window_converged: list[bool] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.entries)
 
     @property
     def converged(self) -> bool:
@@ -287,10 +293,13 @@ class PicardReport:
         return [e.sp_norm for e in self.entries]
 
 
-def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
-                    terminal: np.ndarray, ens: PathEnsemble, basis: BasisSpec,
-                    i_lo: int, i_hi: int, factors: list):
-    """One frozen-argument sweep on grid indices [i_lo, i_hi].
+def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
+                    ens: PathEnsemble, basis: BasisSpec, i_lo: int, i_hi: int,
+                    factors: list) -> None:
+    """One frozen-argument sweep on grid indices [i_lo, i_hi], in place.
+
+    y[:, i_hi] is the terminal value.  Step i reads the frozen y[:, i], which
+    only its own driver term needs, then overwrites y[:, i] and z[:, i].
 
     factors holds the Gram factor of each time index, or None where none has
     been built; the sweep fills what it builds, so later sweeps of the same
@@ -298,42 +307,39 @@ def _backward_sweep(gen: GeneratorSpec, frozen_y: np.ndarray,
     M * n_basis numbers per time step.
     """
     grid = ens.grid
-    m, k, d = ens.M, terminal.shape[1], ens.d
+    m, k, d = ens.M, y.shape[2], ens.d
     dt = grid.dt
-    steps = i_hi - i_lo
-    y = np.empty((m, steps + 1, k))
-    z = np.empty((m, steps, k, d))
-    y[:, steps] = terminal
-
     for i in range(i_hi - 1, i_lo - 1, -1):
-        local = i - i_lo
-        y_next = y[:, local + 1]
         feats = polynomial_features(ens.values[:, i, :], basis.degree)
-        if factors[i] is None:
-            factors[i] = _gram_factor(feats, basis.ridge_for(m))
-        cont, _ = _project(feats, factors[i], y_next)
-        # martingale residual keeps the z targets mean-zero given the state
-        resid = y_next - cont
-        z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
-        z_fit, _ = _project(feats, factors[i], z_targets.reshape(m, k * d))
+        try:
+            if factors[i] is None:
+                factors[i] = _gram_factor(feats, basis.ridge_for(m))
+            cont, _ = _project(feats, factors[i], y[:, i + 1])
+            # martingale residual keeps the z targets mean-zero given the state
+            resid = y[:, i + 1] - cont
+            z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
+            z_fit, _ = _project(feats, factors[i], z_targets.reshape(m, k * d))
+        except FloatingPointError as exc:
+            raise PicardDivergenceError(f"{exc} at time index {i}") from exc
         z_i = z_fit.reshape(m, k, d)
         g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
-                                 frozen_y[:, i], z_i)
+                                 y[:, i], z_i)
         y_i = cont + g * dt
         if not np.all(np.isfinite(y_i)):
             raise PicardDivergenceError(
                 f"non-finite solution values at time index {i}")
-        y[:, local] = y_i
-        z[:, local] = z_i
-    return y, z
+        y[:, i] = y_i
+        z[:, i] = z_i
 
 
 def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
-                      ens: PathEnsemble) -> np.ndarray:
-    """xi (M, k), once the generator's k and d agree with it and the ensemble."""
+                      ens: PathEnsemble, basis: BasisSpec) -> np.ndarray:
+    """xi (M, k), once the generator's k and d agree with it and the ensemble
+    and the ensemble has more paths than the basis has functions."""
     xi = terminal_values(terminal, ens)
     if gen.k != xi.shape[1] or gen.d != ens.d:
         raise ValueError("generator dims disagree with terminal/ensemble")
+    basis.require_samples(ens.M, ens.d)
     return xi
 
 
@@ -342,17 +348,18 @@ def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
                       basis: BasisSpec) -> DiscreteSolution:
     """Solve one linearized equation with the driver's y argument frozen.
 
-    frozen_y is the previous iterate shaped (M, N+1, k); None means the zero
-    field (the first sweep of the fixed-point iteration).
+    frozen_y is the previous iterate shaped (M, N+1, k), which the sweep
+    overwrites in a copy; None means the zero field (the first sweep of the
+    fixed-point iteration).
     """
-    xi = _checked_terminal(gen, terminal, ens)
+    xi = _checked_terminal(gen, terminal, ens, basis)
     shape = (ens.M, ens.grid.N + 1, xi.shape[1])
-    if frozen_y is None:
-        frozen_y = np.zeros(shape)
-    if frozen_y.shape != shape:
+    y = np.zeros(shape) if frozen_y is None else np.array(frozen_y, dtype=float)
+    if y.shape != shape:
         raise ValueError("frozen_y must be shaped (M, N+1, k)")
-    y, z = _backward_sweep(gen, frozen_y, xi, ens, basis, 0, ens.grid.N,
-                           [None] * ens.grid.N)
+    y[:, -1] = xi
+    z = np.empty((ens.M, ens.grid.N, xi.shape[1], ens.d))
+    _backward_sweep(gen, y, z, ens, basis, 0, ens.grid.N, [None] * ens.grid.N)
     return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
 
@@ -388,7 +395,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    xi = _checked_terminal(gen, terminal, ens)
+    xi = _checked_terminal(gen, terminal, ens, basis)
     k = xi.shape[1]
 
     c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
@@ -402,34 +409,35 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     if vals.size != k:
         raise ValueError("constant initial field must have length k")
     grid = ens.grid
-    # y is the frozen argument of every sweep and, window by window, the
-    # solution: a sweep on [i_lo, i_hi] reads it at i_lo..i_hi-1 only, which
-    # no earlier window has written.
+    # (y, z) is at once the frozen argument of every sweep, the new iterate
+    # and, window by window, the solution: each sweep overwrites it in place,
+    # and a window's terminal value y[:, i_hi] is xi or the earlier window's.
     y = np.empty((ens.M, grid.N + 1, k))
     y[...] = vals
+    y[:, -1] = xi
     z = np.zeros((ens.M, grid.N, k, ens.d))
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
-    report = PicardReport(iterations=0, tol=tol, windows=windows)
+    report = PicardReport(windows=windows)
     # Gram factors depend on the ensemble and the basis only: one per step.
     factors = [None] * grid.N
 
-    boundary = xi
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        y_w, z_w = _backward_sweep(gen, y, boundary, ens, basis, i_lo, i_hi,
-                                   factors)
+        y_win, z_win = y[:, i_lo:i_hi + 1], z[:, i_lo:i_hi]  # views of (y, z)
+        # refilled before each measured sweep, not reallocated: a fresh copy
+        # per sweep left example1's peak RSS 5 MB higher
+        y_prev, z_prev = np.empty_like(y_win), np.empty_like(z_win)
+        _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
         while not converged and len(dists) < max_iter:
-            y[:, i_lo:i_hi + 1] = y_w
-            y_next, z_next = _backward_sweep(gen, y, boundary, ens, basis,
-                                             i_lo, i_hi, factors)
+            y_prev[...], z_prev[...] = y_win, z_win
+            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
             dy, dz = analysis.iterate_distance_arrays(
-                y_next, y_w, z_next, z_w, grid.dt, p)
+                y_win, y_prev, z_win, z_prev, grid.dt, p)
             dists.append(dy)
-            report.iterations += 1
-            report.entries.append(PicardEntry(
-                w_idx, report.iterations, dy, dz, analysis.sp_norm(y_next, p)))
+            report.entries.append(PicardEntry(w_idx, report.iterations + 1, dy,
+                                              dz, analysis.sp_norm(y_win, p)))
             if not math.isfinite(dy):
                 raise PicardDivergenceError(
                     f"iterate distance became non-finite in window {w_idx}")
@@ -441,12 +449,8 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
                         f"(window {w_idx}, dist_y={dy:.3e})")
             else:
                 growth_streak = 0
-            y_w, z_w = y_next, z_next
             converged = dy <= tol
         report.window_converged.append(converged)
-        y[:, i_lo:i_hi + 1] = y_w
-        z[:, i_lo:i_hi] = z_w
-        boundary = y_w[:, 0]
 
     return DiscreteSolution(y=y, z=z, grid=grid), report
 

@@ -191,6 +191,25 @@ def test_constants_validation():
         bl.compute_constants(2.0, 0.0, 1.0, 0.0, c3=-1.0)
 
 
+@pytest.mark.parametrize("given", [
+    {"k_prime_p": 0.0}, {"k_prime_p": -1.0}, {"k_doubleprime_p": -1.0},
+    {"c2": -1.0}, {"c1": -1.0}])
+def test_constants_martingale_moments_must_be_positive(given):
+    with pytest.raises(ValueError, match="must be positive"):
+        bl.compute_constants(2.0, 0.0, 1.0, 0.0, **given)
+
+
+@pytest.mark.parametrize("p, horizon, given", [
+    (1.5, 1.0, {}), (2.0, 1e300, {}),
+    (2.0, 1.0, {"c3": 1.0, "terminal_moment": 1e308})])
+def test_constants_overflow_is_one_overflow_error(p, horizon, given):
+    # p = 1.5 sends e^(c3 T) past the float range and T = 1e300 already T^p;
+    # the last case has a finite e^(c3 T) but an infinite product mu0
+    with pytest.raises(OverflowError, match="derived constants overflow"):
+        bl.compute_constants(p, 0.0, horizon, 0.0, **{"terminal_moment": 1.0,
+                                                      **given})
+
+
 # -------------------------------------------------------------- energy check
 
 def test_lemma1_zero_everything(small_ensemble):

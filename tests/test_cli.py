@@ -788,6 +788,15 @@ def test_tabulated_domain_cap_defaults_to_last_breakpoint():
                          "params": {"index": 1}}}}, "index = 1"),
     ({"paths": {"M": 256, "N": 4, "d": 2},
       "generator": {"family": "example1"}}, "generator.d = 1"),
+    ({"paths": {"M": 128, "N": 4, "seed": -1}}, "paths.seed is -1"),
+    ({"paths": {"M": 128, "N": 4, "seed": 2 ** 64}},
+     f"paths.seed is {2 ** 64}"),
+    ({"constants": {"c1": -1}}, "constants.c1 is -1"),
+    ({"constants": {"c2": -1}}, "constants.c2 is -1"),
+    ({"constants": {"c3": 0}}, "constants.c3 is 0"),
+    ({"constants": {"k_prime_p": 0}}, "constants.k_prime_p is 0"),
+    ({"constants": {"k_prime_p": -1}}, "constants.k_prime_p is -1"),
+    ({"constants": {"k_doubleprime_p": -1}}, "constants.k_doubleprime_p is -1"),
 ])
 def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     path = _write(tmp_path, _config(tmp_path, **overrides))
@@ -802,6 +811,10 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     ({"picard_tol": -1e-6}, "solver.picard_tol must be positive"),
     ({"split": 1.5}, "solver.split is 1.5"),
     ({"split": {"T1": 1.0}}, "solver.split is 1.0"),
+    ({"split": -0.5}, "solver.split is -0.5"),
+    ({"split": {"T1": -0.5}}, "solver.split is -0.5"),
+    ({"basis_degree": -1}, "solver.basis_degree must be >= 0"),
+    ({"ridge": -1}, "solver.ridge must be >= 0"),
 ])
 def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
     path = _write(tmp_path, _config(tmp_path, solver=solver))
@@ -809,6 +822,41 @@ def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, overrides, m_field", [
+    ("solve", {"paths": {"M": 4, "N": 4}}, "paths.M"),
+    ("oracle-compare", {"paths": {"M": 10, "N": 4, "d": 3},
+                        "generator": {"family": "zero", "d": 3}}, "paths.M"),
+    ("convergence-study", {"study": {"M_values": [1024, 3], "N_values": [4]}},
+     "study.M_values"),
+])
+def test_solves_with_no_more_paths_than_basis_functions_exit_two(
+        tmp_path, capsys, command, overrides, m_field):
+    doc = _config(tmp_path, terminal={"kind": "coordinate"}, **overrides)
+    assert main([command, str(_write(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {m_field} and solver.basis_degree: ")
+    assert "must exceed the" in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_check_and_constants_sample_lambda_alike(tmp_path):
+    # a driver with no exact z-Lipschitz constant: both read the sampled one
+    bl.register_generator("cli_sin_z", lambda t, b, y, z: 3.0 * np.sin(z[:, :, 0]))
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 128, "N": 4},
+        generator={"family": "custom", "params": {"name": "cli_sin_z"}},
+        terminal={"kind": "coordinate"},
+        modulus={"family": "linear", "params": {"mu": 1.0}}))
+    main(["check", str(path)])  # exits 1 or 0: only its report is read
+    assert main(["constants", str(path)]) == 0
+    out = tmp_path / "out"
+    h2 = [r.split(",") for r in (out / "check_report.csv").read_text()
+          .splitlines() if r.startswith("h2_lipschitz_z,")][0]
+    lam = [r.split(",") for r in (out / "constants.csv").read_text()
+           .splitlines() if r.startswith("lam,")][0]
+    assert h2[2] == lam[1]
 
 
 @pytest.mark.parametrize("process", ["phi", "f"])
@@ -915,13 +963,32 @@ def test_convergence_study_rejects_a_paths_file(tmp_path, capsys, via_flag):
 @pytest.mark.parametrize("overrides, message", [
     ({"solver": {"ridge": 0.0}}, "singular"),
     ({"generator": {"family": "linear", "params": {"a": 60.0}}}, "fivefold"),
+    ({"generator": {"family": "example1"}, "terminal": {"kind": "coordinate"},
+      "solver": {"init": 1e308}}, "non-finite regression moments at time index"),
+    ({"paths": {"M": 128, "N": 4, "T": 1e300}},
+     "non-finite regression moments at time index 3"),
 ])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failures_exit_one(tmp_path, capsys, overrides, message):
     path = _write(tmp_path, _config(tmp_path, **overrides))
     assert main(["solve", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["constants", "bihari"])
+@pytest.mark.parametrize("overrides", [
+    {"solver": {"p": 1.5}}, {"paths": {"M": 128, "N": 4, "T": 1e300}}])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_constants_exit_one(tmp_path, capsys, command, overrides):
+    doc = _config(tmp_path, generator={"family": "example1"},
+                  terminal={"kind": "coordinate"}, **overrides)
+    assert main([command, str(_write(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the derived constants overflow")
+    assert err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -136,6 +137,17 @@ def test_regress_needs_more_samples_than_basis():
                                            BASIS)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda gen, term, ens: bl.picard_solve(gen, term, ens, BASIS),
+    lambda gen, term, ens: bl.solve_frozen_bsde(gen, None, term, ens, BASIS),
+], ids=["picard_solve", "solve_frozen_bsde"])
+def test_solves_need_more_paths_than_basis_functions(solve):
+    # M = 4 paths against the 4 cubic monomials in d = 1 would interpolate
+    ens = bl.generate_ensemble(M=4, N=3, d=1, T=1.0, seed=5)
+    with pytest.raises(ValueError, match="M = 4 paths must exceed the 4 basis"):
+        solve(bl.zero_generator(1, 1), bl.coordinate_terminal(0), ens)
+
+
 # ------------------------------------------------------------- frozen sweeps
 
 def test_zero_generator_constant_terminal_is_exact(small_ensemble):
@@ -242,6 +254,20 @@ def test_non_finite_sweep_is_a_picard_divergence():
     gen = bl.custom_generator("nan_late", k=1, d=1)
     with pytest.raises(PicardDivergenceError, match="time index 9"):
         bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS, p=2.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overflow", ["init", "horizon"])
+def test_non_finite_regression_moments_are_a_picard_divergence(overflow):
+    # an init of 1e308 overflows the cross-moments of the first step's driver
+    # term; at T = 1e300 the cubic features, hence the Gram matrix, overflow
+    horizon = 1e300 if overflow == "horizon" else 1.0
+    init = 1e308 if overflow == "init" else None
+    ens = bl.generate_ensemble(M=128, N=4, d=1, T=horizon, seed=5)
+    with pytest.raises(PicardDivergenceError,
+                       match="non-finite regression moments at time index"):
+        bl.picard_solve(bl.example1_generator(2.0), bl.coordinate_terminal(0),
+                        ens, BASIS, init=init)
 
 
 def test_picard_constant_init_same_limit(small_ensemble):
@@ -487,6 +513,50 @@ def test_picard_solve_bytes_are_pinned(name, iterations, sha):
     digest = hashlib.sha256(sol.y.tobytes())
     digest.update(sol.z.tobytes())
     assert digest.hexdigest() == sha
+
+
+def test_solve_frozen_bsde_leaves_the_frozen_field_unchanged(small_ensemble):
+    frozen = np.full((small_ensemble.M, small_ensemble.grid.N + 1, 1), 0.25)
+    bl.solve_frozen_bsde(bl.example1_generator(2.0), frozen,
+                         bl.coordinate_terminal(0), small_ensemble, BASIS)
+    assert np.all(frozen == 0.25)
+
+
+def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
+        small_ensemble):
+    ens = small_ensemble
+    y = np.full((ens.M, ens.grid.N + 1, 1), 0.25)
+    y[:, -1] = ens.values[:, -1, :1]
+    z = np.zeros((ens.M, ens.grid.N, 1, 1))
+    assert solver_module._backward_sweep(
+        bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
+        [None] * ens.grid.N) is None
+    ref = bl.solve_frozen_bsde(bl.example1_generator(2.0),
+                               np.full_like(y, 0.25), bl.coordinate_terminal(0),
+                               ens, BASIS)
+    assert np.array_equal(y, ref.y) and np.array_equal(z, ref.z)
+
+
+@pytest.mark.parametrize("gen, term, d, bound", [
+    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, 3.5),
+    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 4.5),
+], ids=["zero_d3", "example1"])
+def test_picard_solve_holds_one_iterate_pair(gen, term, d, bound):
+    # One (y, z) pair is Y + Z bytes.  The solve holds it, the window copy its
+    # distance needs (another pair) and the temporaries of one step and of
+    # the distance; a second full pair, as a sweep returning a fresh iterate
+    # keeps, would lift the peak by one more.
+    m, n = 4096, 20
+    ens = bl.generate_ensemble(M=m, N=n, d=d, T=1.0, seed=7)
+    pair = m * (n + 1) * 8 + m * n * d * 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        bl.picard_solve(gen, term, ens, BASIS, tol=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / pair < bound
 
 
 @pytest.mark.parametrize("name", ["example1", "split"])
