@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import EnvelopeA, GeneratorSpec, eval_generator_batch, eval_process
-from .modulus import ModulusSpec, check_shape, eval_modulus
+from .modulus import ModulusSpec, eval_modulus, require_concave
 from .paths import PathEnsemble
 
 
@@ -96,9 +96,7 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
     quadrature tolerance raises BihariOrderingError (BihariBoundError when
     phi_0 exceeds M).
     """
-    rep = check_shape(mod, grid_size=4096, tol=1e-9)
-    if not (rep.is_concave and rep.is_nondecreasing and rep.zero_at_zero):
-        raise ValueError("recursion needs a concave nondecreasing modulus")
+    require_concave(mod)
     if not t_split < horizon:
         raise ValueError("needs T1 < T")
     if m_bound < 0.0:
@@ -283,17 +281,15 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
         phi[:, i] = eval_process(env.phi, all_paths, t_idx, ens, frozen)
         f_proc[:, i] = eval_process(env.f, all_paths, t_idx, ens, frozen)
 
-    y_norm = np.linalg.norm(sol.y, axis=2)
-    sup_tail = np.max(y_norm[:, t_index:], axis=1) ** p
-    e_sup = float(np.mean(sup_tail))
-    zsq = np.sum(sol.z ** 2, axis=(2, 3))
+    e_sup = sup_moment(sol.y[:, t_index:], p)
     int_phi_p = float(np.mean(np.sum(phi[:, rng] ** p, axis=1) * dt))
     int_f_pow = float(np.mean((np.sum(f_proc[:, rng], axis=1) * dt) ** p))
 
-    prop1_lhs = float(np.mean((np.sum(zsq[:, rng], axis=1) * dt) ** (p / 2.0)))
+    prop1_lhs = z_moment(sol.z[:, t_index:] ** 2, dt, p)
     prop1_rhs = cb.c_lambda_p_T * (e_sup + eval_modulus(env.psi, e_sup)
                                    + int_phi_p + int_f_pow)
 
+    y_norm = np.linalg.norm(sol.y, axis=2)
     xi_moment = float(np.mean(y_norm[:, -1] ** p))
     mean_y_p = np.mean(y_norm ** p, axis=0)
     psi_of_mean = eval_modulus(env.psi, mean_y_p[t_index:grid.N])

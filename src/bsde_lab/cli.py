@@ -22,9 +22,9 @@ from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, DriverFamily,
                         EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
                         auto_envelope, check_h1, check_h3,
                         estimate_lipschitz_z, verify_envelope)
-from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusSpec, check_shape,
-                      linear_growth_coefficient, load_tabulated_csv,
-                      osgood_classify, tabulated_modulus)
+from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusFamily,
+                      ModulusShapeError, ModulusSpec, check_shape,
+                      linear_growth_coefficient, osgood_classify)
 from .paths import (DimensionError, PathEnsemble, format_number,
                     generate_ensemble, load_ensemble, save_ensemble, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
@@ -58,7 +58,10 @@ def _typed(block: dict, key: str, kind, path: str, default=None):
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
         kinds = tuple(a for a in typing.get_args(kind) if a is not type(None))
     if float in kinds and type(val) is int:
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(f"field '{name}' does not fit a double") from None
     if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
         raise ConfigError(f"field '{name}' must be "
                           + " or ".join(k.__name__ for k in kinds))
@@ -169,7 +172,7 @@ def _word_or_number(block: dict, key: str, word: str, inner: str):
         _require_keys(val, {inner}, name)
         return _typed(val, inner, float, name)
     if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+        return _typed(block, key, float, "solver")
     if val is not None and val != word:
         raise ConfigError(f"{name} must be '{word}', a number, or {{\"{inner}\": ...}}")
     return val
@@ -198,30 +201,18 @@ def _parse_solver(block: dict) -> SolverConfig:
     return cfg
 
 
-def _tabulated(breakpoints: list | None = None, csv_path: str | None = None,
-               domain_cap: float | None = None) -> ModulusSpec:
-    """A tabulated modulus from its breakpoints or from a `u,v` CSV file."""
-    if (breakpoints is None) == (csv_path is None):
-        raise ValueError("a tabulated modulus takes exactly one of "
-                         "breakpoints and csv_path")
-    if csv_path is not None:
-        return load_tabulated_csv(csv_path, domain_cap=domain_cap)
-    return tabulated_modulus(breakpoints, domain_cap=domain_cap)
-
-
 # Each tagged block: the key naming its family, family -> factory or record (read
 # at parse time), the keys beside that key and params, and the default family.
 _TAGGED = {
     GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k", "d"), None),
     TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
-    ModulusSpec: ("family", {**MODULUS_FAMILIES, "tabulated": _tabulated},
-                  ("domain_cap",), None),
+    ModulusSpec: ("family", MODULUS_FAMILIES, ("domain_cap",), None),
     ProcessSpec: ("kind", PROCESS_KINDS, (), "zero"),
 }
 
 
 def _factory(entry):
-    return entry.factory if isinstance(entry, DriverFamily) else entry
+    return entry.factory if isinstance(entry, (DriverFamily, ModulusFamily)) else entry
 
 
 def _parse_tagged(block, path: str, spec: type, **preset):
@@ -247,7 +238,7 @@ def _parse_tagged(block, path: str, spec: type, **preset):
                      **passed)
     try:
         built = factory(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for n, v in given.items():
         if v is not None and getattr(built, n) != v:
@@ -304,6 +295,21 @@ def _reject_constant(token: str):
     raise ConfigError(f"config holds {token}: numbers must be finite")
 
 
+def _overflowed(node, path: str = "") -> str | None:
+    """The field of the first number in node that overflowed to an infinity,
+    as json.loads reads 1e400; None if there is none."""
+    if isinstance(node, dict):
+        children = [(f"{path}.{k}" if path else k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return path if isinstance(node, float) and math.isinf(node) else None
+    for name, child in children:
+        if (found := _overflowed(child, name)) is not None:
+            return found
+    return None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the JSON config document; unknown keys are rejected by name."""
     try:
@@ -312,6 +318,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    if (name := _overflowed(doc)) is not None:
+        raise ConfigError(f"field '{name}' does not fit a double")
     _require_keys(doc, {f.name for f in fields(RunConfig)}, "")
     if "generator" not in doc:
         raise ConfigError("generator required")
@@ -375,7 +383,10 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
         gen, _sampler(cfg, ens)).sampled
-    growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
+    try:
+        growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
+    except ModulusShapeError as exc:
+        raise ConfigError(f"modulus: {exc}") from exc
     term_moment = 0.0
     if cfg.terminal is not None:
         xi = terminal_values(cfg.terminal, ens)
@@ -432,7 +443,10 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
                  f"unstable={h3.unstable}"))
     env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p)
     if env is not None:
-        er = verify_envelope(gen, env, p, ens, sampler)
+        try:
+            er = verify_envelope(gen, env, p, ens, sampler)
+        except ModulusShapeError as exc:
+            raise ConfigError(f"envelope.psi: {exc}") from exc
         rows.append(("envelope", er.passed, er.max_defect,
                      f"tol={format_number(er.tol)}"))
     else:
@@ -514,6 +528,8 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
     try:
         curve = analysis.bihari_recursion(mod, m_bound, horizon, t1,
                                           bc.n_max, bc.quad_steps)
+    except ModulusShapeError as exc:
+        raise ConfigError(f"modulus: {exc}") from exc
     except analysis.BihariBoundError as exc:
         if bc.M_bound is None:
             raise
@@ -527,10 +543,7 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
 def _cmd_constants(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     cb = _bundle(cfg, ens, cfg.modulus)
-    rows = [(name, getattr(cb, name)) for name in
-            ("p", "lam", "T", "A", "k_prime_p", "k_doubleprime_p", "c2",
-             "theta", "c_p", "c_lambda_p_T", "d_lambda_p_theta", "c1", "c3",
-             "mu0", "m_bound", "t1")]
+    rows = [(f.name, getattr(cb, f.name)) for f in fields(cb)]
     write_csv(out / "constants.csv", ["name", "value"], rows)
     return 0
 

@@ -1,8 +1,10 @@
 """Moduli of continuity: evaluation, shape checks, Osgood classification, transforms.
 
 A modulus here is a nonnegative function on [0, U] with value 0 at 0, used to
-bound increments of a BSDE driver in its y argument.  Four families are
-supported:
+bound increments of a BSDE driver in its y argument.  Each family is one
+ModulusFamily record in MODULUS_FAMILIES (its factory, evaluator and exact
+Osgood verdict), so a family added there is reachable from a config with no
+other edit.  The builtin families:
 
 * ``linear``      rho(u) = mu * u
 * ``power``       rho(u) = c * u**alpha, alpha in (0, 2]
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +85,15 @@ def example1_h_modulus(p: float = 2.0, delta: float | None = None,
                        delta=float(delta))
 
 
-def tabulated_modulus(breakpoints, domain_cap: float | None = None) -> ModulusSpec:
-    """Piecewise-linear modulus through (u_i, v_i); first point must be (0, 0)."""
+def tabulated_modulus(breakpoints: list | None = None, csv_path: str | None = None,
+                      domain_cap: float | None = None) -> ModulusSpec:
+    """Piecewise-linear modulus through (u_i, v_i), given as breakpoints or as
+    a `u,v` CSV file (exactly one); the first point must be (0, 0)."""
+    if (breakpoints is None) == (csv_path is None):
+        raise ValueError("a tabulated modulus takes exactly one of "
+                         "breakpoints and csv_path")
+    if csv_path is not None:
+        return load_tabulated_csv(csv_path, domain_cap=domain_cap)
     pts = [(float(u), float(v)) for u, v in breakpoints]
     if len(pts) < 2:
         raise ValueError("tabulated modulus needs at least 2 breakpoints")
@@ -99,13 +109,22 @@ def tabulated_modulus(breakpoints, domain_cap: float | None = None) -> ModulusSp
     return ModulusSpec("tabulated", domain_cap=cap, breakpoints=tuple(pts))
 
 
-MODULUS_FAMILIES = {"linear": linear_modulus, "power": power_modulus,
-                    "example1h": example1_h_modulus, "tabulated": tabulated_modulus}
-
-
 def _example1_slope(p: float, delta: float) -> float:
     ln = -math.log(delta)
     return ln ** (1.0 / p) - (1.0 / p) * ln ** (1.0 / p - 1.0)
+
+
+def _eval_example1h(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(u)
+    small = (u > 0.0) & (u <= mod.delta)
+    big = u > mod.delta
+    if np.any(small):
+        x = u[small]
+        out[small] = x * (-np.log(x)) ** (1.0 / mod.p)
+    if np.any(big):
+        h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
+        out[big] = _example1_slope(mod.p, mod.delta) * (u[big] - mod.delta) + h_delta
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -115,22 +134,7 @@ def _breakpoint_arrays(breakpoints: tuple):
     return us, vs
 
 
-def _eval_array(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
-    if mod.family == "linear":
-        return mod.mu * u
-    if mod.family == "power":
-        return mod.c * u ** mod.alpha
-    if mod.family == "example1h":
-        out = np.zeros_like(u)
-        small = (u > 0.0) & (u <= mod.delta)
-        big = u > mod.delta
-        if np.any(small):
-            x = u[small]
-            out[small] = x * (-np.log(x)) ** (1.0 / mod.p)
-        if np.any(big):
-            h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
-            out[big] = _example1_slope(mod.p, mod.delta) * (u[big] - mod.delta) + h_delta
-        return out
+def _eval_tabulated(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
     us, vs = _breakpoint_arrays(mod.breakpoints)
     out = np.interp(u, us, vs)
     beyond = u > us[-1]
@@ -140,6 +144,30 @@ def _eval_array(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ModulusFamily:
+    """A modulus family: the factory its config block calls, evaluate(mod, u)
+    on an array u >= 0 of ndim >= 1, which writes nothing into u, and osgood(mod,
+    w), the exact verdict on int_0+ u^(w-1)/mod(u)^w du or None if there is none."""
+
+    factory: Callable[..., ModulusSpec]
+    evaluate: Callable[[ModulusSpec, np.ndarray], np.ndarray]
+    osgood: Callable[[ModulusSpec, float], str | None] = lambda mod, w: None
+
+
+MODULUS_FAMILIES = {
+    "linear": ModulusFamily(linear_modulus, lambda mod, u: mod.mu * u,
+                            lambda mod, w: DIVERGENT if mod.mu > 0.0 else None),
+    # integrand ~ u^(w(1-alpha)-1) near 0
+    "power": ModulusFamily(power_modulus, lambda mod, u: mod.c * u ** mod.alpha,
+                           lambda mod, w: CONVERGENT if mod.alpha < 1.0 else DIVERGENT),
+    # integrand ~ 1/(u |ln u|^(w/p)) near 0
+    "example1h": ModulusFamily(example1_h_modulus, _eval_example1h,
+                               lambda mod, w: CONVERGENT if w > mod.p else DIVERGENT),
+    "tabulated": ModulusFamily(tabulated_modulus, _eval_tabulated),
+}
+
+
 def eval_modulus(mod: ModulusSpec, u):
     """Evaluate the modulus at finite u >= 0 (scalar or array)."""
     arr = np.asarray(u, dtype=float)
@@ -147,17 +175,18 @@ def eval_modulus(mod: ModulusSpec, u):
         raise ValueError("modulus argument must be nonnegative")
     if not np.all(np.isfinite(arr)):
         raise ValueError("modulus argument must be finite")
-    out = _eval_array(mod, np.atleast_1d(arr).copy())
+    out = MODULUS_FAMILIES[mod.family].evaluate(mod, np.atleast_1d(arr))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def _shape_grid(cap: float, n: int) -> np.ndarray:
-    """Geometric-plus-uniform grid over (0, cap]."""
-    n_geo = n // 2
-    n_uni = n - n_geo
-    geo = np.geomspace(cap * 1e-9, cap, n_geo)
+def _grid(cap: float, decades: int = 12, n_geo: int = 64 * 12 + 1,
+          n_uni: int = 256) -> np.ndarray:
+    """n_geo geometric points on [cap 10^-decades, cap] merged with n_uni
+    uniform points on (0, cap].  The defaults, 64 points a decade, are the
+    grid the transforms tabulate on."""
+    geo = np.geomspace(cap * 10.0 ** -decades, cap, n_geo)
     uni = np.linspace(0.0, cap, n_uni + 1)[1:]
     return np.unique(np.concatenate([geo, uni]))
 
@@ -172,7 +201,6 @@ class ShapeReport:
     zero_at_zero: bool
     positive_on_positive: bool
     worst_violation: float
-    grid_size: int
 
     @property
     def all_ok(self) -> bool:
@@ -187,7 +215,7 @@ def check_shape(mod: ModulusSpec, grid_size: int = 10_000,
         raise ValueError("grid_size must be >= 3")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    grid = _shape_grid(mod.domain_cap, grid_size)
+    grid = _grid(mod.domain_cap, 9, grid_size // 2, grid_size - grid_size // 2)
     vals = eval_modulus(mod, grid)
     v0 = eval_modulus(mod, 0.0)
 
@@ -204,8 +232,20 @@ def check_shape(mod: ModulusSpec, grid_size: int = 10_000,
         zero_at_zero=d_zero <= tol,
         positive_on_positive=d_pos <= tol,
         worst_violation=worst,
-        grid_size=grid.size,
     )
+
+
+class ModulusShapeError(ValueError):
+    """A modulus that is not concave, nondecreasing and 0 at 0."""
+
+
+def require_concave(mod: ModulusSpec) -> None:
+    """The precondition of every bound resting on mod, checked on the
+    check_shape default grid."""
+    rep = check_shape(mod)
+    if not (rep.is_concave and rep.is_nondecreasing and rep.zero_at_zero):
+        raise ModulusShapeError(f"the {mod.family} modulus on [0, {mod.domain_cap}] "
+                                "must be concave, nondecreasing and 0 at 0")
 
 
 @dataclass(frozen=True)
@@ -216,18 +256,6 @@ class OsgoodReport:
     integrals: np.ndarray
     increments: np.ndarray
     integrand_unbounded: bool
-
-
-def _analytic_osgood(mod: ModulusSpec, w: float) -> str | None:
-    if mod.family == "linear":
-        return DIVERGENT if mod.mu > 0.0 else None
-    if mod.family == "power":
-        # integrand ~ u^(w(1-alpha)-1) near 0
-        return CONVERGENT if mod.alpha < 1.0 else DIVERGENT
-    if mod.family == "example1h":
-        # integrand ~ 1/(u |ln u|^(w/p)) near 0
-        return CONVERGENT if w > mod.p else DIVERGENT
-    return None
 
 
 # Gauss-Legendre rule in ln u on the decade [1, 10]: 64 panels of 8 nodes.
@@ -276,7 +304,7 @@ def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0,
     classification, rule = INCONCLUSIVE, "none"
     if unbounded:
         classification, rule = DIVERGENT, "unbounded-integrand"
-    elif (exact := _analytic_osgood(mod, w)) is not None:
+    elif (exact := MODULUS_FAMILIES[mod.family].osgood(mod, w)) is not None:
         classification, rule = exact, "analytic"
     else:
         first = increments[0]
@@ -294,17 +322,14 @@ def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0,
     return OsgoodReport(classification, rule, eps, integrals, increments, unbounded)
 
 
-def linear_growth_coefficient(mod: ModulusSpec, grid_size: int = 10_000) -> float:
+def linear_growth_coefficient(mod: ModulusSpec) -> float:
     """Smallest grid-measured A with mod(u) <= A (u + 1) on [0, domain_cap].
 
     A concave nondecreasing modulus with mod(0) = 0 grows at most linearly,
     so the ratio mod(u)/(u+1) is bounded; non-concave input is rejected.
     """
-    rep = check_shape(mod, grid_size=grid_size, tol=1e-9)
-    if not (rep.is_concave and rep.is_nondecreasing and rep.zero_at_zero):
-        raise ValueError("linear growth coefficient requires a concave, "
-                         "nondecreasing modulus with value 0 at 0")
-    grid = _shape_grid(mod.domain_cap, grid_size)
+    require_concave(mod)
+    grid = _grid(mod.domain_cap, 9, 5_000, 5_000)  # the check_shape default grid
     return float(np.max(eval_modulus(mod, grid) / (grid + 1.0)))
 
 
@@ -374,13 +399,6 @@ class TransformResult:
     rho2_over_rho1_sup: float | None = None
 
 
-def _tabulation_grid(cap: float, points_per_decade: int = 64, decades: int = 12,
-                     uniform_points: int = 256) -> np.ndarray:
-    geo = np.geomspace(cap * 10.0 ** (-decades), cap, points_per_decade * decades + 1)
-    uni = np.linspace(0.0, cap, uniform_points + 1)[1:]
-    return np.unique(np.concatenate([geo, uni]))
-
-
 def _sample_to_tabulated(xs: np.ndarray, vals: np.ndarray, cap: float) -> ModulusSpec:
     keep = np.isfinite(vals)
     xs, vals = xs[keep], np.maximum(vals[keep], 0.0)
@@ -408,7 +426,7 @@ def transform_modulus(mod: ModulusSpec, kind: str, r: float | None = None,
         if r is None or r <= 0.0:
             raise ValueError("power_root needs r > 0")
         cap = mod.domain_cap ** r
-        xs = _tabulation_grid(cap)
+        xs = _grid(cap)
         vals = eval_modulus(mod, xs ** (1.0 / r)) ** r
         return TransformResult(_sample_to_tabulated(xs, vals, cap))
 
@@ -418,7 +436,7 @@ def transform_modulus(mod: ModulusSpec, kind: str, r: float | None = None,
         if q is None or q < p:
             raise ValueError("h1pp_to_h1 needs q >= p")
         cap1 = mod.domain_cap ** (1.0 / q)
-        xs1 = _tabulation_grid(cap1)
+        xs1 = _grid(cap1)
         rho1 = eval_modulus(mod, xs1 ** q) ** (1.0 / q)
         rho2 = concave_majorant([(0.0, 0.0)] + list(zip(xs1.tolist(), rho1.tolist())))
         positive = rho1 > 0.0
@@ -426,7 +444,7 @@ def transform_modulus(mod: ModulusSpec, kind: str, r: float | None = None,
             if np.any(positive) else math.nan
 
         cap = cap1 ** p
-        xs = _tabulation_grid(cap)
+        xs = _grid(cap)
         rho_bar = eval_modulus(rho2, xs ** (1.0 / p)) ** p + xs
         out = _sample_to_tabulated(xs, rho_bar, cap)
 

@@ -200,8 +200,9 @@ def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
     """feats.T @ other summed over row blocks of fixed size in a fixed order;
     FloatingPointError if a sum is not finite."""
     out = np.zeros((feats.shape[1], other.shape[1]))
-    for lo in range(0, feats.shape[0], _ROW_BLOCK):
-        out += feats[lo:lo + _ROW_BLOCK].T @ other[lo:lo + _ROW_BLOCK]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, feats.shape[0], _ROW_BLOCK):
+            out += feats[lo:lo + _ROW_BLOCK].T @ other[lo:lo + _ROW_BLOCK]
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite regression moments")
     return out

@@ -13,7 +13,7 @@ import bsde_lab as bl
 from bsde_lab import cli
 from bsde_lab.cli import ConfigError, main, parse_config, run
 from bsde_lab.generator import GENERATOR_FAMILIES, PROCESS_KINDS
-from bsde_lab.modulus import MODULUS_FAMILIES
+from bsde_lab.modulus import DIVERGENT, MODULUS_FAMILIES, ModulusFamily
 from bsde_lab.solver import TERMINAL_KINDS
 
 
@@ -576,6 +576,29 @@ def test_a_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
     assert main(["solve", str(path)]) == 0
 
 
+def _saturating_modulus(c: float = 1.0, domain_cap: float = 1.0) -> bl.ModulusSpec:
+    return bl.ModulusSpec("saturating", domain_cap=domain_cap, c=c)
+
+
+def test_a_modulus_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
+    monkeypatch.setitem(MODULUS_FAMILIES, "saturating", ModulusFamily(
+        _saturating_modulus, lambda mod, u: mod.c * u / (1.0 + u),
+        lambda mod, w: DIVERGENT))
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+        modulus={"family": "saturating", "params": {"c": 2.0}, "domain_cap": 4.0}))
+    cfg = parse_config(path.read_text())
+    assert cfg.modulus == _saturating_modulus(2.0, 4.0)
+    assert bl.eval_modulus(cfg.modulus, 1.0) == 1.0
+    assert main(["check", str(path)]) == 0
+    rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
+    assert [r for r in rows if r.startswith("osgood_rho,true,")][0] \
+        .endswith(",classification=divergent;rule=analytic")
+    assert main(["constants", str(path)]) == 0
+    rows = (tmp_path / "out" / "constants.csv").read_text().splitlines()
+    assert rows[4] == "A,0.5"  # max of 2u / (1 + u)^2, at u = 1
+
+
 def test_bundle_samples_lipschitz_z_only_without_an_exact_constant(
         tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -695,7 +718,9 @@ def test_tagged_omitted_param_keeps_the_factory_default(case, tmp_path):
     factory = _LIBRARY_FACTORY[block, family]
     defaults = inspect.signature(factory).parameters
     for key in params:
-        if key == "csv_path" or defaults[key].default is inspect.Parameter.empty:
+        # breakpoints and csv_path are an exactly-one pair: neither can go
+        if key in ("breakpoints", "csv_path") \
+                or defaults[key].default is inspect.Parameter.empty:
             continue
         rest = {k: v for k, v in params.items() if k != key}
         cfg = parse_config(json.dumps(_tagged_doc(block, family, rest, tmp_path)))
@@ -943,6 +968,64 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, overrides, token):
     assert err.startswith("error: ") and token in err
 
 
+_DIGITS_400 = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("overrides, literal, message", [
+    ({"paths": {"M": 128, "N": 4, "T": "BIG"}}, "1e400",
+     "field 'paths.T' does not fit a double"),
+    ({"solver": {"ridge": "BIG"}}, "1e400", "field 'solver.ridge' does not fit a double"),
+    ({"solver": {"ridge": "BIG"}}, _DIGITS_400,
+     "field 'solver.ridge' does not fit a double"),
+    ({"solver": {"init": "BIG"}}, _DIGITS_400, "field 'solver.init' does not fit a double"),
+    ({"modulus": {"family": "tabulated",
+                  "params": {"breakpoints": [[0, 0], [1, "BIG"]]}}}, "-1e400",
+     "field 'modulus.params.breakpoints[1][1]' does not fit a double"),
+    ({"modulus": {"family": "tabulated",
+                  "params": {"breakpoints": [[0, 0], ["BIG", 1]]}}}, _DIGITS_400,
+     "modulus: int too large to convert to float"),
+], ids=["T-1e400", "ridge-1e400", "ridge-400-digits", "init-400-digits",
+        "breakpoint-minus-1e400", "breakpoint-400-digits"])
+def test_numbers_that_do_not_fit_a_double_exit_two(
+        tmp_path, capsys, overrides, literal, message):
+    text = json.dumps(_config(tmp_path, **overrides)).replace('"BIG"', literal)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_CONVEX = {"family": "power", "params": {"alpha": 2.0}}
+
+
+@pytest.mark.parametrize("command, overrides, block", [
+    ("constants", {"modulus": _CONVEX}, "modulus"),
+    ("bihari", {"modulus": _CONVEX}, "modulus"),
+    ("bihari", {"modulus": _CONVEX,
+                "bihari": {"M_bound": 1.0, "T1": 0.5, "n_max": 2}}, "modulus"),
+    ("solve", {"modulus": _CONVEX, "solver": {"split": "auto"}}, "modulus"),
+    ("check", {"envelope": {"psi": _CONVEX}}, "envelope.psi"),
+])
+def test_a_modulus_that_is_not_concave_exits_two(
+        tmp_path, capsys, command, overrides, block):
+    path = _write(tmp_path, _config(tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+                                    **overrides))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: the power modulus on [0, 1.0] must be "
+                          "concave, nondecreasing and 0 at 0")
+    assert err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_check_reports_a_modulus_block_that_is_not_concave(tmp_path):
+    path = _write(tmp_path, _config(tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+                                    modulus=_CONVEX))
+    assert main(["check", str(path)]) == 1
+    rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
+    assert rows[1].startswith("shape_rho,false,")
+
+
 @pytest.mark.parametrize("via_flag", [True, False])
 def test_convergence_study_rejects_a_paths_file(tmp_path, capsys, via_flag):
     stored = tmp_path / "stored.bsde"
@@ -991,14 +1074,43 @@ def test_overflowing_constants_exit_one(tmp_path, capsys, command, overrides):
     assert not any((tmp_path / "out").iterdir())
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports bsde_lab from the tree under test."""
     src = str(Path(bl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", {"generator": {"family": "example1"}, "terminal": {"kind": "coordinate"},
+               "solver": {"init": 1e308}}, "non-finite regression moments"),
+    ("constants", {"generator": {"family": "example1"},
+                   "paths": {"M": 128, "N": 4, "T": 1e300}},
+     "the derived constants overflow"),
+])
+def test_a_numerical_failure_prints_one_stderr_line(
+        tmp_path, command, overrides, message):
+    out = _python("-m", "bsde_lab.cli", command,
+                  str(_write(tmp_path, _config(tmp_path, **overrides))))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {message}")
+    assert out.stderr.count("\n") == 1
+
+
+def test_the_z_step_warning_still_prints(tmp_path):
+    doc = _config(tmp_path, paths={"M": 256, "N": 4, "seed": 3},
+                  generator={"family": "linear", "params": {"b": 3.0}})
+    out = _python("-m", "bsde_lab.cli", "solve", str(_write(tmp_path, doc)))
+    assert out.returncode == 0
+    assert "explicit z step may be unstable" in out.stderr
+
+
+def test_cli_import_leaves_out_scipy_integrate():
     code = "import sys, bsde_lab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    out = _python("-c", code)
+    assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------- traced bindings

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bsde_lab as bl
-from bsde_lab.modulus import CONVERGENT, DIVERGENT
+from bsde_lab.generator import GENERATOR_FAMILIES
+from bsde_lab.modulus import (CONVERGENT, DIVERGENT, ModulusShapeError,
+                              require_concave)
 
 from conftest import random_concave_tabulated
 
@@ -97,6 +100,41 @@ def test_tabulated_validation():
         bl.tabulated_modulus([(0.0, 0.0), (0.5, 1.0), (0.5, 2.0)])
 
 
+# One instance of each builtin family, and the sha256 of its evaluation on
+# _PIN_GRID and of osgood_classify(mod, 1.5).increments, both as float64 bytes.
+_PINNED = {
+    "linear": (bl.linear_modulus(0.5, domain_cap=2.0),
+               "08b8bd0b9f871aa8c67568235ac04fd90706d6cd43553d7e3845efa3d49eee8c",
+               "9cee6963f8406c69599858fe85d6e7839ed32e352483d8620d9b675114c9f3b6"),
+    "power": (bl.power_modulus(2.0, 0.5, domain_cap=2.0),
+              "4a204b0ad9102e3308050d987ba561d74cf3c0a4614336a1541934f856209572",
+              "c510006b0690d60a7943d1b00a03f5acf429f5e4d7c117ef15acfc9ed5e49b73"),
+    "example1h": (bl.example1_h_modulus(3.0, 0.1, domain_cap=2.0),
+                  "448e99e296ede3a6dfdd9cfab5d1785423faab959f087b6c4186b6c5d620c924",
+                  "9bb798e02cc4ae7f4871f41d8d0ae15e8b82f05da748a2a0efa05c54034df1f0"),
+    "tabulated": (bl.tabulated_modulus([(0.0, 0.0), (0.5, 1.0), (2.0, 1.5)]),
+                  "f4e7a5c0940e7bc44eef32a960e4268f6d8751615d033401b98d6f5c7e2235ad",
+                  "655bb4838bf3bb02686e5fe00bd5eb36ec1e7b94287b46bb0ef36873102734a1"),
+}
+_PIN_GRID = np.concatenate([np.linspace(0.0, 3.0, 1001),
+                            np.geomspace(1e-12, 3.0, 1001)])
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED))
+def test_family_records_are_pinned(family):
+    mod, eval_sha, osgood_sha = _PINNED[family]
+    grid = _PIN_GRID.copy()
+    vals = bl.eval_modulus(mod, grid)
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == eval_sha
+    assert np.array_equal(grid, _PIN_GRID)
+    increments = bl.osgood_classify(mod, 1.5).increments
+    assert hashlib.sha256(increments.tobytes()).hexdigest() == osgood_sha
+
+
+def test_pins_cover_every_builtin_family():
+    assert sorted(_PINNED) == sorted(bl.modulus.MODULUS_FAMILIES)
+
+
 # --------------------------------------------------------------- shape check
 
 def test_shape_linear_all_flags():
@@ -115,6 +153,24 @@ def test_shape_example1h_on_fine_grid():
     rep = bl.check_shape(bl.example1_h_modulus(2.0, delta=math.exp(-2)),
                          grid_size=10_000)
     assert rep.all_ok
+
+
+def test_require_concave_rejects_a_convex_or_decreasing_modulus():
+    for mod in (bl.power_modulus(1.0, 2.0),
+                bl.tabulated_modulus([(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)])):
+        with pytest.raises(ModulusShapeError, match="must be concave"):
+            require_concave(mod)
+    assert issubclass(ModulusShapeError, ValueError)
+    require_concave(bl.example1_h_modulus(2.0, domain_cap=5.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("family", ["zero", "linear", "example1"])
+def test_builtin_default_moduli_meet_the_precondition(family, p):
+    gen = GENERATOR_FAMILIES[family].factory(
+        **({"a": 0.5, "c": 0.1} if family == "linear" else {}))
+    require_concave(GENERATOR_FAMILIES[family].h1_modulus(gen, p, 10.0))
+    require_concave(bl.auto_envelope(gen, p).psi)
 
 
 def test_shape_parameter_validation():
@@ -428,6 +484,20 @@ def test_failed_tabulated_csv_write_leaves_the_old_file(tmp_path, monkeypatch):
         bl.modulus.save_tabulated_csv(mod, target)
     assert target.read_text() == "old\n"
     assert [f.name for f in tmp_path.iterdir()] == ["mod.csv"]
+
+
+def test_tabulated_modulus_reads_a_csv_path(tmp_path):
+    target = tmp_path / "mod.csv"
+    target.write_text("u,v\n0,0\n0.5,0.7\n1.5,1.1\n")
+    assert bl.tabulated_modulus(csv_path=str(target), domain_cap=2.0) == \
+        bl.tabulated_modulus([(0.0, 0.0), (0.5, 0.7), (1.5, 1.1)], domain_cap=2.0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"breakpoints": [(0, 0), (1, 1)],
+                                         "csv_path": "mod.csv"}])
+def test_tabulated_modulus_takes_exactly_one_source(kwargs):
+    with pytest.raises(ValueError, match="exactly one of breakpoints and csv_path"):
+        bl.tabulated_modulus(**kwargs)
 
 
 def test_tabulated_csv_header_required(tmp_path):
