@@ -30,16 +30,15 @@ from .generator import (
     DriverFamily,
     EnvelopeA,
     GeneratorSpec,
+    ProcessKind,
     ProcessSpec,
     SamplerConfig,
     auto_envelope,
     check_h1,
     check_h3,
-    custom_generator,
     estimate_lipschitz_z,
     example1_generator,
     linear_generator,
-    register_generator,
     verify_envelope,
     zero_generator,
 )
@@ -66,13 +65,12 @@ from .solver import (
     BasisSpec,
     DiscreteSolution,
     PicardReport,
+    TerminalKind,
     TerminalSpec,
     constant_terminal,
     coordinate_terminal,
-    custom_terminal,
     picard_solve,
     regress_conditional_expectation,
-    register_terminal,
     solve_frozen_bsde,
     square_norm_terminal,
 )

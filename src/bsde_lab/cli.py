@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle
-from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, DriverFamily,
-                        EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
+from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, EnvelopeA,
+                        GeneratorSpec, ProcessSpec, SamplerConfig,
                         auto_envelope, check_h1, check_h3,
                         estimate_lipschitz_z, verify_envelope)
-from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusFamily,
-                      ModulusShapeError, ModulusSpec, check_shape,
-                      linear_growth_coefficient, osgood_classify)
+from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusShapeError,
+                      ModulusSpec, check_shape, linear_growth_coefficient,
+                      osgood_classify)
 from .paths import (DimensionError, PathEnsemble, format_number,
                     generate_ensemble, load_ensemble, save_ensemble, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
@@ -201,8 +201,8 @@ def _parse_solver(block: dict) -> SolverConfig:
     return cfg
 
 
-# Each tagged block: the key naming its family, family -> factory or record (read
-# at parse time), the keys beside that key and params, and the default family.
+# Each tagged block: the key naming its family, family -> record (read at parse
+# time), the keys beside that key and params, and the default family.
 _TAGGED = {
     GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k", "d"), None),
     TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
@@ -211,12 +211,8 @@ _TAGGED = {
 }
 
 
-def _factory(entry):
-    return entry.factory if isinstance(entry, (DriverFamily, ModulusFamily)) else entry
-
-
 def _parse_tagged(block, path: str, spec: type, **preset):
-    """Build a spec from a tagged block through its family's factory.
+    """Build a spec from a tagged block through the factory of its family's record.
 
     block['params'] holds the factory's keyword arguments (see _kwargs).  Each
     outer key, typed by the spec's field of that name and else taken from
@@ -229,7 +225,7 @@ def _parse_tagged(block, path: str, spec: type, **preset):
     if name not in table:
         raise ConfigError(f"{path}.{tag} required" if name is None
                           else f"unknown {path} {tag} '{name}'")
-    factory = _factory(table[name])
+    factory = table[name].factory
     spec_types = typing.get_type_hints(spec)
     given = {n: _typed(block, n, spec_types[n], path, preset.get(n)) for n in outer}
     accepted = inspect.signature(factory).parameters
@@ -274,6 +270,8 @@ def _parse_bihari(block: dict) -> BihariConfig:
     cfg = BihariConfig(**_kwargs(BihariConfig, block, "bihari"))
     if cfg.M_bound is not None and cfg.M_bound < 0.0:
         raise ConfigError("bihari.M_bound must be nonnegative")
+    if cfg.T1 is not None and cfg.T1 < 0.0:
+        raise ConfigError(f"bihari.T1 is {cfg.T1}, but must be >= 0")
     if cfg.n_max < 0:
         raise ConfigError("bihari.n_max must be >= 0")
     if cfg.quad_steps < 2:
@@ -285,7 +283,7 @@ def _parse_study(block: dict) -> StudyConfig:
     cfg = StudyConfig(**_kwargs(StudyConfig, block, "study"))
     for key in ("M_values", "N_values"):
         vals = getattr(cfg, key)
-        if not vals or not all(isinstance(v, int) and v >= 1 for v in vals):
+        if not vals or not all(type(v) is int and v >= 1 for v in vals):
             raise ConfigError(f"field 'study.{key}' must be a list of "
                               "positive integers")
     return cfg
@@ -570,9 +568,9 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
             sol, report = _solve(cfg, ens)
             errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
             rows.append((m, n, errs.sp_error, errs.z_rms_error,
-                         report.iterations))
+                         report.iterations, str(report.converged).lower()))
     write_csv(out / "convergence.csv",
-              ["M", "N", "sp_error", "z_rms_error", "iters"], rows)
+              ["M", "N", "sp_error", "z_rms_error", "iters", "converged"], rows)
     return 0
 
 

@@ -1,8 +1,8 @@
 """BSDE generators g(t, B_t, y, z) and sampled checks of the driver hypotheses.
 
 Randomness in a generator enters only through the current Brownian value, so
-every builtin family is a deterministic function of (t, B_t, y, z).  Custom
-drivers register by name and must accept batched arrays.
+every builtin family is a deterministic function of (t, B_t, y, z).  A
+user-defined driver is one more DriverFamily record in GENERATOR_FAMILIES.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from .modulus import (H1STAR_TO_H1, ModulusSpec, eval_modulus, example1_h_modulu
                       linear_modulus, require_concave, transform_modulus)
 from .paths import DimensionError, PathEnsemble
 
-REGISTERED_GENERATORS: dict = {}
-
-
-def register_generator(name: str, fn) -> None:
-    """Register a batched callback fn(t, brownian (M,d), y (M,k), z (M,k,d)) -> (M,k)."""
-    REGISTERED_GENERATORS[name] = fn
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     family: str
@@ -35,7 +27,6 @@ class GeneratorSpec:
     c: float | tuple = 0.0
     p: float = 2.0
     delta: float = math.exp(-2.0)
-    name: str = ""
 
     def __post_init__(self):
         if self.family not in GENERATOR_FAMILIES:
@@ -73,12 +64,6 @@ def example1_generator(p: float = 2.0, delta: float | None = None,
     return GeneratorSpec("example1", k=1, d=d, p=h.p, delta=h.delta)
 
 
-def custom_generator(name: str, k: int = 1, d: int = 1) -> GeneratorSpec:
-    if name not in REGISTERED_GENERATORS:
-        raise ValueError(f"no registered generator named '{name}'")
-    return GeneratorSpec("custom", k=k, d=d, name=name)
-
-
 def _frobenius(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(z * z, axis=(1, 2)))
 
@@ -108,13 +93,6 @@ def _eval_example1(gen, t, brownian, y, z):
     h = example1_h_modulus(gen.p, gen.delta)
     return (eval_modulus(h, np.abs(y[:, 0])) + _frobenius(z)
             + np.linalg.norm(brownian, axis=1))[:, None]
-
-
-def _eval_custom(gen, t, brownian, y, z):
-    fn = REGISTERED_GENERATORS.get(gen.name)
-    if fn is None:
-        raise ValueError(f"no registered generator named '{gen.name}'")
-    return np.asarray(fn(t, brownian, y, z), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -287,26 +265,45 @@ def modulus_of_frozen_path_process(mod: ModulusSpec,
     return ProcessSpec("modulus_of_frozen_path", mod=mod, exponent=exponent)
 
 
-PROCESS_KINDS = {"zero": zero_process, "constant": constant_process,
-                 "abs_brownian_coordinate": abs_brownian_coordinate_process,
-                 "modulus_of_frozen_path": modulus_of_frozen_path_process}
+def _eval_abs_brownian_coordinate(spec, path_idx, t_idx, ens, frozen):
+    if not 0 <= spec.index < ens.d:
+        raise DimensionError(f"abs_brownian_coordinate index = {spec.index} "
+                             f"is out of range for d = {ens.d}")
+    return np.abs(ens.values[path_idx, t_idx, spec.index])
 
 
-def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
-                 ens: PathEnsemble, frozen: np.ndarray | None = None) -> np.ndarray:
-    if spec.kind == "zero":
-        return np.zeros(len(path_idx))
-    if spec.kind == "constant":
-        return np.full(len(path_idx), spec.value)
-    if spec.kind == "abs_brownian_coordinate":
-        if spec.index >= ens.d:
-            raise DimensionError(f"abs_brownian_coordinate index = {spec.index} "
-                                 f"is out of range for d = {ens.d}")
-        return np.abs(ens.values[path_idx, t_idx, spec.index])
+def _eval_modulus_of_frozen_path(spec, path_idx, t_idx, ens, frozen):
     if frozen is None:
         raise ValueError("modulus_of_frozen_path needs the frozen path array")
     v = np.linalg.norm(frozen[path_idx, t_idx, :], axis=1)
     return eval_modulus(spec.mod, v ** spec.exponent) ** (1.0 / spec.exponent)
+
+
+@dataclass(frozen=True)
+class ProcessKind:
+    """A process kind: the factory its config block calls and
+    evaluate(spec, path_idx, t_idx, ens, frozen), the process at the sampled
+    (path, time index) pairs; frozen is the frozen iterate, or None."""
+
+    factory: Callable[..., ProcessSpec]
+    evaluate: Callable[..., np.ndarray]
+
+
+PROCESS_KINDS = {
+    "zero": ProcessKind(zero_process,
+                        lambda spec, path_idx, *_: np.zeros(len(path_idx))),
+    "constant": ProcessKind(constant_process, lambda spec, path_idx, *_:
+                            np.full(len(path_idx), spec.value)),
+    "abs_brownian_coordinate": ProcessKind(abs_brownian_coordinate_process,
+                                           _eval_abs_brownian_coordinate),
+    "modulus_of_frozen_path": ProcessKind(modulus_of_frozen_path_process,
+                                          _eval_modulus_of_frozen_path),
+}
+
+
+def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
+                 ens: PathEnsemble, frozen: np.ndarray | None = None) -> np.ndarray:
+    return PROCESS_KINDS[spec.kind].evaluate(spec, path_idx, t_idx, ens, frozen)
 
 
 @dataclass(frozen=True)
@@ -363,7 +360,7 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
 def auto_envelope(gen: GeneratorSpec, p: float,
                   radius: float = 5.0) -> EnvelopeA | None:
     """The family's canonical envelope on |y| <= radius; None when the family
-    does not state one (custom drivers, whose growth is unknown)."""
+    does not state one."""
     envelope = GENERATOR_FAMILIES[gen.family].envelope
     return None if envelope is None else envelope(gen, p, radius)
 
@@ -424,5 +421,4 @@ GENERATOR_FAMILIES = {
                            _linear_h1, _linear_envelope),
     "example1": DriverFamily(example1_generator, _eval_example1,
                              lambda gen: 1.0, _example1_h1, _example1_envelope),
-    "custom": DriverFamily(custom_generator, _eval_custom),
 }

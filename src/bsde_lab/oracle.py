@@ -62,8 +62,9 @@ def _closed_form(inst: OracleInstance, tau: np.ndarray, b: np.ndarray):
     an array that broadcasts against b's leading shape: y (..., 1), z (..., 1, d)."""
     lead, d = b.shape[:-1], b.shape[-1]
     if inst.kind == "martingale_coordinate":
-        if inst.j >= d:
-            raise ValueError("coordinate index out of range")
+        if not 0 <= inst.j < d:
+            raise ValueError(f"coordinate index j = {inst.j} is out of range "
+                             f"for d = {d}")
         z = np.zeros(lead + (1, d))
         z[..., 0, inst.j] = 1.0
         return b[..., [inst.j]], z

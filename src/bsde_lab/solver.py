@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 
@@ -23,13 +24,6 @@ from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
 from .paths import (NUMBER, DimensionError, PathEnsemble, TimeGrid, atomic_open,
                     format_number, write_csv)
-
-REGISTERED_TERMINALS: dict = {}
-
-
-def register_terminal(name: str, fn) -> None:
-    """Register fn(B_T (M,d)) -> (M,k) for custom terminal conditions."""
-    REGISTERED_TERMINALS[name] = fn
 
 
 class SingularRegressionError(RuntimeError):
@@ -46,7 +40,6 @@ class TerminalSpec:
     k: int = 1
     j: int = 0
     value: tuple = (0.0,)
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in TERMINAL_KINDS:
@@ -70,35 +63,43 @@ def constant_terminal(value: float | list = 0.0,
     return TerminalSpec("constant", k=k if k is not None else len(vals), value=vals)
 
 
-def custom_terminal(name: str, k: int = 1) -> TerminalSpec:
-    if name not in REGISTERED_TERMINALS:
-        raise ValueError(f"no registered terminal named '{name}'")
-    return TerminalSpec("custom", k=k, name=name)
+def _eval_coordinate(term: TerminalSpec, b_T: np.ndarray) -> np.ndarray:
+    if not 0 <= term.j < b_T.shape[1]:
+        raise DimensionError(f"terminal coordinate j = {term.j} is out of "
+                             f"range for d = {b_T.shape[1]}")
+    return b_T[:, [term.j]]
 
 
-TERMINAL_KINDS = {"coordinate": coordinate_terminal,
-                  "square_norm": square_norm_terminal,
-                  "constant": constant_terminal, "custom": custom_terminal}
+def _eval_constant(term: TerminalSpec, b_T: np.ndarray) -> np.ndarray:
+    vals = np.asarray(term.value, dtype=float)
+    if vals.size == 1:
+        return np.full((b_T.shape[0], term.k), vals[0])
+    return np.tile(vals, (b_T.shape[0], 1))
+
+
+@dataclass(frozen=True)
+class TerminalKind:
+    """A terminal kind: the factory its config block calls and the batched
+    evaluate(term, b_T), which maps B_T (M, d) to xi (M, k)."""
+
+    factory: Callable[..., TerminalSpec]
+    evaluate: Callable[[TerminalSpec, np.ndarray], np.ndarray]
+
+
+TERMINAL_KINDS = {
+    "coordinate": TerminalKind(coordinate_terminal, _eval_coordinate),
+    "square_norm": TerminalKind(
+        square_norm_terminal,
+        lambda term, b_T: np.sum(b_T * b_T, axis=1, keepdims=True)),
+    "constant": TerminalKind(constant_terminal, _eval_constant),
+}
 
 
 def terminal_values(term: TerminalSpec, ens: PathEnsemble) -> np.ndarray:
     """Evaluate xi as a function of B_T, shaped (M, k)."""
-    b_T = ens.values[:, -1, :]
-    if term.kind == "coordinate":
-        if term.j >= ens.d:
-            raise DimensionError(f"terminal coordinate j = {term.j} is out of "
-                                 f"range for d = {ens.d}")
-        return b_T[:, [term.j]]
-    if term.kind == "square_norm":
-        return np.sum(b_T * b_T, axis=1, keepdims=True)
-    if term.kind == "constant":
-        vals = np.asarray(term.value, dtype=float)
-        if vals.size == 1:
-            return np.full((ens.M, term.k), vals[0])
-        return np.tile(vals, (ens.M, 1))
-    out = np.asarray(REGISTERED_TERMINALS[term.name](b_T), dtype=float)
+    out = TERMINAL_KINDS[term.kind].evaluate(term, ens.values[:, -1, :])
     if out.shape != (ens.M, term.k):
-        raise ValueError("custom terminal returned wrong shape")
+        raise ValueError(f"terminal kind '{term.kind}' returned wrong shape")
     return out
 
 
@@ -185,14 +186,16 @@ def polynomial_features(state: np.ndarray, degree: int) -> np.ndarray:
     # A block of rows is built one feature per contiguous row of cols, one
     # multiply per feature, and transposed into feats while it is in cache.
     cols = np.empty((n_basis, min(m, _ROW_BLOCK)))
-    for lo in range(0, m, _ROW_BLOCK):
-        block = cols[:, :min(m - lo, _ROW_BLOCK)]
-        block[0] = 1.0
-        for col, j in linear:
-            block[col] = state[lo:lo + _ROW_BLOCK, j]
-        for col, left, right in products:
-            np.multiply(block[left], block[right], out=block[col])
-        feats[lo:lo + _ROW_BLOCK] = block.T
+    # a power that overflows is left infinite: _blocked_product reports it
+    with np.errstate(over="ignore"):
+        for lo in range(0, m, _ROW_BLOCK):
+            block = cols[:, :min(m - lo, _ROW_BLOCK)]
+            block[0] = 1.0
+            for col, j in linear:
+                block[col] = state[lo:lo + _ROW_BLOCK, j]
+            for col, left, right in products:
+                np.multiply(block[left], block[right], out=block[col])
+            feats[lo:lo + _ROW_BLOCK] = block.T
     return feats
 
 

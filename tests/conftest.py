@@ -3,11 +3,25 @@ import numpy as np
 import pytest
 
 import bsde_lab as bl
+from bsde_lab.generator import GENERATOR_FAMILIES
 
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def add_driver(monkeypatch):
+    """add_driver(name, fn, k, d) adds, for the test, a DriverFamily record
+    that states no facts and evaluates fn(t, brownian, y, z); it returns the
+    family's spec of dimensions k and d."""
+    def add(name, fn, k=1, d=1):
+        monkeypatch.setitem(GENERATOR_FAMILIES, name, bl.DriverFamily(
+            lambda k=1, d=1: bl.GeneratorSpec(name, k=k, d=d),
+            lambda gen, t, brownian, y, z: fn(t, brownian, y, z)))
+        return bl.GeneratorSpec(name, k=k, d=d)
+    return add
 
 
 @pytest.fixture(scope="session")

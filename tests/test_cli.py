@@ -190,9 +190,12 @@ def test_field_type_errors_name_the_field(block, key, value):
 
 
 def test_study_lists_must_hold_positive_integers():
-    with pytest.raises(ConfigError, match="study.N_values"):
-        parse_config(json.dumps({"generator": {"family": "zero"},
-                                 "study": {"N_values": [4, 0]}}))
+    for key, values in (("N_values", [4, 0]), ("N_values", [True, 4]),
+                        ("M_values", [64, False])):
+        with pytest.raises(ConfigError, match=f"study.{key}' must be a list of "
+                                              "positive integers"):
+            parse_config(json.dumps({"generator": {"family": "zero"},
+                                     "study": {key: values}}))
 
 
 def test_unblocked_reduction_exits_two(tmp_path, capsys):
@@ -309,9 +312,18 @@ def test_convergence_study(tmp_path):
     cfg = parse_config(json.dumps(doc))
     assert run("convergence-study", cfg) == 0
     lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "M,N,sp_error,z_rms_error,iters"
+    assert lines[0] == "M,N,sp_error,z_rms_error,iters,converged"
     assert len(lines) == 3
-    assert lines[1].startswith("256,5,")
+    assert lines[1].startswith("256,5,") and lines[1].endswith(",true")
+
+
+def test_convergence_study_marks_a_row_that_did_not_converge(tmp_path):
+    doc = _config(tmp_path, generator={"family": "linear", "params": {"a": 0.5}},
+                  solver={"picard_max_iter": 1},
+                  study={"M_values": [256], "N_values": [5]})
+    assert run("convergence-study", parse_config(json.dumps(doc))) == 0
+    lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
+    assert lines[1].startswith("256,5,") and lines[1].endswith(",1,false")
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -466,7 +478,7 @@ def test_bihari_ordering_failure_of_computed_bounds_exits_one(tmp_path,
 
 
 @pytest.mark.parametrize("key, value", [
-    ("M_bound", -1.0), ("n_max", -1), ("quad_steps", 1)])
+    ("M_bound", -1.0), ("n_max", -1), ("quad_steps", 1), ("T1", -0.5)])
 def test_bihari_settings_out_of_range_exit_two(tmp_path, capsys, key, value):
     path = _write(tmp_path, _config(tmp_path, bihari={key: value}))
     assert main(["bihari", str(path)]) == 2
@@ -486,8 +498,6 @@ def test_split_is_checked_against_the_horizon_of_the_paths_file(
         assert err.startswith("error: solver.split") and "T is 2.0" in err
 
 
-bl.register_generator("cli_time_scaled", lambda t, b, y, z: t[:, None] * y
-                      if np.ndim(t) else t * y)
 _LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
 
 
@@ -495,11 +505,12 @@ _LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
     ("solve", "picard_report.csv", _LINEAR),
     ("constants", "constants.csv", _LINEAR),
     ("bihari", "bihari.csv", _LINEAR),
-    ("check", "check_report.csv",
-     {"family": "custom", "params": {"name": "cli_time_scaled"}}),
+    ("check", "check_report.csv", {"family": "cli_time_scaled"}),
 ])
-def test_commands_take_the_horizon_of_the_paths_file(tmp_path, command,
-                                                     output, generator):
+def test_commands_take_the_horizon_of_the_paths_file(tmp_path, add_driver,
+                                                     command, output, generator):
+    add_driver("cli_time_scaled",
+               lambda t, b, y, z: t[:, None] * y if np.ndim(t) else t * y)
     stored = _stored(tmp_path, M=512, N=10, T=2.0)
     outputs = []
     for paths in ({}, {"T": 2.0}):
@@ -547,10 +558,9 @@ def test_default_h1_modulus_example1(p):
     assert mod.breakpoints == expected.breakpoints
 
 
-def test_default_h1_modulus_custom_needs_block():
-    bl.register_generator("cli_pin_custom", lambda t, b, y, z: -y)
-    cfg = parse_config(json.dumps({
-        "generator": {"family": "custom", "params": {"name": "cli_pin_custom"}}}))
+def test_default_h1_modulus_custom_needs_block(add_driver):
+    add_driver("cli_pin_custom", lambda t, b, y, z: -y)
+    cfg = parse_config(json.dumps({"generator": {"family": "cli_pin_custom"}}))
     with pytest.raises(ConfigError, match="explicit modulus"):
         cli._h1_modulus(cfg)
 
@@ -574,6 +584,53 @@ def test_a_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
     assert [r for r in rows if r.startswith("h2_lipschitz_z,true,")][0] \
         .endswith(",analytic=0.25")
     assert main(["solve", str(path)]) == 0
+
+
+def _plain_linear_generator(a: float = 0.0, b: float = 0.0, c: float = 0.0,
+                            k: int = 1, d: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("plain_linear", k=k, d=d, a=a, b=b, c=c)
+
+
+def _last_coordinate_terminal(k: int = 1) -> bl.TerminalSpec:
+    return bl.TerminalSpec("last_coordinate", k=k)
+
+
+def test_runtime_records_run_like_the_builtins(tmp_path, monkeypatch):
+    # the linear driver and the coordinate terminal, as records that state no
+    # facts: the driver's z-Lipschitz constant is sampled, its H1 modulus
+    # comes from the modulus block, and check skips the envelope
+    monkeypatch.setitem(GENERATOR_FAMILIES, "plain_linear", bl.DriverFamily(
+        _plain_linear_generator, GENERATOR_FAMILIES["linear"].evaluate))
+    monkeypatch.setitem(TERMINAL_KINDS, "last_coordinate", bl.TerminalKind(
+        _last_coordinate_terminal, lambda term, b_T: b_T[:, -1:]))
+    params = {"a": 0.5, "b": 0.25, "c": 0.2}
+    outputs = {}
+    for generator, terminal in (
+            ({"family": "linear", "params": params}, {"kind": "coordinate"}),
+            ({"family": "plain_linear", "params": params},
+             {"kind": "last_coordinate"})):
+        out = tmp_path / generator["family"]
+        path = _write(tmp_path, _config(
+            tmp_path, paths={"M": 256, "N": 5, "seed": 3}, generator=generator,
+            terminal=terminal, output_dir=str(out),
+            modulus={"family": "linear", "params": {"mu": 0.25}}))
+        assert [main([cmd, str(path)]) for cmd in
+                ("check", "solve", "constants")] == [0, 0, 0]
+        outputs[generator["family"]] = {
+            name: (out / name).read_text().splitlines() for name in (
+                "check_report.csv", "solution.csv", "picard_report.csv",
+                "constants.csv")}
+    builtin, runtime = outputs["linear"], outputs["plain_linear"]
+    for name in ("solution.csv", "picard_report.csv"):
+        assert runtime[name] == builtin[name]
+    h2 = [r.split(",") for r in runtime["check_report.csv"]
+          if r.startswith("h2_lipschitz_z,")][0]
+    lam = [r.split(",") for r in runtime["constants.csv"] if r.startswith("lam,")][0]
+    assert h2[3] == "analytic=" and h2[2] == lam[1]
+    assert float(lam[1]) == pytest.approx(0.25, rel=1e-9)  # sampled, not exact
+    assert "lam,0.25" in builtin["constants.csv"]
+    assert runtime["check_report.csv"][-1] == \
+        "envelope,true,0,skipped: no envelope configured"
 
 
 def _saturating_modulus(c: float = 1.0, domain_cap: float = 1.0) -> bl.ModulusSpec:
@@ -611,8 +668,28 @@ def test_bundle_samples_lipschitz_z_only_without_an_exact_constant(
 
 # ------------------------------------------------------- tagged blocks
 
-bl.register_generator("cli_block_custom", lambda t, b, y, z: -y)
-bl.register_terminal("cli_block_custom", lambda b_T: b_T[:, [0]])
+def _scaled_y_generator(b: float = 1.0, k: int = 1, d: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("scaled_y", k=k, d=d, b=b)
+
+
+def _shifted_terminal(j: int = 0, value: float = 0.0) -> bl.TerminalSpec:
+    return bl.TerminalSpec("shifted", j=j, value=(value,))
+
+
+# Records a test adds at runtime, by (block, family): their table and record.
+_RUNTIME_RECORDS = {
+    ("generator", "scaled_y"): (GENERATOR_FAMILIES, bl.DriverFamily(
+        _scaled_y_generator, lambda gen, t, brownian, y, z: gen.b * y)),
+    ("terminal", "shifted"): (TERMINAL_KINDS, bl.TerminalKind(
+        _shifted_terminal, lambda term, b_T: b_T[:, [term.j]] + term.value[0])),
+}
+
+
+@pytest.fixture
+def runtime_records(monkeypatch):
+    for (_, family), (table, record) in _RUNTIME_RECORDS.items():
+        monkeypatch.setitem(table, family, record)
+
 
 # Where each tagged block sits in a config document.
 _BLOCK_SPEC = {"generator": bl.GeneratorSpec, "terminal": bl.TerminalSpec,
@@ -625,13 +702,11 @@ _TAGGED_CASES = [
     ("generator", "linear", {"a": 0.5, "b": 0.25, "c": 0.1},
      {"a": 0.5, "b": 0.25, "c": 0.1}),
     ("generator", "example1", {"p": 3.0, "delta": 0.1}, {"p": 3.0, "delta": 0.1}),
-    ("generator", "custom", {"name": "cli_block_custom"},
-     {"name": "cli_block_custom"}),
+    ("generator", "scaled_y", {"b": 2.0}, {"b": 2.0}),
     ("terminal", "coordinate", {"j": 2}, {"j": 2}),
     ("terminal", "square_norm", {}, {}),
     ("terminal", "constant", {"value": 2.5}, {"value": 2.5}),
-    ("terminal", "custom", {"name": "cli_block_custom"},
-     {"name": "cli_block_custom"}),
+    ("terminal", "shifted", {"j": 1, "value": 0.5}, {"j": 1, "value": 0.5}),
     ("modulus", "linear", {"mu": 0.5}, {"mu": 0.5}),
     ("modulus", "power", {"c": 2.0, "alpha": 0.5}, {"c": 2.0, "alpha": 0.5}),
     ("modulus", "example1h", {"p": 3.0, "delta": 0.1}, {"p": 3.0, "delta": 0.1}),
@@ -645,12 +720,14 @@ _TAGGED_CASES = [
      {"mod": {"family": "power", "params": {"c": 2.0}}, "exponent": 3.0},
      {"mod": bl.power_modulus(2.0), "exponent": 3.0}),
 ]
-_LIBRARY_FACTORY = {(block, name): cli._factory(entry)
-                    for block, table in (("generator", GENERATOR_FAMILIES),
-                                         ("terminal", TERMINAL_KINDS),
-                                         ("modulus", MODULUS_FAMILIES),
-                                         ("envelope.f", PROCESS_KINDS))
-                    for name, entry in table.items()}
+_FACTORY = {(block, name): record.factory
+            for block, table in (("generator", GENERATOR_FAMILIES),
+                                 ("terminal", TERMINAL_KINDS),
+                                 ("modulus", MODULUS_FAMILIES),
+                                 ("envelope.f", PROCESS_KINDS))
+            for name, record in table.items()}
+_FACTORY.update({key: record.factory
+                 for key, (_, record) in _RUNTIME_RECORDS.items()})
 
 
 def _case_id(case):
@@ -679,8 +756,8 @@ def _tagged_spec(cfg, block):
 def test_tagged_cases_cover_every_factory_parameter():
     for block, spec in _BLOCK_SPEC.items():
         tag, table, outer, _ = cli._TAGGED[spec]
-        for family, entry in table.items():
-            factory = cli._factory(entry)
+        for family, record in table.items():
+            factory = record.factory
             named = {key for b, f, params, _ in _TAGGED_CASES
                      if (b, f) == (block, family) for key in params}
             expected = set(inspect.signature(factory).parameters) - set(outer)
@@ -688,14 +765,14 @@ def test_tagged_cases_cover_every_factory_parameter():
 
 
 @pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
-def test_tagged_params_reach_the_factory(case, tmp_path):
+def test_tagged_params_reach_the_factory(case, tmp_path, runtime_records):
     block, family, params, kwargs = case
     cfg = parse_config(json.dumps(_tagged_doc(block, family, params, tmp_path)))
-    assert _tagged_spec(cfg, block) == _LIBRARY_FACTORY[block, family](**kwargs)
+    assert _tagged_spec(cfg, block) == _FACTORY[block, family](**kwargs)
 
 
 @pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
-def test_tagged_unknown_param_is_named(case, tmp_path):
+def test_tagged_unknown_param_is_named(case, tmp_path, runtime_records):
     block, family, params, _ = case
     doc = _tagged_doc(block, family, dict(params, bogus=1), tmp_path)
     with pytest.raises(ConfigError, match=f"{block}.params.bogus"):
@@ -703,19 +780,20 @@ def test_tagged_unknown_param_is_named(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
-def test_tagged_mistyped_param_names_the_field(case, tmp_path):
+def test_tagged_mistyped_param_names_the_field(case, tmp_path, runtime_records):
     block, family, params, _ = case
     for key in params:
-        bad = 5 if key in ("name", "csv_path") else "wrong"
+        bad = 5 if key == "csv_path" else "wrong"
         doc = _tagged_doc(block, family, dict(params, **{key: bad}), tmp_path)
         with pytest.raises(ConfigError, match=f"{block}.params.{key}"):
             parse_config(json.dumps(doc))
 
 
 @pytest.mark.parametrize("case", _TAGGED_CASES, ids=_case_id)
-def test_tagged_omitted_param_keeps_the_factory_default(case, tmp_path):
+def test_tagged_omitted_param_keeps_the_factory_default(case, tmp_path,
+                                                      runtime_records):
     block, family, params, kwargs = case
-    factory = _LIBRARY_FACTORY[block, family]
+    factory = _FACTORY[block, family]
     defaults = inspect.signature(factory).parameters
     for key in params:
         # breakpoints and csv_path are an exactly-one pair: neither can go
@@ -739,8 +817,11 @@ def test_tagged_unknown_family_is_named(block, tag, tmp_path):
 
 
 def test_tagged_required_param_is_named():
-    with pytest.raises(ConfigError, match="generator.params.name required"):
-        parse_config(json.dumps({"generator": {"family": "custom"}}))
+    with pytest.raises(ConfigError, match="envelope.f.params.mod required"):
+        parse_config(json.dumps({
+            "generator": {"family": "zero"},
+            "envelope": {"psi": {"family": "linear"},
+                         "f": {"kind": "modulus_of_frozen_path"}}}))
 
 
 @pytest.mark.parametrize("process", [{}, {"params": {}}, {"kind": None}])
@@ -866,12 +947,12 @@ def test_solves_with_no_more_paths_than_basis_functions_exit_two(
     assert not any((tmp_path / "out").iterdir())
 
 
-def test_check_and_constants_sample_lambda_alike(tmp_path):
+def test_check_and_constants_sample_lambda_alike(tmp_path, add_driver):
     # a driver with no exact z-Lipschitz constant: both read the sampled one
-    bl.register_generator("cli_sin_z", lambda t, b, y, z: 3.0 * np.sin(z[:, :, 0]))
+    add_driver("cli_sin_z", lambda t, b, y, z: 3.0 * np.sin(z[:, :, 0]))
     path = _write(tmp_path, _config(
         tmp_path, paths={"M": 128, "N": 4},
-        generator={"family": "custom", "params": {"name": "cli_sin_z"}},
+        generator={"family": "cli_sin_z"},
         terminal={"kind": "coordinate"},
         modulus={"family": "linear", "params": {"mu": 1.0}}))
     main(["check", str(path)])  # exits 1 or 0: only its report is read
@@ -904,6 +985,22 @@ def test_terminal_coordinate_beyond_d_exits_two(tmp_path, capsys, command):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: terminal coordinate j = 1")
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("oracle-compare", {"terminal": {"kind": "coordinate", "params": {"j": -1}}},
+     "terminal coordinate j = -1 is out of range for d = 2"),
+    ("check", {"envelope": {"psi": {"family": "linear"},
+                            "f": {"kind": "abs_brownian_coordinate",
+                                  "params": {"index": -1}}}},
+     "abs_brownian_coordinate index = -1 is out of range for d = 2"),
+])
+def test_a_negative_coordinate_index_exits_two(tmp_path, capsys, command,
+                                               overrides, message):
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 256, "N": 4, "d": 2}, **overrides))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1097,6 +1194,18 @@ def test_a_numerical_failure_prints_one_stderr_line(
     assert out.returncode == 1
     assert out.stderr.startswith(f"error: {message}")
     assert out.stderr.count("\n") == 1
+
+
+def test_a_feature_overflow_prints_no_numpy_warning(tmp_path):
+    doc = json.loads(next(p for p in CONFIGS if p.name == "example1.json").read_text())
+    doc["paths"].update(T=1e300, M=512, N=10)
+    doc["output_dir"] = str(tmp_path / "out")
+    out = _python("-m", "bsde_lab.cli", "solve", str(_write(tmp_path, doc)))
+    assert out.returncode == 1
+    assert "overflow encountered" not in out.stderr
+    assert "explicit z step may be unstable" in out.stderr  # dt = 1e299
+    assert out.stderr.endswith(
+        "\nerror: non-finite regression moments at time index 9\n")
 
 
 def test_the_z_step_warning_still_prints(tmp_path):

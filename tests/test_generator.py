@@ -6,7 +6,7 @@ from scipy import integrate
 
 import bsde_lab as bl
 from bsde_lab.generator import (ProcessSpec, SamplerConfig, eval_generator_batch,
-                                register_generator)
+                                eval_process)
 
 
 # ----------------------------------------------------------------- evaluation
@@ -48,14 +48,21 @@ def test_dimension_mismatch_rejected():
                              np.zeros((1, 1, 2)))
 
 
-def test_custom_generator_registry():
-    register_generator("double_y", lambda t, b, y, z: 2.0 * y)
-    gen = bl.custom_generator("double_y", k=2, d=1)
+def test_custom_generator_registry(add_driver):
+    # a user-defined driver is one more record in GENERATOR_FAMILIES
+    gen = add_driver("double_y", lambda t, b, y, z: 2.0 * y, k=2, d=1)
     out = eval_generator_batch(gen, 0.0, np.zeros((1, 1)),
                                np.array([[1.0, -1.0]]), np.zeros((1, 2, 1)))
     assert np.array_equal(out, [[2.0, -2.0]])
-    with pytest.raises(ValueError):
-        bl.custom_generator("never_registered")
+    with pytest.raises(ValueError, match="unknown generator family 'never_added'"):
+        bl.GeneratorSpec("never_added")
+
+
+def test_generator_of_the_wrong_shape_is_rejected(add_driver):
+    gen = add_driver("flat", lambda t, b, y, z: y[:, 0])
+    with pytest.raises(ValueError, match="family 'flat' returned wrong shape"):
+        eval_generator_batch(gen, 0.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                             np.zeros((2, 1, 1)))
 
 
 def test_example1_is_scalar_only():
@@ -170,10 +177,8 @@ def test_h3_example1_against_quadrature_oracle():
     assert not rep.unstable
 
 
-def test_h3_rejects_non_finite(small_ensemble):
-    register_generator("blow_up", lambda t, b, y, z: np.full((b.shape[0], 1),
-                                                             np.inf))
-    gen = bl.custom_generator("blow_up", k=1, d=1)
+def test_h3_rejects_non_finite(small_ensemble, add_driver):
+    gen = add_driver("blow_up", lambda t, b, y, z: np.full((b.shape[0], 1), np.inf))
     with pytest.raises(ValueError):
         bl.check_h3(gen, small_ensemble, 2.0)
 
@@ -262,3 +267,26 @@ def test_envelope_frozen_path_descriptor(small_ensemble):
     rep = bl.verify_envelope(gen, env, 2.0, small_ensemble, frozen=frozen)
     assert rep.passed  # |g| = 0 <= phi = 1
 
+
+def test_process_kinds(small_ensemble_2d):
+    ens = small_ensemble_2d
+    path_idx, t_idx = np.array([0, 5, 7]), np.array([10, 3, 0])
+    assert np.array_equal(eval_process(ProcessSpec(), path_idx, t_idx, ens),
+                          np.zeros(3))
+    assert np.array_equal(eval_process(ProcessSpec("constant", value=0.5),
+                                       path_idx, t_idx, ens), np.full(3, 0.5))
+    out = eval_process(ProcessSpec("abs_brownian_coordinate", index=1),
+                       path_idx, t_idx, ens)
+    assert np.array_equal(out, np.abs(ens.values[path_idx, t_idx, 1]))
+    frozen = np.full((ens.M, ens.grid.N + 1, 2), 3.0)
+    spec = ProcessSpec("modulus_of_frozen_path", mod=bl.linear_modulus(4.0, 100.0))
+    out = eval_process(spec, path_idx, t_idx, ens, frozen)
+    assert np.allclose(out, 2.0 * math.sqrt(18.0))  # sqrt(4 |(3, 3)|^2)
+
+
+@pytest.mark.parametrize("index", [2, -1])
+def test_abs_brownian_coordinate_out_of_range(small_ensemble_2d, index):
+    spec = ProcessSpec("abs_brownian_coordinate", index=index)
+    with pytest.raises(bl.paths.DimensionError,
+                       match=f"index = {index} is out of range for d = 2"):
+        eval_process(spec, np.array([0]), np.array([0]), small_ensemble_2d)

@@ -96,3 +96,10 @@ def test_square_oracle_requires_one_dimension(small_ensemble_2d):
     inst = OracleInstance("martingale_square", T=1.0)
     with pytest.raises(ValueError):
         oracle_paths(inst, small_ensemble_2d)
+
+
+@pytest.mark.parametrize("j", [2, -1])
+def test_coordinate_oracle_index_out_of_range(j):
+    inst = OracleInstance("martingale_coordinate", T=1.0, j=j)
+    with pytest.raises(ValueError, match=f"j = {j} is out of range for d = 2"):
+        bl.oracle_solution(inst, 0.5, [0.1, 0.2])

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import bsde_lab as bl
 import bsde_lab.solver as solver_module
-from bsde_lab.solver import (PicardDivergenceError, SingularRegressionError,
-                             format_number, polynomial_features,
-                             register_terminal, save_picard_report_csv,
+from bsde_lab.solver import (TERMINAL_KINDS, PicardDivergenceError,
+                             SingularRegressionError, format_number,
+                             polynomial_features, save_picard_report_csv,
                              save_solution_csv, terminal_values, write_csv)
 
 
@@ -22,7 +22,7 @@ BASIS = bl.BasisSpec(degree=3)
 
 # ----------------------------------------------------------------- terminals
 
-def test_terminal_kinds(small_ensemble):
+def test_terminal_kinds(small_ensemble, monkeypatch):
     ens = small_ensemble
     xi = terminal_values(bl.coordinate_terminal(0), ens)
     assert np.array_equal(xi, ens.values[:, -1, [0]])
@@ -31,14 +31,24 @@ def test_terminal_kinds(small_ensemble):
     xi = terminal_values(bl.constant_terminal([1.0, 2.0]), ens)
     assert xi.shape == (ens.M, 2)
     assert np.all(xi == [1.0, 2.0])
-    register_terminal("sin_bt", lambda b: np.sin(b[:, [0]]))
-    xi = terminal_values(bl.custom_terminal("sin_bt"), ens)
+    # a user-defined kind is one more record
+    monkeypatch.setitem(TERMINAL_KINDS, "sin_bt", bl.TerminalKind(
+        lambda: bl.TerminalSpec("sin_bt"), lambda term, b_T: np.sin(b_T[:, [0]])))
+    xi = terminal_values(bl.TerminalSpec("sin_bt"), ens)
     assert np.allclose(xi[:, 0], np.sin(ens.values[:, -1, 0]))
 
 
+def test_terminal_of_the_wrong_shape_is_rejected(small_ensemble, monkeypatch):
+    monkeypatch.setitem(TERMINAL_KINDS, "flat", bl.TerminalKind(
+        lambda: bl.TerminalSpec("flat"), lambda term, b_T: b_T[:, 0]))
+    with pytest.raises(ValueError, match="terminal kind 'flat' returned wrong shape"):
+        terminal_values(bl.TerminalSpec("flat"), small_ensemble)
+
+
 def test_terminal_coordinate_out_of_range(small_ensemble):
-    with pytest.raises(ValueError):
-        terminal_values(bl.coordinate_terminal(3), small_ensemble)
+    for j in (3, 1, -1):
+        with pytest.raises(bl.paths.DimensionError, match=f"j = {j} is out of range"):
+            terminal_values(bl.coordinate_terminal(j), small_ensemble)
 
 
 # ---------------------------------------------------------------- regression
@@ -229,29 +239,26 @@ def test_picard_max_iter_exhaustion_returns_best(small_ensemble):
     assert np.all(np.isfinite(sol.y))
 
 
-def test_picard_divergence_aborts():
+def test_picard_divergence_aborts(add_driver):
     ens = bl.generate_ensemble(M=256, N=10, d=1, T=1.0, seed=5)
-    bl.register_generator("amplify", lambda t, b, y, z: 40.0 * y)
-    gen = bl.custom_generator("amplify", k=1, d=1)
+    gen = add_driver("amplify", lambda t, b, y, z: 40.0 * y)
     with pytest.raises(PicardDivergenceError):
         bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS,
                         p=2.0, tol=1e-12, max_iter=12)
 
 
-def test_non_finite_sweep_aborts_with_time_index():
+def test_non_finite_sweep_aborts_with_time_index(add_driver):
     ens = bl.generate_ensemble(M=128, N=10, d=1, T=1.0, seed=5)
-    bl.register_generator("nan_early", lambda t, b, y, z: np.where(
+    gen = add_driver("nan_early", lambda t, b, y, z: np.where(
         t < 0.35, np.full_like(y, np.nan), np.zeros_like(y)))
-    gen = bl.custom_generator("nan_early", k=1, d=1)
     with pytest.raises(RuntimeError, match="time index 3"):
         bl.solve_frozen_bsde(gen, None, bl.constant_terminal(1.0), ens, BASIS)
 
 
-def test_non_finite_sweep_is_a_picard_divergence():
+def test_non_finite_sweep_is_a_picard_divergence(add_driver):
     ens = bl.generate_ensemble(M=128, N=10, d=1, T=1.0, seed=5)
-    bl.register_generator("nan_late", lambda t, b, y, z: np.where(
+    gen = add_driver("nan_late", lambda t, b, y, z: np.where(
         t > 0.65, np.full_like(y, np.nan), np.zeros_like(y)))
-    gen = bl.custom_generator("nan_late", k=1, d=1)
     with pytest.raises(PicardDivergenceError, match="time index 9"):
         bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS, p=2.0)
 
