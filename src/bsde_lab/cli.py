@@ -12,7 +12,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +68,47 @@ def _typed(block: dict, key: str, kind, path: str, default=None):
     return val
 
 
+# The range a config field may declare, by the words its error message states.
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    "> 1": lambda v: v > 1,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 2**64)": lambda v: 0 <= v < 2 ** 64,
+    ">= 0 or 'auto'": lambda v: v == "auto" if isinstance(v, str) else v >= 0,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
+}
+
+
+def _ranged(rule: str, **kwargs):
+    """A config dataclass field whose value, or each entry of a list value,
+    must be in the range _RANGES[rule]."""
+    return field(metadata={"range": rule}, **kwargs)
+
+
+def _check_range(name: str, value, rule: str) -> None:
+    if value == []:
+        raise ConfigError(f"{name} is [], but must be a non-empty list")
+    named = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
+             if isinstance(value, list) else [(name, value)])
+    for where, v in named:
+        if not _RANGES[rule](v):
+            raise ConfigError(f"{where} is {v!r}, but must be {rule}")
+
+
 def _kwargs(fn, block: dict, path: str, outer=(), **given) -> dict:
     """Keyword arguments for fn, a config dataclass or a factory, from block.
 
-    Key names, types and defaults come from fn's signature; an absent or null
-    key keeps its default.  given holds the arguments the caller read itself,
-    and the names in outer belong to the enclosing block, not to this one.
+    Key names, types and defaults come from fn's signature, and a dataclass
+    field's range from its metadata (see _ranged); an absent or null key keeps
+    its default.  given holds the arguments the caller read itself, and the
+    names in outer belong to the enclosing block, not to this one.
     """
     signature = inspect.signature(fn).parameters
     hints = typing.get_type_hints(fn)
+    ranges = ({f.name: f.metadata.get("range") for f in fields(fn)}
+              if is_dataclass(fn) else {})
     names = [n for n in signature if n not in outer]
     _require_keys(block, set(names), path)
     kwargs = dict(given)
@@ -84,7 +116,12 @@ def _kwargs(fn, block: dict, path: str, outer=(), **given) -> dict:
         if n in given:
             continue
         if block.get(n) is not None:
+            if n not in hints:
+                raise ConfigError(f"{path}.{n} cannot be read: the factory's "
+                                  f"parameter {n} has no type annotation")
             kwargs[n] = _typed(block, n, hints[n], path)
+            if ranges.get(n) is not None:
+                _check_range(f"{path}.{n}", kwargs[n], ranges[n])
         elif signature[n].default is inspect.Parameter.empty:
             raise ConfigError(f"{path}.{n} required")
     return kwargs
@@ -92,11 +129,11 @@ def _kwargs(fn, block: dict, path: str, outer=(), **given) -> dict:
 
 @dataclass
 class PathsConfig:
-    M: int = 16384
-    N: int = 50
-    d: int = 1
-    T: float = 1.0
-    seed: int = 0
+    M: int = _ranged(">= 1", default=16384)
+    N: int = _ranged(">= 1", default=50)
+    d: int = _ranged(">= 1", default=1)
+    T: float = _ranged("> 0", default=1.0)
+    seed: int = _ranged("in [0, 2**64)", default=0)
     antithetic: bool = False
     paths_file: str | None = None
     # the keys the config states, which a paths file must agree with
@@ -105,38 +142,40 @@ class PathsConfig:
 
 @dataclass
 class SolverConfig:
-    p: float = 2.0
-    basis_degree: int = 3
-    ridge: float | None = None
-    picard_tol: float = 1e-4
-    picard_max_iter: int = 25
+    p: float = _ranged("> 1", default=2.0)
+    basis_degree: int = _ranged(">= 0", default=3)
+    ridge: float | None = _ranged(">= 0", default=None)
+    picard_tol: float = _ranged("> 0", default=1e-4)
+    picard_max_iter: int = _ranged(">= 1", default=25)
     init: float | None = None
-    split: float | str | None = None
+    split: float | str | None = _ranged(">= 0 or 'auto'", default=None)
     # accepted for existing configs; the solver has only the blocked reduction
     deterministic_reduction: bool = True
 
 
 @dataclass
 class ConstantsConfig:
-    k_prime_p: float = 2.0
-    k_doubleprime_p: float = 2.0
-    c1: float | None = None
-    c3: float | None = None
-    c2: float | None = None
+    k_prime_p: float = _ranged("> 0", default=2.0)
+    k_doubleprime_p: float = _ranged("> 0", default=2.0)
+    c1: float | None = _ranged("> 0", default=None)
+    c3: float | None = _ranged("> 0", default=None)
+    c2: float | None = _ranged("> 0", default=None)
 
 
 @dataclass
 class BihariConfig:
-    M_bound: float | None = None
-    T1: float | None = None
-    n_max: int = 60
-    quad_steps: int = 2048
+    M_bound: float | None = _ranged(">= 0", default=None)
+    T1: float | None = _ranged(">= 0", default=None)
+    n_max: int = _ranged(">= 0", default=60)
+    quad_steps: int = _ranged(">= 2", default=2048)
 
 
 @dataclass
 class StudyConfig:
-    M_values: list = field(default_factory=lambda: [1024, 4096, 16384])
-    N_values: list = field(default_factory=lambda: [10, 25, 50])
+    M_values: list = _ranged("an integer >= 1",
+                             default_factory=lambda: [1024, 4096, 16384])
+    N_values: list = _ranged("an integer >= 1",
+                             default_factory=lambda: [10, 25, 50])
 
 
 @dataclass
@@ -153,52 +192,10 @@ class RunConfig:
     output_dir: str
 
 
-def _parse_paths(block: dict) -> PathsConfig:
-    cfg = PathsConfig(**_kwargs(PathsConfig, block, "paths"))
-    cfg.stated = frozenset(k for k, v in block.items() if v is not None)
-    if cfg.M < 1 or cfg.N < 1 or cfg.d < 1:
-        raise ConfigError("paths counts M, N, d must all be >= 1")
-    if cfg.T <= 0.0:
-        raise ConfigError("paths.T must be positive")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError(f"paths.seed is {cfg.seed}, but must be in [0, 2**64)")
-    return cfg
-
-
-def _word_or_number(block: dict, key: str, word: str, inner: str):
-    """solver.<key> given as word, a number, or {inner: number}; None if absent."""
-    val, name = block.get(key), f"solver.{key}"
-    if isinstance(val, dict):
-        _require_keys(val, {inner}, name)
-        return _typed(val, inner, float, name)
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return _typed(block, key, float, "solver")
-    if val is not None and val != word:
-        raise ConfigError(f"{name} must be '{word}', a number, or {{\"{inner}\": ...}}")
-    return val
-
-
-def _parse_solver(block: dict) -> SolverConfig:
-    init = _word_or_number(block, "init", "zero", "constant")
-    cfg = SolverConfig(**_kwargs(
-        SolverConfig, block, "solver", init=None if init == "zero" else init,
-        split=_word_or_number(block, "split", "auto", "T1")))
-    if not cfg.deterministic_reduction:
-        raise ConfigError("solver.deterministic_reduction must be true: the "
-                          "unblocked reduction path was removed")
-    if cfg.p <= 1.0:
-        raise ConfigError("solver.p must exceed 1")
-    if cfg.picard_max_iter < 1:
-        raise ConfigError("solver.picard_max_iter must be >= 1")
-    if cfg.picard_tol <= 0.0:
-        raise ConfigError("solver.picard_tol must be positive")
-    if cfg.basis_degree < 0:
-        raise ConfigError("solver.basis_degree must be >= 0")
-    if cfg.ridge is not None and cfg.ridge < 0.0:
-        raise ConfigError("solver.ridge must be >= 0")
-    if isinstance(cfg.split, float) and cfg.split < 0.0:
-        raise ConfigError(f"solver.split is {cfg.split}, but must be >= 0")
-    return cfg
+def _parse_block(cls, doc: dict, name: str):
+    """The config dataclass cls from doc[name]; an absent block keeps every
+    default."""
+    return cls(**_kwargs(cls, doc.get(name) or {}, name))
 
 
 # Each tagged block: the key naming its family, family -> record (read at parse
@@ -257,38 +254,6 @@ def _parse_envelope(block: dict) -> EnvelopeA:
         raise ConfigError(f"envelope: {exc}") from exc
 
 
-def _parse_constants(block: dict) -> ConstantsConfig:
-    cfg = ConstantsConfig(**_kwargs(ConstantsConfig, block, "constants"))
-    for f in fields(ConstantsConfig):
-        val = getattr(cfg, f.name)
-        if val is not None and val <= 0.0:
-            raise ConfigError(f"constants.{f.name} is {val}, but must be positive")
-    return cfg
-
-
-def _parse_bihari(block: dict) -> BihariConfig:
-    cfg = BihariConfig(**_kwargs(BihariConfig, block, "bihari"))
-    if cfg.M_bound is not None and cfg.M_bound < 0.0:
-        raise ConfigError("bihari.M_bound must be nonnegative")
-    if cfg.T1 is not None and cfg.T1 < 0.0:
-        raise ConfigError(f"bihari.T1 is {cfg.T1}, but must be >= 0")
-    if cfg.n_max < 0:
-        raise ConfigError("bihari.n_max must be >= 0")
-    if cfg.quad_steps < 2:
-        raise ConfigError("bihari.quad_steps must be >= 2")
-    return cfg
-
-
-def _parse_study(block: dict) -> StudyConfig:
-    cfg = StudyConfig(**_kwargs(StudyConfig, block, "study"))
-    for key in ("M_values", "N_values"):
-        vals = getattr(cfg, key)
-        if not vals or not all(type(v) is int and v >= 1 for v in vals):
-            raise ConfigError(f"field 'study.{key}' must be a list of "
-                              "positive integers")
-    return cfg
-
-
 def _reject_constant(token: str):
     raise ConfigError(f"config holds {token}: numbers must be finite")
 
@@ -321,17 +286,22 @@ def parse_config(text: str) -> RunConfig:
     _require_keys(doc, {f.name for f in fields(RunConfig)}, "")
     if "generator" not in doc:
         raise ConfigError("generator required")
-    paths = _parse_paths(doc.get("paths") or {})
-    solver = _parse_solver(doc.get("solver") or {})
+    paths = _parse_block(PathsConfig, doc, "paths")
+    paths.stated = frozenset(k for k, v in (doc.get("paths") or {}).items()
+                             if v is not None)
+    solver = _parse_block(SolverConfig, doc, "solver")
+    if not solver.deterministic_reduction:
+        raise ConfigError("solver.deterministic_reduction must be true: the "
+                          "unblocked reduction path was removed")
     gen = _parse_tagged(doc["generator"], "generator", GeneratorSpec, d=paths.d)
     if gen.d != paths.d:
         raise ConfigError("generator.d must match paths.d")
     terminal = _typed(doc, "terminal", TerminalSpec, "")
     modulus = _typed(doc, "modulus", ModulusSpec, "")
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
-    constants = _parse_constants(doc.get("constants") or {})
-    bihari = _parse_bihari(doc.get("bihari") or {})
-    study = _parse_study(doc.get("study") or {})
+    constants = _parse_block(ConstantsConfig, doc, "constants")
+    bihari = _parse_block(BihariConfig, doc, "bihari")
+    study = _parse_block(StudyConfig, doc, "study")
     output_dir = _typed(doc, "output_dir", str, "", "out")
     return RunConfig(paths=paths, solver=solver, generator=gen,
                      terminal=terminal, modulus=modulus, envelope=envelope,
@@ -373,7 +343,7 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
 
 def _sampler(cfg: RunConfig, ens: PathEnsemble) -> SamplerConfig:
     """The one sampling box of every sampled check and constant."""
-    return SamplerConfig(count=8192, seed=cfg.paths.seed + 1, horizon=ens.grid.T)
+    return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T)
 
 
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
@@ -588,7 +558,8 @@ _HANDLERS = {
 def run(cmd: str, cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status (0 ok,
     1 check failure, 2 usage/config error).  main also maps a spec that does
-    not fit the ensemble's dimension to 2 and a numerical failure to 1."""
+    not fit the ensemble's dimension and running out of memory to 2, and a
+    numerical failure to 1."""
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown subcommand '{cmd}'")
     paths_file = cfg.paths.paths_file
@@ -620,6 +591,9 @@ def main(argv=None) -> int:
         return run(args.command, cfg)
     except (ConfigError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (SingularRegressionError, PicardDivergenceError,
             analysis.BihariOrderingError, OverflowError) as exc:

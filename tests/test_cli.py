@@ -1,9 +1,13 @@
+import dataclasses
 import inspect
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +127,21 @@ def test_envelope_block():
 def test_init_and_split_forms():
     cfg = parse_config(json.dumps({
         "generator": {"family": "zero"},
-        "solver": {"init": {"constant": 1.5}, "split": {"T1": 0.5}},
+        "solver": {"init": 1.5, "split": 0.5},
     }))
     assert cfg.solver.init == 1.5
     assert cfg.solver.split == 0.5
     cfg = parse_config(json.dumps({
         "generator": {"family": "zero"},
-        "solver": {"init": "zero", "split": "auto"},
+        "solver": {"split": "auto"},
     }))
     assert cfg.solver.init is None
     assert cfg.solver.split == "auto"
+    for key, value in (("init", "zero"), ("init", {"constant": 1.5}),
+                       ("split", {"T1": 0.5}), ("split", "half")):
+        with pytest.raises(ConfigError, match=f"solver.{key}"):
+            parse_config(json.dumps({"generator": {"family": "zero"},
+                                     "solver": {key: value}}))
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent
@@ -190,12 +199,72 @@ def test_field_type_errors_name_the_field(block, key, value):
 
 
 def test_study_lists_must_hold_positive_integers():
-    for key, values in (("N_values", [4, 0]), ("N_values", [True, 4]),
-                        ("M_values", [64, False])):
-        with pytest.raises(ConfigError, match=f"study.{key}' must be a list of "
-                                              "positive integers"):
+    for key, values, shown in (
+            ("N_values", [4, 0], "N_values[1] is 0"),
+            ("N_values", [True, 4], "N_values[0] is True"),
+            ("M_values", [64, False], "M_values[1] is False"),
+            ("M_values", [], "M_values is [], but must be a non-empty list")):
+        with pytest.raises(ConfigError, match=rf"^study\.{re.escape(shown)}"):
             parse_config(json.dumps({"generator": {"family": "zero"},
                                      "study": {key: values}}))
+
+
+# The five config blocks whose number fields declare a range.
+_CONFIG_BLOCKS = {"paths": cli.PathsConfig, "solver": cli.SolverConfig,
+                  "constants": cli.ConstantsConfig, "bihari": cli.BihariConfig,
+                  "study": cli.StudyConfig}
+
+_TINY = math.ulp(0.0)
+
+# (block, key, a value just outside the field's range, the boundary value or
+# the first value inside an open bound)
+_RANGE_CASES = [
+    ("paths", "M", 0, 1), ("paths", "N", 0, 1), ("paths", "d", 0, 1),
+    ("paths", "T", 0.0, _TINY),
+    ("paths", "seed", -1, 0), ("paths", "seed", 2 ** 64, 2 ** 64 - 1),
+    ("solver", "p", 1.0, math.nextafter(1.0, 2.0)),
+    ("solver", "basis_degree", -1, 0),
+    ("solver", "ridge", -_TINY, 0.0),
+    ("solver", "picard_tol", 0.0, _TINY),
+    ("solver", "picard_max_iter", 0, 1),
+    ("solver", "split", -_TINY, 0.0), ("solver", "split", "half", "auto"),
+    ("constants", "k_prime_p", 0.0, _TINY),
+    ("constants", "k_doubleprime_p", 0.0, _TINY),
+    ("constants", "c1", 0.0, _TINY), ("constants", "c3", 0.0, _TINY),
+    ("constants", "c2", 0.0, _TINY),
+    ("bihari", "M_bound", -_TINY, 0.0), ("bihari", "T1", -_TINY, 0.0),
+    ("bihari", "n_max", -1, 0), ("bihari", "quad_steps", 1, 2),
+    ("study", "M_values", [0], [1]), ("study", "N_values", [0], [1]),
+]
+
+
+def test_every_number_field_declares_a_range():
+    ranged = set()
+    for block, cls in _CONFIG_BLOCKS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            rule = f.metadata.get("range")
+            kinds = {hints[f.name], *typing.get_args(hints[f.name])}
+            if rule is not None:
+                assert rule in cli._RANGES, (block, f.name)
+                ranged.add((block, f.name))
+            elif kinds & {int, float, list}:
+                # init takes any real
+                assert (block, f.name) == ("solver", "init")
+    assert ranged == {(block, key) for block, key, _, _ in _RANGE_CASES}
+
+
+@pytest.mark.parametrize("block, key, outside, inside", _RANGE_CASES,
+                         ids=[f"{b}.{k}={o!r}" for b, k, o, _ in _RANGE_CASES])
+def test_a_value_outside_a_range_is_named(block, key, outside, inside):
+    def parse(value):
+        return parse_config(json.dumps({"generator": {"family": "zero"},
+                                        block: {key: value}}))
+
+    with pytest.raises(ConfigError,
+                       match=rf"^{block}\.{key}(\[0\])? is .*, but must be "):
+        parse(outside)
+    assert getattr(getattr(parse(inside), block), key) == inside
 
 
 def test_unblocked_reduction_exits_two(tmp_path, capsys):
@@ -824,6 +893,18 @@ def test_tagged_required_param_is_named():
                          "f": {"kind": "modulus_of_frozen_path"}}}))
 
 
+def test_an_unannotated_factory_parameter_is_named(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setitem(GENERATOR_FAMILIES, "untyped", bl.DriverFamily(
+        lambda b=1.0, k=1, d=1: bl.GeneratorSpec("untyped", k=k, d=d, b=b),
+        lambda gen, t, brownian, y, z: gen.b * y))
+    path = _write(tmp_path, _config(
+        tmp_path, generator={"family": "untyped", "params": {"b": 0.5}}))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator.params.b ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("process", [{}, {"params": {}}, {"kind": None}])
 def test_empty_process_block_means_zero(process):
     cfg = parse_config(json.dumps({
@@ -913,14 +994,13 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
 
 
 @pytest.mark.parametrize("solver, message", [
-    ({"picard_tol": 0}, "solver.picard_tol must be positive"),
-    ({"picard_tol": -1e-6}, "solver.picard_tol must be positive"),
+    ({"picard_tol": 0}, "solver.picard_tol is 0.0, but must be > 0"),
+    ({"picard_tol": -1e-6}, "solver.picard_tol is -1e-06, but must be > 0"),
     ({"split": 1.5}, "solver.split is 1.5"),
-    ({"split": {"T1": 1.0}}, "solver.split is 1.0"),
+    ({"split": {"T1": 1.0}}, "field 'solver.split' must be float or str"),
     ({"split": -0.5}, "solver.split is -0.5"),
-    ({"split": {"T1": -0.5}}, "solver.split is -0.5"),
-    ({"basis_degree": -1}, "solver.basis_degree must be >= 0"),
-    ({"ridge": -1}, "solver.ridge must be >= 0"),
+    ({"basis_degree": -1}, "solver.basis_degree is -1, but must be >= 0"),
+    ({"ridge": -1}, "solver.ridge is -1.0, but must be >= 0"),
 ])
 def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
     path = _write(tmp_path, _config(tmp_path, solver=solver))
@@ -963,6 +1043,19 @@ def test_check_and_constants_sample_lambda_alike(tmp_path, add_driver):
     lam = [r.split(",") for r in (out / "constants.csv").read_text()
            .splitlines() if r.startswith("lam,")][0]
     assert h2[2] == lam[1]
+
+
+def test_sampled_checks_take_their_seed_from_the_ensemble(tmp_path):
+    stored = _stored(tmp_path, M=256, N=5, T=1.0, seed=7)
+    reports = []
+    for paths in ({}, {"seed": 7}):
+        doc = _config(tmp_path, paths=paths,
+                      generator={"family": "example1", "params": {"p": 2.0}})
+        del doc["terminal"]
+        argv = ["check", str(_write(tmp_path, doc)), "--paths-file", str(stored)]
+        assert main(argv) in (0, 1)
+        reports.append((tmp_path / "out" / "check_report.csv").read_text())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("process", ["phi", "f"])
@@ -1171,13 +1264,34 @@ def test_overflowing_constants_exit_one(tmp_path, capsys, command, overrides):
     assert not any((tmp_path / "out").iterdir())
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports bsde_lab from the tree under test."""
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports bsde_lab from the tree under test;
+    kwargs go to subprocess.run."""
     src = str(Path(bl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True)
+                          text=True, **kwargs)
+
+
+def _cap_address_space():
+    # 4 GiB: room for the interpreter and numpy, while an allocation of
+    # terabytes is refused whatever the host's overcommit policy
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"paths": {"M": 10 ** 12, "N": 10}}),
+    ("bihari", {"modulus": {"family": "linear"},
+                "bihari": {"M_bound": 1.0, "T1": 0.0, "n_max": 10 ** 12}}),
+], ids=["solve-M", "bihari-n_max"])
+def test_running_out_of_memory_exits_two(tmp_path, command, overrides):
+    out = _python("-m", "bsde_lab.cli", command,
+                  str(_write(tmp_path, _config(tmp_path, **overrides))),
+                  preexec_fn=_cap_address_space)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: out of memory: ")
+    assert out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, overrides, message", [
