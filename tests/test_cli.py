@@ -993,14 +993,20 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     assert "Traceback" not in err
 
 
+# The ranged cases carry fixed ids, so a change in the message format does not
+# rename them.
 @pytest.mark.parametrize("solver, message", [
-    ({"picard_tol": 0}, "solver.picard_tol is 0.0, but must be > 0"),
-    ({"picard_tol": -1e-6}, "solver.picard_tol is -1e-06, but must be > 0"),
+    pytest.param({"picard_tol": 0}, "solver.picard_tol is 0.0, but must be > 0",
+                 id="solver0-solver.picard_tol must be positive"),
+    pytest.param({"picard_tol": -1e-6}, "solver.picard_tol is -1e-06, but must be > 0",
+                 id="solver1-solver.picard_tol must be positive"),
     ({"split": 1.5}, "solver.split is 1.5"),
     ({"split": {"T1": 1.0}}, "field 'solver.split' must be float or str"),
     ({"split": -0.5}, "solver.split is -0.5"),
-    ({"basis_degree": -1}, "solver.basis_degree is -1, but must be >= 0"),
-    ({"ridge": -1}, "solver.ridge is -1.0, but must be >= 0"),
+    pytest.param({"basis_degree": -1}, "solver.basis_degree is -1, but must be >= 0",
+                 id="solver6-solver.basis_degree must be >= 0"),
+    pytest.param({"ridge": -1}, "solver.ridge is -1.0, but must be >= 0",
+                 id="solver7-solver.ridge must be >= 0"),
 ])
 def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
     path = _write(tmp_path, _config(tmp_path, solver=solver))
