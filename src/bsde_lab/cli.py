@@ -192,10 +192,15 @@ class RunConfig:
     output_dir: str
 
 
+def _block(doc: dict, name: str):
+    """doc[name], or {} when the key is absent or null."""
+    return {} if doc.get(name) is None else doc[name]
+
+
 def _parse_block(cls, doc: dict, name: str):
     """The config dataclass cls from doc[name]; an absent block keeps every
     default."""
-    return cls(**_kwargs(cls, doc.get(name) or {}, name))
+    return cls(**_kwargs(cls, _block(doc, name), name))
 
 
 # Each tagged block: the key naming its family, family -> record (read at parse
@@ -227,7 +232,7 @@ def _parse_tagged(block, path: str, spec: type, **preset):
     given = {n: _typed(block, n, spec_types[n], path, preset.get(n)) for n in outer}
     accepted = inspect.signature(factory).parameters
     passed = {n: v for n, v in given.items() if v is not None and n in accepted}
-    kwargs = _kwargs(factory, block.get("params") or {}, f"{path}.params", outer,
+    kwargs = _kwargs(factory, _block(block, "params"), f"{path}.params", outer,
                      **passed)
     try:
         built = factory(**kwargs)
@@ -287,7 +292,7 @@ def parse_config(text: str) -> RunConfig:
     if "generator" not in doc:
         raise ConfigError("generator required")
     paths = _parse_block(PathsConfig, doc, "paths")
-    paths.stated = frozenset(k for k, v in (doc.get("paths") or {}).items()
+    paths.stated = frozenset(k for k, v in _block(doc, "paths").items()
                              if v is not None)
     solver = _parse_block(SolverConfig, doc, "solver")
     if not solver.deterministic_reduction:
@@ -298,7 +303,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("generator.d must match paths.d")
     terminal = _typed(doc, "terminal", TerminalSpec, "")
     modulus = _typed(doc, "modulus", ModulusSpec, "")
-    envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
+    envelope = (None if doc.get("envelope") is None
+                else _parse_envelope(doc["envelope"]))
     constants = _parse_block(ConstantsConfig, doc, "constants")
     bihari = _parse_block(BihariConfig, doc, "bihari")
     study = _parse_block(StudyConfig, doc, "study")

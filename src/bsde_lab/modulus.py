@@ -476,5 +476,10 @@ def load_tabulated_csv(path, domain_cap: float | None = None) -> ModulusSpec:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["u", "v"]:
             raise ValueError("tabulated modulus CSV must have header 'u,v'")
-        pts = [(float(row[0]), float(row[1])) for row in reader if row]
+        pts = []
+        for row in filter(None, reader):
+            if len(row) != 2:
+                raise ValueError(f"tabulated modulus CSV {path}, line "
+                                 f"{reader.line_num}: {len(row)} cells, not 2")
+            pts.append((float(row[0]), float(row[1])))
     return tabulated_modulus(pts, domain_cap=domain_cap)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
@@ -212,18 +211,19 @@ def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(feats: np.ndarray, ridge: float):
-    """Cholesky factor of the ridge Gram matrix of feats (M, n_basis)."""
+    """Lower Cholesky factor of the ridge Gram matrix of feats (M, n_basis)."""
     gram = _blocked_product(feats, feats)
     try:
-        return scipy.linalg.cho_factor(gram + ridge * np.eye(gram.shape[0]))
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(gram + ridge * np.eye(gram.shape[0]))
+    except np.linalg.LinAlgError as exc:
         raise SingularRegressionError(
             "normal equations are singular; pass a ridge > 0") from exc
 
 
 def _project(feats: np.ndarray, factor, targets: np.ndarray):
     """Fitted values (M, m) and coefficients (n_basis, m) of targets (M, m)."""
-    coeffs = scipy.linalg.cho_solve(factor, _blocked_product(feats, targets))
+    rhs = _blocked_product(feats, targets)
+    coeffs = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
     return feats @ coeffs, coeffs
 
 
@@ -231,15 +231,14 @@ def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
                                     basis: BasisSpec):
     """Ridge-regularized least-squares projection of targets on state polynomials.
 
-    targets (M, m) and state (M, d); returns (fitted (M, m), coefficients
-    (n_basis, m)).  Requires more samples than basis functions.
+    targets (M, m) and state (M, d), a 1-D input being one column (M,);
+    returns (fitted (M, m), coefficients (n_basis, m)).  Requires more samples
+    than basis functions.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[0] == 1 and targets.size > 1:
-        targets = targets.T
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    if state.shape[0] == 1 and state.size > 1:
-        state = state.T
+    targets, state = (np.asarray(a, dtype=float) for a in (targets, state))
+    targets, state = (a[:, None] if a.ndim == 1 else a for a in (targets, state))
+    if targets.ndim != 2 or state.ndim != 2:
+        raise ValueError("targets and state must be (M,) or (M, columns)")
     m = state.shape[0]
     if targets.shape[0] != m:
         raise ValueError("targets and state must share the sample axis")

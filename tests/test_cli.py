@@ -993,6 +993,40 @@ def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block, value, named", [
+    ("constants", 0, "constants"),
+    ("constants", 1, "constants"),
+    ("study", [], "study"),
+    ("solver", "", "solver"),
+    ("bihari", 0, "bihari"),
+    ("paths", False, "paths"),
+    ("generator", {"family": "zero", "params": []}, "generator.params"),
+    ("terminal", {"kind": "constant", "params": 0}, "terminal.params"),
+], ids=["constants-0", "constants-1", "study-empty_list", "solver-empty_string",
+        "bihari-0", "paths-false", "generator.params-empty_list",
+        "terminal.params-0"])
+def test_a_block_that_is_not_an_object_exits_two(tmp_path, capsys, block,
+                                                  value, named):
+    # only an absent key or null means an absent block; 0, [], "" and false
+    # are not taken for one
+    path = _write(tmp_path, _config(tmp_path, **{block: value}))
+    assert main(["constants", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: '{named}' must be an object\n"
+
+
+def test_a_null_block_keeps_every_default(tmp_path):
+    doc = _config(tmp_path, constants=None, study=None, solver=None,
+                  bihari=None, envelope=None)
+    doc["terminal"] = {"kind": "square_norm", "params": None}
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.terminal == bl.square_norm_terminal()
+    assert cfg.constants == cli.ConstantsConfig()
+    assert cfg.study == cli.StudyConfig()
+    assert cfg.solver == cli.SolverConfig()
+    assert cfg.bihari == cli.BihariConfig()
+    assert cfg.envelope is None
+
+
 # The ranged cases carry fixed ids, so a change in the message format does not
 # rename them.
 @pytest.mark.parametrize("solver, message", [
@@ -1191,6 +1225,20 @@ def test_numbers_that_do_not_fit_a_double_exit_two(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("row, cells", [("1", 1), ("1,1,5", 3)],
+                         ids=["one-cell", "three-cells"])
+def test_a_tabulated_csv_row_of_the_wrong_width_exits_two(tmp_path, capsys,
+                                                          row, cells):
+    csv = tmp_path / "mod.csv"
+    csv.write_text(f"u,v\n0,0\n{row}\n2,1\n")
+    path = _write(tmp_path, _config(tmp_path, modulus={
+        "family": "tabulated", "params": {"csv_path": str(csv)}}))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: modulus: tabulated modulus CSV {csv}, line 3: {cells} cells, "
+        "not 2\n")
+
+
 _CONVEX = {"family": "power", "params": {"alpha": 2.0}}
 
 
@@ -1336,10 +1384,37 @@ def test_the_z_step_warning_still_prints(tmp_path):
     assert "explicit z step may be unstable" in out.stderr
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, bsde_lab.cli; print('scipy.integrate' in sys.modules)"
-    out = _python("-c", code)
-    assert out.returncode == 0 and out.stdout.strip() == "False"
+def _third_party_modules(code: str) -> set:
+    """The top-level modules outside the standard library, loaded from files,
+    that a fresh interpreter holds once it has run code (Cython's file-less
+    runtime modules are not packages)."""
+    out = _python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
+                  "{n.partition('.')[0] for n, m in sys.modules.items()"
+                  " if getattr(m, '__file__', None)}"
+                  " - set(sys.stdlib_module_names))))", timeout=300)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1])) - {"__main__"}
+
+
+def test_runtime_loads_only_the_declared_dependencies(tmp_path):
+    # Every bsde_lab module, then a solve and an oracle comparison: what they
+    # load beyond a bare interpreter (whose .pth hooks may load packages of
+    # their own) is bsde_lab and the project's declared dependencies, no more.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in declared}
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "coordinate", "params": {"j": 0}}))
+    loaded = _third_party_modules(
+        "import importlib, pkgutil, bsde_lab\n"
+        "for info in pkgutil.iter_modules(bsde_lab.__path__, 'bsde_lab.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "from bsde_lab.cli import main\n"
+        f"assert main(['solve', {str(path)!r}]) == 0\n"
+        f"assert main(['oracle-compare', {str(path)!r}]) == 0")
+    assert loaded - _third_party_modules("") == declared | {"bsde_lab"}
 
 
 # ----------------------------------------------------- traced bindings

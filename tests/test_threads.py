@@ -9,7 +9,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports bsde_lab, then prints the thread count of each OpenBLAS library the
-# process loaded (numpy's and scipy's may be separate builds).
+# process loaded: numpy's, as bsde_lab does not import scipy and its separate
+# OpenBLAS build.  The scipy_openblas symbols are those of numpy's wheels too.
 _PROBE = """
 import ctypes, json
 import bsde_lab
