@@ -21,16 +21,31 @@ class BihariBoundError(BihariOrderingError):
     """phi_0 = (T - T1) mod(M) exceeds the uniform bound M."""
 
 
-def sup_moment(y: np.ndarray, p: float) -> float:
-    """E[sup_t |y_t|^p] of y (M, N+1, k)."""
-    return float(np.mean(np.max(np.linalg.norm(y, axis=2), axis=1) ** p))
+def sup_moment(y: np.ndarray, p: float, ref: np.ndarray | None = None) -> float:
+    """E[sup_t |y_t - ref_t|^p] of y (M, N+1, k); ref None is zero.
+
+    The sup is a running max over the time steps, so one (M,) array is all
+    the reduction holds, whatever N.
+    """
+    sup = np.zeros(y.shape[0])
+    for i in range(y.shape[1]):
+        step = y[:, i] if ref is None else y[:, i] - ref[:, i]
+        np.maximum(sup, np.linalg.norm(step, axis=1), out=sup)
+    return float(np.mean(sup ** p))
 
 
-def z_moment(z_sq: np.ndarray, dt: float, p: float) -> float:
-    """E[(int |z_t|^2 dt)^(p/2)] from z_sq (M, N, k, d), the entries of z
-    squared; squaring a temporary with ** 2 reuses its memory."""
-    step_sq = np.sum(z_sq, axis=(2, 3))
-    return float(np.mean((np.sum(step_sq, axis=1) * dt) ** (p / 2.0)))
+def z_moment(z: np.ndarray, dt: float, p: float,
+             ref: np.ndarray | None = None) -> float:
+    """E[(int |z_t - ref_t|^2 dt)^(p/2)] of z (M, N, k, d); ref None is zero.
+
+    The integral is a running sum over the time steps, one step's squares
+    at a time.
+    """
+    total = np.zeros(z.shape[0])
+    for i in range(z.shape[1]):
+        step = z[:, i] if ref is None else z[:, i] - ref[:, i]
+        total += np.sum(step * step, axis=(1, 2))
+    return float(np.mean((total * dt) ** (p / 2.0)))
 
 
 def sp_norm(y: np.ndarray, p: float) -> float:
@@ -40,12 +55,13 @@ def sp_norm(y: np.ndarray, p: float) -> float:
 
 def lp_norm_arrays(y: np.ndarray, z: np.ndarray, dt: float, p: float):
     """(sp, mp) norm estimates from raw arrays y (M,N+1,k), z (M,N,k,d)."""
-    return sp_norm(y, p), z_moment(z * z, dt, p) ** (1.0 / p)
+    return sp_norm(y, p), z_moment(z, dt, p) ** (1.0 / p)
 
 
 def iterate_distance_arrays(y_a, y_b, z_a, z_b, dt: float, p: float):
-    """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)])."""
-    return sup_moment(y_a - y_b, p), z_moment((z_a - z_b) ** 2, dt, p)
+    """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)]),
+    reduced one time step at a time."""
+    return sup_moment(y_a, p, y_b), z_moment(z_a, dt, p, z_b)
 
 
 @dataclass(frozen=True)
@@ -285,7 +301,7 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
     int_phi_p = float(np.mean(np.sum(phi[:, rng] ** p, axis=1) * dt))
     int_f_pow = float(np.mean((np.sum(f_proc[:, rng], axis=1) * dt) ** p))
 
-    prop1_lhs = z_moment(sol.z[:, t_index:] ** 2, dt, p)
+    prop1_lhs = z_moment(sol.z[:, t_index:], dt, p)
     prop1_rhs = cb.c_lambda_p_T * (e_sup + eval_modulus(env.psi, e_sup)
                                    + int_phi_p + int_f_pow)
 

@@ -481,5 +481,9 @@ def load_tabulated_csv(path, domain_cap: float | None = None) -> ModulusSpec:
             if len(row) != 2:
                 raise ValueError(f"tabulated modulus CSV {path}, line "
                                  f"{reader.line_num}: {len(row)} cells, not 2")
-            pts.append((float(row[0]), float(row[1])))
+            try:
+                pts.append((float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"tabulated modulus CSV {path}, line "
+                                 f"{reader.line_num}: {exc}") from None
     return tabulated_modulus(pts, domain_cap=domain_cap)

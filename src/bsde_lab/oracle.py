@@ -86,12 +86,18 @@ def oracle_solution(inst: OracleInstance, t: float, brownian_state):
 
 
 def oracle_paths(inst: OracleInstance, ens: PathEnsemble):
-    """Oracle evaluated along every path: y (M, N+1, 1), z (M, N, 1, d)."""
+    """Oracle evaluated along every path: y (M, N+1, 1), z (M, N, 1, d).
+
+    Both are built one time step per row of a step-major buffer, the layout
+    of the ensemble and of the solvers' solutions, so a comparison subtracts
+    arrays laid out alike.
+    """
     grid = ens.grid
     if abs(grid.T - inst.T) > 1e-12:
         raise ValueError("ensemble horizon disagrees with the oracle")
-    y, z = _closed_form(inst, grid.T - grid.times, ens.values)
-    return y, z[:, :-1]
+    y, z = _closed_form(inst, (grid.T - grid.times)[:, None],
+                        ens.values.transpose(1, 0, 2))
+    return y.transpose(1, 0, 2), z[:-1].transpose(1, 0, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,11 @@ def compare_to_oracle(sol, inst: OracleInstance, ens: PathEnsemble,
     y_ref, z_ref = oracle_paths(inst, ens)
     if sol.y.shape != y_ref.shape or sol.z.shape != z_ref.shape:
         raise ValueError("solution shape disagrees with the oracle/ensemble")
+    sp_error = sp_norm(sol.y - y_ref, p)
     dz = sol.z - z_ref
-    z_rms = float(np.sqrt(np.mean(np.sum(dz * dz, axis=(2, 3)))))
-    return OracleErrors(sp_error=sp_norm(sol.y - y_ref, p), z_rms_error=z_rms)
+    dz *= dz
+    # The mean sums the (path, step) squares in memory order; a path-major
+    # copy of them keeps the order, and so the bits, of every earlier run.
+    z_rms = float(np.sqrt(np.mean(np.ascontiguousarray(
+        np.sum(dz, axis=(2, 3))))))
+    return OracleErrors(sp_error=sp_error, z_rms_error=z_rms)

@@ -249,7 +249,12 @@ def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
 
 @dataclass
 class DiscreteSolution:
-    """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d)."""
+    """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d).
+
+    The solvers return them step-major, as transpose views of (N+1, M, k) and
+    (N, M, k, d) buffers, so y[:, i] and z[:, i] are contiguous; see
+    _iterate_pair.
+    """
 
     y: np.ndarray
     z: np.ndarray
@@ -346,6 +351,15 @@ def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
     return xi
 
 
+def _iterate_pair(ens: PathEnsemble, k: int):
+    """A zero (y, z) pair shaped (M, N+1, k) and (M, N, k, d), stored
+    step-major like the ensemble, so each time step of a sweep reads and
+    writes contiguous slices."""
+    n, m, d = ens.grid.N, ens.M, ens.d
+    return (np.zeros((n + 1, m, k)).transpose(1, 0, 2),
+            np.zeros((n, m, k, d)).transpose(1, 0, 2, 3))
+
+
 def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
                       terminal: TerminalSpec, ens: PathEnsemble,
                       basis: BasisSpec) -> DiscreteSolution:
@@ -356,12 +370,13 @@ def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
     fixed-point iteration).
     """
     xi = _checked_terminal(gen, terminal, ens, basis)
-    shape = (ens.M, ens.grid.N + 1, xi.shape[1])
-    y = np.zeros(shape) if frozen_y is None else np.array(frozen_y, dtype=float)
-    if y.shape != shape:
-        raise ValueError("frozen_y must be shaped (M, N+1, k)")
+    y, z = _iterate_pair(ens, xi.shape[1])
+    if frozen_y is not None:
+        frozen_y = np.asarray(frozen_y, dtype=float)
+        if frozen_y.shape != y.shape:
+            raise ValueError("frozen_y must be shaped (M, N+1, k)")
+        y[...] = frozen_y
     y[:, -1] = xi
-    z = np.empty((ens.M, ens.grid.N, xi.shape[1], ens.d))
     _backward_sweep(gen, y, z, ens, basis, 0, ens.grid.N, [None] * ens.grid.N)
     return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
@@ -415,10 +430,9 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     # (y, z) is at once the frozen argument of every sweep, the new iterate
     # and, window by window, the solution: each sweep overwrites it in place,
     # and a window's terminal value y[:, i_hi] is xi or the earlier window's.
-    y = np.empty((ens.M, grid.N + 1, k))
+    y, z = _iterate_pair(ens, k)
     y[...] = vals
     y[:, -1] = xi
-    z = np.zeros((ens.M, grid.N, k, ens.d))
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
     report = PicardReport(windows=windows)
     # Gram factors depend on the ensemble and the basis only: one per step.

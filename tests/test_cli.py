@@ -1239,6 +1239,18 @@ def test_a_tabulated_csv_row_of_the_wrong_width_exits_two(tmp_path, capsys,
         "not 2\n")
 
 
+def test_a_tabulated_csv_cell_that_is_not_a_number_exits_two(tmp_path,
+                                                             capsys):
+    csv = tmp_path / "mod.csv"
+    csv.write_text("u,v\n0,0\nx,1\n2,1\n")
+    path = _write(tmp_path, _config(tmp_path, modulus={
+        "family": "tabulated", "params": {"csv_path": str(csv)}}))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: modulus: tabulated modulus CSV {csv}, line 3: could not "
+        "convert string to float: 'x'\n")
+
+
 _CONVEX = {"family": "power", "params": {"alpha": 2.0}}
 
 

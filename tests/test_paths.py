@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,51 @@ def test_unknown_header_flags_rejected(tmp_path, flags):
     struct.pack_into("<I", raw, 28, flags)
     target.write_bytes(bytes(raw))
     with pytest.raises(EnsembleFormatError, match="flags"):
+        bl.load_ensemble(target)
+
+
+def _traced_peak(fn, *args):
+    """Bytes that fn(*args) allocates at its peak, beyond what it started with."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+def test_ensemble_io_holds_no_second_copy(tmp_path):
+    # Saving gathers one block of paths at a time; loading scatters them into
+    # the increments and sums the values step by step.  A whole-payload
+    # tobytes() or astype() copy would add one payload to either peak.
+    ens = bl.generate_ensemble(16384, 50, 1, 1.0, seed=3)
+    payload = ens.increments.nbytes
+    target = tmp_path / "e.bsde"
+    _, saved = _traced_peak(bl.save_ensemble, ens, target)
+    assert saved < 0.1 * payload
+    back, loaded = _traced_peak(bl.load_ensemble, target)
+    assert loaded - back.increments.nbytes - back.values.nbytes < 0.1 * payload
+    assert np.array_equal(back.increments, ens.increments)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_saved_bytes_do_not_depend_on_the_layout(tmp_path, layout):
+    ens = bl.generate_ensemble(3000, 7, 3, 1.0, seed=5, antithetic=True)
+    hand = bl.PathEnsemble(M=ens.M, d=ens.d, grid=ens.grid, seed=ens.seed,
+                           increments=layout(ens.increments),
+                           values=ens.values, antithetic=True)
+    bl.save_ensemble(ens, tmp_path / "a.bsde")
+    bl.save_ensemble(hand, tmp_path / "b.bsde")
+    assert (tmp_path / "a.bsde").read_bytes() == (tmp_path / "b.bsde").read_bytes()
+
+
+@pytest.mark.parametrize("m, d", [(0, 1), (4, 0)])
+def test_empty_header_sizes_rejected(tmp_path, m, d):
+    target = tmp_path / "e.bsde"
+    target.write_bytes(paths_module._HEADER.pack(b"BSDE", 1, m, 3, d, 0, 1.0, 2))
+    with pytest.raises(EnsembleFormatError, match="must be >= 1"):
         bl.load_ensemble(target)
 
 

@@ -491,10 +491,15 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
     assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
 
 
-# sha256 of picard_solve's y and z bytes.  Re-recorded when the ridge systems
-# moved from scipy's cho_factor/cho_solve to np.linalg.cholesky and two
-# np.linalg.solve calls: the order of the solve's operations changed, so y and
-# z moved by at most 6.1e-14 (degree0, one basis function, kept its bytes).
+# sha256 of picard_solve's y and z bytes, hashed in their logical (M, ...)
+# order.  Re-recorded when the ridge systems moved from scipy's
+# cho_factor/cho_solve to np.linalg.cholesky and two np.linalg.solve calls:
+# the order of the solve's operations changed, so y and z moved by at most
+# 6.1e-14 (degree0, one basis function, kept its bytes).  degree0 alone was
+# re-recorded when (y, z) came to be stored step-major: its one feature
+# column times the now contiguous (M, 2) slice y[:, i+1] goes through
+# another BLAS product than the strided slice did, which sums in another
+# order.  y moved by 4.6e-14 and z by 6.5e-15, in 5 iterations as before.
 def _solve_case(name):
     ens1 = bl.generate_ensemble(M=2048, N=20, d=1, T=1.0, seed=101)
     if name == "example1":
@@ -524,7 +529,7 @@ def _solve_case(name):
     ("split", 9,
      "2d170cc44178ddc7db676facb50c192c32a75dbf0640850ab77bd74f0ceb0f5e"),
     ("degree0", 5,
-     "6f73042fcf5c93e8054fdeb6af768aa92ccca3b6346a5fac513e01b6e91b757d"),
+     "91e8670ad03ac4e3f6cd9d3849dc164ac868bd36970f76fddd6bc2cdb93c4627"),
     ("degree5", 5,
      "15655e1395054b6c3c79c10eba20351a8cad4b45465c875b7121fa1f2ad18331"),
 ])
@@ -559,14 +564,16 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
 
 
 @pytest.mark.parametrize("gen, term, d, bound", [
-    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, 3.5),
-    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 4.5),
+    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, 3.1),
+    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 2.7),
 ], ids=["zero_d3", "example1"])
 def test_picard_solve_holds_one_iterate_pair(gen, term, d, bound):
     # One (y, z) pair is Y + Z bytes.  The solve holds it, the window copy its
-    # distance needs (another pair) and the temporaries of one step and of
-    # the distance; a second full pair, as a sweep returning a fresh iterate
-    # keeps, would lift the peak by one more.
+    # distance needs (another pair) and the temporaries of one step: the
+    # distance reduces one time step at a time.  Measured: 2.91 pairs for
+    # zero_d3 and 2.47 for example1.  A second full pair, as a sweep
+    # returning a fresh iterate keeps, or full-window distance temporaries
+    # (4.08 for example1) would lift the peak past the bound.
     m, n = 4096, 20
     ens = bl.generate_ensemble(M=m, N=n, d=d, T=1.0, seed=7)
     pair = m * (n + 1) * 8 + m * n * d * 8
@@ -578,6 +585,50 @@ def test_picard_solve_holds_one_iterate_pair(gen, term, d, bound):
     finally:
         tracemalloc.stop()
     assert (peak - start) / pair < bound
+
+
+def _step_major(a):
+    """Whether each time step's slice a[:, i] is contiguous."""
+    return all(a[:, i].flags.c_contiguous for i in range(a.shape[1]))
+
+
+def test_ensembles_and_solutions_are_stored_step_major(tmp_path):
+    m, n, d = 300, 6, 2
+    ens = bl.generate_ensemble(M=m, N=n, d=d, T=1.0, seed=9, antithetic=True)
+    bl.save_ensemble(ens, tmp_path / "e.bsde")
+    loaded = bl.load_ensemble(tmp_path / "e.bsde")
+    for e in (ens, loaded):
+        assert e.increments.shape == (m, n, d)
+        assert e.values.shape == (m, n + 1, d)
+        assert _step_major(e.increments) and _step_major(e.values)
+    gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
+                              c=[0.1, 0.2], k=2, d=d)
+    term = bl.constant_terminal([1.0, 2.0])
+    sol, _ = bl.picard_solve(gen, term, loaded, BASIS, tol=1e-8)
+    frozen = bl.solve_frozen_bsde(gen, sol.y, term, loaded, BASIS)
+    for s in (sol, frozen):
+        assert s.y.shape == (m, n + 1, 2) and s.z.shape == (m, n, 2, d)
+        assert _step_major(s.y) and _step_major(s.z)
+
+
+def test_a_path_major_ensemble_gives_the_same_solution():
+    # The layout is where the numbers are stored, not an option: an ensemble
+    # built by hand from path-major arrays solves as the step-major one
+    # does.  The bits agree here; the tolerance leaves room for a BLAS that
+    # sums strided operands in another order.
+    ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=103)
+    hand = bl.PathEnsemble(M=ens.M, d=ens.d, grid=ens.grid, seed=ens.seed,
+                           increments=np.ascontiguousarray(ens.increments),
+                           values=np.ascontiguousarray(ens.values))
+    assert hand.values.flags.c_contiguous and not _step_major(hand.values)
+    gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
+                              c=[0.1, 0.2], k=2, d=2)
+    term = bl.constant_terminal([1.0, 2.0])
+    sol, rep = bl.picard_solve(gen, term, ens, BASIS, tol=1e-8)
+    sol_h, rep_h = bl.picard_solve(gen, term, hand, BASIS, tol=1e-8)
+    assert rep_h.iterations == rep.iterations
+    assert np.max(np.abs(sol_h.y - sol.y)) <= 1e-13
+    assert np.max(np.abs(sol_h.z - sol.z)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["example1", "split"])
