@@ -43,21 +43,19 @@ from .generator import (
     zero_generator,
 )
 from .modulus import (
-    H1PP_TO_H1,
-    H1STAR_TO_H1,
-    POWER_ROOT,
     ModulusSpec,
     ShapeReport,
     check_shape,
     concave_majorant,
     eval_modulus,
     example1_h_modulus,
+    h1pp_to_h1,
     linear_modulus,
     linear_growth_coefficient,
     osgood_classify,
     power_modulus,
+    power_root,
     tabulated_modulus,
-    transform_modulus,
 )
 from .oracle import OracleInstance, compare_to_oracle, oracle_solution
 from .paths import PathEnsemble, TimeGrid, generate_ensemble, load_ensemble, save_ensemble

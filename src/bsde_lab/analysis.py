@@ -21,6 +21,10 @@ class BihariBoundError(BihariOrderingError):
     """phi_0 = (T - T1) mod(M) exceeds the uniform bound M."""
 
 
+class BihariOverflowError(BihariBoundError):
+    """phi_0 = (T - T1) mod(M) overflows a double."""
+
+
 def sup_moment(y: np.ndarray, p: float, ref: np.ndarray | None = None) -> float:
     """E[sup_t |y_t - ref_t|^p] of y (M, N+1, k); ref None is zero.
 
@@ -110,7 +114,7 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
     Composite trapezoid on quad_steps panels; the pointwise ordering
     0 <= phi_{n+1} <= phi_n <= M is enforced and its violation beyond
     quadrature tolerance raises BihariOrderingError (BihariBoundError when
-    phi_0 exceeds M).
+    phi_0 exceeds M, BihariOverflowError when it overflows).
     """
     require_concave(mod)
     if not t_split < horizon:
@@ -123,7 +127,11 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
     times = np.linspace(t_split, horizon, quad_steps + 1)
     h = (horizon - t_split) / quad_steps
     rows = np.empty((n_max + 1, times.size))
-    rows[0] = (horizon - times) * eval_modulus(mod, m_bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[0] = (horizon - times) * eval_modulus(mod, m_bound)
+    if not np.all(np.isfinite(rows[0])):
+        raise BihariOverflowError(f"phi_0 = (T - T1) mod(M) overflows a double "
+                                  f"at M = {m_bound}")
     tol = 1e-9 * max(1.0, float(rows[0].max()))
     if rows[0].max() > m_bound + tol:
         raise BihariBoundError(

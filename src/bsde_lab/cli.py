@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle
-from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, EnvelopeA,
-                        GeneratorSpec, ProcessSpec, SamplerConfig,
+from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, SAMPLE_RADIUS,
+                        EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
                         auto_envelope, check_h1, check_h3,
                         estimate_lipschitz_z, verify_envelope)
 from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusShapeError,
@@ -338,13 +338,14 @@ def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
 
 
 def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
-    """The configured modulus, else the family's default on [0, 10^p]."""
+    """The configured modulus, else the family's default for |y1 - y2| up to
+    2 SAMPLE_RADIUS, the widest gap two draws of the sampling box can have."""
     if cfg.modulus is not None:
         return cfg.modulus
     h1_modulus = GENERATOR_FAMILIES[cfg.generator.family].h1_modulus
     if h1_modulus is None:
         raise ConfigError("this generator family needs an explicit modulus block")
-    return h1_modulus(cfg.generator, cfg.solver.p, 10.0)
+    return h1_modulus(cfg.generator, cfg.solver.p, 2 * SAMPLE_RADIUS)
 
 
 def _sampler(cfg: RunConfig, ens: PathEnsemble) -> SamplerConfig:
@@ -375,8 +376,8 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
 def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
     if split == "auto":
-        t1 = _bundle(cfg, ens, _h1_modulus(cfg)).t1
-        return t1 if t1 > 0.0 else ens.grid.T / 2.0
+        # T1 = 0 makes [0, T] one local interval: one window
+        return _bundle(cfg, ens, _h1_modulus(cfg)).t1
     if split is not None and split >= ens.grid.T:
         raise ConfigError(f"solver.split is {split}, but the ensemble's horizon "
                           f"T is {ens.grid.T}: the split needs T1 < T")
@@ -507,7 +508,8 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
     except analysis.BihariBoundError as exc:
         if bc.M_bound is None:
             raise
-        raise ConfigError(f"bihari.M_bound is {bc.M_bound}, too small for "
+        size = "large" if isinstance(exc, analysis.BihariOverflowError) else "small"
+        raise ConfigError(f"bihari.M_bound is {bc.M_bound}, too {size} for "
                           f"this modulus: {exc}") from exc
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]
     write_csv(out / "bihari.csv", header, zip(curve.times, *curve.values))

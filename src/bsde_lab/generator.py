@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulus import (H1STAR_TO_H1, ModulusSpec, eval_modulus, example1_h_modulus,
-                      linear_modulus, require_concave, transform_modulus)
+from .modulus import (ModulusSpec, eval_modulus, example1_h_modulus, linear_modulus,
+                      power_root, require_concave)
 from .paths import DimensionError, PathEnsemble
 
 @dataclass(frozen=True)
@@ -95,22 +95,25 @@ def _eval_example1(gen, t, brownian, y, z):
             + np.linalg.norm(brownian, axis=1))[:, None]
 
 
+SAMPLE_RADIUS = 5.0
+_BROWNIAN_SCALE = 3.0
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Uniform sampling box [0,T] x [-s sqrt(T), s sqrt(T)]^d x [-R, R]^k x [-R, R]^(k d)."""
+    """count uniform draws from [0,T] x [-s sqrt(T), s sqrt(T)]^d x [-R, R]^k
+    x [-R, R]^(k d), T the horizon, s = _BROWNIAN_SCALE, R = SAMPLE_RADIUS."""
 
     count: int = 4096
     seed: int = 0
     horizon: float = 1.0
-    radius: float = 5.0
-    brownian_scale: float = 3.0
 
 
 def _draw_box(sampler: SamplerConfig, gen: GeneratorSpec):
     rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
     n = sampler.count
     t = rng.uniform(0.0, sampler.horizon, n)
-    b_half = sampler.brownian_scale * math.sqrt(sampler.horizon)
+    b_half = _BROWNIAN_SCALE * math.sqrt(sampler.horizon)
     brownian = rng.uniform(-b_half, b_half, (n, gen.d))
     return rng, t, brownian
 
@@ -132,22 +135,20 @@ class H1Report:
 
 
 def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
-             sampler: SamplerConfig = SamplerConfig(),
-             tol: float | None = None) -> H1Report:
-    """Sampled test of |g(y1,z) - g(y2,z)|^p <= mod(|y1 - y2|^p).
+             sampler: SamplerConfig = SamplerConfig()) -> H1Report:
+    """Sampled test of |g(y1,z) - g(y2,z)|^p <= mod(|y1 - y2|^p) (1 + _auto_tol).
 
     Returns the largest observed ratio and its witness; a vanishing modulus
     against a nonzero numerator reports ratio = +inf.
     """
     if p <= 1.0:
         raise ValueError("check_h1 needs p > 1")
-    if tol is None:
-        tol = _auto_tol(gen, mod)
+    tol = _auto_tol(gen, mod)
     rng, t, brownian = _draw_box(sampler, gen)
     n = sampler.count
-    y1 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
-    y2 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
-    z = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k, gen.d))
+    y1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
+    y2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
+    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y1, z)
     g2 = eval_generator_batch(gen, t, brownian, y2, z)
@@ -179,9 +180,9 @@ def estimate_lipschitz_z(gen: GeneratorSpec,
     """Sampled max of |g(y,z1) - g(y,z2)| / |z1 - z2|, and the exact one if known."""
     rng, t, brownian = _draw_box(sampler, gen)
     n = sampler.count
-    y = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
-    z1 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k, gen.d))
-    z2 = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k, gen.d))
+    y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
+    z1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
+    z2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y, z1)
     g2 = eval_generator_batch(gen, t, brownian, y, z2)
@@ -330,18 +331,16 @@ class EnvelopeReport:
 
 def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
                     ens: PathEnsemble, sampler: SamplerConfig = SamplerConfig(),
-                    tol: float | None = None,
                     frozen: np.ndarray | None = None) -> EnvelopeReport:
     """Sampled defect |g| - [psi^(1/p)(|y|^p) + lam |z| + phi + f], max over draws."""
     require_concave(env.psi)
-    if tol is None:
-        tol = _auto_tol(gen, env.psi)
+    tol = _auto_tol(gen, env.psi)
     rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
     n = sampler.count
     path_idx = rng.integers(0, ens.M, n)
     t_idx = rng.integers(0, ens.grid.N + 1, n)
-    y = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k))
-    z = rng.uniform(-sampler.radius, sampler.radius, (n, gen.k, gen.d))
+    y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
+    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
 
     t = ens.grid.times[t_idx]
     brownian = ens.values[path_idx, t_idx, :]
@@ -357,12 +356,11 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     return EnvelopeReport(float(defect[i]), witness, float(defect[i]) <= tol, tol)
 
 
-def auto_envelope(gen: GeneratorSpec, p: float,
-                  radius: float = 5.0) -> EnvelopeA | None:
-    """The family's canonical envelope on |y| <= radius; None when the family
-    does not state one."""
+def auto_envelope(gen: GeneratorSpec, p: float) -> EnvelopeA | None:
+    """The family's canonical envelope on |y| <= SAMPLE_RADIUS; None when the
+    family does not state one."""
     envelope = GENERATOR_FAMILIES[gen.family].envelope
-    return None if envelope is None else envelope(gen, p, radius)
+    return None if envelope is None else envelope(gen, p, SAMPLE_RADIUS)
 
 
 def _linear_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
@@ -380,7 +378,7 @@ def _linear_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:
 
 def _example1_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
     h = example1_h_modulus(gen.p, gen.delta, domain_cap=radius)
-    return transform_modulus(h, H1STAR_TO_H1, p=p).modulus
+    return power_root(h, p)
 
 
 def _example1_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:

@@ -191,10 +191,18 @@ def _grid(cap: float, decades: int = 12, n_geo: int = 64 * 12 + 1,
     return np.unique(np.concatenate([geo, uni]))
 
 
+def _check_grid(cap: float) -> np.ndarray:
+    """The grid of check_shape and linear_growth_coefficient."""
+    return _grid(cap, 9, 5_000, 5_000)
+
+
+_SHAPE_TOL = 1e-9  # the shape defect that still passes
+
+
 @dataclass(frozen=True)
 class ShapeReport:
-    """Defects are signed so that defect <= tol means the flag passes;
-    worst_violation = max defect - tol, hence <= 0 when every flag is true."""
+    """Defects are signed so that defect <= tol = _SHAPE_TOL means the flag
+    passes; worst_violation = max defect - tol, hence <= 0 when all pass."""
 
     is_nondecreasing: bool
     is_concave: bool
@@ -208,29 +216,24 @@ class ShapeReport:
                 and self.zero_at_zero and self.positive_on_positive)
 
 
-def check_shape(mod: ModulusSpec, grid_size: int = 10_000,
-                tol: float = 1e-9) -> ShapeReport:
-    """Scan for monotonicity and midpoint concavity on a geometric-plus-uniform grid."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    grid = _grid(mod.domain_cap, 9, grid_size // 2, grid_size - grid_size // 2)
-    vals = eval_modulus(mod, grid)
-    v0 = eval_modulus(mod, 0.0)
-
-    d_zero = abs(v0)
-    d_mono = max(float(np.max(vals[:-1] - vals[1:])), v0 - float(vals[0]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    d_conc = float(np.max(0.5 * (vals[:-1] + vals[1:]) - eval_modulus(mod, mids)))
-    d_pos = float(np.max(-vals))
-
-    worst = max(d_zero, d_mono, d_conc, d_pos) - tol
+def check_shape(mod: ModulusSpec) -> ShapeReport:
+    """Scan for monotonicity and midpoint concavity on _check_grid."""
+    grid = _check_grid(mod.domain_cap)
+    mids = 0.5 * grid[:-1] + 0.5 * grid[1:]  # no overflow near the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_modulus(mod, grid)
+        v0 = eval_modulus(mod, 0.0)
+        excess = (abs(v0), np.append(vals[:-1] - vals[1:], v0 - vals[0]),
+                  0.5 * (vals[:-1] + vals[1:]) - eval_modulus(mod, mids), -vals)
+    # a non-finite defect, as an overflowing modulus gives, is a violation of +inf
+    d_zero, d_mono, d_conc, d_pos = (
+        d if math.isfinite(d := float(np.max(e))) else math.inf for e in excess)
+    worst = max(d_zero, d_mono, d_conc, d_pos) - _SHAPE_TOL
     return ShapeReport(
-        is_nondecreasing=d_mono <= tol,
-        is_concave=d_conc <= tol,
-        zero_at_zero=d_zero <= tol,
-        positive_on_positive=d_pos <= tol,
+        is_nondecreasing=d_mono <= _SHAPE_TOL,
+        is_concave=d_conc <= _SHAPE_TOL,
+        zero_at_zero=d_zero <= _SHAPE_TOL,
+        positive_on_positive=d_pos <= _SHAPE_TOL,
         worst_violation=worst,
     )
 
@@ -240,12 +243,12 @@ class ModulusShapeError(ValueError):
 
 
 def require_concave(mod: ModulusSpec) -> None:
-    """The precondition of every bound resting on mod, checked on the
-    check_shape default grid."""
+    """The precondition of every bound resting on mod, checked by check_shape."""
     rep = check_shape(mod)
     if not (rep.is_concave and rep.is_nondecreasing and rep.zero_at_zero):
+        why = ", but overflows a double" if math.isinf(rep.worst_violation) else ""
         raise ModulusShapeError(f"the {mod.family} modulus on [0, {mod.domain_cap}] "
-                                "must be concave, nondecreasing and 0 at 0")
+                                f"must be concave, nondecreasing and 0 at 0{why}")
 
 
 @dataclass(frozen=True)
@@ -264,41 +267,35 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _DECADE_NODES = 10.0 ** ((np.arange(_PANELS)[:, None] + 0.5 * (_GL_X + 1.0))
                          / _PANELS).ravel()
 _DECADE_WEIGHTS = np.tile(0.5 * _GL_W * math.log(10.0) / _PANELS, _PANELS)
+_OSGOOD_DECADES = 8
 
 
-def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0,
-                    u0: float | None = None, eps_decades: int = 8) -> OsgoodReport:
+def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0) -> OsgoodReport:
     """Decide whether the weighted integral of 1/mod**w diverges at 0+.
 
-    Computes I(eps) = int_eps^u0 u^(w-1)/mod(u)^w du on eps = u0 * 10^-j and
-    classifies from the per-decade increments: bounded-below increments over
-    the last half of the decades mean divergence, geometrically shrinking
-    increments mean convergence.  Builtin analytic families are classified
-    exactly; the sample curve is returned either way.  Each increment is
+    Computes I(eps) = int_eps^cap u^(w-1)/mod(u)^w du, cap = domain_cap, on
+    eps = cap * 10^-j, j = 1.._OSGOOD_DECADES, and classifies from the
+    per-decade increments: bounded-below increments over the last half of the
+    decades mean divergence, geometrically shrinking increments mean
+    convergence.  Builtin analytic families are classified exactly; the sample
+    curve is returned either way.  Each increment is
     int (u/mod(u))^w d(ln u), taken by a fixed Gauss-Legendre rule in ln u
     whose nodes for all decades go through eval_modulus at once.
     """
     w = float(weight_exponent)
     if w < 1.0:
         raise ValueError("weight_exponent must be >= 1")
-    if u0 is None:
-        u0 = mod.domain_cap
-    if not 0.0 < u0 <= mod.domain_cap:
-        raise ValueError("u0 must lie in (0, domain_cap]")
-    if eps_decades < 3:
-        raise ValueError("eps_decades must be >= 3")
 
-    eps = u0 * 10.0 ** (-np.arange(1, eps_decades + 1))
+    eps = mod.domain_cap * 10.0 ** (-np.arange(1, _OSGOOD_DECADES + 1))
     nodes = eps[:, None] * _DECADE_NODES
-    vals = eval_modulus(mod, nodes)
-    unbounded = bool(np.any(vals <= 0.0))
-
-    increments = np.full(eps_decades, np.inf)
-    if not unbounded:
-        with np.errstate(over="ignore"):
+    increments = np.full(_OSGOOD_DECADES, np.inf)
+    with np.errstate(over="ignore"):  # an overflow is judged by its value, inf
+        vals = eval_modulus(mod, nodes)
+        unbounded = bool(np.any(vals <= 0.0))
+        if not unbounded:
             increments = (nodes / vals) ** w @ _DECADE_WEIGHTS
-        if not np.all(np.isfinite(increments)):
-            unbounded = True
+    if not np.all(np.isfinite(increments)):
+        unbounded = True
     integrals = np.cumsum(increments)
 
     classification, rule = INCONCLUSIVE, "none"
@@ -308,7 +305,7 @@ def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0,
         classification, rule = exact, "analytic"
     else:
         first = increments[0]
-        half = increments[eps_decades // 2:]
+        half = increments[_OSGOOD_DECADES // 2:]
         ratios = increments[1:] / np.maximum(increments[:-1], 1e-300)
         tail_ratios = ratios[(len(ratios)) // 2:]
         # ratios creeping up toward 1 are the signature of a slowly divergent
@@ -329,7 +326,7 @@ def linear_growth_coefficient(mod: ModulusSpec) -> float:
     so the ratio mod(u)/(u+1) is bounded; non-concave input is rejected.
     """
     require_concave(mod)
-    grid = _grid(mod.domain_cap, 9, 5_000, 5_000)  # the check_shape default grid
+    grid = _check_grid(mod.domain_cap)
     return float(np.max(eval_modulus(mod, grid) / (grid + 1.0)))
 
 
@@ -376,11 +373,6 @@ def concave_majorant(samples) -> ModulusSpec:
     return tabulated_modulus(upper_hull(flat), domain_cap=pts[-1][0])
 
 
-POWER_ROOT = "power_root"
-H1STAR_TO_H1 = "h1star_to_h1"
-H1PP_TO_H1 = "h1pp_to_h1"
-
-
 @dataclass(frozen=True)
 class DominationReport:
     """Measured domination rho_bar(u) <= K 2^p kappa(u^(q/p))^(p/q)
@@ -393,10 +385,10 @@ class DominationReport:
 
 
 @dataclass(frozen=True)
-class TransformResult:
+class H1ppTransform:
     modulus: ModulusSpec
-    domination: DominationReport | None = None
-    rho2_over_rho1_sup: float | None = None
+    domination: DominationReport
+    rho2_over_rho1_sup: float
 
 
 def _sample_to_tabulated(xs: np.ndarray, vals: np.ndarray, cap: float) -> ModulusSpec:
@@ -408,60 +400,50 @@ def _sample_to_tabulated(xs: np.ndarray, vals: np.ndarray, cap: float) -> Modulu
     return tabulated_modulus(pts, domain_cap=cap)
 
 
-def transform_modulus(mod: ModulusSpec, kind: str, r: float | None = None,
-                      p: float | None = None, q: float | None = None) -> TransformResult:
-    """Map a modulus through one of the hypothesis-hierarchy transforms.
+def power_root(mod: ModulusSpec, r: float) -> ModulusSpec:
+    """u -> mod(u^(1/r))^r on [0, domain_cap^r], sampled onto a tabulated
+    modulus.  At r = p it maps an H1* modulus to an H1 one."""
+    if r <= 0.0:
+        raise ValueError("power_root needs r > 0")
+    cap = mod.domain_cap ** r
+    xs = _grid(cap)
+    vals = eval_modulus(mod, xs ** (1.0 / r)) ** r
+    return _sample_to_tabulated(xs, vals, cap)
 
-    power_root(r):    u -> mod(u^(1/r))^r, sampled onto a tabulated modulus.
-    h1star_to_h1(p):  u -> mod(u^(1/p))^p, the power-root with r = p.
-    h1pp_to_h1(p, q): rho1(u) = mod(u^q)^(1/q), rho2 = concave majorant of
-                      rho1, output rho_bar(u) = rho2(u^(1/p))^p + u, together
-                      with the measured domination report.
-    """
-    if kind == POWER_ROOT or kind == H1STAR_TO_H1:
-        if kind == H1STAR_TO_H1:
-            if p is None or p <= 1.0:
-                raise ValueError("h1star_to_h1 needs p > 1")
-            r = p
-        if r is None or r <= 0.0:
-            raise ValueError("power_root needs r > 0")
-        cap = mod.domain_cap ** r
-        xs = _grid(cap)
-        vals = eval_modulus(mod, xs ** (1.0 / r)) ** r
-        return TransformResult(_sample_to_tabulated(xs, vals, cap))
 
-    if kind == H1PP_TO_H1:
-        if p is None or p <= 1.0:
-            raise ValueError("h1pp_to_h1 needs p > 1")
-        if q is None or q < p:
-            raise ValueError("h1pp_to_h1 needs q >= p")
-        cap1 = mod.domain_cap ** (1.0 / q)
-        xs1 = _grid(cap1)
-        rho1 = eval_modulus(mod, xs1 ** q) ** (1.0 / q)
-        rho2 = concave_majorant([(0.0, 0.0)] + list(zip(xs1.tolist(), rho1.tolist())))
-        positive = rho1 > 0.0
-        sup_ratio = float(np.max(eval_modulus(rho2, xs1[positive]) / rho1[positive])) \
-            if np.any(positive) else math.nan
+def h1pp_to_h1(mod: ModulusSpec, p: float, q: float) -> H1ppTransform:
+    """The H1'' -> H1 transform: rho1(u) = mod(u^q)^(1/q), rho2 = concave
+    majorant of rho1, output rho_bar(u) = rho2(u^(1/p))^p + u, together with
+    the measured domination report."""
+    if p <= 1.0:
+        raise ValueError("h1pp_to_h1 needs p > 1")
+    if q < p:
+        raise ValueError("h1pp_to_h1 needs q >= p")
+    cap1 = mod.domain_cap ** (1.0 / q)
+    xs1 = _grid(cap1)
+    rho1 = eval_modulus(mod, xs1 ** q) ** (1.0 / q)
+    rho2 = concave_majorant([(0.0, 0.0)] + list(zip(xs1.tolist(), rho1.tolist())))
+    positive = rho1 > 0.0
+    sup_ratio = float(np.max(eval_modulus(rho2, xs1[positive]) / rho1[positive])) \
+        if np.any(positive) else math.nan
 
-        cap = cap1 ** p
-        xs = _grid(cap)
-        rho_bar = eval_modulus(rho2, xs ** (1.0 / p)) ** p + xs
-        out = _sample_to_tabulated(xs, rho_bar, cap)
+    cap = cap1 ** p
+    xs = _grid(cap)
+    rho_bar = eval_modulus(rho2, xs ** (1.0 / p)) ** p + xs
+    out = _sample_to_tabulated(xs, rho_bar, cap)
 
-        rho2_at_1 = eval_modulus(rho2, 1.0)
-        if rho2_at_1 <= 1e-12:
-            domination = DominationReport(True, math.nan, False,
-                              "rho2(1) ~ 0: rho_bar(u) ~ u and the integral "
-                              "diverges harmonically; domination not applicable")
-        else:
-            big_k = 1.0 + 1.0 / rho2_at_1 ** p
-            rhs = big_k * 2.0 ** p * eval_modulus(mod, xs ** (q / p)) ** (p / q)
-            defect = float(np.max(rho_bar - rhs))
-            domination = DominationReport(False, defect, defect <= 1e-9 * max(1.0, float(np.max(rhs))),
-                              f"K={big_k:.6g}")
-        return TransformResult(out, domination, sup_ratio)
-
-    raise ValueError(f"unknown transform kind '{kind}'")
+    rho2_at_1 = eval_modulus(rho2, 1.0)
+    if rho2_at_1 <= 1e-12:
+        domination = DominationReport(True, math.nan, False,
+                          "rho2(1) ~ 0: rho_bar(u) ~ u and the integral "
+                          "diverges harmonically; domination not applicable")
+    else:
+        big_k = 1.0 + 1.0 / rho2_at_1 ** p
+        rhs = big_k * 2.0 ** p * eval_modulus(mod, xs ** (q / p)) ** (p / q)
+        defect = float(np.max(rho_bar - rhs))
+        holds = defect <= 1e-9 * max(1.0, float(np.max(rhs)))
+        domination = DominationReport(False, defect, holds, f"K={big_k:.6g}")
+    return H1ppTransform(out, domination, sup_ratio)
 
 
 def save_tabulated_csv(mod: ModulusSpec, path) -> None:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import sp_norm
 from .paths import PathEnsemble
 
 _ORACLE_KINDS = ("martingale_coordinate", "martingale_square", "linear_drift")
@@ -85,6 +84,12 @@ def oracle_solution(inst: OracleInstance, t: float, brownian_state):
     return _closed_form(inst, np.asarray(inst.T - t), b)
 
 
+def _time_to_maturity(inst: OracleInstance, ens: PathEnsemble) -> np.ndarray:
+    if abs(ens.grid.T - inst.T) > 1e-12:
+        raise ValueError("ensemble horizon disagrees with the oracle")
+    return ens.grid.T - ens.grid.times
+
+
 def oracle_paths(inst: OracleInstance, ens: PathEnsemble):
     """Oracle evaluated along every path: y (M, N+1, 1), z (M, N, 1, d).
 
@@ -92,10 +97,7 @@ def oracle_paths(inst: OracleInstance, ens: PathEnsemble):
     of the ensemble and of the solvers' solutions, so a comparison subtracts
     arrays laid out alike.
     """
-    grid = ens.grid
-    if abs(grid.T - inst.T) > 1e-12:
-        raise ValueError("ensemble horizon disagrees with the oracle")
-    y, z = _closed_form(inst, (grid.T - grid.times)[:, None],
+    y, z = _closed_form(inst, _time_to_maturity(inst, ens)[:, None],
                         ens.values.transpose(1, 0, 2))
     return y.transpose(1, 0, 2), z[:-1].transpose(1, 0, 2, 3)
 
@@ -108,15 +110,21 @@ class OracleErrors:
 
 def compare_to_oracle(sol, inst: OracleInstance, ens: PathEnsemble,
                       p: float) -> OracleErrors:
-    """S^p norm of the pathwise y error plus RMS of the z error over path, step."""
-    y_ref, z_ref = oracle_paths(inst, ens)
-    if sol.y.shape != y_ref.shape or sol.z.shape != z_ref.shape:
+    """S^p norm of the pathwise y error plus RMS of the z error over path, step,
+    with the oracle taken one time step at a time."""
+    tau = _time_to_maturity(inst, ens)
+    m, n = ens.M, ens.grid.N
+    if sol.y.shape != (m, n + 1, 1) or sol.z.shape != (m, n, 1, ens.d):
         raise ValueError("solution shape disagrees with the oracle/ensemble")
-    sp_error = sp_norm(sol.y - y_ref, p)
-    dz = sol.z - z_ref
-    dz *= dz
-    # The mean sums the (path, step) squares in memory order; a path-major
-    # copy of them keeps the order, and so the bits, of every earlier run.
-    z_rms = float(np.sqrt(np.mean(np.ascontiguousarray(
-        np.sum(dz, axis=(2, 3))))))
+    sup = np.zeros(m)
+    z_sq = np.empty((m, n))  # path-major: the mean sums in the order it always did
+    for i in range(n + 1):
+        y_ref, z_ref = _closed_form(inst, np.asarray(tau[i]), ens.values[:, i])
+        np.maximum(sup, np.linalg.norm(sol.y[:, i] - y_ref, axis=1), out=sup)
+        if i < n:
+            dz = sol.z[:, i] - z_ref
+            dz *= dz
+            z_sq[:, i] = np.sum(dz, axis=(1, 2))
+    sp_error = float(np.mean(sup ** p)) ** (1.0 / p)
+    z_rms = float(np.sqrt(np.mean(z_sq)))
     return OracleErrors(sp_error=sp_error, z_rms_error=z_rms)

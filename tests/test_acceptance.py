@@ -124,7 +124,7 @@ def test_criterion_06_bihari(ensemble):
 
     gen = bl.example1_generator(p=2.0, d=1)
     h = bl.example1_h_modulus(2.0, domain_cap=5.0)
-    chain = bl.transform_modulus(h, bl.H1STAR_TO_H1, p=2.0).modulus
+    chain = bl.power_root(h, 2.0)
     growth_a = bl.linear_growth_coefficient(chain)
     xi = ensemble.values[:, -1, 0]
     cb = bl.compute_constants(
@@ -142,14 +142,12 @@ def test_criterion_06_bihari(ensemble):
 
 def test_criterion_07_osgood_truth_table():
     checks = [
-        bl.osgood_classify(bl.linear_modulus(1.0),
-                           eps_decades=8).classification == DIVERGENT,
-        bl.osgood_classify(bl.power_modulus(1.0, 0.5),
-                           eps_decades=8).classification == CONVERGENT,
-        bl.osgood_classify(bl.example1_h_modulus(2.0), weight_exponent=2.0,
-                           eps_decades=8).classification == DIVERGENT,
-        bl.osgood_classify(bl.example1_h_modulus(2.0), weight_exponent=3.0,
-                           eps_decades=8).classification == CONVERGENT,
+        bl.osgood_classify(bl.linear_modulus(1.0)).classification == DIVERGENT,
+        bl.osgood_classify(bl.power_modulus(1.0, 0.5)).classification == CONVERGENT,
+        bl.osgood_classify(bl.example1_h_modulus(2.0),
+                           weight_exponent=2.0).classification == DIVERGENT,
+        bl.osgood_classify(bl.example1_h_modulus(2.0),
+                           weight_exponent=3.0).classification == CONVERGENT,
     ]
     _verdict(7, "integral divergence truth table", all(checks),
              f"{sum(checks)}/4 classifications correct")
@@ -159,13 +157,10 @@ def test_criterion_08_power_root_properties():
     rng = np.random.default_rng(SEED)
     moduli = [random_concave_tabulated(rng) for _ in range(50)]
     shape_ok = all(
-        bl.check_shape(bl.transform_modulus(mod, bl.POWER_ROOT, r=r).modulus,
-                       tol=1e-9).all_ok
+        bl.check_shape(bl.power_root(mod, r)).all_ok
         for mod in moduli for r in (1.5, 2.0, 3.0))
     divergence_ok = all(
-        bl.osgood_classify(
-            bl.transform_modulus(mod, bl.POWER_ROOT, r=r).modulus,
-            eps_decades=8).classification == DIVERGENT
+        bl.osgood_classify(bl.power_root(mod, r)).classification == DIVERGENT
         for mod in moduli for r in (0.5, 0.75)
         if bl.osgood_classify(mod).classification == DIVERGENT)
     _verdict(8, "power-root transform properties", shape_ok and divergence_ok,

@@ -535,6 +535,29 @@ def test_bihari_given_bound_below_phi_0_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bihari.M_bound is 1.0")
 
 
+# mod(M) = 10 M overflows a double at M = 1e308, so phi_0 does too.
+_OVERFLOWING_PHI_0 = {"family": "linear", "params": {"mu": 10}}
+
+
+def test_bihari_given_bound_that_overflows_phi_0_exits_two(tmp_path, capsys):
+    doc = _config(tmp_path, modulus=_OVERFLOWING_PHI_0,
+                  bihari={"M_bound": 1e308, "T1": 0.5})
+    assert main(["bihari", str(_write(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bihari.M_bound is 1e+308, too large")
+    assert err.count("\n") == 1
+
+
+def test_bihari_computed_bound_that_overflows_phi_0_exits_one(tmp_path):
+    # c2 = 1e307 and E|xi|^2 = 1 give M = 2 mu0 + 2 A T ~ 2e307
+    doc = _config(tmp_path, modulus=_OVERFLOWING_PHI_0, bihari={"T1": 0.5},
+                  constants={"c2": 1e307, "c3": 1e-9})
+    out = _python("-m", "bsde_lab.cli", "bihari", str(_write(tmp_path, doc)))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: phi_0 = (T - T1) mod(M) overflows a double")
+    assert out.stderr.count("\n") == 1
+
+
 def test_bihari_ordering_failure_of_computed_bounds_exits_one(tmp_path,
                                                                capsys):
     doc = _config(tmp_path, bihari={"T1": 0.0},
@@ -565,6 +588,20 @@ def test_split_is_checked_against_the_horizon_of_the_paths_file(
     if rc:
         err = capsys.readouterr().err
         assert err.startswith("error: solver.split") and "T is 2.0" in err
+
+
+def test_split_auto_at_t1_zero_solves_in_one_window(tmp_path):
+    # At this horizon every T1 candidate is negative, so T1 = 0 and [0, T]
+    # is one local interval.
+    doc = _config(tmp_path, paths={"M": 256, "N": 10, "T": 0.004, "seed": 3},
+                  generator={"family": "linear", "params": {"a": 0.5, "c": 0.2}},
+                  solver={"split": "auto"})
+    path = _write(tmp_path, doc)
+    assert main(["constants", str(path)]) == 0
+    assert "t1,0\n" in (tmp_path / "out" / "constants.csv").read_text()
+    assert main(["solve", str(path)]) == 0
+    report = (tmp_path / "out" / "picard_report.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in report[1:]} == {"0"}
 
 
 _LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
@@ -621,7 +658,7 @@ def test_default_h1_modulus_example1(p):
         "solver": {"p": p}}))
     mod = cli._h1_modulus(cfg)
     h = bl.example1_h_modulus(2.0, domain_cap=10.0)
-    expected = bl.transform_modulus(h, bl.H1STAR_TO_H1, p=p).modulus
+    expected = bl.power_root(h, p)
     assert mod.family == "tabulated"
     assert mod.domain_cap == 10.0 ** p
     assert mod.breakpoints == expected.breakpoints
@@ -1280,6 +1317,19 @@ def test_check_reports_a_modulus_block_that_is_not_concave(tmp_path):
     assert main(["check", str(path)]) == 1
     rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
     assert rows[1].startswith("shape_rho,false,")
+
+
+def test_check_reports_an_overflowing_modulus_as_a_shape_failure(tmp_path):
+    # c u^0.5 overflows a double on the whole check grid of [0, 1e300]
+    doc = _config(tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+                  modulus={"family": "power", "params": {"c": 1e300, "alpha": 0.5},
+                           "domain_cap": 1e300})
+    out = _python("-m", "bsde_lab.cli", "check", str(_write(tmp_path, doc)))
+    assert out.returncode == 1
+    assert out.stderr == ""
+    rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
+    assert rows[1].startswith("shape_rho,false,inf,nondecreasing=False;"
+                              "concave=False;")
 
 
 @pytest.mark.parametrize("via_flag", [True, False])

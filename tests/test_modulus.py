@@ -150,8 +150,7 @@ def test_shape_square_fails_concavity():
 
 
 def test_shape_example1h_on_fine_grid():
-    rep = bl.check_shape(bl.example1_h_modulus(2.0, delta=math.exp(-2)),
-                         grid_size=10_000)
+    rep = bl.check_shape(bl.example1_h_modulus(2.0, delta=math.exp(-2)))
     assert rep.all_ok
 
 
@@ -171,13 +170,6 @@ def test_builtin_default_moduli_meet_the_precondition(family, p):
         **({"a": 0.5, "c": 0.1} if family == "linear" else {}))
     require_concave(GENERATOR_FAMILIES[family].h1_modulus(gen, p, 10.0))
     require_concave(bl.auto_envelope(gen, p).psi)
-
-
-def test_shape_parameter_validation():
-    with pytest.raises(ValueError):
-        bl.check_shape(bl.linear_modulus(1.0), grid_size=2)
-    with pytest.raises(ValueError):
-        bl.check_shape(bl.linear_modulus(1.0), tol=0.0)
 
 
 def test_shape_worst_violation_sign_contract():
@@ -200,12 +192,10 @@ def test_osgood_truth_table_builtin():
 
 
 def test_osgood_numeric_rules_on_tabulated():
-    lin_tab = bl.transform_modulus(bl.linear_modulus(1.0, 4.0),
-                                   bl.POWER_ROOT, r=1.0).modulus
+    lin_tab = bl.power_root(bl.linear_modulus(1.0, 4.0), 1.0)
     rep = bl.osgood_classify(lin_tab)
     assert rep.classification == DIVERGENT and rep.rule == "slope"
-    sqrt_tab = bl.transform_modulus(bl.power_modulus(1.0, 0.5, 4.0),
-                                    bl.POWER_ROOT, r=1.0).modulus
+    sqrt_tab = bl.power_root(bl.power_modulus(1.0, 0.5, 4.0), 1.0)
     rep = bl.osgood_classify(sqrt_tab)
     assert rep.classification == CONVERGENT and rep.rule == "geometric"
 
@@ -248,9 +238,10 @@ def test_osgood_increments_power_closed_form(alpha, w):
 @pytest.mark.parametrize("w", [2.0, 3.0])
 def test_osgood_increments_example1h_closed_form(w):
     # below delta, u^(w-1)/h(u)^w = 1/(u L^q) with L = -ln u and q = w/p
-    h = bl.example1_h_modulus(2.0)
-    rep = bl.osgood_classify(h, weight_exponent=w, u0=h.delta)
-    lo, hi = _decade_edges(h.delta)
+    delta = math.exp(-2.0)
+    h = bl.example1_h_modulus(2.0, delta=delta, domain_cap=delta)
+    rep = bl.osgood_classify(h, weight_exponent=w)
+    lo, hi = _decade_edges(delta)
     q = w / h.p
     l_lo, l_hi = -np.log(lo), -np.log(hi)
     exact = (np.log(l_lo / l_hi) if q == 1.0
@@ -275,10 +266,6 @@ def test_osgood_validation():
     mod = bl.linear_modulus(1.0)
     with pytest.raises(ValueError):
         bl.osgood_classify(mod, weight_exponent=0.5)
-    with pytest.raises(ValueError):
-        bl.osgood_classify(mod, u0=2.0)
-    with pytest.raises(ValueError):
-        bl.osgood_classify(mod, eps_decades=2)
 
 
 def test_h1star_equivalence_on_builtins():
@@ -288,7 +275,7 @@ def test_h1star_equivalence_on_builtins():
     for kappa in (bl.linear_modulus(1.0), bl.power_modulus(1.0, 0.5),
                   bl.power_modulus(1.0, 1.5), bl.example1_h_modulus(2.0)):
         lhs = bl.osgood_classify(kappa, weight_exponent=p).classification
-        rho = bl.transform_modulus(kappa, bl.H1STAR_TO_H1, p=p).modulus
+        rho = bl.power_root(kappa, p)
         rhs = bl.osgood_classify(rho, weight_exponent=1.0).classification
         assert lhs == rhs, kappa.family
 
@@ -371,23 +358,22 @@ def test_majorant_dominates_and_is_idempotent(raw):
 # ------------------------------------------------------------------ transforms
 
 def test_power_root_identity_outcome():
-    out = bl.transform_modulus(bl.linear_modulus(1.0), bl.POWER_ROOT, r=2.0).modulus
+    out = bl.power_root(bl.linear_modulus(1.0), 2.0)
     us = np.linspace(0.0, 1.0, 50)
     assert np.allclose(bl.eval_modulus(out, us), us, atol=1e-12)
 
 
 def test_h1star_on_linear_is_identity():
-    out = bl.transform_modulus(bl.linear_modulus(1.0), bl.H1STAR_TO_H1, p=2.0).modulus
+    out = bl.power_root(bl.linear_modulus(1.0), 2.0)
     us = np.linspace(0.0, 1.0, 50)
     assert np.allclose(bl.eval_modulus(out, us), us, atol=1e-12)
 
 
 def test_h1pp_chain_on_linear():
-    res = bl.transform_modulus(bl.linear_modulus(1.0), bl.H1PP_TO_H1,
-                               p=2.0, q=2.0)
+    res = bl.h1pp_to_h1(bl.linear_modulus(1.0), p=2.0, q=2.0)
     us = np.linspace(0.0, 1.0, 50)
     assert np.allclose(bl.eval_modulus(res.modulus, us), 2.0 * us, atol=1e-12)
-    assert res.domination is not None and not res.domination.skipped
+    assert not res.domination.skipped
     assert res.domination.holds
     assert res.rho2_over_rho1_sup == pytest.approx(1.0, abs=1e-9)
 
@@ -396,8 +382,8 @@ def test_h1pp_skips_domination_when_rho2_vanishes_at_one():
     # identically zero kappa forces rho2(1) = 0; rho_bar degenerates to u
     # and the domination report is skipped with a note
     kappa = bl.tabulated_modulus([(0.0, 0.0), (3.0, 0.0)], domain_cap=3.0)
-    res = bl.transform_modulus(kappa, bl.H1PP_TO_H1, p=2.0, q=2.0)
-    assert res.domination is not None and res.domination.skipped
+    res = bl.h1pp_to_h1(kappa, p=2.0, q=2.0)
+    assert res.domination.skipped
     us = np.linspace(0.0, 1.0, 20)
     assert np.allclose(bl.eval_modulus(res.modulus, us), us, atol=1e-12)
 
@@ -405,13 +391,9 @@ def test_h1pp_skips_domination_when_rho2_vanishes_at_one():
 def test_transform_parameter_validation():
     mod = bl.linear_modulus(1.0)
     with pytest.raises(ValueError):
-        bl.transform_modulus(mod, bl.POWER_ROOT, r=0.0)
+        bl.power_root(mod, 0.0)
     with pytest.raises(ValueError):
-        bl.transform_modulus(mod, bl.H1STAR_TO_H1, p=1.0)
-    with pytest.raises(ValueError):
-        bl.transform_modulus(mod, bl.H1PP_TO_H1, p=2.0, q=1.5)
-    with pytest.raises(ValueError):
-        bl.transform_modulus(mod, "no_such_kind")
+        bl.h1pp_to_h1(mod, p=2.0, q=1.5)
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
@@ -419,8 +401,8 @@ def test_power_root_preserves_shape(r):
     rng = np.random.default_rng(42)
     for _ in range(5):
         mod = random_concave_tabulated(rng)
-        out = bl.transform_modulus(mod, bl.POWER_ROOT, r=r).modulus
-        assert bl.check_shape(out, tol=1e-9).all_ok
+        out = bl.power_root(mod, r)
+        assert bl.check_shape(out).all_ok
 
 
 @pytest.mark.parametrize("r", [0.5, 0.75])
@@ -429,7 +411,7 @@ def test_power_root_preserves_divergence(r):
     for _ in range(5):
         mod = random_concave_tabulated(rng)
         assert bl.osgood_classify(mod).classification == DIVERGENT
-        out = bl.transform_modulus(mod, bl.POWER_ROOT, r=r).modulus
+        out = bl.power_root(mod, r)
         assert bl.osgood_classify(out).classification == DIVERGENT
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_compare_constant_shift(small_ensemble):
     errs = bl.compare_to_oracle(sol, inst, small_ensemble, p=2.0)
     assert errs.sp_error == pytest.approx(0.25, rel=1e-12)
     assert errs.z_rms_error == 0.0
+
+
+def test_compare_holds_one_time_step_of_the_oracle():
+    # The oracle is evaluated step by step: beside per-step temporaries the
+    # comparison holds only the (M, N) z squares, 1/(1 + 1/d) of z for k = 1.
+    # A full-size oracle (y, z) and z difference would take about twice y + z.
+    ens = bl.generate_ensemble(M=4096, N=20, d=3, T=1.0, seed=5)
+    inst = OracleInstance("martingale_coordinate", T=1.0)
+    y, z = oracle_paths(inst, ens)
+    sol = bl.DiscreteSolution(y=y + 0.25, z=z + 0.5, grid=ens.grid)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        errs = bl.compare_to_oracle(sol, inst, ens, p=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (sol.y.nbytes + sol.z.nbytes) < 0.6
+    assert errs.sp_error == pytest.approx(0.25, rel=1e-12)
+    assert errs.z_rms_error == pytest.approx(math.sqrt(3 * 0.25), rel=1e-12)
 
 
 def test_compare_shape_mismatch(small_ensemble):
