@@ -67,8 +67,10 @@ from .solver import (
     TerminalSpec,
     constant_terminal,
     coordinate_terminal,
+    load_solution,
     picard_solve,
     regress_conditional_expectation,
+    save_solution,
     solve_frozen_bsde,
     square_norm_terminal,
 )

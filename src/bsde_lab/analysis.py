@@ -201,12 +201,13 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         if c2 is None:
             c2 = 2.0 * k_prime_p
         mu0 = c2 * math.exp(c3 * horizon) * (terminal_moment + h3_moment)
+        m_bound = 2.0 * mu0 + 2.0 * growth_a * horizon
     except OverflowError:
-        mu0 = math.inf
-    if not math.isfinite(mu0):
+        m_bound = math.inf
+    # m_bound is not finite whenever mu0 is not, and also when 2 mu0 overflows
+    if not math.isfinite(m_bound):
         raise OverflowError(f"the derived constants overflow at p = {p}, "
                             f"T = {horizon}; reduce c3 or the horizon")
-    m_bound = 2.0 * mu0 + 2.0 * growth_a * horizon
     candidates = [horizon - math.log(2.0) / c1, horizon - math.log(2.0) / c3, 0.0]
     if growth_a > 0.0:
         candidates.append(horizon - 1.0 / (2.0 * growth_a))

@@ -1,5 +1,6 @@
-"""Config-driven command line: hypothesis checks, solves, oracle comparisons,
-constants, the integral recursion, path generation, and convergence studies.
+"""Config-driven command line: hypothesis checks, solves and their CSV export,
+oracle comparisons, constants, the integral recursion, path generation, and
+convergence studies.
 
 Configs are strict JSON; unknown keys are rejected by name.  All numeric CSV
 output renders with 17 significant digits so reruns are byte-comparable.
@@ -28,8 +29,9 @@ from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusShapeError,
 from .paths import (DimensionError, PathEnsemble, format_number,
                     generate_ensemble, load_ensemble, save_ensemble, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
-                     SingularRegressionError, TerminalSpec, picard_solve,
-                     save_picard_report_csv, save_solution_csv, terminal_values)
+                     SingularRegressionError, TerminalSpec, load_solution,
+                     picard_solve, save_picard_report_csv, save_solution,
+                     save_solution_csv, terminal_values)
 
 
 class ConfigError(ValueError):
@@ -315,6 +317,19 @@ def parse_config(text: str) -> RunConfig:
                      output_dir=output_dir)
 
 
+def _require_agreement(name: str, found: dict, cfg: RunConfig) -> None:
+    """found, the values a file holds, must agree with each key of them that
+    the paths block states and with generator.k and generator.d."""
+    checks = [(key, f"paths.{key}", getattr(cfg.paths, key))
+              for key in found if key in cfg.paths.stated]
+    checks += [(key, f"generator.{key}", getattr(cfg.generator, key))
+               for key in ("k", "d") if key in found]
+    for key, source, want in checks:
+        if found[key] != want:
+            raise ConfigError(f"{name} has {key} = {found[key]}, but {source} "
+                              f"is {want}")
+
+
 def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
     """The ensemble in paths_file, once it agrees with the keys the paths
     block states and with generator.d; else a generated one."""
@@ -326,14 +341,9 @@ def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
         ens = load_ensemble(pc.paths_file)
     except ValueError as exc:
         raise ConfigError(f"paths file '{pc.paths_file}': {exc}") from exc
-    found = {"M": ens.M, "N": ens.grid.N, "d": ens.d, "T": ens.grid.T,
-             "seed": ens.seed, "antithetic": ens.antithetic}
-    checks = [(k, f"paths.{k}", getattr(pc, k)) for k in found if k in pc.stated]
-    checks.append(("d", "generator.d", cfg.generator.d))
-    for key, source, want in checks:
-        if found[key] != want:
-            raise ConfigError(f"paths file '{pc.paths_file}' has {key} = "
-                              f"{found[key]}, but {source} is {want}")
+    _require_agreement(f"paths file '{pc.paths_file}'", {
+        "M": ens.M, "N": ens.grid.N, "d": ens.d, "T": ens.grid.T,
+        "seed": ens.seed, "antithetic": ens.antithetic}, cfg)
     return ens
 
 
@@ -460,8 +470,25 @@ def _solve(cfg: RunConfig, ens: PathEnsemble):
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     sol, report = _solve(cfg, ens)
-    save_solution_csv(sol, out / "solution.csv")
+    save_solution(sol, out / "solution.bsol")
     save_picard_report_csv(report, out / "picard_report.csv")
+    return 0
+
+
+def _cmd_solution_csv(cfg: RunConfig, out: Path) -> int:
+    source = out / "solution.bsol"
+    if not source.is_file():
+        raise ConfigError(f"solution file '{source}' does not exist: run solve "
+                          "with this config first")
+    try:
+        sol = load_solution(source)
+    except ValueError as exc:
+        raise ConfigError(f"solution file '{source}': {exc}") from exc
+    m, n_plus, k = sol.y.shape
+    _require_agreement(f"solution file '{source}'", {
+        "M": m, "N": n_plus - 1, "T": sol.grid.T, "k": k, "d": sol.z.shape[3]},
+        cfg)
+    save_solution_csv(sol, out / "solution.csv")
     return 0
 
 
@@ -555,6 +582,7 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
 _HANDLERS = {
     "check": _cmd_check,
     "solve": _cmd_solve,
+    "solution-csv": _cmd_solution_csv,
     "oracle-compare": _cmd_oracle_compare,
     "bihari": _cmd_bihari,
     "constants": _cmd_constants,
@@ -571,7 +599,9 @@ def run(cmd: str, cfg: RunConfig) -> int:
     if cmd not in _HANDLERS:
         raise ConfigError(f"unknown subcommand '{cmd}'")
     paths_file = cfg.paths.paths_file
-    if paths_file and cmd != "gen-paths" and not Path(paths_file).is_file():
+    # gen-paths writes the paths file, and solution-csv reads no ensemble
+    if (paths_file and cmd not in ("gen-paths", "solution-csv")
+            and not Path(paths_file).is_file()):
         raise ConfigError(f"paths file '{paths_file}' does not exist")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
-"""Brownian-motion ensembles on uniform time grids, with a binary file format."""
+"""Brownian-motion ensembles on uniform time grids, with a binary file format,
+and the path-major block I/O that it shares with the solution file."""
 
 from __future__ import annotations
 
@@ -186,6 +187,74 @@ def write_csv(path, header: list, rows) -> None:
             fh.write(line % tuple(row))
 
 
+def _move(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src, moving last-axis tuples as records where both arrays
+    allow it: the same dtype and a contiguous last axis."""
+    if (dst.dtype == src.dtype
+            and dst.strides[-1] == src.strides[-1] == dst.itemsize):
+        _records(dst)[...] = _records(src)
+    else:
+        dst[...] = src
+
+
+def _path_blocks(parts, m: int):
+    """(block, pairs) for each block of at most _PATH_BLOCK paths of the
+    (M, ...) arrays parts.  block is one reused little-endian f64 buffer
+    whose row j is the record of the block's path j: its rows of each part
+    in turn, flattened.  pairs holds, for each part, the block's columns of
+    that part, shaped as the part's rows of these paths, and those rows."""
+    widths = [math.prod(part.shape[1:]) for part in parts]
+    buffer = np.empty((min(m, _PATH_BLOCK), sum(widths)), dtype="<f8")
+    for lo in range(0, m, _PATH_BLOCK):
+        block = buffer[:min(m - lo, _PATH_BLOCK)]
+        rows = [part[lo:lo + len(block)] for part in parts]
+        columns = np.split(block, np.cumsum(widths)[:-1], axis=1)
+        yield block, [(col.reshape(r.shape), r) for col, r in zip(columns, rows)]
+
+
+def write_path_major(fh, parts, m: int) -> None:
+    """Write the records of m paths of parts, path after path, gathering one
+    block of paths at a time, so no path-major copy of parts is held."""
+    for block, pairs in _path_blocks(parts, m):
+        for columns, rows in pairs:
+            _move(columns, rows)
+        fh.write(block.data)
+
+
+def read_path_major(fh, parts, m: int, length_error: type) -> None:
+    """Fill parts from the records write_path_major wrote, one block of paths
+    at a time; a file that ends early raises length_error."""
+    for block, pairs in _path_blocks(parts, m):
+        if fh.readinto(block.data) != block.nbytes:
+            raise length_error("file ended inside its payload")
+        for columns, rows in pairs:
+            _move(rows, columns)
+
+
+def read_header(fh, header: struct.Struct, magic: bytes, version: int,
+                what: str, format_error: type, length_error: type) -> tuple:
+    """The fields of a binary header after its magic bytes and version,
+    once both match."""
+    raw = fh.read(header.size)
+    if len(raw) < header.size:
+        raise length_error(f"file shorter than the {what} header")
+    found, found_version, *rest = header.unpack(raw)
+    if found != magic:
+        raise format_error(f"bad magic bytes {found!r}")
+    if found_version != version:
+        raise format_error(f"unsupported format version {found_version}")
+    return tuple(rest)
+
+
+def check_payload(fh, header: struct.Struct, expected: int,
+                  length_error: type) -> None:
+    """Raise length_error unless the file holds expected bytes after header."""
+    found = os.fstat(fh.fileno()).st_size - header.size
+    if found != expected:
+        raise length_error(
+            f"payload holds {found} bytes, header implies {expected}")
+
+
 def save_ensemble(ens: PathEnsemble, path) -> None:
     """Write the binary format: magic 'BSDE', version, sizes, flags, T, seed,
     raw f64.  Bit 0 of flags is antithetic; the other bits are zero.  The
@@ -194,50 +263,25 @@ def save_ensemble(ens: PathEnsemble, path) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, ens.M, ens.grid.N, ens.d,
                           _ANTITHETIC if ens.antithetic else 0,
                           ens.grid.T, ens.seed)
-    # _records views the coordinate axis as one record, which needs it
-    # contiguous, as it is in every ensemble this module builds.
-    increments = ens.increments
-    if increments.strides[-1] != increments.itemsize:
-        increments = np.ascontiguousarray(increments)
-    block = np.empty((min(ens.M, _PATH_BLOCK), ens.grid.N, ens.d),
-                     dtype=increments.dtype)
     with atomic_open(path, "wb") as fh:
         fh.write(header)
-        for lo in range(0, ens.M, _PATH_BLOCK):
-            paths = block[:min(ens.M - lo, _PATH_BLOCK)]
-            _records(paths)[...] = _records(increments[lo:lo + len(paths)])
-            fh.write(paths.astype("<f8", copy=False).data)
+        write_path_major(fh, [ens.increments], ens.M)
 
 
 def load_ensemble(path) -> PathEnsemble:
     """Read the binary format of save_ensemble into a step-major ensemble,
     one block of paths at a time."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise EnsembleLengthError("file shorter than the ensemble header")
-        magic, version, m, n, d, flags, horizon, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise EnsembleFormatError(f"bad magic bytes {magic!r}")
-        if version != _VERSION:
-            raise EnsembleFormatError(f"unsupported format version {version}")
+        m, n, d, flags, horizon, seed = read_header(
+            fh, _HEADER, _MAGIC, _VERSION, "ensemble", EnsembleFormatError,
+            EnsembleLengthError)
         if flags & ~_ANTITHETIC:
             raise EnsembleFormatError(f"unknown header flags {flags:#x}")
         if m < 1 or d < 1:
             raise EnsembleFormatError(
                 f"header sizes M = {m} and d = {d} must be >= 1")
-        expected = m * n * d * 8
-        found = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if found != expected:
-            raise EnsembleLengthError(
-                f"payload holds {found} bytes, header implies {expected}")
+        check_payload(fh, _HEADER, m * n * d * 8, EnsembleLengthError)
         grid = TimeGrid(T=horizon, N=n)
         steps = np.empty((n, m, d))
-        block = np.empty((min(m, _PATH_BLOCK), n, d), dtype="<f8")
-        for lo in range(0, m, _PATH_BLOCK):
-            paths = block[:min(m - lo, _PATH_BLOCK)]
-            if fh.readinto(paths.data) != paths.nbytes:
-                raise EnsembleLengthError("file ended inside its payload")
-            _records(steps)[:, lo:lo + len(paths)] = _records(
-                paths.astype(float, copy=False)).T
+        read_path_major(fh, [steps.transpose(1, 0, 2)], m, EnsembleLengthError)
     return _step_major_ensemble(steps, grid, seed, bool(flags & _ANTITHETIC))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,11 +23,20 @@ import numpy as np
 from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
 from .paths import (NUMBER, DimensionError, PathEnsemble, TimeGrid, atomic_open,
-                    format_number, write_csv)
+                    check_payload, format_number, read_header, read_path_major,
+                    write_csv, write_path_major)
 
 
 class SingularRegressionError(RuntimeError):
     pass
+
+
+class SolutionFormatError(ValueError):
+    """Bad magic bytes, version, or header fields of a solution file."""
+
+
+class SolutionLengthError(ValueError):
+    """Solution file payload size disagrees with the header."""
 
 
 class PicardDivergenceError(RuntimeError):
@@ -470,6 +480,47 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         report.window_converged.append(converged)
 
     return DiscreteSolution(y=y, z=z, grid=grid), report
+
+
+_SOLUTION_MAGIC = b"BSOL"
+_SOLUTION_VERSION = 1
+_SOLUTION_HEADER = struct.Struct("<4sIQQIId")  # magic, version, M, N, k, d, T
+
+
+def save_solution(sol: DiscreteSolution, path) -> None:
+    """Write the binary solution format: magic 'BSOL', version, M, N, k, d,
+    T, then each path's record as little-endian f64, path after path: its y
+    over steps 0..N (k each), then its z over steps 0..N-1 (k d each).  The
+    records are gathered one block of paths at a time, so no path-major copy
+    of the solution is held."""
+    m, n_plus, k = sol.y.shape
+    header = _SOLUTION_HEADER.pack(_SOLUTION_MAGIC, _SOLUTION_VERSION, m,
+                                   n_plus - 1, k, sol.z.shape[3], sol.grid.T)
+    with atomic_open(path, "wb") as fh:
+        fh.write(header)
+        write_path_major(fh, [sol.y, sol.z], m)
+
+
+def load_solution(path) -> DiscreteSolution:
+    """Read the format of save_solution into step-major (y, z), as the
+    solvers return them, one block of paths at a time."""
+    with open(path, "rb") as fh:
+        m, n, k, d, horizon = read_header(
+            fh, _SOLUTION_HEADER, _SOLUTION_MAGIC, _SOLUTION_VERSION,
+            "solution", SolutionFormatError, SolutionLengthError)
+        if min(m, n, k, d) < 1:
+            raise SolutionFormatError(f"header sizes M = {m}, N = {n}, k = {k} "
+                                      f"and d = {d} must be >= 1")
+        try:
+            grid = TimeGrid(T=horizon, N=n)
+        except ValueError as exc:
+            raise SolutionFormatError(f"header: {exc}") from None
+        check_payload(fh, _SOLUTION_HEADER, m * ((n + 1) * k + n * k * d) * 8,
+                      SolutionLengthError)
+        y = np.empty((n + 1, m, k)).transpose(1, 0, 2)
+        z = np.empty((n, m, k, d)).transpose(1, 0, 2, 3)
+        read_path_major(fh, [y, z], m, SolutionLengthError)
+    return DiscreteSolution(y=y, z=z, grid=grid)
 
 
 # Rows per chunk of the solution writer, about 250 KB of text at k = d = 1:

@@ -205,17 +205,16 @@ def test_criterion_11_determinism(tmp_path):
         "terminal": {"kind": "coordinate", "params": {"j": 0}},
         "output_dir": str(tmp_path / "a"),
     }
-    cfg = parse_config(json.dumps(doc))
-    assert run("solve", cfg) == 0
-    assert run("oracle-compare", cfg) == 0
-    doc["output_dir"] = str(tmp_path / "b")
-    cfg = parse_config(json.dumps(doc))
-    assert run("solve", cfg) == 0
-    assert run("oracle-compare", cfg) == 0
+    names = ("solution.bsol", "picard_report.csv", "oracle_errors.csv",
+             "solution.csv")
+    for run_dir in ("a", "b"):
+        doc["output_dir"] = str(tmp_path / run_dir)
+        cfg = parse_config(json.dumps(doc))
+        assert [run(cmd, cfg) for cmd in
+                ("solve", "oracle-compare", "solution-csv")] == [0, 0, 0]
 
     identical = all(
         (tmp_path / "a" / name).read_bytes() ==
         (tmp_path / "b" / name).read_bytes()
-        for name in ("solution.csv", "picard_report.csv", "oracle_errors.csv"))
-    _verdict(11, "byte-identical reruns", identical,
-             "solution.csv, picard_report.csv, oracle_errors.csv")
+        for name in names)
+    _verdict(11, "byte-identical reruns", identical, ", ".join(names))

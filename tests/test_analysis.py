@@ -201,10 +201,12 @@ def test_constants_martingale_moments_must_be_positive(given):
 
 @pytest.mark.parametrize("p, horizon, given", [
     (1.5, 1.0, {}), (2.0, 1e300, {}),
-    (2.0, 1.0, {"c3": 1.0, "terminal_moment": 1e308})])
+    (2.0, 1.0, {"c3": 1.0, "terminal_moment": 1e308}),
+    (2.0, 1.0, {"c2": 1.5e308, "c3": 1e-9})])
 def test_constants_overflow_is_one_overflow_error(p, horizon, given):
     # p = 1.5 sends e^(c3 T) past the float range and T = 1e300 already T^p;
-    # the last case has a finite e^(c3 T) but an infinite product mu0
+    # the third case has a finite e^(c3 T) but an infinite product mu0, and
+    # the last a finite mu0 ~ 1.5e308 but an infinite M = 2 mu0 + 2 A T
     with pytest.raises(OverflowError, match="derived constants overflow"):
         bl.compute_constants(p, 0.0, horizon, 0.0, **{"terminal_moment": 1.0,
                                                       **given})

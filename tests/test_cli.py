@@ -18,7 +18,7 @@ from bsde_lab import cli
 from bsde_lab.cli import ConfigError, main, parse_config, run
 from bsde_lab.generator import GENERATOR_FAMILIES, PROCESS_KINDS
 from bsde_lab.modulus import DIVERGENT, MODULUS_FAMILIES, ModulusFamily
-from bsde_lab.solver import TERMINAL_KINDS
+from bsde_lab.solver import TERMINAL_KINDS, save_solution_csv
 
 
 def _config(tmp_path, **overrides):
@@ -283,7 +283,10 @@ def test_solve_writes_report_and_solution(tmp_path):
     report = (tmp_path / "out" / "picard_report.csv").read_text().splitlines()
     assert report[0] == "window,iter,dist_y,dist_z,sp_norm,converged"
     assert report[1].startswith("0,1,0,0,") and report[1].endswith("true")
-    assert (tmp_path / "out" / "solution.csv").exists()
+    sol = bl.load_solution(tmp_path / "out" / "solution.bsol")
+    assert (sol.y.shape, sol.z.shape) == ((1024, 11, 1), (1024, 10, 1, 1))
+    assert sol.grid == bl.TimeGrid(T=1.0, N=10)
+    assert not (tmp_path / "out" / "solution.csv").exists()
 
 
 def test_constants_csv_values(tmp_path):
@@ -399,10 +402,13 @@ def test_rerun_byte_identical(tmp_path):
     doc = _config(tmp_path, solver={"deterministic_reduction": True},
                   terminal={"kind": "coordinate", "params": {"j": 0}})
     cfg = parse_config(json.dumps(doc))
-    run("solve", cfg)
-    first = (tmp_path / "out" / "solution.csv").read_bytes()
-    run("solve", cfg)
-    assert (tmp_path / "out" / "solution.csv").read_bytes() == first
+    outputs = []
+    for _ in range(2):
+        assert run("solve", cfg) == 0
+        assert run("solution-csv", cfg) == 0
+        outputs.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("solution.bsol", "solution.csv")])
+    assert outputs[1] == outputs[0]
 
 
 # ------------------------------------------------------------------ main()
@@ -429,13 +435,13 @@ def test_main_paths_file_flag(tmp_path):
     bl.save_ensemble(ens, stored)
     path = _write(tmp_path, _config(tmp_path))
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
-    assert not (tmp_path / "out" / "solution.csv").exists()
+    assert not (tmp_path / "out" / "solution.bsol").exists()
     bare = _config(tmp_path)
     del bare["paths"]
     path = _write(tmp_path, bare, "bare.json")
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 0
-    lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
-    assert len(lines) == 128 * 6 + 1
+    sol = bl.load_solution(tmp_path / "out" / "solution.bsol")
+    assert (sol.y.shape, sol.z.shape) == ((128, 6, 1), (128, 5, 1, 1))
 
 
 def _stored(tmp_path, M=300, N=7, d=1, T=2.0, seed=9, antithetic=False):
@@ -458,7 +464,7 @@ def test_paths_file_disagreeing_with_a_stated_key_exits_two(
     path = _write(tmp_path, _config(tmp_path, paths={key: value}))
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
     assert shown in capsys.readouterr().err
-    assert not (tmp_path / "out" / "solution.csv").exists()
+    assert not (tmp_path / "out" / "solution.bsol").exists()
 
 
 def test_paths_file_agreeing_with_every_stated_key_solves(tmp_path):
@@ -467,8 +473,8 @@ def test_paths_file_agreeing_with_every_stated_key_solves(tmp_path):
         "M": 300, "N": 7, "d": 1, "T": 2, "seed": 9, "antithetic": True,
         "paths_file": str(stored)}))
     assert main(["solve", str(path)]) == 0
-    lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
-    assert len(lines) == 300 * 8 + 1
+    sol = bl.load_solution(tmp_path / "out" / "solution.bsol")
+    assert (sol.y.shape, sol.z.shape) == ((300, 8, 1), (300, 7, 1, 1))
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])
@@ -721,7 +727,7 @@ def test_runtime_records_run_like_the_builtins(tmp_path, monkeypatch):
             terminal=terminal, output_dir=str(out),
             modulus={"family": "linear", "params": {"mu": 0.25}}))
         assert [main([cmd, str(path)]) for cmd in
-                ("check", "solve", "constants")] == [0, 0, 0]
+                ("check", "solve", "solution-csv", "constants")] == [0, 0, 0, 0]
         outputs[generator["family"]] = {
             name: (out / name).read_text().splitlines() for name in (
                 "check_report.csv", "solution.csv", "picard_report.csv",
@@ -1222,6 +1228,82 @@ def test_bad_paths_file_exits_two(tmp_path, capsys, damage):
     assert "stored.bsde" in err and "Traceback" not in err
 
 
+def test_solution_csv_exports_the_solved_solution(tmp_path):
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "coordinate", "params": {"j": 0}}))
+    assert main(["solve", str(path)]) == 0
+    assert main(["solution-csv", str(path)]) == 0
+    out = tmp_path / "out"
+    save_solution_csv(bl.load_solution(out / "solution.bsol"),
+                      tmp_path / "direct.csv")
+    assert (out / "solution.csv").read_bytes() == \
+        (tmp_path / "direct.csv").read_bytes()
+    lines = (out / "solution.csv").read_text().splitlines()
+    assert lines[0] == "path,step,t,y_1,z_11" and len(lines) == 1024 * 11 + 1
+
+
+def _solution_csv_error(tmp_path, capsys, path) -> str:
+    """The one stderr line of a solution-csv run that must exit 2."""
+    assert main(["solution-csv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "solution.bsol" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+    return err
+
+
+def test_solution_csv_without_a_solution_file_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, _config(tmp_path))
+    assert "does not exist" in _solution_csv_error(tmp_path, capsys, path)
+
+
+# Header: magic (4 bytes), version (u32), M (u64) at byte 8.
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"XXXX" + raw[4:], "bad magic bytes"),
+    (lambda raw: raw[:4] + (99).to_bytes(4, "little") + raw[8:],
+     "unsupported format version 99"),
+    (lambda raw: raw[:8] + (65).to_bytes(8, "little") + raw[16:],
+     "header implies"),
+    (lambda raw: raw[:-8], "header implies"),
+    (lambda raw: raw[:20], "shorter than the solution header"),
+], ids=["magic", "version", "sizes", "truncated_payload", "truncated_header"])
+def test_bad_solution_file_exits_two(tmp_path, capsys, damage, message):
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 64, "N": 4, "d": 1, "T": 1.0, "seed": 3}))
+    assert main(["solve", str(path)]) == 0
+    target = tmp_path / "out" / "solution.bsol"
+    target.write_bytes(damage(target.read_bytes()))
+    assert message in _solution_csv_error(tmp_path, capsys, path)
+
+
+@pytest.mark.parametrize("overrides, shown", [
+    ({"paths": {"M": 128, "N": 4, "T": 1.0}}, "M = 64, but paths.M is 128"),
+    ({"paths": {"M": 64, "N": 5, "T": 1.0}}, "N = 4, but paths.N is 5"),
+    ({"paths": {"M": 64, "N": 4, "T": 2.0}}, "T = 1.0, but paths.T is 2.0"),
+    ({"generator": {"family": "zero", "k": 2}}, "k = 1, but generator.k is 2"),
+], ids=["M", "N", "T", "k"])
+def test_solution_file_of_another_config_exits_two(tmp_path, capsys, overrides,
+                                                   shown):
+    paths = {"paths": {"M": 64, "N": 4, "T": 1.0}}
+    solved = _write(tmp_path, _config(tmp_path, **paths), "solved.json")
+    assert main(["solve", str(solved)]) == 0
+    other = _write(tmp_path, _config(tmp_path, **{**paths, **overrides}),
+                   "other.json")
+    assert shown in _solution_csv_error(tmp_path, capsys, other)
+
+
+def test_solution_csv_reads_no_paths_file(tmp_path):
+    stored = _stored(tmp_path, M=64, N=4, T=1.0)
+    bare = _config(tmp_path)
+    del bare["paths"]
+    path = _write(tmp_path, bare)
+    assert main(["solve", str(path), "--paths-file", str(stored)]) == 0
+    stored.unlink()
+    assert main(["solution-csv", str(path), "--paths-file", str(stored)]) == 0
+    assert len((tmp_path / "out" / "solution.csv").read_text()
+               .splitlines()) == 64 * 5 + 1
+
+
 @pytest.mark.parametrize("overrides, token", [
     ({"paths": {"M": 64, "N": 4, "T": math.nan}}, "NaN"),
     ({"modulus": {"family": "linear", "params": {"mu": math.nan}}}, "NaN"),
@@ -1380,6 +1462,22 @@ def test_overflowing_constants_exit_one(tmp_path, capsys, command, overrides):
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("command", ["constants", "bihari"])
+def test_constants_whose_m_bound_overflows_exit_one(tmp_path, capsys, command):
+    # mu0 = c2 e^(c3 T) E|xi|^2 is about 1.5e308, a double; M = 2 mu0 + 2 A T
+    # is not
+    doc = _config(tmp_path, generator={"family": "linear",
+                                       "params": {"a": 0.5, "b": 0.25}},
+                  modulus={"family": "linear", "params": {"mu": 0.25}},
+                  constants={"c2": 1.5e308, "c3": 1e-9},
+                  paths={"M": 256, "N": 5, "d": 1, "T": 1.0, "seed": 3})
+    assert main([command, str(_write(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the derived constants overflow")
+    assert err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
+
+
 def _python(*args, **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports bsde_lab from the tree under test;
     kwargs go to subprocess.run."""
@@ -1517,6 +1615,7 @@ def test_benchmark_wrapped_bindings_are_called(tmp_path, monkeypatch):
         generator={"family": "example1", "params": {"p": 2.0}, "k": 1},
         terminal={"kind": "coordinate", "params": {"j": 0}}), "ex1.json")
     assert main(["solve", str(ex1)]) == 0
+    assert main(["solution-csv", str(ex1)]) == 0
     mart = _write(tmp_path, _config(
         tmp_path, paths=paths,
         terminal={"kind": "coordinate", "params": {"j": 0}}), "mart.json")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -430,9 +431,125 @@ def test_ensemble_and_solution_bytes_are_pinned(tmp_path, antithetic,
         z=ens.values[:, :-1, :2, None] * ens.increments[:, :, None, :],
         grid=ens.grid)
     save_solution_csv(sol, tmp_path / "solution.csv")
+    # the CSV export of the binary file is the same text
+    bl.save_solution(sol, tmp_path / "solution.bsol")
+    save_solution_csv(bl.load_solution(tmp_path / "solution.bsol"),
+                      tmp_path / "exported.csv")
     digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-              for name in ("paths.bsde", "solution.csv")]
-    assert digest == [ensemble_sha, solution_sha]
+              for name in ("paths.bsde", "solution.csv", "exported.csv")]
+    assert digest == [ensemble_sha, solution_sha, solution_sha]
+
+
+def _random_solution(m, n, k, d, layout=np.ascontiguousarray, seed=0):
+    """A solution of standard normals; layout shapes its path-major arrays."""
+    rng = np.random.default_rng(seed)
+    return bl.DiscreteSolution(y=layout(rng.standard_normal((m, n + 1, k))),
+                               z=layout(rng.standard_normal((m, n, k, d))),
+                               grid=bl.TimeGrid(T=1.5, N=n))
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (2, 3)])
+def test_solution_file_round_trip_is_bit_exact(tmp_path, k, d):
+    # 2500 paths span three blocks of the writer, the last one partial
+    sol = _random_solution(2500, 7, k, d)
+    bl.save_solution(sol, tmp_path / "s.bsol")
+    back = bl.load_solution(tmp_path / "s.bsol")
+    assert back.grid == sol.grid
+    assert back.y.tobytes() == sol.y.tobytes()
+    assert back.z.tobytes() == sol.z.tobytes()
+    # loaded step-major, as the solvers return it
+    assert back.y[:, 3].flags.c_contiguous and back.z[:, 3].flags.c_contiguous
+
+
+def test_solution_file_is_path_major(tmp_path):
+    sol = _random_solution(5, 3, 2, 3)
+    bl.save_solution(sol, tmp_path / "s.bsol")
+    raw = (tmp_path / "s.bsol").read_bytes()
+    assert raw[:40] == struct.pack("<4sIQQIId", b"BSOL", 1, 5, 3, 2, 3, 1.5)
+    records = np.frombuffer(raw[40:], dtype="<f8").reshape(5, 4 * 2 + 3 * 2 * 3)
+    for j in range(5):
+        assert np.array_equal(records[j], np.concatenate([sol.y[j].ravel(),
+                                                          sol.z[j].ravel()]))
+
+
+def test_solution_file_bytes_are_pinned(tmp_path):
+    # the solution of test_ensemble_and_solution_bytes_are_pinned (not
+    # antithetic); the hash is that of the header and the records built
+    # directly with struct and numpy
+    ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11)
+    sol = bl.DiscreteSolution(
+        y=ens.values[:, :, :2],
+        z=ens.values[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        grid=ens.grid)
+    bl.save_solution(sol, tmp_path / "s.bsol")
+    assert hashlib.sha256((tmp_path / "s.bsol").read_bytes()).hexdigest() == (
+        "89709d87957bab938c536c8082b598290d26c4a57b7a785ba4835d172741a310")
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_solution_file_bytes_do_not_depend_on_the_layout(tmp_path, layout):
+    ens = bl.generate_ensemble(1500, 4, 2, 1.0, seed=5)
+    z = np.empty((4, 1500, 2, 2)).transpose(1, 0, 2, 3)
+    z[...] = ens.increments[:, :, :, None] * ens.increments[:, :, None, :]
+    step_major = bl.DiscreteSolution(y=ens.values, z=z, grid=ens.grid)
+    hand = bl.DiscreteSolution(y=layout(ens.values), z=layout(z), grid=ens.grid)
+    bl.save_solution(step_major, tmp_path / "a.bsol")
+    bl.save_solution(hand, tmp_path / "b.bsol")
+    assert (tmp_path / "a.bsol").read_bytes() == (tmp_path / "b.bsol").read_bytes()
+
+
+def test_solution_file_io_holds_no_second_copy(tmp_path):
+    # A whole path-major copy of (y, z) would add one payload to either peak.
+    m, n = 16384, 50
+    sol = _random_solution(m, n, 1, 1, seed=3)
+    step_major = bl.DiscreteSolution(
+        y=np.ascontiguousarray(sol.y.transpose(1, 0, 2)).transpose(1, 0, 2),
+        z=np.ascontiguousarray(sol.z.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+        grid=sol.grid)
+    payload = sol.y.nbytes + sol.z.nbytes
+    target = tmp_path / "s.bsol"
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        bl.save_solution(step_major, target)
+        _, saved = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start_load, _ = tracemalloc.get_traced_memory()
+        back = bl.load_solution(target)
+        _, loaded = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert saved - start < 0.1 * payload
+    assert loaded - start_load - payload < 0.1 * payload
+    assert back.y.tobytes() == sol.y.tobytes()
+
+
+def _damaged(tmp_path, damage):
+    target = tmp_path / "s.bsol"
+    bl.save_solution(_random_solution(4, 3, 1, 2), target)
+    target.write_bytes(damage(target.read_bytes()))
+    return target
+
+
+@pytest.mark.parametrize("damage, error, message", [
+    (lambda raw: b"BSDE" + raw[4:], "SolutionFormatError", "bad magic"),
+    (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+     "SolutionFormatError", "unsupported format version 2"),
+    (lambda raw: raw[:8] + struct.pack("<Q", 0) + raw[16:],
+     "SolutionFormatError", "must be >= 1"),
+    (lambda raw: raw[:32] + struct.pack("<d", -1.0) + raw[40:],
+     "SolutionFormatError", "horizon T must be positive"),
+    (lambda raw: raw[:24] + struct.pack("<I", 2) + raw[28:],
+     "SolutionLengthError", "header implies"),
+    (lambda raw: raw + bytes(8), "SolutionLengthError", "header implies"),
+    (lambda raw: raw[:-1], "SolutionLengthError", "header implies"),
+    (lambda raw: raw[:39], "SolutionLengthError", "shorter than the solution"),
+], ids=["magic", "version", "empty_M", "horizon", "sizes", "trailing",
+        "truncated", "header"])
+def test_bad_solution_file_rejected(tmp_path, damage, error, message):
+    target = _damaged(tmp_path, damage)
+    with pytest.raises(getattr(solver_module, error), match=message):
+        bl.load_solution(target)
 
 
 def test_failed_csv_write_leaves_the_old_file(tmp_path):
