@@ -23,8 +23,6 @@ from .analysis import (
     check_apriori_bounds,
     check_lemma1,
     compute_constants,
-    lp_norms,
-    picard_distance,
 )
 from .generator import (
     DriverFamily,
@@ -57,7 +55,7 @@ from .modulus import (
     power_root,
     tabulated_modulus,
 )
-from .oracle import OracleInstance, compare_to_oracle, oracle_solution
+from .oracle import OracleInstance, compare_to_oracle
 from .paths import PathEnsemble, TimeGrid, generate_ensemble, load_ensemble, save_ensemble
 from .solver import (
     BasisSpec,
@@ -69,9 +67,7 @@ from .solver import (
     coordinate_terminal,
     load_solution,
     picard_solve,
-    regress_conditional_expectation,
     save_solution,
-    solve_frozen_bsde,
     square_norm_terminal,
 )
 

@@ -69,36 +69,6 @@ def iterate_distance_arrays(y_a, y_b, z_a, z_b, dt: float, p: float):
 
 
 @dataclass(frozen=True)
-class NormReport:
-    sp: float
-    mp: float
-
-
-def lp_norms(sol, p: float) -> NormReport:
-    """S^p norm of y and M^p norm of z for a discrete solution."""
-    if not np.all(np.isfinite(sol.y)) or not np.all(np.isfinite(sol.z)):
-        raise ValueError("solution contains non-finite values")
-    sp, mp = lp_norm_arrays(sol.y, sol.z, sol.grid.dt, p)
-    return NormReport(sp=sp, mp=mp)
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    dy: float
-    dz: float
-
-
-def picard_distance(a, b, p: float) -> DistanceReport:
-    """Pathwise sup/integral statistics of the difference of two solutions."""
-    if a.y.shape != b.y.shape or a.z.shape != b.z.shape:
-        raise ValueError("solutions have mismatched shapes")
-    if a.grid.N != b.grid.N or a.grid.T != b.grid.T:
-        raise ValueError("solutions live on different grids")
-    dy, dz = iterate_distance_arrays(a.y, b.y, a.z, b.z, a.grid.dt, p)
-    return DistanceReport(dy=dy, dz=dz)
-
-
-@dataclass(frozen=True)
 class BihariCurve:
     """phi_n sampled on [T1, T]; row n of values is phi_n."""
 
@@ -288,8 +258,7 @@ class AprioriReport:
 
 
 def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
-                         t_index: int, ens: PathEnsemble,
-                         frozen: np.ndarray | None = None) -> AprioriReport:
+                         t_index: int, ens: PathEnsemble) -> AprioriReport:
     grid = sol.grid
     if not 0 <= t_index <= grid.N:
         raise ValueError("t_index out of range")
@@ -303,8 +272,8 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
     f_proc = np.empty((m, grid.N))
     for i in steps:
         t_idx = np.full(m, i)
-        phi[:, i] = eval_process(env.phi, all_paths, t_idx, ens, frozen)
-        f_proc[:, i] = eval_process(env.f, all_paths, t_idx, ens, frozen)
+        phi[:, i] = eval_process(env.phi, all_paths, t_idx, ens)
+        f_proc[:, i] = eval_process(env.f, all_paths, t_idx, ens)
 
     e_sup = sup_moment(sol.y[:, t_index:], p)
     int_phi_p = float(np.mean(np.sum(phi[:, rng] ** p, axis=1) * dt))

@@ -358,7 +358,7 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
     return h1_modulus(cfg.generator, cfg.solver.p, 2 * SAMPLE_RADIUS)
 
 
-def _sampler(cfg: RunConfig, ens: PathEnsemble) -> SamplerConfig:
+def _sampler(ens: PathEnsemble) -> SamplerConfig:
     """The one sampling box of every sampled check and constant."""
     return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T)
 
@@ -367,7 +367,7 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     gen, sc, cc = cfg.generator, cfg.solver, cfg.constants
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
-        gen, _sampler(cfg, ens)).sampled
+        gen, _sampler(ens)).sampled
     try:
         growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
     except ModulusShapeError as exc:
@@ -394,15 +394,19 @@ def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     return split
 
 
+def _output(out: Path, name: str) -> Path:
+    """The file name in the output directory out, which is created here, by
+    the command's first write, so a command that fails before it leaves no
+    directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
-    for name in ("phi", "f") if cfg.envelope is not None else ():
-        if getattr(cfg.envelope, name).kind == "modulus_of_frozen_path":
-            raise ConfigError(f"envelope.{name} is modulus_of_frozen_path, but "
-                              "check has no frozen iterate to evaluate it on")
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
     mod = _h1_modulus(cfg)
-    sampler = _sampler(cfg, ens)
+    sampler = _sampler(ens)
 
     rows = []
     shape = check_shape(mod)
@@ -437,7 +441,8 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     else:
         rows.append(("envelope", True, 0.0, "skipped: no envelope configured"))
 
-    write_csv(out / "check_report.csv", ["check", "passed", "value", "detail"],
+    write_csv(_output(out, "check_report.csv"),
+              ["check", "passed", "value", "detail"],
               [(name, str(ok).lower(), val, detail)
                for name, ok, val, detail in rows])
     return 0 if all(ok for _, ok, _, _ in rows) else 1
@@ -470,8 +475,8 @@ def _solve(cfg: RunConfig, ens: PathEnsemble):
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     sol, report = _solve(cfg, ens)
-    save_solution(sol, out / "solution.bsol")
-    save_picard_report_csv(report, out / "picard_report.csv")
+    save_solution(sol, _output(out, "solution.bsol"))
+    save_picard_report_csv(report, _output(out, "picard_report.csv"))
     return 0
 
 
@@ -488,7 +493,7 @@ def _cmd_solution_csv(cfg: RunConfig, out: Path) -> int:
     _require_agreement(f"solution file '{source}'", {
         "M": m, "N": n_plus - 1, "T": sol.grid.T, "k": k, "d": sol.z.shape[3]},
         cfg)
-    save_solution_csv(sol, out / "solution.csv")
+    save_solution_csv(sol, _output(out, "solution.csv"))
     return 0
 
 
@@ -506,7 +511,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
     inst = _infer_oracle(cfg, ens.grid.T)
     sol, report = _solve(cfg, ens)
     errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
-    write_csv(out / "oracle_errors.csv",
+    write_csv(_output(out, "oracle_errors.csv"),
               ["sp_error", "z_rms_error", "iters", "converged"],
               [(errs.sp_error, errs.z_rms_error, report.iterations,
                 str(report.converged).lower())])
@@ -539,7 +544,8 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
         raise ConfigError(f"bihari.M_bound is {bc.M_bound}, too {size} for "
                           f"this modulus: {exc}") from exc
     header = ["t"] + [f"phi_{n}" for n in range(curve.values.shape[0])]
-    write_csv(out / "bihari.csv", header, zip(curve.times, *curve.values))
+    write_csv(_output(out, "bihari.csv"), header,
+              zip(curve.times, *curve.values))
     return 0
 
 
@@ -547,14 +553,14 @@ def _cmd_constants(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     cb = _bundle(cfg, ens, cfg.modulus)
     rows = [(f.name, getattr(cb, f.name)) for f in fields(cb)]
-    write_csv(out / "constants.csv", ["name", "value"], rows)
+    write_csv(_output(out, "constants.csv"), ["name", "value"], rows)
     return 0
 
 
 def _cmd_gen_paths(cfg: RunConfig, out: Path) -> int:
     ens = generate_ensemble(cfg.paths.M, cfg.paths.N, cfg.paths.d, cfg.paths.T,
                             cfg.paths.seed, antithetic=cfg.paths.antithetic)
-    target = cfg.paths.paths_file or str(out / "paths.bsde")
+    target = cfg.paths.paths_file or str(_output(out, "paths.bsde"))
     save_ensemble(ens, target)
     return 0
 
@@ -564,6 +570,11 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("convergence-study generates one ensemble per (M, N) "
                           "and takes no paths file")
     inst = _infer_oracle(cfg, cfg.paths.T)
+    for key in ("M", "N"):
+        if key in cfg.paths.stated:
+            raise ConfigError(
+                f"paths.{key} is {getattr(cfg.paths, key)}, but convergence-study "
+                f"takes {key} from study.{key}_values; leave paths.{key} out")
     _basis(cfg, min(cfg.study.M_values), cfg.paths.d, "study.M_values")
     rows = []
     for m in cfg.study.M_values:
@@ -574,7 +585,7 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
             errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
             rows.append((m, n, errs.sp_error, errs.z_rms_error,
                          report.iterations, str(report.converged).lower()))
-    write_csv(out / "convergence.csv",
+    write_csv(_output(out, "convergence.csv"),
               ["M", "N", "sp_error", "z_rms_error", "iters", "converged"], rows)
     return 0
 
@@ -603,9 +614,7 @@ def run(cmd: str, cfg: RunConfig) -> int:
     if (paths_file and cmd not in ("gen-paths", "solution-csv")
             and not Path(paths_file).is_file()):
         raise ConfigError(f"paths file '{paths_file}' does not exist")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[cmd](cfg, out)
+    return _HANDLERS[cmd](cfg, Path(cfg.output_dir))
 
 
 def main(argv=None) -> int:

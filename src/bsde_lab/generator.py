@@ -236,16 +236,12 @@ class ProcessSpec:
     kind: str = "zero"
     value: float = 0.0
     index: int = 0
-    mod: ModulusSpec | None = None
-    exponent: float = 2.0
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind '{self.kind}'")
         if self.kind == "constant" and self.value < 0.0:
             raise ValueError("constant process must be nonnegative")
-        if self.kind == "modulus_of_frozen_path" and self.mod is None:
-            raise ValueError("modulus_of_frozen_path needs a modulus")
 
 
 def zero_process() -> ProcessSpec:
@@ -260,31 +256,18 @@ def abs_brownian_coordinate_process(index: int = 0) -> ProcessSpec:
     return ProcessSpec("abs_brownian_coordinate", index=index)
 
 
-def modulus_of_frozen_path_process(mod: ModulusSpec,
-                                   exponent: float = 2.0) -> ProcessSpec:
-    """mod(|Y_t|^exponent)^(1/exponent) along the frozen iterate Y."""
-    return ProcessSpec("modulus_of_frozen_path", mod=mod, exponent=exponent)
-
-
-def _eval_abs_brownian_coordinate(spec, path_idx, t_idx, ens, frozen):
+def _eval_abs_brownian_coordinate(spec, path_idx, t_idx, ens):
     if not 0 <= spec.index < ens.d:
         raise DimensionError(f"abs_brownian_coordinate index = {spec.index} "
                              f"is out of range for d = {ens.d}")
     return np.abs(ens.values[path_idx, t_idx, spec.index])
 
 
-def _eval_modulus_of_frozen_path(spec, path_idx, t_idx, ens, frozen):
-    if frozen is None:
-        raise ValueError("modulus_of_frozen_path needs the frozen path array")
-    v = np.linalg.norm(frozen[path_idx, t_idx, :], axis=1)
-    return eval_modulus(spec.mod, v ** spec.exponent) ** (1.0 / spec.exponent)
-
-
 @dataclass(frozen=True)
 class ProcessKind:
     """A process kind: the factory its config block calls and
-    evaluate(spec, path_idx, t_idx, ens, frozen), the process at the sampled
-    (path, time index) pairs; frozen is the frozen iterate, or None."""
+    evaluate(spec, path_idx, t_idx, ens), the process at the sampled
+    (path, time index) pairs."""
 
     factory: Callable[..., ProcessSpec]
     evaluate: Callable[..., np.ndarray]
@@ -297,14 +280,12 @@ PROCESS_KINDS = {
                             np.full(len(path_idx), spec.value)),
     "abs_brownian_coordinate": ProcessKind(abs_brownian_coordinate_process,
                                            _eval_abs_brownian_coordinate),
-    "modulus_of_frozen_path": ProcessKind(modulus_of_frozen_path_process,
-                                          _eval_modulus_of_frozen_path),
 }
 
 
 def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
-                 ens: PathEnsemble, frozen: np.ndarray | None = None) -> np.ndarray:
-    return PROCESS_KINDS[spec.kind].evaluate(spec, path_idx, t_idx, ens, frozen)
+                 ens: PathEnsemble) -> np.ndarray:
+    return PROCESS_KINDS[spec.kind].evaluate(spec, path_idx, t_idx, ens)
 
 
 @dataclass(frozen=True)
@@ -330,8 +311,8 @@ class EnvelopeReport:
 
 
 def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
-                    ens: PathEnsemble, sampler: SamplerConfig = SamplerConfig(),
-                    frozen: np.ndarray | None = None) -> EnvelopeReport:
+                    ens: PathEnsemble,
+                    sampler: SamplerConfig = SamplerConfig()) -> EnvelopeReport:
     """Sampled defect |g| - [psi^(1/p)(|y|^p) + lam |z| + phi + f], max over draws."""
     require_concave(env.psi)
     tol = _auto_tol(gen, env.psi)
@@ -347,8 +328,8 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     g = np.linalg.norm(eval_generator_batch(gen, t, brownian, y, z), axis=1)
     bound = (eval_modulus(env.psi, np.linalg.norm(y, axis=1) ** p) ** (1.0 / p)
              + env.lam * _frobenius(z)
-             + eval_process(env.phi, path_idx, t_idx, ens, frozen)
-             + eval_process(env.f, path_idx, t_idx, ens, frozen))
+             + eval_process(env.phi, path_idx, t_idx, ens)
+             + eval_process(env.f, path_idx, t_idx, ens))
     defect = g - bound
     i = int(np.argmax(defect))
     witness = {"t": float(t[i]), "path": int(path_idx[i]), "y": y[i].copy(),

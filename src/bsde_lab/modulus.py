@@ -24,8 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paths import write_csv
-
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
 INCONCLUSIVE = "inconclusive"
@@ -444,12 +442,6 @@ def h1pp_to_h1(mod: ModulusSpec, p: float, q: float) -> H1ppTransform:
         holds = defect <= 1e-9 * max(1.0, float(np.max(rhs)))
         domination = DominationReport(False, defect, holds, f"K={big_k:.6g}")
     return H1ppTransform(out, domination, sup_ratio)
-
-
-def save_tabulated_csv(mod: ModulusSpec, path) -> None:
-    if mod.family != "tabulated":
-        raise ValueError("only tabulated moduli serialize to CSV")
-    write_csv(path, ["u", "v"], mod.breakpoints)
 
 
 def load_tabulated_csv(path, domain_cap: float | None = None) -> ModulusSpec:

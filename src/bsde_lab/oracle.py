@@ -76,14 +76,6 @@ def _closed_form(inst: OracleInstance, tau: np.ndarray, b: np.ndarray):
     return y.copy(), np.zeros(lead + (1, d))
 
 
-def oracle_solution(inst: OracleInstance, t: float, brownian_state):
-    """Exact (y, z) at time t given the Brownian value; y (1,), z (1, d)."""
-    if not 0.0 <= t <= inst.T:
-        raise ValueError("time outside [0, T]")
-    b = np.atleast_1d(np.asarray(brownian_state, dtype=float))
-    return _closed_form(inst, np.asarray(inst.T - t), b)
-
-
 def _time_to_maturity(inst: OracleInstance, ens: PathEnsemble) -> np.ndarray:
     if abs(ens.grid.T - inst.T) > 1e-12:
         raise ValueError("ensemble horizon disagrees with the oracle")

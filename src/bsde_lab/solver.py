@@ -237,26 +237,6 @@ def _project(feats: np.ndarray, factor, targets: np.ndarray):
     return feats @ coeffs, coeffs
 
 
-def regress_conditional_expectation(targets: np.ndarray, state: np.ndarray,
-                                    basis: BasisSpec):
-    """Ridge-regularized least-squares projection of targets on state polynomials.
-
-    targets (M, m) and state (M, d), a 1-D input being one column (M,);
-    returns (fitted (M, m), coefficients (n_basis, m)).  Requires more samples
-    than basis functions.
-    """
-    targets, state = (np.asarray(a, dtype=float) for a in (targets, state))
-    targets, state = (a[:, None] if a.ndim == 1 else a for a in (targets, state))
-    if targets.ndim != 2 or state.ndim != 2:
-        raise ValueError("targets and state must be (M,) or (M, columns)")
-    m = state.shape[0]
-    if targets.shape[0] != m:
-        raise ValueError("targets and state must share the sample axis")
-    basis.require_samples(m, state.shape[1])
-    feats = polynomial_features(state, basis.degree)
-    return _project(feats, _gram_factor(feats, basis.ridge_for(m)), targets)
-
-
 @dataclass
 class DiscreteSolution:
     """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d).
@@ -368,27 +348,6 @@ def _iterate_pair(ens: PathEnsemble, k: int):
     n, m, d = ens.grid.N, ens.M, ens.d
     return (np.zeros((n + 1, m, k)).transpose(1, 0, 2),
             np.zeros((n, m, k, d)).transpose(1, 0, 2, 3))
-
-
-def solve_frozen_bsde(gen: GeneratorSpec, frozen_y: np.ndarray | None,
-                      terminal: TerminalSpec, ens: PathEnsemble,
-                      basis: BasisSpec) -> DiscreteSolution:
-    """Solve one linearized equation with the driver's y argument frozen.
-
-    frozen_y is the previous iterate shaped (M, N+1, k), which the sweep
-    overwrites in a copy; None means the zero field (the first sweep of the
-    fixed-point iteration).
-    """
-    xi = _checked_terminal(gen, terminal, ens, basis)
-    y, z = _iterate_pair(ens, xi.shape[1])
-    if frozen_y is not None:
-        frozen_y = np.asarray(frozen_y, dtype=float)
-        if frozen_y.shape != y.shape:
-            raise ValueError("frozen_y must be shaped (M, N+1, k)")
-        y[...] = frozen_y
-    y[:, -1] = xi
-    _backward_sweep(gen, y, z, ens, basis, 0, ens.grid.N, [None] * ens.grid.N)
-    return DiscreteSolution(y=y, z=z, grid=ens.grid)
 
 
 def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:

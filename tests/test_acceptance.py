@@ -103,7 +103,9 @@ def test_criterion_05_uniqueness(ensemble, example1_run):
     sol_one, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), ensemble,
                                  BASIS, p=2.0, tol=1e-6, max_iter=25,
                                  init=1.0)
-    s2_dist = math.sqrt(bl.picard_distance(sol_zero, sol_one, 2.0).dy)
+    dy, _ = bl.analysis.iterate_distance_arrays(
+        sol_zero.y, sol_one.y, sol_zero.z, sol_one.z, sol_zero.grid.dt, 2.0)
+    s2_dist = math.sqrt(dy)
 
     def norm_se(sol):
         sup = np.max(np.abs(sol.y[:, :, 0]), axis=1) ** 2

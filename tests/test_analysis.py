@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 import bsde_lab as bl
-from bsde_lab.analysis import BihariOrderingError
+from bsde_lab.analysis import (BihariOrderingError, iterate_distance_arrays,
+                               lp_norm_arrays)
 from bsde_lab.paths import TimeGrid
 
 from conftest import random_concave_tabulated
-
-
-def _solution_from_arrays(y, z, horizon=1.0):
-    return bl.DiscreteSolution(y=y, z=z, grid=TimeGrid(T=horizon, N=z.shape[1]))
 
 
 # --------------------------------------------------------------------- norms
@@ -19,9 +16,7 @@ def _solution_from_arrays(y, z, horizon=1.0):
 def test_sp_norm_of_constant_process():
     y = np.full((100, 11, 1), 2.0)
     z = np.zeros((100, 10, 1, 1))
-    rep = bl.lp_norms(_solution_from_arrays(y, z), p=2.0)
-    assert rep.sp == 2.0
-    assert rep.mp == 0.0
+    assert lp_norm_arrays(y, z, 0.1, p=2.0) == (2.0, 0.0)
 
 
 def test_sp_norm_deterministic_ramp():
@@ -29,22 +24,15 @@ def test_sp_norm_deterministic_ramp():
     y = np.tile(times[None, :, None], (50, 1, 1))
     z = np.zeros((50, 10, 1, 1))
     for p in (1.5, 2.0, 4.0):
-        assert bl.lp_norms(_solution_from_arrays(y, z), p=p).sp == \
-            pytest.approx(1.0, rel=1e-12)
+        sp, _ = lp_norm_arrays(y, z, 0.1, p=p)
+        assert sp == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mp_norm_constant_z():
     y = np.zeros((50, 11, 1))
     z = np.full((50, 10, 1, 1), 3.0)
-    rep = bl.lp_norms(_solution_from_arrays(y, z), p=2.0)
-    assert rep.mp == pytest.approx(3.0, rel=1e-12)  # (int 9 dt)^(1/2) over [0,1]
-
-
-def test_norms_reject_non_finite():
-    y = np.full((10, 3, 1), np.nan)
-    z = np.zeros((10, 2, 1, 1))
-    with pytest.raises(ValueError):
-        bl.lp_norms(_solution_from_arrays(y, z), p=2.0)
+    _, mp = lp_norm_arrays(y, z, 0.1, p=2.0)
+    assert mp == pytest.approx(3.0, rel=1e-12)  # (int 9 dt)^(1/2) over [0,1]
 
 
 # ----------------------------------------------------------------- distances
@@ -53,20 +41,16 @@ def test_distance_identical_solutions():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(40, 6, 2))
     z = rng.normal(size=(40, 5, 2, 3))
-    sol = _solution_from_arrays(y, z)
-    rep = bl.picard_distance(sol, sol, p=2.0)
-    assert rep.dy == 0.0 and rep.dz == 0.0
+    assert iterate_distance_arrays(y, y, z, z, 0.2, p=2.0) == (0.0, 0.0)
 
 
 def test_distance_constant_shift_is_power():
     rng = np.random.default_rng(1)
     y = rng.normal(size=(40, 6, 1))
     z = rng.normal(size=(40, 5, 1, 1))
-    a = _solution_from_arrays(y, z)
-    b = _solution_from_arrays(y + 0.5, z)
     for p in (2.0, 3.0):
-        assert bl.picard_distance(a, b, p).dy == pytest.approx(0.5 ** p,
-                                                               rel=1e-12)
+        dy, _ = iterate_distance_arrays(y, y + 0.5, z, z, 0.2, p)
+        assert dy == pytest.approx(0.5 ** p, rel=1e-12)
 
 
 def test_distance_matches_brute_force():
@@ -76,8 +60,7 @@ def test_distance_matches_brute_force():
     grid = TimeGrid(T=1.0, N=n)
     y_a, y_b = rng.normal(size=(2, m, n + 1, k))
     z_a, z_b = rng.normal(size=(2, m, n, k, d))
-    rep = bl.picard_distance(_solution_from_arrays(y_a, z_a),
-                             _solution_from_arrays(y_b, z_b), p)
+    dy, dz = iterate_distance_arrays(y_a, y_b, z_a, z_b, grid.dt, p)
 
     dy_brute = 0.0
     dz_brute = 0.0
@@ -90,22 +73,16 @@ def test_distance_matches_brute_force():
                        for c in range(k) for e in range(d)) * grid.dt
                    for j in range(n))
         dz_brute += quad ** (p / 2.0)
-    assert rep.dy == pytest.approx(dy_brute / m, rel=1e-12)
-    assert rep.dz == pytest.approx(dz_brute / m, rel=1e-12)
+    assert dy == pytest.approx(dy_brute / m, rel=1e-12)
+    assert dz == pytest.approx(dz_brute / m, rel=1e-12)
 
 
-def test_distance_symmetry_and_shape_checks():
+def test_distance_symmetry():
     rng = np.random.default_rng(3)
-    a = _solution_from_arrays(rng.normal(size=(5, 4, 1)),
-                              rng.normal(size=(5, 3, 1, 1)))
-    b = _solution_from_arrays(rng.normal(size=(5, 4, 1)),
-                              rng.normal(size=(5, 3, 1, 1)))
-    ab, ba = bl.picard_distance(a, b, 2.0), bl.picard_distance(b, a, 2.0)
-    assert ab == ba
-    bad = _solution_from_arrays(rng.normal(size=(5, 5, 1)),
-                                rng.normal(size=(5, 4, 1, 1)))
-    with pytest.raises(ValueError):
-        bl.picard_distance(a, bad, 2.0)
+    y_a, y_b = rng.normal(size=(2, 5, 4, 1))
+    z_a, z_b = rng.normal(size=(2, 5, 3, 1, 1))
+    assert iterate_distance_arrays(y_a, y_b, z_a, z_b, 1 / 3, 2.0) == \
+        iterate_distance_arrays(y_b, y_a, z_b, z_a, 1 / 3, 2.0)
 
 
 # ----------------------------------------------------------------- recursion

@@ -378,7 +378,7 @@ def test_bihari_subcommand(tmp_path):
 
 
 def test_convergence_study(tmp_path):
-    doc = _config(tmp_path,
+    doc = _config(tmp_path, paths={"d": 1, "T": 1.0, "seed": 3},
                   terminal={"kind": "coordinate", "params": {"j": 0}},
                   study={"M_values": [256, 512], "N_values": [5]})
     cfg = parse_config(json.dumps(doc))
@@ -390,7 +390,8 @@ def test_convergence_study(tmp_path):
 
 
 def test_convergence_study_marks_a_row_that_did_not_converge(tmp_path):
-    doc = _config(tmp_path, generator={"family": "linear", "params": {"a": 0.5}},
+    doc = _config(tmp_path, paths={"d": 1, "T": 1.0, "seed": 3},
+                  generator={"family": "linear", "params": {"a": 0.5}},
                   solver={"picard_max_iter": 1},
                   study={"M_values": [256], "N_values": [5]})
     assert run("convergence-study", parse_config(json.dumps(doc))) == 0
@@ -828,9 +829,6 @@ _TAGGED_CASES = [
     ("envelope.f", "zero", {}, {}),
     ("envelope.f", "constant", {"value": 0.5}, {"value": 0.5}),
     ("envelope.f", "abs_brownian_coordinate", {"index": 0}, {"index": 0}),
-    ("envelope.f", "modulus_of_frozen_path",
-     {"mod": {"family": "power", "params": {"c": 2.0}}, "exponent": 3.0},
-     {"mod": bl.power_modulus(2.0), "exponent": 3.0}),
 ]
 _FACTORY = {(block, name): record.factory
             for block, table in (("generator", GENERATOR_FAMILIES),
@@ -928,12 +926,16 @@ def test_tagged_unknown_family_is_named(block, tag, tmp_path):
         parse_config(json.dumps(doc))
 
 
-def test_tagged_required_param_is_named():
-    with pytest.raises(ConfigError, match="envelope.f.params.mod required"):
-        parse_config(json.dumps({
-            "generator": {"family": "zero"},
-            "envelope": {"psi": {"family": "linear"},
-                         "f": {"kind": "modulus_of_frozen_path"}}}))
+def _needs_b_generator(b: float, k: int = 1, d: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("needs_b", k=k, d=d, b=b)
+
+
+def test_tagged_required_param_is_named(monkeypatch):
+    # no builtin factory has a parameter without a default; a record may
+    monkeypatch.setitem(GENERATOR_FAMILIES, "needs_b", bl.DriverFamily(
+        _needs_b_generator, lambda gen, t, brownian, y, z: gen.b * y))
+    with pytest.raises(ConfigError, match="generator.params.b required"):
+        parse_config(json.dumps({"generator": {"family": "needs_b"}}))
 
 
 def test_an_unannotated_factory_parameter_is_named(tmp_path, capsys,
@@ -1097,7 +1099,8 @@ def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
     ("solve", {"paths": {"M": 4, "N": 4}}, "paths.M"),
     ("oracle-compare", {"paths": {"M": 10, "N": 4, "d": 3},
                         "generator": {"family": "zero", "d": 3}}, "paths.M"),
-    ("convergence-study", {"study": {"M_values": [1024, 3], "N_values": [4]}},
+    ("convergence-study", {"paths": {"seed": 3},
+                           "study": {"M_values": [1024, 3], "N_values": [4]}},
      "study.M_values"),
 ])
 def test_solves_with_no_more_paths_than_basis_functions_exit_two(
@@ -1107,7 +1110,7 @@ def test_solves_with_no_more_paths_than_basis_functions_exit_two(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {m_field} and solver.basis_degree: ")
     assert "must exceed the" in err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_and_constants_sample_lambda_alike(tmp_path, add_driver):
@@ -1144,14 +1147,15 @@ def test_sampled_checks_take_their_seed_from_the_ensemble(tmp_path):
 @pytest.mark.parametrize("process", ["phi", "f"])
 def test_check_with_a_frozen_path_envelope_exits_two(tmp_path, capsys,
                                                      process):
+    # no command had a frozen iterate to evaluate this kind on, so it is gone
     frozen = {"kind": "modulus_of_frozen_path",
               "params": {"mod": {"family": "linear"}}}
     path = _write(tmp_path, _config(tmp_path, envelope={
         "psi": {"family": "linear"}, process: frozen}))
     assert main(["check", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: envelope.{process} is modulus_of_frozen_path")
-    assert "no frozen iterate" in err
+    assert capsys.readouterr().err == (
+        f"error: unknown envelope.{process} kind 'modulus_of_frozen_path'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle-compare", "constants"])
@@ -1212,6 +1216,16 @@ def test_gen_paths_writes_the_missing_paths_file(tmp_path):
     target = tmp_path / "new.bsde"
     assert main(["gen-paths", str(path), "--paths-file", str(target)]) == 0
     assert bl.load_ensemble(target).M == 1024
+    assert not (tmp_path / "out").exists()  # nothing went to output_dir
+
+
+def test_gen_paths_into_a_missing_directory_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, _config(tmp_path))
+    target = tmp_path / "absent" / "new.bsde"
+    assert main(["gen-paths", str(path), "--paths-file", str(target)]) == 2
+    assert "absent" in capsys.readouterr().err
+    assert not (tmp_path / "absent").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "magic"])
@@ -1255,6 +1269,7 @@ def _solution_csv_error(tmp_path, capsys, path) -> str:
 def test_solution_csv_without_a_solution_file_exits_two(tmp_path, capsys):
     path = _write(tmp_path, _config(tmp_path))
     assert "does not exist" in _solution_csv_error(tmp_path, capsys, path)
+    assert not (tmp_path / "out").exists()
 
 
 # Header: magic (4 bytes), version (u32), M (u64) at byte 8.
@@ -1390,7 +1405,7 @@ def test_a_modulus_that_is_not_concave_exits_two(
     assert err.startswith(f"error: {block}: the power modulus on [0, 1.0] must be "
                           "concave, nondecreasing and 0 at 0")
     assert err.count("\n") == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_reports_a_modulus_block_that_is_not_concave(tmp_path):
@@ -1418,7 +1433,8 @@ def test_check_reports_an_overflowing_modulus_as_a_shape_failure(tmp_path):
 def test_convergence_study_rejects_a_paths_file(tmp_path, capsys, via_flag):
     stored = tmp_path / "stored.bsde"
     bl.save_ensemble(bl.generate_ensemble(64, 4, 1, 2.0, seed=1), stored)
-    doc = _config(tmp_path, terminal={"kind": "coordinate"},
+    doc = _config(tmp_path, paths={"d": 1, "T": 1.0, "seed": 3},
+                  terminal={"kind": "coordinate"},
                   study={"M_values": [64], "N_values": [4]})
     argv = ["convergence-study"]
     if via_flag:
@@ -1429,6 +1445,20 @@ def test_convergence_study_rejects_a_paths_file(tmp_path, capsys, via_flag):
     assert main(argv) == 2
     assert "no paths file" in capsys.readouterr().err
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("M", 100000), ("N", 7)])
+def test_convergence_study_with_a_stated_paths_size_exits_two(
+        tmp_path, capsys, key, value):
+    # the study lists replace paths.M and paths.N, so stating either is a
+    # mistake, not a setting
+    doc = _config(tmp_path, paths={key: value}, terminal={"kind": "coordinate"},
+                  study={"M_values": [256], "N_values": [4]})
+    assert main(["convergence-study", str(_write(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: paths.{key} is {value}, but convergence-study takes {key} "
+        f"from study.{key}_values; leave paths.{key} out\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -1445,7 +1475,7 @@ def test_numerical_failures_exit_one(tmp_path, capsys, overrides, message):
     assert main(["solve", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["constants", "bihari"])
@@ -1459,7 +1489,7 @@ def test_overflowing_constants_exit_one(tmp_path, capsys, command, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error: the derived constants overflow")
     assert err.count("\n") == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["constants", "bihari"])
@@ -1475,7 +1505,7 @@ def test_constants_whose_m_bound_overflows_exit_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: the derived constants overflow")
     assert err.count("\n") == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def _python(*args, **kwargs) -> subprocess.CompletedProcess:

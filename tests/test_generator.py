@@ -254,20 +254,6 @@ def test_envelope_rejects_bad_psi(small_ensemble):
         bl.verify_envelope(gen, env, 2.0, small_ensemble)
 
 
-def test_envelope_frozen_path_descriptor(small_ensemble):
-    gen = bl.zero_generator(1, 1)
-    psi = bl.linear_modulus(0.0, domain_cap=100.0)
-    env = bl.EnvelopeA(psi=psi, lam=0.0,
-                       phi=ProcessSpec("modulus_of_frozen_path",
-                                       mod=bl.linear_modulus(1.0, 100.0),
-                                       exponent=2.0))
-    with pytest.raises(ValueError):
-        bl.verify_envelope(gen, env, 2.0, small_ensemble)
-    frozen = np.ones((small_ensemble.M, small_ensemble.grid.N + 1, 1))
-    rep = bl.verify_envelope(gen, env, 2.0, small_ensemble, frozen=frozen)
-    assert rep.passed  # |g| = 0 <= phi = 1
-
-
 def test_process_kinds(small_ensemble_2d):
     ens = small_ensemble_2d
     path_idx, t_idx = np.array([0, 5, 7]), np.array([10, 3, 0])
@@ -278,10 +264,6 @@ def test_process_kinds(small_ensemble_2d):
     out = eval_process(ProcessSpec("abs_brownian_coordinate", index=1),
                        path_idx, t_idx, ens)
     assert np.array_equal(out, np.abs(ens.values[path_idx, t_idx, 1]))
-    frozen = np.full((ens.M, ens.grid.N + 1, 2), 3.0)
-    spec = ProcessSpec("modulus_of_frozen_path", mod=bl.linear_modulus(4.0, 100.0))
-    out = eval_process(spec, path_idx, t_idx, ens, frozen)
-    assert np.allclose(out, 2.0 * math.sqrt(18.0))  # sqrt(4 |(3, 3)|^2)
 
 
 @pytest.mark.parametrize("index", [2, -1])

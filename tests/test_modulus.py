@@ -421,7 +421,7 @@ def test_tabulated_csv_round_trip(tmp_path):
     mod = bl.tabulated_modulus([(0.0, 0.0), (0.5, 0.7), (1.5, 1.1)],
                                domain_cap=2.0)
     target = tmp_path / "mod.csv"
-    bl.modulus.save_tabulated_csv(mod, target)
+    bl.paths.write_csv(target, ["u", "v"], mod.breakpoints)
     back = bl.modulus.load_tabulated_csv(target, domain_cap=2.0)
     assert back.breakpoints == mod.breakpoints
     assert target.read_text().splitlines()[0] == "u,v"
@@ -430,7 +430,7 @@ def test_tabulated_csv_round_trip(tmp_path):
 def test_tabulated_csv_is_lf_and_round_trips_17_digits(tmp_path):
     mod = bl.tabulated_modulus([(0.0, 0.0), (0.1, 1.0 / 3.0), (1.5, 0.7)])
     target = tmp_path / "mod.csv"
-    bl.modulus.save_tabulated_csv(mod, target)
+    bl.paths.write_csv(target, ["u", "v"], mod.breakpoints)
     assert target.read_bytes() == (b"u,v\n0,0\n0.10000000000000001,"
                                    b"0.33333333333333331\n1.5,0.69999999999999996\n")
     assert bl.modulus.load_tabulated_csv(target).breakpoints == mod.breakpoints
@@ -463,7 +463,7 @@ def test_failed_tabulated_csv_write_leaves_the_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr(paths_module, "open",
                         lambda *args: _FailingFile(open(*args)), raising=False)
     with pytest.raises(OSError, match="no space"):
-        bl.modulus.save_tabulated_csv(mod, target)
+        bl.paths.write_csv(target, ["u", "v"], mod.breakpoints)
     assert target.read_text() == "old\n"
     assert [f.name for f in tmp_path.iterdir()] == ["mod.csv"]
 

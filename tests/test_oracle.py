@@ -8,39 +8,41 @@ import bsde_lab as bl
 from bsde_lab.oracle import OracleInstance, oracle_paths
 
 
+def _one_path(values, horizon=1.0):
+    """A one-path ensemble in d = 1 whose Brownian values on the grid of
+    len(values) - 1 steps are values, values[0] = 0."""
+    values = np.asarray(values, dtype=float).reshape(1, -1, 1)
+    return bl.PathEnsemble(M=1, d=1, grid=bl.TimeGrid(T=horizon,
+                                                      N=values.shape[1] - 1),
+                           seed=0, increments=np.diff(values, axis=1),
+                           values=values)
+
+
 def test_martingale_coordinate_terminal_pinning():
     inst = OracleInstance("martingale_coordinate", T=1.0, j=0)
-    y, z = bl.oracle_solution(inst, 1.0, np.array([0.7]))
-    assert y[0] == 0.7
-    assert np.array_equal(z, [[1.0]])
+    y, z = oracle_paths(inst, _one_path([0.0, 0.7]))
+    assert y[0, 1, 0] == 0.7
+    assert np.array_equal(z[0, 0], [[1.0]])
 
 
 def test_martingale_square_at_origin():
     inst = OracleInstance("martingale_square", T=1.0)
-    y, z = bl.oracle_solution(inst, 0.0, np.array([0.0]))
-    assert y[0] == 1.0
-    assert z[0, 0] == 0.0
+    y, z = oracle_paths(inst, _one_path([0.0, 0.3]))
+    assert y[0, 0, 0] == 1.0
+    assert z[0, 0, 0, 0] == 0.0
 
 
 def test_linear_drift_value():
     inst = OracleInstance("linear_drift", T=1.0, a=0.5, c=0.0, v=1.0)
-    y, z = bl.oracle_solution(inst, 0.0, np.array([0.0]))
-    assert y[0] == pytest.approx(math.exp(0.5), rel=1e-14)
+    y, z = oracle_paths(inst, _one_path([0.0, 0.3]))
+    assert y[0, 0, 0] == pytest.approx(math.exp(0.5), rel=1e-14)
     assert np.all(z == 0.0)
 
 
 def test_linear_drift_zero_a_limit():
     inst = OracleInstance("linear_drift", T=2.0, a=0.0, c=0.3, v=1.0)
-    y, _ = bl.oracle_solution(inst, 0.5, np.array([0.0]))
-    assert y[0] == pytest.approx(1.0 + 0.3 * 1.5, rel=1e-14)
-
-
-def test_time_domain_validated():
-    inst = OracleInstance("martingale_coordinate", T=1.0)
-    with pytest.raises(ValueError):
-        bl.oracle_solution(inst, 1.5, np.array([0.0]))
-    with pytest.raises(ValueError):
-        bl.oracle_solution(inst, -0.1, np.array([0.0]))
+    y, _ = oracle_paths(inst, _one_path([0.0, 0.1, 0.2, 0.3, 0.4], horizon=2.0))
+    assert y[0, 1, 0] == pytest.approx(1.0 + 0.3 * 1.5, rel=1e-14)  # t = 0.5
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -120,7 +122,7 @@ def test_square_oracle_requires_one_dimension(small_ensemble_2d):
 
 
 @pytest.mark.parametrize("j", [2, -1])
-def test_coordinate_oracle_index_out_of_range(j):
+def test_coordinate_oracle_index_out_of_range(j, small_ensemble_2d):
     inst = OracleInstance("martingale_coordinate", T=1.0, j=j)
     with pytest.raises(ValueError, match=f"j = {j} is out of range for d = 2"):
-        bl.oracle_solution(inst, 0.5, [0.1, 0.2])
+        oracle_paths(inst, small_ensemble_2d)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import bsde_lab as bl
 import bsde_lab.solver as solver_module
 from bsde_lab.solver import (TERMINAL_KINDS, PicardDivergenceError,
-                             SingularRegressionError, format_number,
-                             polynomial_features, save_picard_report_csv,
-                             save_solution_csv, terminal_values, write_csv)
+                             SingularRegressionError, _gram_factor, _project,
+                             format_number, polynomial_features,
+                             save_picard_report_csv, save_solution_csv,
+                             terminal_values, write_csv)
 
 
 BASIS = bl.BasisSpec(degree=3)
@@ -107,7 +108,9 @@ def test_regress_constant_targets():
     rng = np.random.default_rng(0)
     state = rng.normal(size=(500, 1))
     targets = np.full((500, 1), 3.25)
-    fitted, _ = bl.regress_conditional_expectation(targets, state, BASIS)
+    feats = polynomial_features(state, BASIS.degree)
+    fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(500)),
+                         targets)
     assert np.allclose(fitted, 3.25, atol=1e-9)
 
 
@@ -115,8 +118,8 @@ def test_regress_exact_linear_representation():
     rng = np.random.default_rng(1)
     state = rng.normal(size=(400, 1))
     targets = 3.0 * state
-    fitted, coeffs = bl.regress_conditional_expectation(
-        targets, state, bl.BasisSpec(degree=2, ridge=0.0))
+    feats = polynomial_features(state, 2)
+    fitted, coeffs = _project(feats, _gram_factor(feats, 0.0), targets)
     assert np.allclose(fitted, targets, atol=1e-10)
     assert coeffs[1, 0] == pytest.approx(3.0, abs=1e-10)
 
@@ -126,7 +129,9 @@ def test_regress_martingale_projection():
     t_idx = 1
     state = ens.values[:, t_idx, :]
     targets = ens.values[:, -1, :]
-    fitted, _ = bl.regress_conditional_expectation(targets, state, BASIS)
+    feats = polynomial_features(state, BASIS.degree)
+    fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(ens.M)),
+                         targets)
     sd = math.sqrt(1.0 - ens.grid.times[t_idx])
     rms = float(np.sqrt(np.mean((fitted - state) ** 2)))
     assert rms <= 3.0 * sd / math.sqrt(ens.M) * math.sqrt(BASIS.size(1)) \
@@ -135,48 +140,31 @@ def test_regress_martingale_projection():
 
 def test_regress_singular_without_ridge():
     state = np.zeros((100, 1))  # rank-deficient features beyond the constant
-    targets = np.ones((100, 1))
     with pytest.raises(SingularRegressionError, match="ridge"):
-        bl.regress_conditional_expectation(targets, state,
-                                           bl.BasisSpec(degree=2, ridge=0.0))
-
-
-def test_regress_reads_2d_inputs_as_samples_by_columns():
-    # one sample of a 3-D state is one row, not three 1-D samples (which a
-    # degree-1 basis in d = 1 would fit)
-    with pytest.raises(ValueError, match="share the sample axis"):
-        bl.regress_conditional_expectation(np.ones((3, 1)), [[0.1, 0.2, 0.3]],
-                                           bl.BasisSpec(degree=1))
-    state = np.random.default_rng(2).normal(size=(50, 1))
-    fitted, coeffs = bl.regress_conditional_expectation(state ** 2, state, BASIS)
-    flat = bl.regress_conditional_expectation(state[:, 0] ** 2, state[:, 0],
-                                              BASIS)
-    assert np.array_equal(fitted, flat[0]) and np.array_equal(coeffs, flat[1])
+        _gram_factor(polynomial_features(state, 2), 0.0)
 
 
 def test_regress_needs_more_samples_than_basis():
     with pytest.raises(ValueError):
-        bl.regress_conditional_expectation(np.ones((3, 1)), np.ones((3, 1)),
-                                           BASIS)
+        BASIS.require_samples(3, 1)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda gen, term, ens: bl.picard_solve(gen, term, ens, BASIS),
-    lambda gen, term, ens: bl.solve_frozen_bsde(gen, None, term, ens, BASIS),
-], ids=["picard_solve", "solve_frozen_bsde"])
-def test_solves_need_more_paths_than_basis_functions(solve):
+def test_solves_need_more_paths_than_basis_functions():
     # M = 4 paths against the 4 cubic monomials in d = 1 would interpolate
     ens = bl.generate_ensemble(M=4, N=3, d=1, T=1.0, seed=5)
     with pytest.raises(ValueError, match="M = 4 paths must exceed the 4 basis"):
-        solve(bl.zero_generator(1, 1), bl.coordinate_terminal(0), ens)
+        bl.picard_solve(bl.zero_generator(1, 1), bl.coordinate_terminal(0),
+                        ens, BASIS)
 
 
 # ------------------------------------------------------------- frozen sweeps
+# With a driver that does not read y, every sweep gives the same pair, so the
+# solve is its first sweep.
 
 def test_zero_generator_constant_terminal_is_exact(small_ensemble):
     gen = bl.zero_generator(1, 1)
-    sol = bl.solve_frozen_bsde(gen, None, bl.constant_terminal(2.5),
-                               small_ensemble, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.constant_terminal(2.5), small_ensemble,
+                             BASIS)
     # the default ridge shrinks the fitted constant by ~1e-10 relative,
     # so "exact" means zero up to that regularization noise
     assert np.allclose(sol.y, 2.5, atol=1e-8)
@@ -186,7 +174,7 @@ def test_zero_generator_constant_terminal_is_exact(small_ensemble):
 def test_zero_generator_coordinate_terminal_tracks_martingale():
     ens = bl.generate_ensemble(M=2 ** 13, N=25, d=1, T=1.0, seed=31)
     gen = bl.zero_generator(1, 1)
-    sol = bl.solve_frozen_bsde(gen, None, bl.coordinate_terminal(0), ens, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), ens, BASIS)
     err = np.sqrt(np.mean((sol.y[:, :, 0] - ens.values[:, :, 0]) ** 2))
     assert err <= 0.05
     assert abs(np.mean(sol.z) - 1.0) <= 0.05
@@ -194,8 +182,8 @@ def test_zero_generator_coordinate_terminal_tracks_martingale():
 
 def test_drift_only_generator_matches_ode(small_ensemble):
     gen = bl.linear_generator(a=0.0, b=0.0, c=0.2, k=1, d=1)
-    sol = bl.solve_frozen_bsde(gen, None, bl.constant_terminal(0.0),
-                               small_ensemble, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.constant_terminal(0.0), small_ensemble,
+                             BASIS)
     times = small_ensemble.grid.times
     expected = 0.2 * (1.0 - times)
     assert np.allclose(sol.y[:, :, 0], expected[None, :], atol=1e-8)
@@ -205,8 +193,8 @@ def test_drift_only_generator_matches_ode(small_ensemble):
 def test_terminal_pinning_is_exact(small_ensemble):
     gen = bl.example1_generator(p=2.0, d=1)
     xi = terminal_values(bl.coordinate_terminal(0), small_ensemble)
-    sol = bl.solve_frozen_bsde(gen, None, bl.coordinate_terminal(0),
-                               small_ensemble, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
+                             BASIS)
     assert np.array_equal(sol.y[:, -1, :], xi)
 
 
@@ -214,11 +202,12 @@ def test_martingale_consistency_for_zero_generator(small_ensemble):
     """With g = 0 the fitted y at step i is exactly the projection of y at
     step i+1, so re-regressing reproduces it to numerical zero."""
     gen = bl.zero_generator(1, 1)
-    sol = bl.solve_frozen_bsde(gen, None, bl.square_norm_terminal(),
-                               small_ensemble, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), small_ensemble,
+                             BASIS)
     i = small_ensemble.grid.N // 2
-    refit, _ = bl.regress_conditional_expectation(
-        sol.y[:, i + 1, :], small_ensemble.values[:, i, :], BASIS)
+    feats = polynomial_features(small_ensemble.values[:, i, :], BASIS.degree)
+    refit, _ = _project(feats, _gram_factor(
+        feats, BASIS.ridge_for(small_ensemble.M)), sol.y[:, i + 1, :])
     assert np.allclose(refit, sol.y[:, i, :], atol=1e-10)
 
 
@@ -265,7 +254,7 @@ def test_non_finite_sweep_aborts_with_time_index(add_driver):
     gen = add_driver("nan_early", lambda t, b, y, z: np.where(
         t < 0.35, np.full_like(y, np.nan), np.zeros_like(y)))
     with pytest.raises(RuntimeError, match="time index 3"):
-        bl.solve_frozen_bsde(gen, None, bl.constant_terminal(1.0), ens, BASIS)
+        bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS)
 
 
 def test_non_finite_sweep_is_a_picard_divergence(add_driver):
@@ -297,8 +286,9 @@ def test_picard_constant_init_same_limit(small_ensemble):
                                tol=1e-8, max_iter=25)
     sol_b, _ = bl.picard_solve(gen, term, small_ensemble, BASIS, p=2.0,
                                tol=1e-8, max_iter=25, init=1.0)
-    dist = bl.picard_distance(sol_a, sol_b, 2.0)
-    assert dist.dy <= 1e-6
+    dy, _ = bl.analysis.iterate_distance_arrays(sol_a.y, sol_b.y, sol_a.z,
+                                                sol_b.z, sol_a.grid.dt, 2.0)
+    assert dy <= 1e-6
 
 
 def test_picard_report_lengths(small_ensemble):
@@ -355,8 +345,8 @@ def test_stability_warning_for_coarse_grid():
 
 def test_solution_csv_layout(tmp_path, small_ensemble):
     gen = bl.zero_generator(1, 1)
-    sol = bl.solve_frozen_bsde(gen, None, bl.constant_terminal(1.0),
-                               small_ensemble, BASIS)
+    sol, _ = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
+                             BASIS)
     target = tmp_path / "solution.csv"
     save_solution_csv(sol, target)
     lines = target.read_text().splitlines()
@@ -601,11 +591,14 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
     sol, rep = bl.picard_solve(gen, term, small_ensemble, BASIS, tol=1e-30,
                                max_iter=2, init=0.25)
     assert rep.iterations == 2 and not rep.converged
-    prev = np.full((small_ensemble.M, small_ensemble.grid.N + 1, 1), 0.25)
+    n = small_ensemble.grid.N
+    y, z = solver_module._iterate_pair(small_ensemble, 1)
+    y[...] = 0.25
+    y[:, -1] = terminal_values(term, small_ensemble)
     for _ in range(3):
-        ref = bl.solve_frozen_bsde(gen, prev, term, small_ensemble, BASIS)
-        prev = ref.y
-    assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
+        solver_module._backward_sweep(gen, y, z, small_ensemble, BASIS, 0, n,
+                                      [None] * n)
+    assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
 
 
 # sha256 of picard_solve's y and z bytes, hashed in their logical (M, ...)
@@ -658,13 +651,6 @@ def test_picard_solve_bytes_are_pinned(name, iterations, sha):
     assert digest.hexdigest() == sha
 
 
-def test_solve_frozen_bsde_leaves_the_frozen_field_unchanged(small_ensemble):
-    frozen = np.full((small_ensemble.M, small_ensemble.grid.N + 1, 1), 0.25)
-    bl.solve_frozen_bsde(bl.example1_generator(2.0), frozen,
-                         bl.coordinate_terminal(0), small_ensemble, BASIS)
-    assert np.all(frozen == 0.25)
-
-
 def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
         small_ensemble):
     ens = small_ensemble
@@ -674,10 +660,13 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     assert solver_module._backward_sweep(
         bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
         [None] * ens.grid.N) is None
-    ref = bl.solve_frozen_bsde(bl.example1_generator(2.0),
-                               np.full_like(y, 0.25), bl.coordinate_terminal(0),
-                               ens, BASIS)
-    assert np.array_equal(y, ref.y) and np.array_equal(z, ref.z)
+    # against a sweep on a fresh pair, stored step-major as the solver's
+    ref_y, ref_z = solver_module._iterate_pair(ens, 1)
+    ref_y[...] = 0.25
+    ref_y[:, -1] = ens.values[:, -1, :1]
+    solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
+                                  ens, BASIS, 0, ens.grid.N, [None] * ens.grid.N)
+    assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
 
 
 @pytest.mark.parametrize("gen, term, d, bound", [
@@ -722,10 +711,8 @@ def test_ensembles_and_solutions_are_stored_step_major(tmp_path):
                               c=[0.1, 0.2], k=2, d=d)
     term = bl.constant_terminal([1.0, 2.0])
     sol, _ = bl.picard_solve(gen, term, loaded, BASIS, tol=1e-8)
-    frozen = bl.solve_frozen_bsde(gen, sol.y, term, loaded, BASIS)
-    for s in (sol, frozen):
-        assert s.y.shape == (m, n + 1, 2) and s.z.shape == (m, n, 2, d)
-        assert _step_major(s.y) and _step_major(s.z)
+    assert sol.y.shape == (m, n + 1, 2) and sol.z.shape == (m, n, 2, d)
+    assert _step_major(sol.y) and _step_major(sol.z)
 
 
 def test_a_path_major_ensemble_gives_the_same_solution():
