@@ -55,7 +55,7 @@ from .modulus import (
     power_root,
     tabulated_modulus,
 )
-from .oracle import OracleInstance, compare_to_oracle
+from .oracle import compare_to_oracle, match_oracle
 from .paths import PathEnsemble, TimeGrid, generate_ensemble, load_ensemble, save_ensemble
 from .solver import (
     BasisSpec,

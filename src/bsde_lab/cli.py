@@ -363,8 +363,20 @@ def _sampler(ens: PathEnsemble) -> SamplerConfig:
     return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T)
 
 
+def _terminal(cfg: RunConfig, needed_for: str = "") -> TerminalSpec | None:
+    """cfg.terminal, once it agrees with generator.k; None when it is absent,
+    unless needed_for says what needs it."""
+    term, k = cfg.terminal, cfg.generator.k
+    if term is None and needed_for:
+        raise ConfigError(f"terminal block required {needed_for}")
+    if term is not None and term.k != k:
+        raise ConfigError(f"terminal.k = {term.k} disagrees with generator.k = {k}")
+    return term
+
+
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     gen, sc, cc = cfg.generator, cfg.solver, cfg.constants
+    term = _terminal(cfg)
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
         gen, _sampler(ens)).sampled
@@ -373,8 +385,8 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     except ModulusShapeError as exc:
         raise ConfigError(f"modulus: {exc}") from exc
     term_moment = 0.0
-    if cfg.terminal is not None:
-        xi = terminal_values(cfg.terminal, ens)
+    if term is not None:
+        xi = terminal_values(term, ens)
         term_moment = float(np.mean(np.linalg.norm(xi, axis=1) ** sc.p))
     h3 = check_h3(gen, ens, sc.p)
     return analysis.compute_constants(
@@ -459,15 +471,11 @@ def _basis(cfg: RunConfig, m: int, d: int, m_field: str) -> BasisSpec:
 
 
 def _solve(cfg: RunConfig, ens: PathEnsemble):
-    if cfg.terminal is None:
-        raise ConfigError("terminal block required to solve")
-    if cfg.terminal.k != cfg.generator.k:
-        raise ConfigError(f"terminal.k = {cfg.terminal.k} disagrees with "
-                          f"generator.k = {cfg.generator.k}")
+    term = _terminal(cfg, "to solve")
     sc = cfg.solver
     basis = _basis(cfg, ens.M, ens.d, "paths.M")
     split = _resolve_split(cfg, ens)
-    return picard_solve(cfg.generator, cfg.terminal, ens, basis, p=sc.p,
+    return picard_solve(cfg.generator, term, ens, basis, p=sc.p,
                         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
                         init=sc.init, split=split)
 
@@ -497,24 +505,28 @@ def _cmd_solution_csv(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _infer_oracle(cfg: RunConfig, horizon: float) -> oracle.OracleInstance:
-    if cfg.terminal is None:
-        raise ConfigError("terminal block required for oracle comparison")
-    inst = oracle.match_oracle(cfg.generator, cfg.terminal, horizon)
-    if inst is None:
+def _infer_oracle(cfg: RunConfig):
+    term = _terminal(cfg, "for oracle comparison")
+    if (closed_form := oracle.match_oracle(cfg.generator, term)) is None:
         raise ConfigError("no closed-form oracle matches this generator/terminal")
-    return inst
+    return closed_form
+
+
+_ORACLE_COLUMNS = ["sp_error", "z_rms_error", "iters", "converged"]
+
+
+def _oracle_row(cfg: RunConfig, closed_form, ens: PathEnsemble) -> tuple:
+    """The _ORACLE_COLUMNS of a solve on ens, compared to closed_form."""
+    sol, report = _solve(cfg, ens)
+    errs = oracle.compare_to_oracle(sol, closed_form, ens, cfg.solver.p)
+    return (errs.sp_error, errs.z_rms_error, report.iterations,
+            str(report.converged).lower())
 
 
 def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
-    inst = _infer_oracle(cfg, ens.grid.T)
-    sol, report = _solve(cfg, ens)
-    errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
-    write_csv(_output(out, "oracle_errors.csv"),
-              ["sp_error", "z_rms_error", "iters", "converged"],
-              [(errs.sp_error, errs.z_rms_error, report.iterations,
-                str(report.converged).lower())])
+    row = _oracle_row(cfg, _infer_oracle(cfg), ens)
+    write_csv(_output(out, "oracle_errors.csv"), _ORACLE_COLUMNS, [row])
     return 0
 
 
@@ -569,7 +581,7 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
     if cfg.paths.paths_file:
         raise ConfigError("convergence-study generates one ensemble per (M, N) "
                           "and takes no paths file")
-    inst = _infer_oracle(cfg, cfg.paths.T)
+    closed_form = _infer_oracle(cfg)
     for key in ("M", "N"):
         if key in cfg.paths.stated:
             raise ConfigError(
@@ -581,12 +593,8 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
         for n in cfg.study.N_values:
             ens = generate_ensemble(m, n, cfg.paths.d, cfg.paths.T, cfg.paths.seed,
                                     antithetic=cfg.paths.antithetic)
-            sol, report = _solve(cfg, ens)
-            errs = oracle.compare_to_oracle(sol, inst, ens, cfg.solver.p)
-            rows.append((m, n, errs.sp_error, errs.z_rms_error,
-                         report.iterations, str(report.converged).lower()))
-    write_csv(_output(out, "convergence.csv"),
-              ["M", "N", "sp_error", "z_rms_error", "iters", "converged"], rows)
+            rows.append((m, n) + _oracle_row(cfg, closed_form, ens))
+    write_csv(_output(out, "convergence.csv"), ["M", "N", *_ORACLE_COLUMNS], rows)
     return 0
 
 

@@ -72,6 +72,13 @@ class PathEnsemble:
     values: np.ndarray = field(repr=False)      # (M, N+1, d), values[:, 0] = 0
     antithetic: bool = False
 
+    def __post_init__(self):
+        m, n, d = self.M, self.grid.N, self.d
+        for name, shape in (("increments", (m, n, d)), ("values", (m, n + 1, d))):
+            if (found := getattr(self, name).shape) != shape:
+                raise ValueError(f"{name} have shape {found}, but M = {m}, "
+                                 f"N = {n} and d = {d} need {shape}")
+
 
 # Paths per block when generation, loading and saving move paths between a
 # path-major block and the step-major ensemble.  Even, so that the two paths

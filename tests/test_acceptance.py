@@ -54,8 +54,8 @@ def example1_run(ensemble):
 
 def test_criterion_01_martingale_oracle(ensemble, martingale_run):
     sol, rep, elapsed = martingale_run
-    inst = bl.OracleInstance("martingale_coordinate", T=1.0)
-    errs = bl.compare_to_oracle(sol, inst, ensemble, p=2.0)
+    form = bl.match_oracle(bl.zero_generator(1, 1), bl.coordinate_terminal(0))
+    errs = bl.compare_to_oracle(sol, form, ensemble, p=2.0)
     ok = errs.sp_error <= 0.05 and errs.z_rms_error <= 0.10 and elapsed <= 60.0
     _verdict(1, "martingale oracle", ok,
              f"sp={errs.sp_error:.4f} z_rms={errs.z_rms_error:.4f} "
@@ -66,9 +66,9 @@ def test_criterion_02_quadratic_oracle(ensemble):
     gen = bl.zero_generator(1, 1)
     sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), ensemble, BASIS,
                              p=2.0)
-    inst = bl.OracleInstance("martingale_square", T=1.0)
-    errs = bl.compare_to_oracle(sol, inst, ensemble, p=2.0)
-    y_ref, z_ref = bl.oracle.oracle_paths(inst, ensemble)
+    form = bl.match_oracle(gen, bl.square_norm_terminal())
+    errs = bl.compare_to_oracle(sol, form, ensemble, p=2.0)
+    y_ref, z_ref = bl.oracle.oracle_paths(form, ensemble)
     ref_norm, _ = bl.analysis.lp_norm_arrays(y_ref, z_ref, ensemble.grid.dt,
                                              2.0)
     rel = errs.sp_error / ref_norm

@@ -389,6 +389,17 @@ def test_convergence_study(tmp_path):
     assert lines[1].startswith("256,5,") and lines[1].endswith(",true")
 
 
+def test_every_shipped_study_config_runs_the_study(tmp_path):
+    studies = [p for p in CONFIGS if "study" in json.loads(p.read_text())]
+    assert studies
+    for path in studies:
+        out = tmp_path / path.stem
+        assert main(["convergence-study", str(path), "--output-dir", str(out)]) == 0
+        study = parse_config(path.read_text()).study
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(study.M_values) * len(study.N_values)
+
+
 def test_convergence_study_marks_a_row_that_did_not_converge(tmp_path):
     doc = _config(tmp_path, paths={"d": 1, "T": 1.0, "seed": 3},
                   generator={"family": "linear", "params": {"a": 0.5}},
@@ -988,6 +999,17 @@ def test_solve_rejects_terminal_k_unlike_generator_k(tmp_path, capsys):
         tmp_path, terminal={"kind": "constant", "params": {"value": [1.0, 2.0]}}))
     assert main(["solve", str(path)]) == 2
     assert "generator.k = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["constants", "bihari", "oracle-compare"])
+def test_every_command_that_reads_the_terminal_rejects_its_k_unlike_generator_k(
+        tmp_path, capsys, command):
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "constant", "params": {"value": [1.0, 2.0]}}))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: terminal.k = 2 disagrees with generator.k = 1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_constant_terminal_rejects_vector_of_wrong_length():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bsde_lab as bl
-from bsde_lab.oracle import OracleInstance, oracle_paths
+from bsde_lab.oracle import match_oracle, oracle_paths
 
 
 def _one_path(values, horizon=1.0):
@@ -19,70 +19,72 @@ def _one_path(values, horizon=1.0):
 
 
 def test_martingale_coordinate_terminal_pinning():
-    inst = OracleInstance("martingale_coordinate", T=1.0, j=0)
-    y, z = oracle_paths(inst, _one_path([0.0, 0.7]))
+    form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
+    y, z = oracle_paths(form, _one_path([0.0, 0.7]))
     assert y[0, 1, 0] == 0.7
     assert np.array_equal(z[0, 0], [[1.0]])
 
 
 def test_martingale_square_at_origin():
-    inst = OracleInstance("martingale_square", T=1.0)
-    y, z = oracle_paths(inst, _one_path([0.0, 0.3]))
+    form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
+    y, z = oracle_paths(form, _one_path([0.0, 0.3]))
     assert y[0, 0, 0] == 1.0
     assert z[0, 0, 0, 0] == 0.0
 
 
 def test_linear_drift_value():
-    inst = OracleInstance("linear_drift", T=1.0, a=0.5, c=0.0, v=1.0)
-    y, z = oracle_paths(inst, _one_path([0.0, 0.3]))
+    form = match_oracle(bl.linear_generator(a=0.5, c=0.0),
+                        bl.constant_terminal(1.0))
+    y, z = oracle_paths(form, _one_path([0.0, 0.3]))
     assert y[0, 0, 0] == pytest.approx(math.exp(0.5), rel=1e-14)
     assert np.all(z == 0.0)
 
 
 def test_linear_drift_zero_a_limit():
-    inst = OracleInstance("linear_drift", T=2.0, a=0.0, c=0.3, v=1.0)
-    y, _ = oracle_paths(inst, _one_path([0.0, 0.1, 0.2, 0.3, 0.4], horizon=2.0))
+    form = match_oracle(bl.linear_generator(a=0.0, c=0.3),
+                        bl.constant_terminal(1.0))
+    y, _ = oracle_paths(form, _one_path([0.0, 0.1, 0.2, 0.3, 0.4], horizon=2.0))
     assert y[0, 1, 0] == pytest.approx(1.0 + 0.3 * 1.5, rel=1e-14)  # t = 0.5
 
 
-@pytest.mark.parametrize("kind,params", [
-    ("martingale_coordinate", {}),
-    ("martingale_square", {}),
-    ("linear_drift", {"a": 0.5, "c": 0.2, "v": 1.0}),
+@pytest.mark.parametrize("name,params", [
+    ("martingale_coordinate",
+     {"gen": bl.zero_generator(), "term": bl.coordinate_terminal(0)}),
+    ("martingale_square",
+     {"gen": bl.zero_generator(), "term": bl.square_norm_terminal()}),
+    ("linear_drift", {"gen": bl.linear_generator(a=0.5, c=0.2),
+                      "term": bl.constant_terminal(1.0)}),
 ])
-def test_discrete_residual_has_small_conditional_mean(kind, params,
+def test_discrete_residual_has_small_conditional_mean(name, params,
                                                       small_ensemble):
     """The one-step equation y_i = y_{i+1} + g dt - z_i dB_i should hold with
     a residual whose mean is O(dt^2) per step."""
     ens = small_ensemble
-    inst = OracleInstance(kind, T=ens.grid.T, **params)
-    y, z = oracle_paths(inst, ens)
+    gen = params["gen"]
+    y, z = oracle_paths(match_oracle(gen, params["term"]), ens)
     dt = ens.grid.dt
-    if kind == "linear_drift":
-        g = params["a"] * y[:, :-1, 0] + params["c"]
-    else:
-        g = 0.0
+    g = gen.a * y[:, :-1, 0] + gen.c  # the zero driver has a = c = 0
     resid = (y[:, 1:, 0] - y[:, :-1, 0] + g * dt
              - np.sum(z[:, :, 0, :] * ens.increments, axis=2))
     mean_abs = np.abs(resid.mean(axis=0))
     se = resid.std(axis=0) / math.sqrt(ens.M) + dt ** 2
-    assert np.all(mean_abs <= 5.0 * se + 5.0 * dt ** 2)
+    assert np.all(mean_abs <= 5.0 * se + 5.0 * dt ** 2), name
 
 
 def test_compare_identical_is_zero(small_ensemble):
-    inst = OracleInstance("martingale_square", T=1.0)
-    y, z = oracle_paths(inst, small_ensemble)
+    form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
+    y, z = oracle_paths(form, small_ensemble)
     sol = bl.DiscreteSolution(y=y, z=z, grid=small_ensemble.grid)
-    errs = bl.compare_to_oracle(sol, inst, small_ensemble, p=2.0)
+    errs = bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
     assert errs.sp_error == 0.0
     assert errs.z_rms_error == 0.0
 
 
 def test_compare_constant_shift(small_ensemble):
-    inst = OracleInstance("martingale_coordinate", T=1.0)
-    y, z = oracle_paths(inst, small_ensemble)
+    form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
+    y, z = oracle_paths(form, small_ensemble)
     sol = bl.DiscreteSolution(y=y + 0.25, z=z, grid=small_ensemble.grid)
-    errs = bl.compare_to_oracle(sol, inst, small_ensemble, p=2.0)
+    errs = bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
     assert errs.sp_error == pytest.approx(0.25, rel=1e-12)
     assert errs.z_rms_error == 0.0
 
@@ -92,13 +94,13 @@ def test_compare_holds_one_time_step_of_the_oracle():
     # comparison holds only the (M, N) z squares, 1/(1 + 1/d) of z for k = 1.
     # A full-size oracle (y, z) and z difference would take about twice y + z.
     ens = bl.generate_ensemble(M=4096, N=20, d=3, T=1.0, seed=5)
-    inst = OracleInstance("martingale_coordinate", T=1.0)
-    y, z = oracle_paths(inst, ens)
+    form = match_oracle(bl.zero_generator(1, 3), bl.coordinate_terminal(0))
+    y, z = oracle_paths(form, ens)
     sol = bl.DiscreteSolution(y=y + 0.25, z=z + 0.5, grid=ens.grid)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        errs = bl.compare_to_oracle(sol, inst, ens, p=2.0)
+        errs = bl.compare_to_oracle(sol, form, ens, p=2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,21 +110,22 @@ def test_compare_holds_one_time_step_of_the_oracle():
 
 
 def test_compare_shape_mismatch(small_ensemble):
-    inst = OracleInstance("martingale_coordinate", T=1.0)
-    y, z = oracle_paths(inst, small_ensemble)
+    form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
+    y, z = oracle_paths(form, small_ensemble)
     sol = bl.DiscreteSolution(y=y[:, :-1], z=z, grid=small_ensemble.grid)
     with pytest.raises(ValueError):
-        bl.compare_to_oracle(sol, inst, small_ensemble, p=2.0)
+        bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
 
 
 def test_square_oracle_requires_one_dimension(small_ensemble_2d):
-    inst = OracleInstance("martingale_square", T=1.0)
-    with pytest.raises(ValueError):
-        oracle_paths(inst, small_ensemble_2d)
+    assert match_oracle(bl.zero_generator(1, 2), bl.square_norm_terminal()) is None
+    form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        oracle_paths(form, small_ensemble_2d)
 
 
 @pytest.mark.parametrize("j", [2, -1])
 def test_coordinate_oracle_index_out_of_range(j, small_ensemble_2d):
-    inst = OracleInstance("martingale_coordinate", T=1.0, j=j)
+    form = match_oracle(bl.zero_generator(1, 2), bl.coordinate_terminal(j))
     with pytest.raises(ValueError, match=f"j = {j} is out of range for d = 2"):
-        oracle_paths(inst, small_ensemble_2d)
+        oracle_paths(form, small_ensemble_2d)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -247,6 +248,22 @@ def test_saved_bytes_do_not_depend_on_the_layout(tmp_path, layout):
     bl.save_ensemble(ens, tmp_path / "a.bsde")
     bl.save_ensemble(hand, tmp_path / "b.bsde")
     assert (tmp_path / "a.bsde").read_bytes() == (tmp_path / "b.bsde").read_bytes()
+
+
+@pytest.mark.parametrize("m, n, d, which, found, need", [
+    (5, 4, 1, "increments", (8, 4, 1), (5, 4, 1)),
+    (8, 3, 1, "increments", (8, 4, 1), (8, 3, 1)),
+    (8, 4, 2, "increments", (8, 4, 1), (8, 4, 2)),
+    (8, 4, 1, "values", (8, 4, 1), (8, 5, 1)),
+], ids=["M", "N", "d", "values"])
+def test_a_hand_built_ensemble_must_match_its_sizes(m, n, d, which, found, need):
+    ens = bl.generate_ensemble(8, 4, 1, 1.0, seed=2)
+    values = ens.values[:, :-1] if which == "values" else ens.values
+    with pytest.raises(ValueError, match=re.escape(
+            f"{which} have shape {found}, but M = {m}, N = {n} and d = {d} "
+            f"need {need}")):
+        bl.PathEnsemble(M=m, d=d, grid=TimeGrid(T=1.0, N=n), seed=2,
+                        increments=ens.increments, values=values)
 
 
 @pytest.mark.parametrize("m, d", [(0, 1), (4, 0)])
