@@ -25,6 +25,26 @@ class BihariOverflowError(BihariBoundError):
     """phi_0 = (T - T1) mod(M) overflows a double."""
 
 
+def fold_sup(sup: np.ndarray, step: np.ndarray) -> None:
+    """sup = max(sup, |step|) per path, in place: sup (M,), step (M, k)."""
+    np.maximum(sup, np.linalg.norm(step, axis=1), out=sup)
+
+
+def fold_squares(total: np.ndarray, step: np.ndarray) -> None:
+    """total += |step|^2 per path, in place: total (M,), step (M, k, d)."""
+    total += np.sum(step * step, axis=(1, 2))
+
+
+def sup_power_mean(sup: np.ndarray, p: float) -> float:
+    """E[sup^p] from the per-path sups that fold_sup leaves."""
+    return float(np.mean(sup ** p))
+
+
+def integral_power_mean(total: np.ndarray, dt: float, p: float) -> float:
+    """E[(total dt)^(p/2)] from the per-path sums that fold_squares leaves."""
+    return float(np.mean((total * dt) ** (p / 2.0)))
+
+
 def sup_moment(y: np.ndarray, p: float, ref: np.ndarray | None = None) -> float:
     """E[sup_t |y_t - ref_t|^p] of y (M, N+1, k); ref None is zero.
 
@@ -33,9 +53,8 @@ def sup_moment(y: np.ndarray, p: float, ref: np.ndarray | None = None) -> float:
     """
     sup = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
-        step = y[:, i] if ref is None else y[:, i] - ref[:, i]
-        np.maximum(sup, np.linalg.norm(step, axis=1), out=sup)
-    return float(np.mean(sup ** p))
+        fold_sup(sup, y[:, i] if ref is None else y[:, i] - ref[:, i])
+    return sup_power_mean(sup, p)
 
 
 def z_moment(z: np.ndarray, dt: float, p: float,
@@ -47,9 +66,8 @@ def z_moment(z: np.ndarray, dt: float, p: float,
     """
     total = np.zeros(z.shape[0])
     for i in range(z.shape[1]):
-        step = z[:, i] if ref is None else z[:, i] - ref[:, i]
-        total += np.sum(step * step, axis=(1, 2))
-    return float(np.mean((total * dt) ** (p / 2.0)))
+        fold_squares(total, z[:, i] if ref is None else z[:, i] - ref[:, i])
+    return integral_power_mean(total, dt, p)
 
 
 def sp_norm(y: np.ndarray, p: float) -> float:
@@ -64,7 +82,9 @@ def lp_norm_arrays(y: np.ndarray, z: np.ndarray, dt: float, p: float):
 
 def iterate_distance_arrays(y_a, y_b, z_a, z_b, dt: float, p: float):
     """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)]),
-    reduced one time step at a time."""
+    reduced one time step at a time, forward in time.  picard_solve folds
+    the same steps inside its sweep, backward in time, so its dist_z may
+    differ from this one in the last digits."""
     return sup_moment(y_a, p, y_b), z_moment(z_a, dt, p, z_b)
 
 

@@ -293,7 +293,7 @@ class PicardReport:
 
 def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
                     ens: PathEnsemble, basis: BasisSpec, i_lo: int, i_hi: int,
-                    factors: list) -> None:
+                    factors: list, acc: tuple | None = None) -> None:
     """One frozen-argument sweep on grid indices [i_lo, i_hi], in place.
 
     y[:, i_hi] is the terminal value.  Step i reads the frozen y[:, i], which
@@ -303,6 +303,11 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
     been built; the sweep fills what it builds, so later sweeps of the same
     solve reuse it.  The features are rebuilt: keeping them would hold
     M * n_basis numbers per time step.
+
+    acc, when given, is three (M,) arrays (sup_dy, sum_dz, sup_y) into which
+    each step folds, just before it overwrites the old iterate, the change
+    of y (a running max of its norm), the change of z (a running sum of its
+    squares) and the new y (a running max of its norm).
     """
     grid = ens.grid
     m, k, d = ens.M, y.shape[2], ens.d
@@ -326,6 +331,11 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
         if not np.all(np.isfinite(y_i)):
             raise PicardDivergenceError(
                 f"non-finite solution values at time index {i}")
+        if acc is not None:
+            sup_dy, sum_dz, sup_y = acc
+            analysis.fold_sup(sup_dy, y_i - y[:, i])
+            analysis.fold_squares(sum_dz, z_i - z[:, i])
+            analysis.fold_sup(sup_y, y_i)
         y[:, i] = y_i
         z[:, i] = z_i
 
@@ -408,22 +418,24 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     factors = [None] * grid.N
 
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        y_win, z_win = y[:, i_lo:i_hi + 1], z[:, i_lo:i_hi]  # views of (y, z)
-        # refilled before each measured sweep, not reallocated: a fresh copy
-        # per sweep left example1's peak RSS 5 MB higher
-        y_prev, z_prev = np.empty_like(y_win), np.empty_like(z_win)
         _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
         while not converged and len(dists) < max_iter:
-            y_prev[...], z_prev[...] = y_win, z_win
-            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
-            dy, dz = analysis.iterate_distance_arrays(
-                y_win, y_prev, z_win, z_prev, grid.dt, p)
+            # each measured sweep folds the distance to the iterate it
+            # overwrites and the sup of the new y, so no copy of the old
+            # iterate is kept; the window's terminal y enters the sup here
+            sup_dy, sum_dz, sup_y = (np.zeros(ens.M) for _ in range(3))
+            analysis.fold_sup(sup_y, y[:, i_hi])
+            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
+                            (sup_dy, sum_dz, sup_y))
+            dy = analysis.sup_power_mean(sup_dy, p)
+            dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
+            sp = analysis.sup_power_mean(sup_y, p) ** (1.0 / p)
             dists.append(dy)
             report.entries.append(PicardEntry(w_idx, report.iterations + 1, dy,
-                                              dz, analysis.sp_norm(y_win, p)))
+                                              dz, sp))
             if not math.isfinite(dy):
                 raise PicardDivergenceError(
                     f"iterate distance became non-finite in window {w_idx}")

@@ -124,6 +124,13 @@ def test_square_oracle_requires_one_dimension(small_ensemble_2d):
         oracle_paths(form, small_ensemble_2d)
 
 
+def test_drift_oracle_needs_a_one_entry_terminal():
+    # a k = 1 driver has no closed form against a two-entry constant
+    # terminal; the match used to keep its first entry as v
+    assert match_oracle(bl.linear_generator(a=0.5),
+                        bl.constant_terminal([1.0, 2.0])) is None
+
+
 @pytest.mark.parametrize("j", [2, -1])
 def test_coordinate_oracle_index_out_of_range(j, small_ensemble_2d):
     form = match_oracle(bl.zero_generator(1, 2), bl.coordinate_terminal(j))

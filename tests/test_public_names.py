@@ -15,6 +15,9 @@ KEPT = {
     "check_lemma1": "the energy inequality of Lemma 1 (acceptance criterion 9)",
     "check_apriori_bounds": "the paper's two a-priori moment bounds",
     "h1pp_to_h1": "the paper's particular cases: an H1'' modulus gives an H1 one",
+    "iterate_distance_arrays": "the benchmark's traced runs wrap it by name, "
+                               "and it is the tests' distance between two "
+                               "solutions",
     "lp_norm_arrays": "the benchmark's traced runs wrap it by name",
     "oracle_paths": "the tests' reference for the closed-form solutions",
 }

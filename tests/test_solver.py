@@ -669,28 +669,83 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
 
 
-@pytest.mark.parametrize("gen, term, d, bound", [
-    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, 3.1),
-    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 2.7),
-], ids=["zero_d3", "example1"])
-def test_picard_solve_holds_one_iterate_pair(gen, term, d, bound):
-    # One (y, z) pair is Y + Z bytes.  The solve holds it, the window copy its
-    # distance needs (another pair) and the temporaries of one step: the
-    # distance reduces one time step at a time.  Measured: 2.91 pairs for
-    # zero_d3 and 2.47 for example1.  A second full pair, as a sweep
-    # returning a fresh iterate keeps, or full-window distance temporaries
-    # (4.08 for example1) would lift the peak past the bound.
+@pytest.mark.parametrize("gen, term, d, split, bound", [
+    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, None, 2.1),
+    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, None, 1.7),
+    (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 0.5, 1.7),
+], ids=["zero_d3", "example1", "split"])
+def test_picard_solve_holds_one_iterate_pair(gen, term, d, split, bound):
+    # One (y, z) pair is Y + Z bytes.  The solve holds it, three (M,)
+    # distance accumulators and the temporaries of one step: each measured
+    # sweep folds its distance into the accumulators as it overwrites the
+    # iterate, so no copy of a window is kept.  Measured: 1.94 pairs for
+    # zero_d3 and 1.55 for example1 and split.  A copy of the window, as the
+    # solve kept before (2.91, 2.47 and 2.05), a second full pair, or
+    # full-window distance temporaries would lift the peak past the bound.
     m, n = 4096, 20
     ens = bl.generate_ensemble(M=m, N=n, d=d, T=1.0, seed=7)
     pair = m * (n + 1) * 8 + m * n * d * 8
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        bl.picard_solve(gen, term, ens, BASIS, tol=1e-6)
+        bl.picard_solve(gen, term, ens, BASIS, tol=1e-6, split=split)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (peak - start) / pair < bound
+
+
+@pytest.mark.parametrize("j, p", [(2, 2.0), (5, 3.0)])
+def test_in_sweep_distances_are_the_two_solution_distances(small_ensemble,
+                                                           j, p):
+    # the j-th measured iterate against the (j-1)-th, each the result of a
+    # solve that stops there: tol is never reached
+    gen, term = bl.example1_generator(2.0), bl.coordinate_terminal(0)
+    prev, _ = bl.picard_solve(gen, term, small_ensemble, BASIS, p=p,
+                              tol=1e-30, max_iter=j - 1)
+    sol, rep = bl.picard_solve(gen, term, small_ensemble, BASIS, p=p,
+                               tol=1e-30, max_iter=j)
+    assert rep.iterations == j and not rep.converged
+    dy, dz = bl.analysis.iterate_distance_arrays(sol.y, prev.y, sol.z, prev.z,
+                                                 sol.grid.dt, p)
+    assert rep.dist_y[-1] == dy > 0.0
+    assert rep.sp_norms[-1] == bl.analysis.sp_norm(sol.y, p)
+    # the sweep sums the squares of dz backward in time, the reference forward
+    assert rep.dist_z[-1] == pytest.approx(dz, rel=1e-14, abs=0.0)
+
+
+def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
+    # one window of a split grid, swept with and without accumulators from
+    # the same pair: the same (y, z), and the accumulators hold the distance
+    # to the pair the sweep overwrote
+    ens, gen, p = small_ensemble, bl.example1_generator(2.0), 2.0
+    n = ens.grid.N
+    i_lo, i_hi = solver_module._window_indices(ens.grid, 0.5)[-1]
+    assert 0 == i_lo < i_hi < n
+    swept = []
+    for acc in (None, tuple(np.zeros(ens.M) for _ in range(3))):
+        y, z = solver_module._iterate_pair(ens, 1)
+        y[...] = 0.25
+        y[:, i_hi] = ens.values[:, i_hi, :1]
+        z[...] = 0.5
+        old_y, old_z = y.copy(), z.copy()
+        if acc is not None:
+            bl.analysis.fold_sup(acc[2], y[:, i_hi])
+        solver_module._backward_sweep(gen, y, z, ens, BASIS, i_lo, i_hi,
+                                      [None] * n, acc)
+        swept.append((y, z))
+    (y_ref, z_ref), (y, z) = swept
+    assert y.tobytes() == y_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+    sup_dy, sum_dz, sup_y = acc
+    win_y, win_z = slice(i_lo, i_hi + 1), slice(i_lo, i_hi)
+    dy, dz = bl.analysis.iterate_distance_arrays(
+        y[:, win_y], old_y[:, win_y], z[:, win_z], old_z[:, win_z],
+        ens.grid.dt, p)
+    assert bl.analysis.sup_power_mean(sup_dy, p) == dy > 0.0
+    assert bl.analysis.integral_power_mean(sum_dz, ens.grid.dt, p) == \
+        pytest.approx(dz, rel=1e-14, abs=0.0)
+    assert bl.analysis.sup_power_mean(sup_y, p) ** (1 / p) == \
+        bl.analysis.sp_norm(y[:, win_y], p)
 
 
 def _step_major(a):
