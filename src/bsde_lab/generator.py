@@ -376,13 +376,19 @@ class DriverFamily:
     evaluate(gen, t, brownian, y, z), and the facts the L^p theorem rests on,
     None where unknown: the exact z-Lipschitz constant lipschitz_z(gen), an H1
     modulus h1_modulus(gen, p, radius) on [0, radius^p] for |y1 - y2| <= radius,
-    and a growth envelope(gen, p, radius) on |y| <= radius."""
+    and a growth envelope(gen, p, radius) on |y| <= radius.
+
+    reads_y(gen) says whether the driver depends on y at all.  picard_solve
+    solves a driver that does not in one sweep per window, so False must be
+    exact; True, the default for a family that does not state it, is always
+    safe and only costs the sweeps that measure a zero distance."""
 
     factory: Callable[..., GeneratorSpec]
     evaluate: Callable[..., np.ndarray]
     lipschitz_z: Callable[[GeneratorSpec], float] | None = None
     h1_modulus: Callable[..., ModulusSpec] | None = None
     envelope: Callable[..., EnvelopeA] | None = None
+    reads_y: Callable[[GeneratorSpec], bool] = lambda gen: True
 
 
 GENERATOR_FAMILIES = {
@@ -394,10 +400,14 @@ GENERATOR_FAMILIES = {
         lambda gen: 0.0,
         lambda gen, p, radius: linear_modulus(1.0, domain_cap=radius ** p),
         lambda gen, p, radius: EnvelopeA(
-            psi=linear_modulus(0.0, domain_cap=radius ** p), lam=0.0)),
+            psi=linear_modulus(0.0, domain_cap=radius ** p), lam=0.0),
+        reads_y=lambda gen: False),
     "linear": DriverFamily(linear_generator, _eval_linear,
                            lambda gen: abs(gen.b) * math.sqrt(gen.k),
-                           _linear_h1, _linear_envelope),
+                           _linear_h1, _linear_envelope,
+                           reads_y=lambda gen: bool(
+                               np.any(np.asarray(gen.a) != 0.0))),
     "example1": DriverFamily(example1_generator, _eval_example1,
-                             lambda gen: 1.0, _example1_h1, _example1_envelope),
+                             lambda gen: 1.0, _example1_h1, _example1_envelope,
+                             reads_y=lambda gen: True),
 }

@@ -307,7 +307,8 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
     acc, when given, is three (M,) arrays (sup_dy, sum_dz, sup_y) into which
     each step folds, just before it overwrites the old iterate, the change
     of y (a running max of its norm), the change of z (a running sum of its
-    squares) and the new y (a running max of its norm).
+    squares) and the new y (a running max of its norm).  sup_dy and sum_dz
+    may both be None, to fold the new y alone.
     """
     grid = ens.grid
     m, k, d = ens.M, y.shape[2], ens.d
@@ -333,8 +334,9 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
                 f"non-finite solution values at time index {i}")
         if acc is not None:
             sup_dy, sum_dz, sup_y = acc
-            analysis.fold_sup(sup_dy, y_i - y[:, i])
-            analysis.fold_squares(sum_dz, z_i - z[:, i])
+            if sup_dy is not None:
+                analysis.fold_sup(sup_dy, y_i - y[:, i])
+                analysis.fold_squares(sum_dz, z_i - z[:, i])
             analysis.fold_sup(sup_y, y_i)
         y[:, i] = y_i
         z[:, i] = z_i
@@ -342,8 +344,9 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
 
 def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
                       ens: PathEnsemble, basis: BasisSpec) -> np.ndarray:
-    """xi (M, k), once the generator's k and d agree with it and the ensemble
-    and the ensemble has more paths than the basis has functions."""
+    """xi (M, k), after checking that the generator's k is the terminal's,
+    that its d is the ensemble's, and that the ensemble has more paths than
+    the basis has functions."""
     xi = terminal_values(terminal, ens)
     if gen.k != xi.shape[1] or gen.d != ens.d:
         raise ValueError("generator dims disagree with terminal/ensemble")
@@ -382,7 +385,9 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     Exhausting max_iter in a window keeps its last iterate and marks the
     window unconverged, while a distance growing fivefold on two consecutive
     measurements aborts.  init is None for the zero field or a constant
-    (scalar or length-k) starting field.
+    (scalar or length-k) starting field.  A driver that does not read y
+    (DriverFamily.reads_y) is solved by one sweep per window, whose entry
+    records dist_y = dist_z = 0 exactly, and init cannot change its solve.
     With split = T1, windows of length T - T1 are processed backward from T,
     each chained to the previous window's boundary values.
 
@@ -395,7 +400,8 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     xi = _checked_terminal(gen, terminal, ens, basis)
     k = xi.shape[1]
 
-    c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
+    family = GENERATOR_FAMILIES[gen.family]
+    c_lip = family.lipschitz_z
     if c_lip is not None and ens.grid.dt * c_lip(gen) > 0.5:
         warnings.warn("explicit z step may be unstable: dt * C > 0.5",
                       RuntimeWarning)
@@ -416,9 +422,13 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     report = PicardReport(windows=windows)
     # Gram factors depend on the ensemble and the basis only: one per step.
     factors = [None] * grid.N
+    # A driver that does not read y gives every sweep the same result, so a
+    # window's first sweep is its limit and is measured as such.
+    reads_y = family.reads_y(gen)
 
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
+        if reads_y:
+            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
@@ -426,12 +436,19 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
             # each measured sweep folds the distance to the iterate it
             # overwrites and the sup of the new y, so no copy of the old
             # iterate is kept; the window's terminal y enters the sup here
-            sup_dy, sum_dz, sup_y = (np.zeros(ens.M) for _ in range(3))
+            sup_y = np.zeros(ens.M)
             analysis.fold_sup(sup_y, y[:, i_hi])
-            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
-                            (sup_dy, sum_dz, sup_y))
-            dy = analysis.sup_power_mean(sup_dy, p)
-            dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
+            if reads_y:
+                sup_dy, sum_dz = np.zeros(ens.M), np.zeros(ens.M)
+                _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
+                                (sup_dy, sum_dz, sup_y))
+                dy = analysis.sup_power_mean(sup_dy, p)
+                dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
+            else:
+                # a second sweep would rebuild these bytes and measure 0
+                _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
+                                (None, None, sup_y))
+                dy = dz = 0.0
             sp = analysis.sup_power_mean(sup_y, p) ** (1.0 / p)
             dists.append(dy)
             report.entries.append(PicardEntry(w_idx, report.iterations + 1, dy,

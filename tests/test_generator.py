@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 import bsde_lab as bl
-from bsde_lab.generator import (ProcessSpec, SamplerConfig, eval_generator_batch,
-                                eval_process)
+from bsde_lab.generator import (GENERATOR_FAMILIES, ProcessSpec, SamplerConfig,
+                                eval_generator_batch, eval_process)
 
 
 # ----------------------------------------------------------------- evaluation
@@ -134,6 +134,25 @@ def test_lipschitz_sampled_below_analytic():
                     bl.linear_generator(a=0.3, b=1.7, k=1, d=2)):
             rep = bl.estimate_lipschitz_z(gen, SamplerConfig(seed=seed))
             assert rep.sampled <= rep.analytic + 1e-9
+
+
+@pytest.mark.parametrize("gen, expected", [
+    (bl.zero_generator(2, 3), False),
+    (bl.linear_generator(a=0.0, b=0.5, c=0.2), False),
+    (bl.linear_generator(a=-0.0), False),
+    (bl.linear_generator(a=0.5), True),
+    (bl.linear_generator(a=[[0.0, 0.0], [0.0, 0.0]], b=1.0, k=2), False),
+    (bl.linear_generator(a=[[0.0, 0.0], [1e-300, 0.0]], k=2), True),
+    (bl.example1_generator(2.0), True),
+], ids=["zero", "linear_a0", "linear_a_minus0", "linear_a", "matrix_a0",
+        "matrix_a", "example1"])
+def test_reads_y_of_each_family(gen, expected):
+    assert GENERATOR_FAMILIES[gen.family].reads_y(gen) is expected
+
+
+def test_reads_y_defaults_to_true(add_driver):
+    gen = add_driver("constant_one", lambda t, b, y, z: np.ones_like(y))
+    assert GENERATOR_FAMILIES[gen.family].reads_y(gen) is True
 
 
 # ------------------------------------------------------------------------- H3

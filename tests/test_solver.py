@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -797,3 +798,69 @@ def test_each_step_factors_its_gram_matrix_once_per_solve(name):
         sol, rep = _solve_case(name)
     assert rep.iterations + 1 >= 8
     assert factor.call_count == sol.grid.N
+
+
+def _y_free_case(name):
+    """A solve whose driver does not read y, and its solve arguments."""
+    if name == "zero_d3":
+        ens = bl.generate_ensemble(M=2048, N=10, d=3, T=1.0, seed=104)
+        return bl.zero_generator(1, 3), bl.coordinate_terminal(0), ens, {}
+    if name == "zero_split_init":
+        ens = bl.generate_ensemble(M=1024, N=20, d=1, T=1.0, seed=105)
+        return (bl.zero_generator(1, 1), bl.square_norm_terminal(), ens,
+                {"split": 0.5, "init": 0.3})
+    if name == "linear_a0":
+        ens = bl.generate_ensemble(M=1024, N=20, d=1, T=1.0, seed=106)
+        return (bl.linear_generator(a=0.0, b=0.5, c=0.2),
+                bl.coordinate_terminal(0), ens, {})
+    ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=107)
+    return (bl.linear_generator(a=[[0.0, 0.0], [0.0, 0.0]], b=0.4,
+                                c=[0.1, 0.2], k=2, d=2),
+            bl.constant_terminal([1.0, 2.0]), ens, {"init": [-0.5, 0.5]})
+
+
+_Y_FREE = ["zero_d3", "zero_split_init", "linear_a0", "matrix_a0"]
+
+
+@pytest.mark.parametrize("name", _Y_FREE)
+def test_a_y_free_solve_is_the_two_sweep_solve(name, monkeypatch):
+    # Forcing reads_y to True runs each window's unmeasured sweep and then
+    # a measured one, as for any driver: the one-sweep solve must give the
+    # same bytes and the same report, zero distances included.
+    gen, term, ens, kwargs = _y_free_case(name)
+    sol, rep = bl.picard_solve(gen, term, ens, BASIS, **kwargs)
+    family = bl.generator.GENERATOR_FAMILIES[gen.family]
+    assert family.reads_y(gen) is False
+    monkeypatch.setitem(bl.generator.GENERATOR_FAMILIES, gen.family,
+                        dataclasses.replace(family, reads_y=lambda gen: True))
+    ref, ref_rep = bl.picard_solve(gen, term, ens, BASIS, **kwargs)
+    assert sol.y.tobytes() == ref.y.tobytes()
+    assert sol.z.tobytes() == ref.z.tobytes()
+    assert rep.entries == ref_rep.entries
+    assert rep.windows == ref_rep.windows
+    assert rep.window_converged == ref_rep.window_converged
+    assert rep.dist_y == rep.dist_z == [0.0] * len(rep.windows)
+    assert rep.converged
+
+
+@pytest.mark.parametrize("name", _Y_FREE + ["example1", "linear_a",
+                                           "linear_a_split"])
+def test_sweeps_per_solve(name):
+    # a driver that does not read y is solved in one sweep per window; any
+    # other takes an unmeasured sweep per window plus one per iteration
+    if name in _Y_FREE:
+        gen, term, ens, kwargs = _y_free_case(name)
+    else:
+        ens = bl.generate_ensemble(M=1024, N=20, d=1, T=1.0, seed=108)
+        gen = (bl.example1_generator(2.0) if name == "example1"
+               else bl.linear_generator(a=0.5, c=0.2))
+        term = bl.coordinate_terminal(0)
+        kwargs = {"split": 0.5} if name == "linear_a_split" else {}
+    with mock.patch.object(solver_module, "_backward_sweep",
+                           wraps=solver_module._backward_sweep) as sweep:
+        _, rep = bl.picard_solve(gen, term, ens, BASIS, tol=1e-6, **kwargs)
+    if name in _Y_FREE:
+        assert sweep.call_count == len(rep.windows) == rep.iterations
+    else:
+        assert rep.iterations > len(rep.windows)
+        assert sweep.call_count == rep.iterations + len(rep.windows)
