@@ -114,9 +114,12 @@ def bihari_recursion(mod: ModulusSpec, m_bound: float, horizon: float,
     if n_max < 0 or quad_steps < 2:
         raise ValueError("n_max >= 0 and quad_steps >= 2 required")
 
+    try:
+        rows = np.empty((n_max + 1, quad_steps + 1))
+    except ValueError as exc:  # a shape numpy refuses: more than memory holds
+        raise MemoryError(f"Bihari iterates: {exc}") from exc
     times = np.linspace(t_split, horizon, quad_steps + 1)
     h = (horizon - t_split) / quad_steps
-    rows = np.empty((n_max + 1, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
         rows[0] = (horizon - times) * eval_modulus(mod, m_bound)
     if not np.all(np.isfinite(rows[0])):

@@ -208,20 +208,19 @@ def _parse_block(cls, doc: dict, name: str):
 # Each tagged block: the key naming its family, family -> record (read at parse
 # time), the keys beside that key and params, and the default family.
 _TAGGED = {
-    GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k", "d"), None),
+    GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k",), None),
     TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
     ModulusSpec: ("family", MODULUS_FAMILIES, ("domain_cap",), None),
     ProcessSpec: ("kind", PROCESS_KINDS, (), "zero"),
 }
 
 
-def _parse_tagged(block, path: str, spec: type, **preset):
+def _parse_tagged(block, path: str, spec: type):
     """Build a spec from a tagged block through the factory of its family's record.
 
     block['params'] holds the factory's keyword arguments (see _kwargs).  Each
-    outer key, typed by the spec's field of that name and else taken from
-    preset, goes to the factory when it has that parameter, and the built spec
-    must agree with it.
+    outer key, typed by the spec's field of that name, goes to the factory
+    when it has that parameter, and the built spec must agree with it.
     """
     tag, table, outer, default = _TAGGED[spec]
     _require_keys(block, {tag, "params", *outer}, path)
@@ -230,8 +229,7 @@ def _parse_tagged(block, path: str, spec: type, **preset):
         raise ConfigError(f"{path}.{tag} required" if name is None
                           else f"unknown {path} {tag} '{name}'")
     factory = table[name].factory
-    spec_types = typing.get_type_hints(spec)
-    given = {n: _typed(block, n, spec_types[n], path, preset.get(n)) for n in outer}
+    given = {n: _typed(block, n, typing.get_type_hints(spec)[n], path) for n in outer}
     accepted = inspect.signature(factory).parameters
     passed = {n: v for n, v in given.items() if v is not None and n in accepted}
     kwargs = _kwargs(factory, _block(block, "params"), f"{path}.params", outer,
@@ -300,9 +298,7 @@ def parse_config(text: str) -> RunConfig:
     if not solver.deterministic_reduction:
         raise ConfigError("solver.deterministic_reduction must be true: the "
                           "unblocked reduction path was removed")
-    gen = _parse_tagged(doc["generator"], "generator", GeneratorSpec, d=paths.d)
-    if gen.d != paths.d:
-        raise ConfigError("generator.d must match paths.d")
+    gen = _parse_tagged(doc["generator"], "generator", GeneratorSpec)
     terminal = _typed(doc, "terminal", TerminalSpec, "")
     modulus = _typed(doc, "modulus", ModulusSpec, "")
     envelope = (None if doc.get("envelope") is None
@@ -319,11 +315,11 @@ def parse_config(text: str) -> RunConfig:
 
 def _require_agreement(name: str, found: dict, cfg: RunConfig) -> None:
     """found, the values a file holds, must agree with each key of them that
-    the paths block states and with generator.k and generator.d."""
+    the paths block states and with generator.k."""
     checks = [(key, f"paths.{key}", getattr(cfg.paths, key))
               for key in found if key in cfg.paths.stated]
-    checks += [(key, f"generator.{key}", getattr(cfg.generator, key))
-               for key in ("k", "d") if key in found]
+    if "k" in found:
+        checks.append(("k", "generator.k", cfg.generator.k))
     for key, source, want in checks:
         if found[key] != want:
             raise ConfigError(f"{name} has {key} = {found[key]}, but {source} "
@@ -332,7 +328,7 @@ def _require_agreement(name: str, found: dict, cfg: RunConfig) -> None:
 
 def _acquire_ensemble(cfg: RunConfig) -> PathEnsemble:
     """The ensemble in paths_file, once it agrees with the keys the paths
-    block states and with generator.d; else a generated one."""
+    block states; else a generated one."""
     pc = cfg.paths
     if not pc.paths_file:
         return generate_ensemble(pc.M, pc.N, pc.d, pc.T, pc.seed,
@@ -360,7 +356,7 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
 
 def _sampler(ens: PathEnsemble) -> SamplerConfig:
     """The one sampling box of every sampled check and constant."""
-    return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T)
+    return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T, d=ens.d)
 
 
 def _terminal(cfg: RunConfig, needed_for: str = "") -> TerminalSpec | None:
@@ -442,7 +438,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     rows.append(("h3", math.isfinite(h3.estimate) and not h3.unstable,
                  h3.estimate, f"se={format_number(h3.standard_error)};"
                  f"unstable={h3.unstable}"))
-    env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p)
+    env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p, ens.d)
     if env is not None:
         try:
             er = verify_envelope(gen, env, p, ens, sampler)

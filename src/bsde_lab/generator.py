@@ -21,7 +21,6 @@ from .paths import DimensionError, PathEnsemble
 class GeneratorSpec:
     family: str
     k: int = 1
-    d: int = 1
     a: float | tuple = 0.0
     b: float = 0.0
     c: float | tuple = 0.0
@@ -31,16 +30,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in GENERATOR_FAMILIES:
             raise ValueError(f"unknown generator family '{self.family}'")
-        if self.k < 1 or self.d < 1:
+        if self.k < 1:
             raise ValueError("generator dims must be >= 1")
 
 
-def zero_generator(k: int = 1, d: int = 1) -> GeneratorSpec:
-    return GeneratorSpec("zero", k=k, d=d)
+def zero_generator(k: int = 1) -> GeneratorSpec:
+    return GeneratorSpec("zero", k=k)
 
 
 def linear_generator(a: float | list = 0.0, b: float = 0.0, c: float | list = 0.0,
-                     k: int = 1, d: int = 1) -> GeneratorSpec:
+                     k: int = 1) -> GeneratorSpec:
     """g = a y + b |z| + c with scalar or k-by-k a and constant c in R^k."""
     if not np.isscalar(a):
         a = tuple(tuple(float(x) for x in row) for row in np.asarray(a, dtype=float))
@@ -54,14 +53,13 @@ def linear_generator(a: float | list = 0.0, b: float = 0.0, c: float | list = 0.
             raise ValueError("constant term c must live in R^k")
     else:
         c = float(c)
-    return GeneratorSpec("linear", k=k, d=d, a=a, b=float(b), c=c)
+    return GeneratorSpec("linear", k=k, a=a, b=float(b), c=c)
 
 
-def example1_generator(p: float = 2.0, delta: float | None = None,
-                       d: int = 1) -> GeneratorSpec:
+def example1_generator(p: float = 2.0, delta: float | None = None) -> GeneratorSpec:
     """g = h(|y|) + |z| + |B_t| with the logarithmic modulus h; scalar (k = 1)."""
     h = example1_h_modulus(p, delta)  # validates (p, delta)
-    return GeneratorSpec("example1", k=1, d=d, p=h.p, delta=h.delta)
+    return GeneratorSpec("example1", k=1, p=h.p, delta=h.delta)
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:
@@ -75,8 +73,8 @@ def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
     brownian (M, d), y (M, k), z (M, k, d) -> (M, k).  t may be a scalar or an
     (M,) array; builtin families do not depend on it directly.
     """
-    m = brownian.shape[0]
-    if brownian.shape != (m, gen.d) or y.shape != (m, gen.k) or z.shape != (m, gen.k, gen.d):
+    m, d = brownian.shape[0], brownian.shape[-1]
+    if brownian.shape != (m, d) or y.shape != (m, gen.k) or z.shape != (m, gen.k, d):
         raise ValueError("dimension mismatch between generator and batch arrays")
     out = GENERATOR_FAMILIES[gen.family].evaluate(gen, t, brownian, y, z)
     if out.shape != (m, gen.k):
@@ -107,14 +105,15 @@ class SamplerConfig:
     count: int = 4096
     seed: int = 0
     horizon: float = 1.0
+    d: int = 1
 
 
-def _draw_box(sampler: SamplerConfig, gen: GeneratorSpec):
+def _draw_box(sampler: SamplerConfig):
     rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
     n = sampler.count
     t = rng.uniform(0.0, sampler.horizon, n)
     b_half = _BROWNIAN_SCALE * math.sqrt(sampler.horizon)
-    brownian = rng.uniform(-b_half, b_half, (n, gen.d))
+    brownian = rng.uniform(-b_half, b_half, (n, sampler.d))
     return rng, t, brownian
 
 
@@ -134,6 +133,8 @@ class H1Report:
     tol: float
 
 
+# a sampled check reports an overflow as the non-finite value it leaves
+@np.errstate(over="ignore", invalid="ignore")
 def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
              sampler: SamplerConfig = SamplerConfig()) -> H1Report:
     """Sampled test of |g(y1,z) - g(y2,z)|^p <= mod(|y1 - y2|^p) (1 + _auto_tol).
@@ -144,11 +145,11 @@ def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
     if p <= 1.0:
         raise ValueError("check_h1 needs p > 1")
     tol = _auto_tol(gen, mod)
-    rng, t, brownian = _draw_box(sampler, gen)
+    rng, t, brownian = _draw_box(sampler)
     n = sampler.count
     y1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
     y2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
-    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
+    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y1, z)
     g2 = eval_generator_batch(gen, t, brownian, y2, z)
@@ -175,14 +176,15 @@ class LipschitzZReport:
     analytic: float | None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_lipschitz_z(gen: GeneratorSpec,
                          sampler: SamplerConfig = SamplerConfig()) -> LipschitzZReport:
     """Sampled max of |g(y,z1) - g(y,z2)| / |z1 - z2|, and the exact one if known."""
-    rng, t, brownian = _draw_box(sampler, gen)
+    rng, t, brownian = _draw_box(sampler)
     n = sampler.count
     y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
-    z1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
-    z2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
+    z1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
+    z2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y, z1)
     g2 = eval_generator_batch(gen, t, brownian, y, z2)
@@ -198,8 +200,8 @@ def estimate_lipschitz_z(gen: GeneratorSpec,
 class H3Report:
     """Monte Carlo estimate of E[(int_0^T |g(t, 0, 0)| dt)^p].
 
-    Finiteness cannot be certified by sampling; `unstable` flags estimates
-    that move by more than half when the ensemble is cut to its first half.
+    Finiteness cannot be certified by sampling; `unstable` flags non-finite
+    estimates, and those that move by more than half on the first half paths.
     """
 
     estimate: float
@@ -208,22 +210,19 @@ class H3Report:
     unstable: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_h3(gen: GeneratorSpec, ens: PathEnsemble, p: float) -> H3Report:
     grid = ens.grid
     vals = np.empty((ens.M, grid.N + 1))
     y0 = np.zeros((ens.M, gen.k))
-    z0 = np.zeros((ens.M, gen.k, gen.d))
+    z0 = np.zeros((ens.M, gen.k, ens.d))
     for i, t in enumerate(grid.times):
         g = eval_generator_batch(gen, t, ens.values[:, i, :], y0, z0)
         vals[:, i] = np.linalg.norm(g, axis=1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("generator produced non-finite values at (y, z) = 0")
-    # a non-finite estimate is reported as unstable, so its warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_path = np.trapezoid(vals, dx=grid.dt, axis=1) ** p
-        estimate = float(np.mean(per_path))
-        se = float(np.std(per_path) / math.sqrt(ens.M))
-        half = float(np.mean(per_path[: max(1, ens.M // 2)]))
+    per_path = np.trapezoid(vals, dx=grid.dt, axis=1) ** p
+    estimate = float(np.mean(per_path))
+    se = float(np.std(per_path) / math.sqrt(ens.M))
+    half = float(np.mean(per_path[: max(1, ens.M // 2)]))
     unstable = not math.isfinite(estimate) or \
         abs(half - estimate) > 0.5 * max(abs(estimate), 1e-300)
     return H3Report(estimate, se, half, unstable)
@@ -310,6 +309,7 @@ class EnvelopeReport:
     tol: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
                     ens: PathEnsemble,
                     sampler: SamplerConfig = SamplerConfig()) -> EnvelopeReport:
@@ -321,7 +321,7 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     path_idx = rng.integers(0, ens.M, n)
     t_idx = rng.integers(0, ens.grid.N + 1, n)
     y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
-    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, gen.d))
+    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, ens.d))
 
     t = ens.grid.times[t_idx]
     brownian = ens.values[path_idx, t_idx, :]
@@ -337,11 +337,11 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     return EnvelopeReport(float(defect[i]), witness, float(defect[i]) <= tol, tol)
 
 
-def auto_envelope(gen: GeneratorSpec, p: float) -> EnvelopeA | None:
-    """The family's canonical envelope on |y| <= SAMPLE_RADIUS; None when the
-    family does not state one."""
+def auto_envelope(gen: GeneratorSpec, p: float, d: int) -> EnvelopeA | None:
+    """The family's canonical envelope on |y| <= SAMPLE_RADIUS for a
+    d-dimensional Brownian motion; None when the family does not state one."""
     envelope = GENERATOR_FAMILIES[gen.family].envelope
-    return None if envelope is None else envelope(gen, p, SAMPLE_RADIUS)
+    return None if envelope is None else envelope(gen, p, SAMPLE_RADIUS, d)
 
 
 def _linear_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
@@ -350,7 +350,7 @@ def _linear_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
     return linear_modulus(a_norm ** p, domain_cap=radius ** p)
 
 
-def _linear_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:
+def _linear_envelope(gen: GeneratorSpec, p: float, radius: float, d: int) -> EnvelopeA:
     c_norm = abs(gen.c) if np.isscalar(gen.c) else \
         float(np.linalg.norm(np.asarray(gen.c)))
     return EnvelopeA(psi=_linear_h1(gen, p, radius), phi=constant_process(c_norm),
@@ -362,10 +362,10 @@ def _example1_h1(gen: GeneratorSpec, p: float, radius: float) -> ModulusSpec:
     return power_root(h, p)
 
 
-def _example1_envelope(gen: GeneratorSpec, p: float, radius: float) -> EnvelopeA:
-    if gen.d != 1:
-        raise DimensionError(f"the example1 envelope bounds |B_t| by |B_t^1|: it needs "
-                             f"generator.d = 1, not {gen.d}, or an envelope block")
+def _example1_envelope(gen: GeneratorSpec, p: float, radius: float, d: int) -> EnvelopeA:
+    if d != 1:
+        raise DimensionError(f"the example1 envelope bounds |B_t| by |B_t^1|: it "
+                             f"needs d = 1, not {d}, or an envelope block")
     return EnvelopeA(psi=_example1_h1(gen, p, radius), lam=1.0,
                      f=abs_brownian_coordinate_process(0))
 
@@ -376,7 +376,7 @@ class DriverFamily:
     evaluate(gen, t, brownian, y, z), and the facts the L^p theorem rests on,
     None where unknown: the exact z-Lipschitz constant lipschitz_z(gen), an H1
     modulus h1_modulus(gen, p, radius) on [0, radius^p] for |y1 - y2| <= radius,
-    and a growth envelope(gen, p, radius) on |y| <= radius.
+    and a growth envelope(gen, p, radius, d) on |y| <= radius in dimension d.
 
     reads_y(gen) says whether the driver depends on y at all.  picard_solve
     solves a driver that does not in one sweep per window, so False must be
@@ -399,7 +399,7 @@ GENERATOR_FAMILIES = {
         zero_generator, lambda gen, t, b, y, z: np.zeros((b.shape[0], gen.k)),
         lambda gen: 0.0,
         lambda gen, p, radius: linear_modulus(1.0, domain_cap=radius ** p),
-        lambda gen, p, radius: EnvelopeA(
+        lambda gen, p, radius, d: EnvelopeA(
             psi=linear_modulus(0.0, domain_cap=radius ** p), lam=0.0),
         reads_y=lambda gen: False),
     "linear": DriverFamily(linear_generator, _eval_linear,

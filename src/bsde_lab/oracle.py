@@ -22,10 +22,9 @@ def _coordinate(j: int, tau: np.ndarray, b: np.ndarray):
 
 
 def _square(tau: np.ndarray, b: np.ndarray):
-    """g = 0, xi = |B_T|^2, d = 1: y = B_t^2 + (T - t), z = 2 B_t."""
-    if b.shape[-1] != 1:
-        raise ValueError("the squared-norm oracle is one-dimensional")
-    return b[..., [0]] ** 2 + tau[..., None], 2.0 * b[..., None, :]
+    """g = 0, xi = |B_T|^2: y = |B_t|^2 + d (T - t), z = 2 B_t."""
+    y = np.sum(b * b, axis=-1, keepdims=True) + b.shape[-1] * tau[..., None]
+    return y, 2.0 * b[..., None, :]
 
 
 def _drift(a: float, c: float, v: float, tau: np.ndarray, b: np.ndarray):
@@ -47,7 +46,7 @@ def match_oracle(gen, term):
     against b's leading shape, as y (..., 1) and z (..., 1, d)."""
     if gen.family == "zero" and term.kind == "coordinate":
         return partial(_coordinate, term.j)
-    if gen.family == "zero" and term.kind == "square_norm" and gen.d == 1:
+    if gen.family == "zero" and term.kind == "square_norm":
         return _square
     if (gen.family == "linear" and term.kind == "constant" and gen.k == 1
             and term.k == 1 and np.isscalar(gen.a) and gen.b == 0.0

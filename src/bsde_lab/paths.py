@@ -126,7 +126,7 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
     grid = TimeGrid(T=float(T), N=int(N))
     try:
         steps = np.empty((N, M, d))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # a shape numpy refuses is a ValueError
         raise MemoryError(
             f"cannot allocate ensemble of {M}x{N}x{d} float64 increments") from exc
 
@@ -253,6 +253,17 @@ def read_header(fh, header: struct.Struct, magic: bytes, version: int,
     return tuple(rest)
 
 
+def header_grid(sizes: dict, horizon: float, format_error: type) -> TimeGrid:
+    """The grid of a binary header whose sizes (name -> value) are all >= 1."""
+    named = ", ".join(f"{name} = {v}" for name, v in sizes.items())
+    try:
+        if min(sizes.values()) < 1:
+            raise ValueError(f"sizes {named} must be >= 1")
+        return TimeGrid(T=horizon, N=sizes["N"])
+    except ValueError as exc:
+        raise format_error(f"header {exc}") from None
+
+
 def check_payload(fh, header: struct.Struct, expected: int,
                   length_error: type) -> None:
     """Raise length_error unless the file holds expected bytes after header."""
@@ -284,11 +295,8 @@ def load_ensemble(path) -> PathEnsemble:
             EnsembleLengthError)
         if flags & ~_ANTITHETIC:
             raise EnsembleFormatError(f"unknown header flags {flags:#x}")
-        if m < 1 or d < 1:
-            raise EnsembleFormatError(
-                f"header sizes M = {m} and d = {d} must be >= 1")
+        grid = header_grid({"M": m, "N": n, "d": d}, horizon, EnsembleFormatError)
         check_payload(fh, _HEADER, m * n * d * 8, EnsembleLengthError)
-        grid = TimeGrid(T=horizon, N=n)
         steps = np.empty((n, m, d))
         read_path_major(fh, [steps.transpose(1, 0, 2)], m, EnsembleLengthError)
     return _step_major_ensemble(steps, grid, seed, bool(flags & _ANTITHETIC))

@@ -23,8 +23,8 @@ import numpy as np
 from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
 from .paths import (NUMBER, DimensionError, PathEnsemble, TimeGrid, atomic_open,
-                    check_payload, format_number, read_header, read_path_major,
-                    write_csv, write_path_major)
+                    check_payload, format_number, header_grid, read_header,
+                    read_path_major, write_csv, write_path_major)
 
 
 class SingularRegressionError(RuntimeError):
@@ -344,12 +344,11 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
 
 def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
                       ens: PathEnsemble, basis: BasisSpec) -> np.ndarray:
-    """xi (M, k), after checking that the generator's k is the terminal's,
-    that its d is the ensemble's, and that the ensemble has more paths than
-    the basis has functions."""
+    """xi (M, k), after checking that the generator's k is the terminal's
+    and that the ensemble has more paths than the basis has functions."""
     xi = terminal_values(terminal, ens)
-    if gen.k != xi.shape[1] or gen.d != ens.d:
-        raise ValueError("generator dims disagree with terminal/ensemble")
+    if gen.k != xi.shape[1]:
+        raise ValueError("generator k disagrees with the terminal's")
     basis.require_samples(ens.M, ens.d)
     return xi
 
@@ -496,13 +495,8 @@ def load_solution(path) -> DiscreteSolution:
         m, n, k, d, horizon = read_header(
             fh, _SOLUTION_HEADER, _SOLUTION_MAGIC, _SOLUTION_VERSION,
             "solution", SolutionFormatError, SolutionLengthError)
-        if min(m, n, k, d) < 1:
-            raise SolutionFormatError(f"header sizes M = {m}, N = {n}, k = {k} "
-                                      f"and d = {d} must be >= 1")
-        try:
-            grid = TimeGrid(T=horizon, N=n)
-        except ValueError as exc:
-            raise SolutionFormatError(f"header: {exc}") from None
+        grid = header_grid({"M": m, "N": n, "k": k, "d": d}, horizon,
+                           SolutionFormatError)
         check_payload(fh, _SOLUTION_HEADER, m * ((n + 1) * k + n * k * d) * 8,
                       SolutionLengthError)
         y = np.empty((n + 1, m, k)).transpose(1, 0, 2)

@@ -13,14 +13,14 @@ hypothesis.settings.load_profile("ci")
 
 @pytest.fixture
 def add_driver(monkeypatch):
-    """add_driver(name, fn, k, d) adds, for the test, a DriverFamily record
+    """add_driver(name, fn, k) adds, for the test, a DriverFamily record
     that states no facts and evaluates fn(t, brownian, y, z); it returns the
-    family's spec of dimensions k and d."""
-    def add(name, fn, k=1, d=1):
+    family's spec of dimension k."""
+    def add(name, fn, k=1):
         monkeypatch.setitem(GENERATOR_FAMILIES, name, bl.DriverFamily(
-            lambda k=1, d=1: bl.GeneratorSpec(name, k=k, d=d),
+            lambda k=1: bl.GeneratorSpec(name, k=k),
             lambda gen, t, brownian, y, z: fn(t, brownian, y, z)))
-        return bl.GeneratorSpec(name, k=k, d=d)
+        return bl.GeneratorSpec(name, k=k)
     return add
 
 

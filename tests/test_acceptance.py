@@ -36,7 +36,7 @@ def ensemble():
 
 @pytest.fixture(scope="module")
 def martingale_run(ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     term = bl.coordinate_terminal(0)
     start = time.perf_counter()
     sol, rep = bl.picard_solve(gen, term, ensemble, BASIS, p=2.0)
@@ -46,7 +46,7 @@ def martingale_run(ensemble):
 
 @pytest.fixture(scope="module")
 def example1_run(ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     sol, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), ensemble,
                                BASIS, p=2.0, tol=1e-6, max_iter=25)
     return gen, sol, rep
@@ -54,7 +54,7 @@ def example1_run(ensemble):
 
 def test_criterion_01_martingale_oracle(ensemble, martingale_run):
     sol, rep, elapsed = martingale_run
-    form = bl.match_oracle(bl.zero_generator(1, 1), bl.coordinate_terminal(0))
+    form = bl.match_oracle(bl.zero_generator(1), bl.coordinate_terminal(0))
     errs = bl.compare_to_oracle(sol, form, ensemble, p=2.0)
     ok = errs.sp_error <= 0.05 and errs.z_rms_error <= 0.10 and elapsed <= 60.0
     _verdict(1, "martingale oracle", ok,
@@ -63,7 +63,7 @@ def test_criterion_01_martingale_oracle(ensemble, martingale_run):
 
 
 def test_criterion_02_quadratic_oracle(ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), ensemble, BASIS,
                              p=2.0)
     form = bl.match_oracle(gen, bl.square_norm_terminal())
@@ -76,7 +76,7 @@ def test_criterion_02_quadratic_oracle(ensemble):
 
 
 def test_criterion_03_linear_drift_oracle(ensemble):
-    gen = bl.linear_generator(a=0.5, b=0.0, c=0.2, k=1, d=1)
+    gen = bl.linear_generator(a=0.5, b=0.0, c=0.2, k=1)
     sol, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), ensemble,
                                BASIS, p=2.0, tol=1e-4)
     target = math.exp(0.5) + 0.4 * (math.exp(0.5) - 1.0)
@@ -88,7 +88,7 @@ def test_criterion_03_linear_drift_oracle(ensemble):
 
 
 def test_criterion_04_example1_contraction(ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     _, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), ensemble, BASIS,
                              p=2.0, tol=1e-12, max_iter=6)
     dy = rep.dist_y
@@ -124,7 +124,7 @@ def test_criterion_06_bihari(ensemble):
     factorial_dev = max(abs(curve.values[n, 0] - 1.0 / math.factorial(n + 1))
                         for n in range(11))
 
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     h = bl.example1_h_modulus(2.0, domain_cap=5.0)
     chain = bl.power_root(h, 2.0)
     growth_a = bl.linear_growth_coefficient(chain)
@@ -172,7 +172,7 @@ def test_criterion_08_power_root_properties():
 def test_criterion_09_energy_inequality(ensemble, martingale_run,
                                         example1_run):
     sol_z, _, _ = martingale_run
-    gen_z = bl.zero_generator(1, 1)
+    gen_z = bl.zero_generator(1)
     identity_ok = True
     details = []
     for t_index in (0, 25):

@@ -192,7 +192,7 @@ def test_constants_overflow_is_one_overflow_error(p, horizon, given):
 # -------------------------------------------------------------- energy check
 
 def test_lemma1_zero_everything(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(0.0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
     rep = bl.check_lemma1(sol, gen, 2.0, 0, small_ensemble)
@@ -202,7 +202,7 @@ def test_lemma1_zero_everything(small_ensemble):
 
 def test_lemma1_energy_identity_brownian_terminal():
     ens = bl.generate_ensemble(M=2 ** 13, N=50, d=1, T=1.0, seed=77)
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), ens,
                              bl.BasisSpec(3), p=2.0)
     for t_index in (0, 25):
@@ -214,7 +214,7 @@ def test_lemma1_energy_identity_brownian_terminal():
 
 
 def test_lemma1_inequality_example1(small_ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
     for t_index in range(0, small_ensemble.grid.N + 1, 5):
@@ -223,7 +223,7 @@ def test_lemma1_inequality_example1(small_ensemble):
 
 
 def test_lemma1_index_validation(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(0.0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
     with pytest.raises(ValueError):
@@ -234,10 +234,10 @@ def test_lemma1_index_validation(small_ensemble):
 # ------------------------------------------------------------ a-priori bounds
 
 def test_apriori_zero_instance(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(0.0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
-    env = bl.auto_envelope(gen, 2.0)
+    env = bl.auto_envelope(gen, 2.0, 1)
     cb = bl.compute_constants(2.0, 0.0, 1.0, 0.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)
     assert rep.prop1_holds and rep.prop2_holds
@@ -245,20 +245,20 @@ def test_apriori_zero_instance(small_ensemble):
 
 
 def test_apriori_brownian_terminal_default_constants(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
-    env = bl.auto_envelope(gen, 2.0)
+    env = bl.auto_envelope(gen, 2.0, 1)
     cb = bl.compute_constants(2.0, 0.0, 1.0, 0.0, terminal_moment=1.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)
     assert rep.prop1_holds and rep.prop2_holds
 
 
 def test_apriori_collapsed_constant_reports_violation(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              bl.BasisSpec(3), p=2.0)
-    env = bl.auto_envelope(gen, 2.0)
+    env = bl.auto_envelope(gen, 2.0, 1)
     cb = bl.compute_constants(2.0, 0.0, 1.0, 0.0, k_prime_p=1e-6,
                               terminal_moment=1.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)

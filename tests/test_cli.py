@@ -85,12 +85,11 @@ def test_p_must_exceed_one():
         }))
 
 
-def test_generator_d_must_match_paths():
-    with pytest.raises(ConfigError, match="generator.d"):
-        parse_config(json.dumps({
-            "generator": {"family": "zero", "d": 2},
-            "paths": {"d": 1},
-        }))
+def test_generator_d_is_an_unknown_key(tmp_path, capsys):
+    # d is the ensemble's: the generator block does not state it
+    path = _write(tmp_path, {"generator": {"family": "zero", "d": 1}})
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'generator.d'\n"
 
 
 def test_modulus_block_families():
@@ -152,6 +151,15 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent
 def test_example_configs_parse(path):
     cfg = parse_config(path.read_text())
     assert cfg.terminal is not None
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_example_configs_run_check_and_constants(tmp_path, path):
+    commands = ["check", "constants"]
+    if path.name == "martingale_study.json":
+        commands.append("convergence-study")
+    assert [main([cmd, str(path), "--output-dir", str(tmp_path)])
+            for cmd in commands] == [0] * len(commands)
 
 
 def test_example_configs_present():
@@ -490,14 +498,18 @@ def test_paths_file_agreeing_with_every_stated_key_solves(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])
-def test_paths_file_dimension_must_match_the_generator(tmp_path, capsys,
-                                                       command):
+def test_paths_file_dimension_must_match_a_stated_paths_d(tmp_path, capsys,
+                                                         command):
+    # d is compared with paths.d only where the config states it; otherwise
+    # the file's d is the run's
     stored = _stored(tmp_path, d=3)
-    doc = _config(tmp_path)
-    del doc["paths"]
+    doc = _config(tmp_path, paths={"d": 1})
     path = _write(tmp_path, doc)
     assert main([command, str(path), "--paths-file", str(stored)]) == 2
-    assert "d = 3, but generator.d is 1" in capsys.readouterr().err
+    assert "d = 3, but paths.d is 1" in capsys.readouterr().err
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main([command, str(path), "--paths-file", str(stored)]) == 0
 
 
 def test_paths_file_with_unknown_flags_exits_two(tmp_path, capsys):
@@ -689,8 +701,8 @@ def test_default_h1_modulus_custom_needs_block(add_driver):
         cli._h1_modulus(cfg)
 
 
-def _abs_z_generator(b: float = 0.5, d: int = 1) -> bl.GeneratorSpec:
-    return bl.GeneratorSpec("abs_z", k=1, d=d, b=b)
+def _abs_z_generator(b: float = 0.5) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("abs_z", k=1, b=b)
 
 
 def test_a_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
@@ -711,8 +723,8 @@ def test_a_family_record_is_reachable_from_a_config(tmp_path, monkeypatch):
 
 
 def _plain_linear_generator(a: float = 0.0, b: float = 0.0, c: float = 0.0,
-                            k: int = 1, d: int = 1) -> bl.GeneratorSpec:
-    return bl.GeneratorSpec("plain_linear", k=k, d=d, a=a, b=b, c=c)
+                            k: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("plain_linear", k=k, a=a, b=b, c=c)
 
 
 def _last_coordinate_terminal(k: int = 1) -> bl.TerminalSpec:
@@ -792,8 +804,8 @@ def test_bundle_samples_lipschitz_z_only_without_an_exact_constant(
 
 # ------------------------------------------------------- tagged blocks
 
-def _scaled_y_generator(b: float = 1.0, k: int = 1, d: int = 1) -> bl.GeneratorSpec:
-    return bl.GeneratorSpec("scaled_y", k=k, d=d, b=b)
+def _scaled_y_generator(b: float = 1.0, k: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("scaled_y", k=k, b=b)
 
 
 def _shifted_terminal(j: int = 0, value: float = 0.0) -> bl.TerminalSpec:
@@ -937,8 +949,8 @@ def test_tagged_unknown_family_is_named(block, tag, tmp_path):
         parse_config(json.dumps(doc))
 
 
-def _needs_b_generator(b: float, k: int = 1, d: int = 1) -> bl.GeneratorSpec:
-    return bl.GeneratorSpec("needs_b", k=k, d=d, b=b)
+def _needs_b_generator(b: float, k: int = 1) -> bl.GeneratorSpec:
+    return bl.GeneratorSpec("needs_b", k=k, b=b)
 
 
 def test_tagged_required_param_is_named(monkeypatch):
@@ -952,7 +964,7 @@ def test_tagged_required_param_is_named(monkeypatch):
 def test_an_unannotated_factory_parameter_is_named(tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.setitem(GENERATOR_FAMILIES, "untyped", bl.DriverFamily(
-        lambda b=1.0, k=1, d=1: bl.GeneratorSpec("untyped", k=k, d=d, b=b),
+        lambda b=1.0, k=1: bl.GeneratorSpec("untyped", k=k, b=b),
         lambda gen, t, brownian, y, z: gen.b * y))
     path = _write(tmp_path, _config(
         tmp_path, generator={"family": "untyped", "params": {"b": 0.5}}))
@@ -1040,8 +1052,10 @@ def test_tabulated_domain_cap_defaults_to_last_breakpoint():
     ({"envelope": {"psi": {"family": "linear"},
                    "f": {"kind": "abs_brownian_coordinate",
                          "params": {"index": 1}}}}, "index = 1"),
-    ({"paths": {"M": 256, "N": 4, "d": 2},
-      "generator": {"family": "example1"}}, "generator.d = 1"),
+    # the id keeps its old name; the message names the ensemble's d
+    pytest.param({"paths": {"M": 256, "N": 4, "d": 2},
+                  "generator": {"family": "example1"}}, "needs d = 1, not 2",
+                 id="overrides7-generator.d = 1"),
     ({"paths": {"M": 128, "N": 4, "seed": -1}}, "paths.seed is -1"),
     ({"paths": {"M": 128, "N": 4, "seed": 2 ** 64}},
      f"paths.seed is {2 ** 64}"),
@@ -1119,8 +1133,7 @@ def test_bad_solver_settings_exit_two(tmp_path, capsys, solver, message):
 
 @pytest.mark.parametrize("command, overrides, m_field", [
     ("solve", {"paths": {"M": 4, "N": 4}}, "paths.M"),
-    ("oracle-compare", {"paths": {"M": 10, "N": 4, "d": 3},
-                        "generator": {"family": "zero", "d": 3}}, "paths.M"),
+    ("oracle-compare", {"paths": {"M": 10, "N": 4, "d": 3}}, "paths.M"),
     ("convergence-study", {"paths": {"seed": 3},
                            "study": {"M_values": [1024, 3], "N_values": [4]}},
      "study.M_values"),
@@ -1208,14 +1221,26 @@ def test_a_negative_coordinate_index_exits_two(tmp_path, capsys, command,
 @pytest.mark.parametrize("overrides", [
     {"generator": {"family": "linear", "params": {"a": 0.5}, "k": 2},
      "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]}}},
-    {"paths": {"M": 256, "N": 4, "d": 2}, "generator": {"family": "zero"},
-     "terminal": {"kind": "square_norm"}},
-], ids=["linear_drift-k2", "martingale_square-d2"])
+], ids=["linear_drift-k2"])
 def test_oracle_compare_without_an_oracle_of_that_shape_exits_two(
         tmp_path, capsys, overrides):
     path = _write(tmp_path, _config(tmp_path, **overrides))
     assert main(["oracle-compare", str(path)]) == 2
     assert "no closed-form oracle matches" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_oracle_compare_square_norm_in_any_dimension(tmp_path, d):
+    errors = []
+    for m in (4096, 16384):
+        out = tmp_path / str(m)
+        path = _write(tmp_path, _config(
+            tmp_path, paths={"M": m, "N": 10, "d": d, "seed": 3},
+            terminal={"kind": "square_norm"}, output_dir=str(out)))
+        assert main(["oracle-compare", str(path)]) == 0
+        row = (out / "oracle_errors.csv").read_text().splitlines()[1]
+        errors.append(float(row.split(",")[0]))
+    assert errors[1] < errors[0]
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "oracle-compare",
@@ -1558,6 +1583,55 @@ def test_running_out_of_memory_exits_two(tmp_path, command, overrides):
     assert out.returncode == 2
     assert out.stderr.startswith("error: out of memory: ")
     assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"paths": {"M": 10 ** 30, "N": 10}}),
+    ("gen-paths", {"paths": {"M": 10 ** 30, "N": 10}}),
+    ("solve", {"paths": {"M": 2 ** 62, "N": 10}}),
+    ("convergence-study", {"terminal": {"kind": "coordinate"},
+                           "paths": {"seed": 3},
+                           "study": {"M_values": [10 ** 30], "N_values": [4]}}),
+    ("bihari", {"modulus": {"family": "linear"},
+                "bihari": {"M_bound": 1.0, "T1": 0.0, "n_max": 2,
+                           "quad_steps": 2 ** 62}}),
+], ids=["solve-M", "gen-paths-M", "solve-M-2**62", "convergence-study-M_values",
+        "bihari-quad_steps"])
+def test_an_array_larger_than_numpy_allows_exits_two(tmp_path, capsys, command,
+                                                     overrides):
+    # numpy refuses these shapes with a ValueError before it tries to
+    # allocate, so no address-space cap is needed
+    path = _write(tmp_path, _config(tmp_path, **overrides))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert err.count("\n") == 1
+
+
+_OVERFLOWS = "error: the derived constants overflow at p = 2.0, T = 1.0; " \
+             "reduce c3 or the horizon\n"
+
+
+@pytest.mark.parametrize("command, params, solver, err", [
+    ("check", {"c": 1e200}, {}, ""),
+    ("check", {"b": 1e200}, {}, ""),
+    ("constants", {"c": 1e200}, {}, _OVERFLOWS),
+    ("bihari", {"c": 1e200}, {}, _OVERFLOWS),
+    ("solve", {"c": 1e200}, {"split": "auto"}, _OVERFLOWS),
+], ids=["check-c", "check-b", "constants-c", "bihari-c", "solve-split-auto-c"])
+def test_a_driver_whose_norm_overflows_exits_one(tmp_path, capsys, command,
+                                                 params, solver, err):
+    # g is finite, but norms of its values overflow a double: the checks
+    # that take them fail (h3 as a non-finite, unstable estimate) and no
+    # numpy warning reaches stderr
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 256, "N": 5}, solver=solver,
+        generator={"family": "linear", "params": params}))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == err
+    if command == "check" and "c" in params:
+        rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
+        assert "h3,false,inf,se=nan;unstable=True" in rows
 
 
 @pytest.mark.parametrize("command, overrides, message", [

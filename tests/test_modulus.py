@@ -169,7 +169,7 @@ def test_builtin_default_moduli_meet_the_precondition(family, p):
     gen = GENERATOR_FAMILIES[family].factory(
         **({"a": 0.5, "c": 0.1} if family == "linear" else {}))
     require_concave(GENERATOR_FAMILIES[family].h1_modulus(gen, p, 10.0))
-    require_concave(bl.auto_envelope(gen, p).psi)
+    require_concave(bl.auto_envelope(gen, p, 1).psi)
 
 
 def test_shape_worst_violation_sign_contract():

@@ -6,6 +6,7 @@ import pytest
 
 import bsde_lab as bl
 from bsde_lab.oracle import match_oracle, oracle_paths
+from bsde_lab.solver import terminal_values
 
 
 def _one_path(values, horizon=1.0):
@@ -94,7 +95,7 @@ def test_compare_holds_one_time_step_of_the_oracle():
     # comparison holds only the (M, N) z squares, 1/(1 + 1/d) of z for k = 1.
     # A full-size oracle (y, z) and z difference would take about twice y + z.
     ens = bl.generate_ensemble(M=4096, N=20, d=3, T=1.0, seed=5)
-    form = match_oracle(bl.zero_generator(1, 3), bl.coordinate_terminal(0))
+    form = match_oracle(bl.zero_generator(1), bl.coordinate_terminal(0))
     y, z = oracle_paths(form, ens)
     sol = bl.DiscreteSolution(y=y + 0.25, z=z + 0.5, grid=ens.grid)
     tracemalloc.start()
@@ -117,11 +118,16 @@ def test_compare_shape_mismatch(small_ensemble):
         bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
 
 
-def test_square_oracle_requires_one_dimension(small_ensemble_2d):
-    assert match_oracle(bl.zero_generator(1, 2), bl.square_norm_terminal()) is None
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_square_oracle_holds_in_every_dimension(d):
+    # y = |B_t|^2 + d (T - t) ends at xi = |B_T|^2, and E[y_T] = y_0
+    ens = bl.generate_ensemble(M=2048, N=10, d=d, T=1.0, seed=11)
     form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
-    with pytest.raises(ValueError, match="one-dimensional"):
-        oracle_paths(form, small_ensemble_2d)
+    y, z = oracle_paths(form, ens)
+    assert np.array_equal(y[:, -1], terminal_values(bl.square_norm_terminal(), ens))
+    assert np.all(y[:, 0] == d)
+    assert np.array_equal(z, 2.0 * ens.values[:, :-1, None, :])
+    assert np.mean(y[:, -1]) == pytest.approx(d, rel=0.15)
 
 
 def test_drift_oracle_needs_a_one_entry_terminal():
@@ -133,6 +139,6 @@ def test_drift_oracle_needs_a_one_entry_terminal():
 
 @pytest.mark.parametrize("j", [2, -1])
 def test_coordinate_oracle_index_out_of_range(j, small_ensemble_2d):
-    form = match_oracle(bl.zero_generator(1, 2), bl.coordinate_terminal(j))
+    form = match_oracle(bl.zero_generator(1), bl.coordinate_terminal(j))
     with pytest.raises(ValueError, match=f"j = {j} is out of range for d = 2"):
         oracle_paths(form, small_ensemble_2d)

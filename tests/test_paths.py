@@ -274,6 +274,17 @@ def test_empty_header_sizes_rejected(tmp_path, m, d):
         bl.load_ensemble(target)
 
 
+@pytest.mark.parametrize("n, horizon, message", [
+    (0, 1.0, "N = 0"), (3, math.nan, "horizon T"), (3, 0.0, "horizon T"),
+    (3, -1.0, "horizon T")], ids=["N0", "T_nan", "T0", "T_negative"])
+def test_a_header_grid_that_is_no_grid_is_rejected(tmp_path, n, horizon, message):
+    target = tmp_path / "e.bsde"
+    target.write_bytes(paths_module._HEADER.pack(b"BSDE", 1, 4, n, 1, 0, horizon, 2)
+                       + bytes(4 * n * 8))
+    with pytest.raises(EnsembleFormatError, match=message):
+        bl.load_ensemble(target)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     target = tmp_path / "e.bsde"
     bl.save_ensemble(bl.generate_ensemble(4, 3, 1, 1.0, seed=2), target)

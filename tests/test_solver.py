@@ -154,7 +154,7 @@ def test_solves_need_more_paths_than_basis_functions():
     # M = 4 paths against the 4 cubic monomials in d = 1 would interpolate
     ens = bl.generate_ensemble(M=4, N=3, d=1, T=1.0, seed=5)
     with pytest.raises(ValueError, match="M = 4 paths must exceed the 4 basis"):
-        bl.picard_solve(bl.zero_generator(1, 1), bl.coordinate_terminal(0),
+        bl.picard_solve(bl.zero_generator(1), bl.coordinate_terminal(0),
                         ens, BASIS)
 
 
@@ -163,7 +163,7 @@ def test_solves_need_more_paths_than_basis_functions():
 # solve is its first sweep.
 
 def test_zero_generator_constant_terminal_is_exact(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(2.5), small_ensemble,
                              BASIS)
     # the default ridge shrinks the fitted constant by ~1e-10 relative,
@@ -174,7 +174,7 @@ def test_zero_generator_constant_terminal_is_exact(small_ensemble):
 
 def test_zero_generator_coordinate_terminal_tracks_martingale():
     ens = bl.generate_ensemble(M=2 ** 13, N=25, d=1, T=1.0, seed=31)
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), ens, BASIS)
     err = np.sqrt(np.mean((sol.y[:, :, 0] - ens.values[:, :, 0]) ** 2))
     assert err <= 0.05
@@ -182,7 +182,7 @@ def test_zero_generator_coordinate_terminal_tracks_martingale():
 
 
 def test_drift_only_generator_matches_ode(small_ensemble):
-    gen = bl.linear_generator(a=0.0, b=0.0, c=0.2, k=1, d=1)
+    gen = bl.linear_generator(a=0.0, b=0.0, c=0.2, k=1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(0.0), small_ensemble,
                              BASIS)
     times = small_ensemble.grid.times
@@ -192,7 +192,7 @@ def test_drift_only_generator_matches_ode(small_ensemble):
 
 
 def test_terminal_pinning_is_exact(small_ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     xi = terminal_values(bl.coordinate_terminal(0), small_ensemble)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              BASIS)
@@ -202,7 +202,7 @@ def test_terminal_pinning_is_exact(small_ensemble):
 def test_martingale_consistency_for_zero_generator(small_ensemble):
     """With g = 0 the fitted y at step i is exactly the projection of y at
     step i+1, so re-regressing reproduces it to numerical zero."""
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), small_ensemble,
                              BASIS)
     i = small_ensemble.grid.N // 2
@@ -215,7 +215,7 @@ def test_martingale_consistency_for_zero_generator(small_ensemble):
 # ---------------------------------------------------------------- fixed point
 
 def test_picard_zero_generator_converges_at_one(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
                                BASIS, p=2.0)
     assert rep.converged
@@ -225,7 +225,7 @@ def test_picard_zero_generator_converges_at_one(small_ensemble):
 
 def test_picard_linear_generator_hits_exponential():
     ens = bl.generate_ensemble(M=4096, N=50, d=1, T=1.0, seed=41)
-    gen = bl.linear_generator(a=0.5, b=0.0, c=0.0, k=1, d=1)
+    gen = bl.linear_generator(a=0.5, b=0.0, c=0.0, k=1)
     sol, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS,
                                p=2.0, tol=1e-6)
     assert rep.converged
@@ -234,7 +234,7 @@ def test_picard_linear_generator_hits_exponential():
 
 
 def test_picard_max_iter_exhaustion_returns_best(small_ensemble):
-    gen = bl.linear_generator(a=3.0, b=0.0, c=0.0, k=1, d=1)
+    gen = bl.linear_generator(a=3.0, b=0.0, c=0.0, k=1)
     sol, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
                                BASIS, p=2.0, tol=1e-14, max_iter=2)
     assert not rep.converged
@@ -281,7 +281,7 @@ def test_non_finite_regression_moments_are_a_picard_divergence(overflow):
 
 
 def test_picard_constant_init_same_limit(small_ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     term = bl.coordinate_terminal(0)
     sol_a, _ = bl.picard_solve(gen, term, small_ensemble, BASIS, p=2.0,
                                tol=1e-8, max_iter=25)
@@ -293,7 +293,7 @@ def test_picard_constant_init_same_limit(small_ensemble):
 
 
 def test_picard_report_lengths(small_ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     _, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              BASIS, p=2.0, tol=1e-12, max_iter=4)
     assert rep.iterations == 4
@@ -301,7 +301,7 @@ def test_picard_report_lengths(small_ensemble):
 
 
 def test_picard_determinism(small_ensemble):
-    gen = bl.example1_generator(p=2.0, d=1)
+    gen = bl.example1_generator(p=2.0)
     term = bl.coordinate_terminal(0)
     a, rep_a = bl.picard_solve(gen, term, small_ensemble, BASIS, p=2.0)
     b, rep_b = bl.picard_solve(gen, term, small_ensemble, BASIS, p=2.0)
@@ -312,7 +312,7 @@ def test_picard_determinism(small_ensemble):
 
 def test_picard_split_windows_match_unsplit():
     ens = bl.generate_ensemble(M=4096, N=50, d=1, T=1.0, seed=43)
-    gen = bl.linear_generator(a=0.5, b=0.0, c=0.2, k=1, d=1)
+    gen = bl.linear_generator(a=0.5, b=0.0, c=0.2, k=1)
     term = bl.constant_terminal(1.0)
     target = math.exp(0.5) + 0.4 * (math.exp(0.5) - 1.0)
 
@@ -327,7 +327,7 @@ def test_picard_split_windows_match_unsplit():
 
 
 def test_picard_validates_parameters(small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     term = bl.constant_terminal(1.0)
     with pytest.raises(ValueError):
         bl.picard_solve(gen, term, small_ensemble, BASIS, tol=0.0)
@@ -337,7 +337,7 @@ def test_picard_validates_parameters(small_ensemble):
 
 def test_stability_warning_for_coarse_grid():
     ens = bl.generate_ensemble(M=256, N=2, d=1, T=2.0, seed=3)
-    gen = bl.linear_generator(a=0.0, b=1.0, c=0.0, k=1, d=1)  # C = 1, dt = 1
+    gen = bl.linear_generator(a=0.0, b=1.0, c=0.0, k=1)  # C = 1, dt = 1
     with pytest.warns(RuntimeWarning, match="unstable"):
         bl.picard_solve(gen, bl.constant_terminal(1.0), ens, BASIS)
 
@@ -345,7 +345,7 @@ def test_stability_warning_for_coarse_grid():
 # -------------------------------------------------------------------- exports
 
 def test_solution_csv_layout(tmp_path, small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
                              BASIS)
     target = tmp_path / "solution.csv"
@@ -558,7 +558,7 @@ def test_failed_csv_write_leaves_the_old_file(tmp_path):
 
 
 def test_picard_report_csv(tmp_path, small_ensemble):
-    gen = bl.zero_generator(1, 1)
+    gen = bl.zero_generator(1)
     _, rep = bl.picard_solve(gen, bl.constant_terminal(1.0), small_ensemble,
                              BASIS)
     target = tmp_path / "report.csv"
@@ -623,11 +623,11 @@ def _solve_case(name):
                                tol=1e-8, split=0.4)
     if name == "zero_d3":
         ens = bl.generate_ensemble(M=9000, N=6, d=3, T=1.0, seed=102)
-        return bl.picard_solve(bl.zero_generator(1, 3),
+        return bl.picard_solve(bl.zero_generator(1),
                                bl.square_norm_terminal(), ens, BASIS)
     ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=103)
     gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
-                              c=[0.1, 0.2], k=2, d=2)
+                              c=[0.1, 0.2], k=2)
     return bl.picard_solve(gen, bl.constant_terminal([1.0, 2.0]), ens,
                            bl.BasisSpec(int(name[-1])), tol=1e-8)
 
@@ -671,7 +671,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
 
 
 @pytest.mark.parametrize("gen, term, d, split, bound", [
-    (bl.zero_generator(1, 3), bl.square_norm_terminal(), 3, None, 2.1),
+    (bl.zero_generator(1), bl.square_norm_terminal(), 3, None, 2.1),
     (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, None, 1.7),
     (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 0.5, 1.7),
 ], ids=["zero_d3", "example1", "split"])
@@ -764,7 +764,7 @@ def test_ensembles_and_solutions_are_stored_step_major(tmp_path):
         assert e.values.shape == (m, n + 1, d)
         assert _step_major(e.increments) and _step_major(e.values)
     gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
-                              c=[0.1, 0.2], k=2, d=d)
+                              c=[0.1, 0.2], k=2)
     term = bl.constant_terminal([1.0, 2.0])
     sol, _ = bl.picard_solve(gen, term, loaded, BASIS, tol=1e-8)
     assert sol.y.shape == (m, n + 1, 2) and sol.z.shape == (m, n, 2, d)
@@ -782,7 +782,7 @@ def test_a_path_major_ensemble_gives_the_same_solution():
                            values=np.ascontiguousarray(ens.values))
     assert hand.values.flags.c_contiguous and not _step_major(hand.values)
     gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
-                              c=[0.1, 0.2], k=2, d=2)
+                              c=[0.1, 0.2], k=2)
     term = bl.constant_terminal([1.0, 2.0])
     sol, rep = bl.picard_solve(gen, term, ens, BASIS, tol=1e-8)
     sol_h, rep_h = bl.picard_solve(gen, term, hand, BASIS, tol=1e-8)
@@ -804,10 +804,10 @@ def _y_free_case(name):
     """A solve whose driver does not read y, and its solve arguments."""
     if name == "zero_d3":
         ens = bl.generate_ensemble(M=2048, N=10, d=3, T=1.0, seed=104)
-        return bl.zero_generator(1, 3), bl.coordinate_terminal(0), ens, {}
+        return bl.zero_generator(1), bl.coordinate_terminal(0), ens, {}
     if name == "zero_split_init":
         ens = bl.generate_ensemble(M=1024, N=20, d=1, T=1.0, seed=105)
-        return (bl.zero_generator(1, 1), bl.square_norm_terminal(), ens,
+        return (bl.zero_generator(1), bl.square_norm_terminal(), ens,
                 {"split": 0.5, "init": 0.3})
     if name == "linear_a0":
         ens = bl.generate_ensemble(M=1024, N=20, d=1, T=1.0, seed=106)
@@ -815,7 +815,7 @@ def _y_free_case(name):
                 bl.coordinate_terminal(0), ens, {})
     ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=107)
     return (bl.linear_generator(a=[[0.0, 0.0], [0.0, 0.0]], b=0.4,
-                                c=[0.1, 0.2], k=2, d=2),
+                                c=[0.1, 0.2], k=2),
             bl.constant_terminal([1.0, 2.0]), ens, {"init": [-0.5, 0.5]})
 
 
