@@ -30,7 +30,6 @@ from .generator import (
     GeneratorSpec,
     ProcessKind,
     ProcessSpec,
-    SamplerConfig,
     auto_envelope,
     check_h1,
     check_h3,
@@ -56,18 +55,24 @@ from .modulus import (
     tabulated_modulus,
 )
 from .oracle import compare_to_oracle, match_oracle
-from .paths import PathEnsemble, TimeGrid, generate_ensemble, load_ensemble, save_ensemble
+from .paths import (
+    DiscreteSolution,
+    PathEnsemble,
+    TimeGrid,
+    generate_ensemble,
+    load_ensemble,
+    load_solution,
+    save_ensemble,
+    save_solution,
+)
 from .solver import (
     BasisSpec,
-    DiscreteSolution,
     PicardReport,
     TerminalKind,
     TerminalSpec,
     constant_terminal,
     coordinate_terminal,
-    load_solution,
     picard_solve,
-    save_solution,
     square_norm_terminal,
 )
 

@@ -199,8 +199,12 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         m_bound = math.inf
     # m_bound is not finite whenever mu0 is not, and also when 2 mu0 overflows
     if not math.isfinite(m_bound):
+        causes = [f"{name} is not finite" for name, moment in (
+            ("E|xi|^p", terminal_moment),
+            ("E[(int |g(t,0,0)| dt)^p]", h3_moment)) if not math.isfinite(moment)]
         raise OverflowError(f"the derived constants overflow at p = {p}, "
-                            f"T = {horizon}; reduce c3 or the horizon")
+                            f"T = {horizon}; "
+                            + ("; ".join(causes) or "reduce c3 or the horizon"))
     candidates = [horizon - math.log(2.0) / c1, horizon - math.log(2.0) / c3, 0.0]
     if growth_a > 0.0:
         candidates.append(horizon - 1.0 / (2.0 * growth_a))

@@ -20,18 +20,18 @@ import numpy as np
 
 from . import analysis, oracle
 from .generator import (GENERATOR_FAMILIES, PROCESS_KINDS, SAMPLE_RADIUS,
-                        EnvelopeA, GeneratorSpec, ProcessSpec, SamplerConfig,
-                        auto_envelope, check_h1, check_h3,
-                        estimate_lipschitz_z, verify_envelope)
+                        EnvelopeA, GeneratorSpec, ProcessSpec, auto_envelope,
+                        check_h1, check_h3, estimate_lipschitz_z,
+                        verify_envelope)
 from .modulus import (DIVERGENT, MODULUS_FAMILIES, ModulusShapeError,
                       ModulusSpec, check_shape, linear_growth_coefficient,
                       osgood_classify)
 from .paths import (DimensionError, PathEnsemble, format_number,
-                    generate_ensemble, load_ensemble, save_ensemble, write_csv)
+                    generate_ensemble, load_ensemble, load_solution,
+                    save_ensemble, save_solution, save_solution_csv, write_csv)
 from .solver import (TERMINAL_KINDS, BasisSpec, PicardDivergenceError,
-                     SingularRegressionError, TerminalSpec, load_solution,
-                     picard_solve, save_picard_report_csv, save_solution,
-                     save_solution_csv, terminal_values)
+                     PicardReport, SingularRegressionError, TerminalSpec,
+                     picard_solve, terminal_values)
 
 
 class ConfigError(ValueError):
@@ -354,11 +354,6 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
     return h1_modulus(cfg.generator, cfg.solver.p, 2 * SAMPLE_RADIUS)
 
 
-def _sampler(ens: PathEnsemble) -> SamplerConfig:
-    """The one sampling box of every sampled check and constant."""
-    return SamplerConfig(count=8192, seed=ens.seed + 1, horizon=ens.grid.T, d=ens.d)
-
-
 def _terminal(cfg: RunConfig, needed_for: str = "") -> TerminalSpec | None:
     """cfg.terminal, once it agrees with generator.k; None when it is absent,
     unless needed_for says what needs it."""
@@ -375,7 +370,7 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
     term = _terminal(cfg)
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
-        gen, _sampler(ens)).sampled
+        gen, ens).sampled
     try:
         growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
     except ModulusShapeError as exc:
@@ -414,7 +409,6 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
     gen, p = cfg.generator, cfg.solver.p
     mod = _h1_modulus(cfg)
-    sampler = _sampler(ens)
 
     rows = []
     shape = check_shape(mod)
@@ -426,10 +420,10 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     rows.append(("osgood_rho", osg.classification == DIVERGENT,
                  float(osg.increments[-1]),
                  f"classification={osg.classification};rule={osg.rule}"))
-    h1 = check_h1(gen, mod, p, sampler)
+    h1 = check_h1(gen, mod, p, ens)
     rows.append(("h1", h1.passed, h1.max_ratio,
                  f"tol={format_number(h1.tol)}"))
-    lip = estimate_lipschitz_z(gen, sampler)
+    lip = estimate_lipschitz_z(gen, ens)
     lip_ok = math.isfinite(lip.sampled) and (
         lip.analytic is None or lip.sampled <= lip.analytic + 1e-9)
     analytic = "" if lip.analytic is None else format_number(lip.analytic)
@@ -441,7 +435,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     env = cfg.envelope if cfg.envelope is not None else auto_envelope(gen, p, ens.d)
     if env is not None:
         try:
-            er = verify_envelope(gen, env, p, ens, sampler)
+            er = verify_envelope(gen, env, p, ens)
         except ModulusShapeError as exc:
             raise ConfigError(f"envelope.psi: {exc}") from exc
         rows.append(("envelope", er.passed, er.max_defect,
@@ -474,6 +468,15 @@ def _solve(cfg: RunConfig, ens: PathEnsemble):
     return picard_solve(cfg.generator, term, ens, basis, p=sc.p,
                         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
                         init=sc.init, split=split)
+
+
+def save_picard_report_csv(report: PicardReport, path) -> None:
+    """Columns window,iter,dist_y,dist_z,sp_norm,converged; converged is the
+    flag of the row's own window."""
+    flags = [str(ok).lower() for ok in report.window_converged]
+    write_csv(path, ["window", "iter", "dist_y", "dist_z", "sp_norm", "converged"],
+              [(e.window, e.iteration, e.dist_y, e.dist_z, e.sp_norm,
+                flags[e.window]) for e in report.entries])
 
 
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:

@@ -93,27 +93,28 @@ def _eval_example1(gen, t, brownian, y, z):
             + np.linalg.norm(brownian, axis=1))[:, None]
 
 
+# The sampling box of every sampled check: _SAMPLE_COUNT uniform draws from
+# [0, T] x [-s sqrt(T), s sqrt(T)]^d x [-R, R]^k x [-R, R]^(k d), with T and d
+# those of the ensemble, s = _BROWNIAN_SCALE and R = SAMPLE_RADIUS.  They come
+# from Philox(key = the ensemble's seed + 1): key = seed is the substream of
+# the ensemble's path 0.
 SAMPLE_RADIUS = 5.0
 _BROWNIAN_SCALE = 3.0
+_SAMPLE_COUNT = 8192
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """count uniform draws from [0,T] x [-s sqrt(T), s sqrt(T)]^d x [-R, R]^k
-    x [-R, R]^(k d), T the horizon, s = _BROWNIAN_SCALE, R = SAMPLE_RADIUS."""
-
-    count: int = 4096
-    seed: int = 0
-    horizon: float = 1.0
-    d: int = 1
+def _box_rng(ens: PathEnsemble) -> np.random.Generator:
+    return np.random.default_rng(np.random.Philox(key=ens.seed + 1))
 
 
-def _draw_box(sampler: SamplerConfig):
-    rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
-    n = sampler.count
-    t = rng.uniform(0.0, sampler.horizon, n)
-    b_half = _BROWNIAN_SCALE * math.sqrt(sampler.horizon)
-    brownian = rng.uniform(-b_half, b_half, (n, sampler.d))
+def _draw_box(ens: PathEnsemble):
+    """(rng, t, brownian): the box's times and Brownian values, and the
+    generator that draws the rest of the box."""
+    rng = _box_rng(ens)
+    horizon = ens.grid.T
+    t = rng.uniform(0.0, horizon, _SAMPLE_COUNT)
+    b_half = _BROWNIAN_SCALE * math.sqrt(horizon)
+    brownian = rng.uniform(-b_half, b_half, (_SAMPLE_COUNT, ens.d))
     return rng, t, brownian
 
 
@@ -136,7 +137,7 @@ class H1Report:
 # a sampled check reports an overflow as the non-finite value it leaves
 @np.errstate(over="ignore", invalid="ignore")
 def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
-             sampler: SamplerConfig = SamplerConfig()) -> H1Report:
+             ens: PathEnsemble) -> H1Report:
     """Sampled test of |g(y1,z) - g(y2,z)|^p <= mod(|y1 - y2|^p) (1 + _auto_tol).
 
     Returns the largest observed ratio and its witness; a vanishing modulus
@@ -145,11 +146,11 @@ def check_h1(gen: GeneratorSpec, mod: ModulusSpec, p: float,
     if p <= 1.0:
         raise ValueError("check_h1 needs p > 1")
     tol = _auto_tol(gen, mod)
-    rng, t, brownian = _draw_box(sampler)
-    n = sampler.count
+    rng, t, brownian = _draw_box(ens)
+    n = _SAMPLE_COUNT
     y1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
     y2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
-    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
+    z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, ens.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y1, z)
     g2 = eval_generator_batch(gen, t, brownian, y2, z)
@@ -178,13 +179,13 @@ class LipschitzZReport:
 
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_lipschitz_z(gen: GeneratorSpec,
-                         sampler: SamplerConfig = SamplerConfig()) -> LipschitzZReport:
+                         ens: PathEnsemble) -> LipschitzZReport:
     """Sampled max of |g(y,z1) - g(y,z2)| / |z1 - z2|, and the exact one if known."""
-    rng, t, brownian = _draw_box(sampler)
-    n = sampler.count
+    rng, t, brownian = _draw_box(ens)
+    n = _SAMPLE_COUNT
     y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))
-    z1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
-    z2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, sampler.d))
+    z1 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, ens.d))
+    z2 = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, ens.d))
 
     g1 = eval_generator_batch(gen, t, brownian, y, z1)
     g2 = eval_generator_batch(gen, t, brownian, y, z2)
@@ -311,13 +312,12 @@ class EnvelopeReport:
 
 @np.errstate(over="ignore", invalid="ignore")
 def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
-                    ens: PathEnsemble,
-                    sampler: SamplerConfig = SamplerConfig()) -> EnvelopeReport:
+                    ens: PathEnsemble) -> EnvelopeReport:
     """Sampled defect |g| - [psi^(1/p)(|y|^p) + lam |z| + phi + f], max over draws."""
     require_concave(env.psi)
     tol = _auto_tol(gen, env.psi)
-    rng = np.random.default_rng(np.random.Philox(key=sampler.seed))
-    n = sampler.count
+    rng = _box_rng(ens)
+    n = _SAMPLE_COUNT
     path_idx = rng.integers(0, ens.M, n)
     t_idx = rng.integers(0, ens.grid.N + 1, n)
     y = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k))

@@ -1,28 +1,22 @@
-"""Brownian-motion ensembles on uniform time grids, with a binary file format,
-and the path-major block I/O that it shares with the solution file."""
+"""Brownian-motion ensembles on uniform time grids, and every file format of
+the lab: the binary ensemble and solution files, which share one header
+reader and one path-major block writer, and the CSV writers."""
 
 from __future__ import annotations
 
 import math
 import os
 import struct
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_MAGIC = b"BSDE"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQIIdQ")
-_ANTITHETIC = 1  # header flags bit
 
-
-class EnsembleFormatError(ValueError):
-    """Bad magic bytes, version, or header fields."""
-
-
-class EnsembleLengthError(ValueError):
-    """Payload size disagrees with the header."""
+class FileFormatError(ValueError):
+    """A binary file whose header its format does not allow, or whose length
+    disagrees with its header."""
 
 
 class DimensionError(ValueError):
@@ -204,12 +198,13 @@ def _move(dst: np.ndarray, src: np.ndarray) -> None:
         dst[...] = src
 
 
-def _path_blocks(parts, m: int):
+def _path_blocks(parts):
     """(block, pairs) for each block of at most _PATH_BLOCK paths of the
     (M, ...) arrays parts.  block is one reused little-endian f64 buffer
     whose row j is the record of the block's path j: its rows of each part
     in turn, flattened.  pairs holds, for each part, the block's columns of
     that part, shaped as the part's rows of these paths, and those rows."""
+    m = len(parts[0])
     widths = [math.prod(part.shape[1:]) for part in parts]
     buffer = np.empty((min(m, _PATH_BLOCK), sum(widths)), dtype="<f8")
     for lo in range(0, m, _PATH_BLOCK):
@@ -219,84 +214,172 @@ def _path_blocks(parts, m: int):
         yield block, [(col.reshape(r.shape), r) for col, r in zip(columns, rows)]
 
 
-def write_path_major(fh, parts, m: int) -> None:
-    """Write the records of m paths of parts, path after path, gathering one
-    block of paths at a time, so no path-major copy of parts is held."""
-    for block, pairs in _path_blocks(parts, m):
-        for columns, rows in pairs:
-            _move(columns, rows)
-        fh.write(block.data)
+@dataclass
+class DiscreteSolution:
+    """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d).
+
+    The solvers and load_solution hold them step-major, as zeros builds
+    them, so y[:, i] and z[:, i] are contiguous.
+    """
+
+    y: np.ndarray
+    z: np.ndarray
+    grid: TimeGrid
+
+    @classmethod
+    def zeros(cls, m: int, k: int, d: int, grid: TimeGrid) -> DiscreteSolution:
+        """A zero solution of m paths stored step-major like the ensemble:
+        y and z are transpose views of (N+1, M, k) and (N, M, k, d) buffers,
+        so each time step of a sweep reads and writes contiguous slices."""
+        n = grid.N
+        return cls(y=np.zeros((n + 1, m, k)).transpose(1, 0, 2),
+                   z=np.zeros((n, m, k, d)).transpose(1, 0, 2, 3), grid=grid)
 
 
-def read_path_major(fh, parts, m: int, length_error: type) -> None:
-    """Fill parts from the records write_path_major wrote, one block of paths
-    at a time; a file that ends early raises length_error."""
-    for block, pairs in _path_blocks(parts, m):
+@dataclass(frozen=True)
+class _Format:
+    """A binary file format: magic bytes, a version u32 and the named fields
+    make its little-endian header; then each path, path after path, has one
+    record of width(fields) little-endian f64.  The fields named in _SIZES
+    must be >= 1, and T and N must make a TimeGrid."""
+
+    name: str
+    magic: bytes
+    header: struct.Struct
+    fields: tuple
+    width: Callable[[dict], int]
+
+
+_VERSION = 1
+_SIZES = ("M", "N", "k", "d")
+_ANTITHETIC = 1  # bit of the ensemble header's flags
+_ENSEMBLE = _Format("ensemble", b"BSDE", struct.Struct("<4sIQQIIdQ"),
+                    ("M", "N", "d", "flags", "T", "seed"),
+                    lambda f: f["N"] * f["d"])
+_SOLUTION = _Format("solution", b"BSOL", struct.Struct("<4sIQQIId"),
+                    ("M", "N", "k", "d", "T"),
+                    lambda f: (f["N"] + 1) * f["k"] + f["N"] * f["k"] * f["d"])
+
+
+def _save(path, fmt: _Format, fields: tuple, parts) -> None:
+    """Write fmt's header of fields, then the records of the (M, ...) arrays
+    parts, gathered one block of paths at a time, so no path-major copy of
+    parts is held.  path is replaced only by a complete file."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(fmt.header.pack(fmt.magic, _VERSION, *fields))
+        for block, pairs in _path_blocks(parts):
+            for columns, rows in pairs:
+                _move(columns, rows)
+            fh.write(block.data)
+
+
+def _read_header(fh, fmt: _Format) -> tuple[dict, TimeGrid]:
+    """The fields of fmt's header, by name, and the grid they give, once the
+    header is one fmt allows and the file's length is the one it implies."""
+    raw = fh.read(fmt.header.size)
+    if len(raw) < fmt.header.size:
+        raise FileFormatError(f"file shorter than the {fmt.name} header")
+    magic, version, *values = fmt.header.unpack(raw)
+    if magic != fmt.magic:
+        raise FileFormatError(f"bad magic bytes {magic!r}")
+    if version != _VERSION:
+        raise FileFormatError(f"unsupported format version {version}")
+    fields = dict(zip(fmt.fields, values))
+    sizes = {name: v for name, v in fields.items() if name in _SIZES}
+    try:
+        if min(sizes.values()) < 1:
+            named = ", ".join(f"{name} = {v}" for name, v in sizes.items())
+            raise ValueError(f"sizes {named} must be >= 1")
+        grid = TimeGrid(T=fields["T"], N=fields["N"])
+    except ValueError as exc:
+        raise FileFormatError(f"header {exc}") from None
+    expected = fields["M"] * fmt.width(fields) * 8
+    found = os.fstat(fh.fileno()).st_size - fmt.header.size
+    if found != expected:
+        raise FileFormatError(
+            f"payload holds {found} bytes, header implies {expected}")
+    return fields, grid
+
+
+def _read_records(fh, parts) -> None:
+    """Fill the (M, ...) arrays parts from the records that follow the
+    header, one block of paths at a time."""
+    for block, pairs in _path_blocks(parts):
         if fh.readinto(block.data) != block.nbytes:
-            raise length_error("file ended inside its payload")
+            raise FileFormatError("file ended inside its payload")
         for columns, rows in pairs:
             _move(rows, columns)
 
 
-def read_header(fh, header: struct.Struct, magic: bytes, version: int,
-                what: str, format_error: type, length_error: type) -> tuple:
-    """The fields of a binary header after its magic bytes and version,
-    once both match."""
-    raw = fh.read(header.size)
-    if len(raw) < header.size:
-        raise length_error(f"file shorter than the {what} header")
-    found, found_version, *rest = header.unpack(raw)
-    if found != magic:
-        raise format_error(f"bad magic bytes {found!r}")
-    if found_version != version:
-        raise format_error(f"unsupported format version {found_version}")
-    return tuple(rest)
-
-
-def header_grid(sizes: dict, horizon: float, format_error: type) -> TimeGrid:
-    """The grid of a binary header whose sizes (name -> value) are all >= 1."""
-    named = ", ".join(f"{name} = {v}" for name, v in sizes.items())
-    try:
-        if min(sizes.values()) < 1:
-            raise ValueError(f"sizes {named} must be >= 1")
-        return TimeGrid(T=horizon, N=sizes["N"])
-    except ValueError as exc:
-        raise format_error(f"header {exc}") from None
-
-
-def check_payload(fh, header: struct.Struct, expected: int,
-                  length_error: type) -> None:
-    """Raise length_error unless the file holds expected bytes after header."""
-    found = os.fstat(fh.fileno()).st_size - header.size
-    if found != expected:
-        raise length_error(
-            f"payload holds {found} bytes, header implies {expected}")
-
-
 def save_ensemble(ens: PathEnsemble, path) -> None:
-    """Write the binary format: magic 'BSDE', version, sizes, flags, T, seed,
-    raw f64.  Bit 0 of flags is antithetic; the other bits are zero.  The
-    payload is path-major; it is gathered and written one block of paths at
-    a time, so no second copy of the ensemble is held."""
-    header = _HEADER.pack(_MAGIC, _VERSION, ens.M, ens.grid.N, ens.d,
-                          _ANTITHETIC if ens.antithetic else 0,
-                          ens.grid.T, ens.seed)
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        write_path_major(fh, [ens.increments], ens.M)
+    """Write the binary ensemble format: magic 'BSDE', version, M, N, d,
+    flags, T, seed, then each path's increments.  Bit 0 of flags is
+    antithetic; the other bits are zero."""
+    _save(path, _ENSEMBLE, (ens.M, ens.grid.N, ens.d,
+                            _ANTITHETIC if ens.antithetic else 0,
+                            ens.grid.T, ens.seed), [ens.increments])
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read the binary format of save_ensemble into a step-major ensemble,
-    one block of paths at a time."""
+    """Read the format of save_ensemble into a step-major ensemble."""
     with open(path, "rb") as fh:
-        m, n, d, flags, horizon, seed = read_header(
-            fh, _HEADER, _MAGIC, _VERSION, "ensemble", EnsembleFormatError,
-            EnsembleLengthError)
-        if flags & ~_ANTITHETIC:
-            raise EnsembleFormatError(f"unknown header flags {flags:#x}")
-        grid = header_grid({"M": m, "N": n, "d": d}, horizon, EnsembleFormatError)
-        check_payload(fh, _HEADER, m * n * d * 8, EnsembleLengthError)
-        steps = np.empty((n, m, d))
-        read_path_major(fh, [steps.transpose(1, 0, 2)], m, EnsembleLengthError)
-    return _step_major_ensemble(steps, grid, seed, bool(flags & _ANTITHETIC))
+        fields, grid = _read_header(fh, _ENSEMBLE)
+        if (flags := fields["flags"]) & ~_ANTITHETIC:
+            raise FileFormatError(f"unknown header flags {flags:#x}")
+        steps = np.empty((grid.N, fields["M"], fields["d"]))
+        _read_records(fh, [steps.transpose(1, 0, 2)])
+    return _step_major_ensemble(steps, grid, fields["seed"],
+                                bool(flags & _ANTITHETIC))
+
+
+def save_solution(sol: DiscreteSolution, path) -> None:
+    """Write the binary solution format: magic 'BSOL', version, M, N, k, d,
+    T, then each path's record: its y over steps 0..N (k each), then its z
+    over steps 0..N-1 (k d each)."""
+    m, n_plus, k = sol.y.shape
+    _save(path, _SOLUTION, (m, n_plus - 1, k, sol.z.shape[3], sol.grid.T),
+          [sol.y, sol.z])
+
+
+def load_solution(path) -> DiscreteSolution:
+    """Read the format of save_solution into a step-major solution."""
+    with open(path, "rb") as fh:
+        fields, grid = _read_header(fh, _SOLUTION)
+        sol = DiscreteSolution.zeros(fields["M"], fields["k"], fields["d"], grid)
+        _read_records(fh, [sol.y, sol.z])
+    return sol
+
+
+# Rows per chunk of the solution writer, about 250 KB of text at k = d = 1:
+# larger chunks wrote no faster and held more memory.
+_SOLUTION_CHUNK_ROWS = 1 << 12
+
+
+def save_solution_csv(sol: DiscreteSolution, path) -> None:
+    """Columns path,step,t,y_1..y_k,z_11..z_kd; z rows at the terminal step are 0.
+
+    The cells are those of write_csv.  Each path's N+1 rows are one
+    `template % values`, whose template holds the path, step and t cells
+    already formatted; paths go out in chunks, so the text is never held
+    whole.
+    """
+    m, n_plus, k = sol.y.shape
+    d = sol.z.shape[3]
+    header = (["path", "step", "t"]
+              + [f"y_{i + 1}" for i in range(k)]
+              + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
+    cells = ",".join([NUMBER] * (k + k * d))
+    # A path's rows without their path cell, which joining them puts in front.
+    rows = [""] + [f"{format_number(step)},{format_number(t)},{cells}\n"
+                   for step, t in enumerate(sol.grid.times.tolist())]
+    chunk = max(1, _SOLUTION_CHUNK_ROWS // n_plus)
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            block = np.zeros((hi - lo, n_plus, k + k * d))
+            block[:, :, :k] = sol.y[lo:hi]
+            block[:, :-1, k:] = sol.z[lo:hi].reshape(hi - lo, n_plus - 1, k * d)
+            fh.writelines((format_number(pth) + ",").join(rows) % tuple(values)
+                          for pth, values in enumerate(
+                              block.reshape(hi - lo, -1).tolist(), lo))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,21 +21,11 @@ import numpy as np
 
 from . import analysis
 from .generator import GENERATOR_FAMILIES, GeneratorSpec, eval_generator_batch
-from .paths import (NUMBER, DimensionError, PathEnsemble, TimeGrid, atomic_open,
-                    check_payload, format_number, header_grid, read_header,
-                    read_path_major, write_csv, write_path_major)
+from .paths import DimensionError, DiscreteSolution, PathEnsemble, TimeGrid
 
 
 class SingularRegressionError(RuntimeError):
     pass
-
-
-class SolutionFormatError(ValueError):
-    """Bad magic bytes, version, or header fields of a solution file."""
-
-
-class SolutionLengthError(ValueError):
-    """Solution file payload size disagrees with the header."""
 
 
 class PicardDivergenceError(RuntimeError):
@@ -237,20 +226,6 @@ def _project(feats: np.ndarray, factor, targets: np.ndarray):
     return feats @ coeffs, coeffs
 
 
-@dataclass
-class DiscreteSolution:
-    """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d).
-
-    The solvers return them step-major, as transpose views of (N+1, M, k) and
-    (N, M, k, d) buffers, so y[:, i] and z[:, i] are contiguous; see
-    _iterate_pair.
-    """
-
-    y: np.ndarray
-    z: np.ndarray
-    grid: TimeGrid
-
-
 @dataclass(frozen=True)
 class PicardEntry:
     window: int
@@ -326,18 +301,21 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc
         z_i = z_fit.reshape(m, k, d)
-        g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
-                                 y[:, i], z_i)
-        y_i = cont + g * dt
-        if not np.all(np.isfinite(y_i)):
-            raise PicardDivergenceError(
-                f"non-finite solution values at time index {i}")
-        if acc is not None:
-            sup_dy, sum_dz, sup_y = acc
-            if sup_dy is not None:
-                analysis.fold_sup(sup_dy, y_i - y[:, i])
-                analysis.fold_squares(sum_dz, z_i - z[:, i])
-            analysis.fold_sup(sup_y, y_i)
+        # an overflow is left non-finite: the check below, or picard_solve's
+        # check of the distance folded here, reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
+                                     y[:, i], z_i)
+            y_i = cont + g * dt
+            if not np.all(np.isfinite(y_i)):
+                raise PicardDivergenceError(
+                    f"non-finite solution values at time index {i}")
+            if acc is not None:
+                sup_dy, sum_dz, sup_y = acc
+                if sup_dy is not None:
+                    analysis.fold_sup(sup_dy, y_i - y[:, i])
+                    analysis.fold_squares(sum_dz, z_i - z[:, i])
+                analysis.fold_sup(sup_y, y_i)
         y[:, i] = y_i
         z[:, i] = z_i
 
@@ -351,15 +329,6 @@ def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
         raise ValueError("generator k disagrees with the terminal's")
     basis.require_samples(ens.M, ens.d)
     return xi
-
-
-def _iterate_pair(ens: PathEnsemble, k: int):
-    """A zero (y, z) pair shaped (M, N+1, k) and (M, N, k, d), stored
-    step-major like the ensemble, so each time step of a sweep reads and
-    writes contiguous slices."""
-    n, m, d = ens.grid.N, ens.M, ens.d
-    return (np.zeros((n + 1, m, k)).transpose(1, 0, 2),
-            np.zeros((n, m, k, d)).transpose(1, 0, 2, 3))
 
 
 def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:
@@ -414,7 +383,8 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     # (y, z) is at once the frozen argument of every sweep, the new iterate
     # and, window by window, the solution: each sweep overwrites it in place,
     # and a window's terminal value y[:, i_hi] is xi or the earlier window's.
-    y, z = _iterate_pair(ens, k)
+    sol = DiscreteSolution.zeros(ens.M, k, ens.d, grid)
+    y, z = sol.y, sol.z
     y[...] = vals
     y[:, -1] = xi
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
@@ -466,84 +436,4 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
             converged = dy <= tol
         report.window_converged.append(converged)
 
-    return DiscreteSolution(y=y, z=z, grid=grid), report
-
-
-_SOLUTION_MAGIC = b"BSOL"
-_SOLUTION_VERSION = 1
-_SOLUTION_HEADER = struct.Struct("<4sIQQIId")  # magic, version, M, N, k, d, T
-
-
-def save_solution(sol: DiscreteSolution, path) -> None:
-    """Write the binary solution format: magic 'BSOL', version, M, N, k, d,
-    T, then each path's record as little-endian f64, path after path: its y
-    over steps 0..N (k each), then its z over steps 0..N-1 (k d each).  The
-    records are gathered one block of paths at a time, so no path-major copy
-    of the solution is held."""
-    m, n_plus, k = sol.y.shape
-    header = _SOLUTION_HEADER.pack(_SOLUTION_MAGIC, _SOLUTION_VERSION, m,
-                                   n_plus - 1, k, sol.z.shape[3], sol.grid.T)
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        write_path_major(fh, [sol.y, sol.z], m)
-
-
-def load_solution(path) -> DiscreteSolution:
-    """Read the format of save_solution into step-major (y, z), as the
-    solvers return them, one block of paths at a time."""
-    with open(path, "rb") as fh:
-        m, n, k, d, horizon = read_header(
-            fh, _SOLUTION_HEADER, _SOLUTION_MAGIC, _SOLUTION_VERSION,
-            "solution", SolutionFormatError, SolutionLengthError)
-        grid = header_grid({"M": m, "N": n, "k": k, "d": d}, horizon,
-                           SolutionFormatError)
-        check_payload(fh, _SOLUTION_HEADER, m * ((n + 1) * k + n * k * d) * 8,
-                      SolutionLengthError)
-        y = np.empty((n + 1, m, k)).transpose(1, 0, 2)
-        z = np.empty((n, m, k, d)).transpose(1, 0, 2, 3)
-        read_path_major(fh, [y, z], m, SolutionLengthError)
-    return DiscreteSolution(y=y, z=z, grid=grid)
-
-
-# Rows per chunk of the solution writer, about 250 KB of text at k = d = 1:
-# larger chunks wrote no faster and held more memory.
-_SOLUTION_CHUNK_ROWS = 1 << 12
-
-
-def save_solution_csv(sol: DiscreteSolution, path) -> None:
-    """Columns path,step,t,y_1..y_k,z_11..z_kd; z rows at the terminal step are 0.
-
-    The cells are those of write_csv.  Each path's N+1 rows are one
-    `template % values`, whose template holds the path, step and t cells
-    already formatted; paths go out in chunks, so the text is never held
-    whole.
-    """
-    m, n_plus, k = sol.y.shape
-    d = sol.z.shape[3]
-    header = (["path", "step", "t"]
-              + [f"y_{i + 1}" for i in range(k)]
-              + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
-    cells = ",".join([NUMBER] * (k + k * d))
-    # A path's rows without their path cell, which joining them puts in front.
-    rows = [""] + [f"{format_number(step)},{format_number(t)},{cells}\n"
-                   for step, t in enumerate(sol.grid.times.tolist())]
-    chunk = max(1, _SOLUTION_CHUNK_ROWS // n_plus)
-    with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            block = np.zeros((hi - lo, n_plus, k + k * d))
-            block[:, :, :k] = sol.y[lo:hi]
-            block[:, :-1, k:] = sol.z[lo:hi].reshape(hi - lo, n_plus - 1, k * d)
-            fh.writelines((format_number(pth) + ",").join(rows) % tuple(values)
-                          for pth, values in enumerate(
-                              block.reshape(hi - lo, -1).tolist(), lo))
-
-
-def save_picard_report_csv(report: PicardReport, path) -> None:
-    """Columns window,iter,dist_y,dist_z,sp_norm,converged; converged is the
-    flag of the row's own window."""
-    flags = [str(ok).lower() for ok in report.window_converged]
-    write_csv(path, ["window", "iter", "dist_y", "dist_z", "sp_norm", "converged"],
-              [(e.window, e.iteration, e.dist_y, e.dist_z, e.sp_norm,
-                flags[e.window]) for e in report.entries])
+    return sol, report

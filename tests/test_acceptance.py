@@ -130,7 +130,7 @@ def test_criterion_06_bihari(ensemble):
     growth_a = bl.linear_growth_coefficient(chain)
     xi = ensemble.values[:, -1, 0]
     cb = bl.compute_constants(
-        2.0, bl.estimate_lipschitz_z(gen).analytic, 1.0, growth_a,
+        2.0, bl.estimate_lipschitz_z(gen, ensemble).analytic, 1.0, growth_a,
         terminal_moment=float(np.mean(xi ** 2)),
         h3_moment=bl.check_h3(gen, ensemble, 2.0).estimate)
     curve2 = bl.bihari_recursion(chain, m_bound=cb.m_bound, horizon=1.0,

@@ -189,6 +189,22 @@ def test_constants_overflow_is_one_overflow_error(p, horizon, given):
                                                       **given})
 
 
+@pytest.mark.parametrize("given, cause", [
+    ({"h3_moment": math.inf}, "E[(int |g(t,0,0)| dt)^p] is not finite"),
+    ({"terminal_moment": math.inf}, "E|xi|^p is not finite"),
+    ({"terminal_moment": math.nan, "h3_moment": math.inf},
+     "E|xi|^p is not finite; E[(int |g(t,0,0)| dt)^p] is not finite"),
+    ({"terminal_moment": 1e308, "c3": 1.0}, "reduce c3 or the horizon"),
+], ids=["h3", "terminal", "both", "finite_moments"])
+def test_constants_overflow_names_its_cause(given, cause):
+    # a non-finite moment is the input to blame; with finite moments the
+    # overflow comes from e^(c3 T)
+    with pytest.raises(OverflowError) as exc:
+        bl.compute_constants(2.0, 0.0, 1.0, 0.0, **given)
+    assert str(exc.value) == ("the derived constants overflow at p = 2.0, "
+                              f"T = 1.0; {cause}")
+
+
 # -------------------------------------------------------------- energy check
 
 def test_lemma1_zero_everything(small_ensemble):

@@ -18,7 +18,8 @@ from bsde_lab import cli
 from bsde_lab.cli import ConfigError, main, parse_config, run
 from bsde_lab.generator import GENERATOR_FAMILIES, PROCESS_KINDS
 from bsde_lab.modulus import DIVERGENT, MODULUS_FAMILIES, ModulusFamily
-from bsde_lab.solver import TERMINAL_KINDS, save_solution_csv
+from bsde_lab.paths import save_solution_csv
+from bsde_lab.solver import TERMINAL_KINDS
 
 
 def _config(tmp_path, **overrides):
@@ -1609,7 +1610,7 @@ def test_an_array_larger_than_numpy_allows_exits_two(tmp_path, capsys, command,
 
 
 _OVERFLOWS = "error: the derived constants overflow at p = 2.0, T = 1.0; " \
-             "reduce c3 or the horizon\n"
+             "E[(int |g(t,0,0)| dt)^p] is not finite\n"
 
 
 @pytest.mark.parametrize("command, params, solver, err", [
@@ -1660,6 +1661,19 @@ def test_a_feature_overflow_prints_no_numpy_warning(tmp_path):
     assert "explicit z step may be unstable" in out.stderr  # dt = 1e299
     assert out.stderr.endswith(
         "\nerror: non-finite regression moments at time index 9\n")
+
+
+def test_a_driver_that_overflows_in_the_sweep_prints_no_numpy_warning(tmp_path):
+    # |z| of b |z| overflows in the driver and in the distance folds; the
+    # sweep's check of y reports it, and the z step warning still prints
+    doc = _config(tmp_path, paths={"M": 256, "N": 5},
+                  generator={"family": "linear", "params": {"b": 1e200}})
+    out = _python("-m", "bsde_lab.cli", "solve", str(_write(tmp_path, doc)))
+    assert out.returncode == 1
+    warned = [line for line in out.stderr.splitlines() if "Warning" in line]
+    assert len(warned) == 1 and "explicit z step may be unstable" in warned[0]
+    assert out.stderr.count("error: ") == 1
+    assert out.stderr.endswith("\nerror: non-finite solution values at time index 3\n")
 
 
 def test_the_z_step_warning_still_prints(tmp_path):

@@ -5,8 +5,14 @@ import pytest
 from scipy import integrate
 
 import bsde_lab as bl
-from bsde_lab.generator import (GENERATOR_FAMILIES, ProcessSpec, SamplerConfig,
+from bsde_lab.generator import (GENERATOR_FAMILIES, ProcessSpec,
                                 eval_generator_batch, eval_process)
+
+
+def _box(seed: int, d: int = 1):
+    """An ensemble whose sampling box draws from Philox(seed + 1) over T = 1
+    in d dimensions: all that the sampled checks of the driver read of it."""
+    return bl.generate_ensemble(M=1, N=1, d=d, T=1.0, seed=seed)
 
 
 # ----------------------------------------------------------------- evaluation
@@ -77,14 +83,14 @@ def test_h1_linear_against_linear_modulus():
     gen = bl.linear_generator(a=mu, k=1)
     mod = bl.linear_modulus(mu ** p, domain_cap=200.0)
     for seed in range(4):
-        rep = bl.check_h1(gen, mod, p, SamplerConfig(seed=seed))
+        rep = bl.check_h1(gen, mod, p, _box(seed))
         assert rep.max_ratio <= 1.0 + 1e-12
         assert rep.passed
 
 
 def test_h1_zero_generator_ratio_zero():
     rep = bl.check_h1(bl.zero_generator(1),
-                      bl.linear_modulus(1.0, 200.0), 2.0)
+                      bl.linear_modulus(1.0, 200.0), 2.0, _box(0))
     assert rep.max_ratio == 0.0
 
 
@@ -92,13 +98,13 @@ def test_h1_example1_against_chain_modulus():
     gen = bl.example1_generator(p=2.0)
     h = bl.example1_h_modulus(2.0, domain_cap=10.0)
     mod = bl.power_root(h, 2.0)
-    rep = bl.check_h1(gen, mod, 2.0, SamplerConfig(count=8192, seed=3))
+    rep = bl.check_h1(gen, mod, 2.0, _box(2))
     assert rep.passed, rep.max_ratio
 
 
 def test_h1_vanishing_modulus_reports_infinite_ratio():
     gen = bl.linear_generator(a=1.0, k=1)
-    rep = bl.check_h1(gen, bl.linear_modulus(0.0, 200.0), 2.0)
+    rep = bl.check_h1(gen, bl.linear_modulus(0.0, 200.0), 2.0, _box(0))
     assert math.isinf(rep.max_ratio)
     assert not rep.passed
     assert rep.witness["ratio"] == math.inf
@@ -107,7 +113,7 @@ def test_h1_vanishing_modulus_reports_infinite_ratio():
 def test_h1_witness_reproduces_ratio():
     gen = bl.example1_generator(p=2.0)
     mod = bl.linear_modulus(0.3, domain_cap=200.0)
-    rep = bl.check_h1(gen, mod, 2.0, SamplerConfig(seed=1))
+    rep = bl.check_h1(gen, mod, 2.0, _box(1))
     w = rep.witness
     g1, g2 = (eval_generator_batch(gen, w["t"], w["brownian"][None], y[None],
                                    w["z"][None]) for y in (w["y1"], w["y2"]))
@@ -124,7 +130,7 @@ def test_h1_witness_reproduces_ratio():
     (bl.linear_generator(a=1.0, b=0.4, k=1), 0.4),
 ])
 def test_lipschitz_analytic_values(gen, expected):
-    rep = bl.estimate_lipschitz_z(gen)
+    rep = bl.estimate_lipschitz_z(gen, _box(0))
     assert rep.analytic == expected
 
 
@@ -132,7 +138,7 @@ def test_lipschitz_sampled_below_analytic():
     for seed in range(3):
         for gen in (bl.example1_generator(p=2.0),
                     bl.linear_generator(a=0.3, b=1.7, k=1)):
-            rep = bl.estimate_lipschitz_z(gen, SamplerConfig(seed=seed, d=2))
+            rep = bl.estimate_lipschitz_z(gen, _box(seed, d=2))
             assert rep.sampled <= rep.analytic + 1e-9
 
 
@@ -218,8 +224,7 @@ def test_envelope_zero_generator(small_ensemble):
 def test_envelope_example1_passes(small_ensemble):
     gen = bl.example1_generator(p=2.0)
     env = bl.auto_envelope(gen, 2.0, 1)
-    rep = bl.verify_envelope(gen, env, 2.0, small_ensemble,
-                             SamplerConfig(count=8192, seed=5))
+    rep = bl.verify_envelope(gen, env, 2.0, small_ensemble)
     assert rep.passed, rep.max_defect
 
 
@@ -251,8 +256,7 @@ def test_envelope_low_lambda_fails_with_large_z_witness(small_ensemble):
     gen = bl.example1_generator(p=2.0)
     env = bl.auto_envelope(gen, 2.0, 1)
     starved = bl.EnvelopeA(psi=env.psi, lam=0.5, phi=env.phi, f=env.f)
-    rep = bl.verify_envelope(gen, starved, 2.0, small_ensemble,
-                             SamplerConfig(count=8192, seed=5))
+    rep = bl.verify_envelope(gen, starved, 2.0, small_ensemble)
     assert not rep.passed
     assert np.linalg.norm(rep.witness["z"]) > 2.5
 
@@ -260,12 +264,11 @@ def test_envelope_low_lambda_fails_with_large_z_witness(small_ensemble):
 def test_envelope_monotone_in_lambda(small_ensemble):
     gen = bl.example1_generator(p=2.0)
     env = bl.auto_envelope(gen, 2.0, 1)
-    sampler = SamplerConfig(count=4096, seed=9)
     defects = []
     for lam in (0.0, 0.5, 1.0, 2.0):
         e = bl.EnvelopeA(psi=env.psi, lam=lam, phi=env.phi, f=env.f)
-        defects.append(bl.verify_envelope(gen, e, 2.0, small_ensemble,
-                                          sampler).max_defect)
+        defects.append(bl.verify_envelope(gen, e, 2.0,
+                                          small_ensemble).max_defect)
     assert all(a >= b for a, b in zip(defects, defects[1:]))
 
 

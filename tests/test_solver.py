@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsde_lab as bl
+import bsde_lab.paths as paths_module
 import bsde_lab.solver as solver_module
+from bsde_lab.cli import save_picard_report_csv
+from bsde_lab.paths import (FileFormatError, format_number, save_solution_csv,
+                            write_csv)
 from bsde_lab.solver import (TERMINAL_KINDS, PicardDivergenceError,
                              SingularRegressionError, _gram_factor, _project,
-                             format_number, polynomial_features,
-                             save_picard_report_csv, save_solution_csv,
-                             terminal_values, write_csv)
+                             polynomial_features, terminal_values)
 
 
 BASIS = bl.BasisSpec(degree=3)
@@ -388,7 +390,7 @@ def test_solution_csv_is_the_generic_rendering(tmp_path_factory, m, n, k, d,
     sol = bl.DiscreteSolution(y=y, z=z, grid=bl.TimeGrid(T=horizon, N=n))
     out = tmp_path_factory.mktemp("solution")
     # a small chunk puts chunk boundaries inside the solution
-    with mock.patch.object(solver_module, "_SOLUTION_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(paths_module, "_SOLUTION_CHUNK_ROWS", chunk_rows):
         save_solution_csv(sol, out / "fast.csv")
     header = (["path", "step", "t"] + [f"y_{i + 1}" for i in range(k)]
               + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
@@ -515,32 +517,43 @@ def test_solution_file_io_holds_no_second_copy(tmp_path):
     assert back.y.tobytes() == sol.y.tobytes()
 
 
-def _damaged(tmp_path, damage):
-    target = tmp_path / "s.bsol"
-    bl.save_solution(_random_solution(4, 3, 1, 2), target)
+# Each binary file: a writer of a small sample of it, and its reader.  The
+# two headers hold magic, version, M, N, one u32 size (k of a solution, d of
+# an ensemble) and T at the same offsets, so each damage fits both.
+_BINARY_FILES = {
+    "solution": (lambda target: bl.save_solution(_random_solution(4, 3, 1, 2),
+                                                 target), bl.load_solution),
+    "ensemble": (lambda target: bl.save_ensemble(
+        bl.generate_ensemble(4, 3, 1, 1.5, seed=2), target), bl.load_ensemble),
+}
+_OTHER_MAGIC = {b"BSOL": b"BSDE", b"BSDE": b"BSOL"}
+_DAMAGES = [
+    ("magic", lambda raw: _OTHER_MAGIC[raw[:4]] + raw[4:], "bad magic"),
+    ("version", lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+     "unsupported format version 2"),
+    ("empty_M", lambda raw: raw[:8] + struct.pack("<Q", 0) + raw[16:],
+     "must be >= 1"),
+    ("horizon", lambda raw: raw[:32] + struct.pack("<d", -1.0) + raw[40:],
+     "horizon T must be positive"),
+    ("sizes", lambda raw: raw[:24] + struct.pack("<I", 2) + raw[28:],
+     "header implies"),
+    ("trailing", lambda raw: raw + bytes(8), "header implies"),
+    ("truncated", lambda raw: raw[:-1], "header implies"),
+    ("header", lambda raw: raw[:39], "shorter than the {file} header"),
+]
+
+
+@pytest.mark.parametrize("file, damage, message", [
+    pytest.param(file, damage, message,
+                 id=case if file == "solution" else f"{file}_{case}")
+    for file in _BINARY_FILES for case, damage, message in _DAMAGES])
+def test_bad_solution_file_rejected(tmp_path, file, damage, message):
+    save, load = _BINARY_FILES[file]
+    target = tmp_path / "damaged"
+    save(target)
     target.write_bytes(damage(target.read_bytes()))
-    return target
-
-
-@pytest.mark.parametrize("damage, error, message", [
-    (lambda raw: b"BSDE" + raw[4:], "SolutionFormatError", "bad magic"),
-    (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
-     "SolutionFormatError", "unsupported format version 2"),
-    (lambda raw: raw[:8] + struct.pack("<Q", 0) + raw[16:],
-     "SolutionFormatError", "must be >= 1"),
-    (lambda raw: raw[:32] + struct.pack("<d", -1.0) + raw[40:],
-     "SolutionFormatError", "horizon T must be positive"),
-    (lambda raw: raw[:24] + struct.pack("<I", 2) + raw[28:],
-     "SolutionLengthError", "header implies"),
-    (lambda raw: raw + bytes(8), "SolutionLengthError", "header implies"),
-    (lambda raw: raw[:-1], "SolutionLengthError", "header implies"),
-    (lambda raw: raw[:39], "SolutionLengthError", "shorter than the solution"),
-], ids=["magic", "version", "empty_M", "horizon", "sizes", "trailing",
-        "truncated", "header"])
-def test_bad_solution_file_rejected(tmp_path, damage, error, message):
-    target = _damaged(tmp_path, damage)
-    with pytest.raises(getattr(solver_module, error), match=message):
-        bl.load_solution(target)
+    with pytest.raises(FileFormatError, match=message.format(file=file)):
+        load(target)
 
 
 def test_failed_csv_write_leaves_the_old_file(tmp_path):
@@ -584,6 +597,12 @@ def test_picard_report_flags_each_window(tmp_path):
     assert [(r[0], r[-1]) for r in rows] == [("0", "true")] * 4 + [("1", "false")] * 4
 
 
+def _zero_pair(ens):
+    """A zero scalar (y, z) on ens, stored step-major as the solver's."""
+    sol = bl.DiscreteSolution.zeros(ens.M, 1, ens.d, ens.grid)
+    return sol.y, sol.z
+
+
 def test_picard_solve_is_the_frozen_iteration(small_ensemble):
     # one window: the returned pair is the third sweep, each sweep frozen at
     # the y of the one before, the first at the constant init
@@ -593,7 +612,7 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
                                max_iter=2, init=0.25)
     assert rep.iterations == 2 and not rep.converged
     n = small_ensemble.grid.N
-    y, z = solver_module._iterate_pair(small_ensemble, 1)
+    y, z = _zero_pair(small_ensemble)
     y[...] = 0.25
     y[:, -1] = terminal_values(term, small_ensemble)
     for _ in range(3):
@@ -662,7 +681,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
         bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
         [None] * ens.grid.N) is None
     # against a sweep on a fresh pair, stored step-major as the solver's
-    ref_y, ref_z = solver_module._iterate_pair(ens, 1)
+    ref_y, ref_z = _zero_pair(ens)
     ref_y[...] = 0.25
     ref_y[:, -1] = ens.values[:, -1, :1]
     solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
@@ -725,7 +744,7 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     assert 0 == i_lo < i_hi < n
     swept = []
     for acc in (None, tuple(np.zeros(ens.M) for _ in range(3))):
-        y, z = solver_module._iterate_pair(ens, 1)
+        y, z = _zero_pair(ens)
         y[...] = 0.25
         y[:, i_hi] = ens.values[:, i_hi, :1]
         z[...] = 0.5
