@@ -10,7 +10,7 @@ import numpy as np
 
 from .generator import EnvelopeA, GeneratorSpec, eval_generator_batch, eval_process
 from .modulus import ModulusSpec, eval_modulus, require_concave
-from .paths import PathEnsemble
+from .paths import PathEnsemble, sum_squares
 
 
 class BihariOrderingError(RuntimeError):
@@ -27,12 +27,12 @@ class BihariOverflowError(BihariBoundError):
 
 def fold_sup(sup: np.ndarray, step: np.ndarray) -> None:
     """sup = max(sup, |step|) per path, in place: sup (M,), step (M, k)."""
-    np.maximum(sup, np.linalg.norm(step, axis=1), out=sup)
+    np.maximum(sup, np.sqrt(sum_squares(step)), out=sup)
 
 
 def fold_squares(total: np.ndarray, step: np.ndarray) -> None:
     """total += |step|^2 per path, in place: total (M,), step (M, k, d)."""
-    total += np.sum(step * step, axis=(1, 2))
+    total += sum_squares(step)
 
 
 def sup_power_mean(sup: np.ndarray, p: float) -> float:
@@ -202,6 +202,8 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         causes = [f"{name} is not finite" for name, moment in (
             ("E|xi|^p", terminal_moment),
             ("E[(int |g(t,0,0)| dt)^p]", h3_moment)) if not math.isfinite(moment)]
+        if math.isinf(lam * lam):
+            causes.append(f"reduce the z-Lipschitz constant lambda = {lam}")
         raise OverflowError(f"the derived constants overflow at p = {p}, "
                             f"T = {horizon}; "
                             + ("; ".join(causes) or "reduce c3 or the horizon"))

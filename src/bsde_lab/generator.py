@@ -15,7 +15,7 @@ import numpy as np
 
 from .modulus import (ModulusSpec, eval_modulus, example1_h_modulus, linear_modulus,
                       power_root, require_concave)
-from .paths import DimensionError, PathEnsemble
+from .paths import DimensionError, PathEnsemble, sum_squares
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -63,7 +63,7 @@ def example1_generator(p: float = 2.0, delta: float | None = None) -> GeneratorS
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(z * z, axis=(1, 2)))
+    return np.sqrt(sum_squares(z))
 
 
 def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
@@ -90,7 +90,7 @@ def _eval_linear(gen, t, brownian, y, z):
 def _eval_example1(gen, t, brownian, y, z):
     h = example1_h_modulus(gen.p, gen.delta)
     return (eval_modulus(h, np.abs(y[:, 0])) + _frobenius(z)
-            + np.linalg.norm(brownian, axis=1))[:, None]
+            + np.sqrt(sum_squares(brownian)))[:, None]
 
 
 # The sampling box of every sampled check: _SAMPLE_COUNT uniform draws from

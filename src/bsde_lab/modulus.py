@@ -113,15 +113,12 @@ def _example1_slope(p: float, delta: float) -> float:
 
 
 def _eval_example1h(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    small = (u > 0.0) & (u <= mod.delta)
-    big = u > mod.delta
-    if np.any(small):
-        x = u[small]
-        out[small] = x * (-np.log(x)) ** (1.0 / mod.p)
-    if np.any(big):
-        h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
-        out[big] = _example1_slope(mod.p, mod.delta) * (u[big] - mod.delta) + h_delta
+    h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
+    out = _example1_slope(mod.p, mod.delta) * (u - mod.delta) + h_delta
+    if np.any(low := u <= mod.delta):
+        out[low] = 0.0
+        small = low & (u > 0.0)
+        out[small] = u[small] * (-np.log(u[small])) ** (1.0 / mod.p)
     return out
 
 

@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 
+from . import analysis
 from .paths import PathEnsemble
 
 
@@ -73,20 +74,17 @@ class OracleErrors:
 
 def compare_to_oracle(sol, closed_form, ens: PathEnsemble,
                       p: float) -> OracleErrors:
-    """S^p norm of the pathwise y error plus RMS of the z error over path, step,
-    with the closed form taken one time step at a time."""
+    """S^p norm of the pathwise y error plus RMS of the z error over path, step:
+    the closed form one time step at a time, folded per path as the sweep does."""
     tau = ens.grid.T - ens.grid.times
     m, n = ens.M, ens.grid.N
     if sol.y.shape != (m, n + 1, 1) or sol.z.shape != (m, n, 1, ens.d):
         raise ValueError("solution shape disagrees with the oracle/ensemble")
-    sup = np.zeros(m)
-    z_sq = np.empty((m, n))  # path-major: the mean sums in the order it always did
+    sup, total = np.zeros(m), np.zeros(m)
     for i in range(n + 1):
         y_ref, z_ref = closed_form(np.asarray(tau[i]), ens.values[:, i])
-        np.maximum(sup, np.linalg.norm(sol.y[:, i] - y_ref, axis=1), out=sup)
+        analysis.fold_sup(sup, sol.y[:, i] - y_ref)
         if i < n:
-            dz = sol.z[:, i] - z_ref
-            dz *= dz
-            z_sq[:, i] = np.sum(dz, axis=(1, 2))
-    return OracleErrors(sp_error=float(np.mean(sup ** p)) ** (1.0 / p),
-                        z_rms_error=float(np.sqrt(np.mean(z_sq))))
+            analysis.fold_squares(total, sol.z[:, i] - z_ref)
+    return OracleErrors(sp_error=analysis.sup_power_mean(sup, p) ** (1.0 / p),
+                        z_rms_error=math.sqrt(float(np.mean(total)) / n))

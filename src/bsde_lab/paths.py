@@ -1,6 +1,6 @@
-"""Brownian-motion ensembles on uniform time grids, and every file format of
-the lab: the binary ensemble and solution files, which share one header
-reader and one path-major block writer, and the CSV writers."""
+"""Brownian-motion ensembles on uniform time grids, per-path sums of squares,
+and every file format of the lab: the binary ensemble and solution files,
+which share one header reader and one path-major block writer, and CSVs."""
 
 from __future__ import annotations
 
@@ -72,6 +72,16 @@ class PathEnsemble:
             if (found := getattr(self, name).shape) != shape:
                 raise ValueError(f"{name} have shape {found}, but M = {m}, "
                                  f"N = {n} and d = {d} need {shape}")
+
+
+def sum_squares(a: np.ndarray) -> np.ndarray:
+    """Per-path sum of squares of a (M, ...) over its trailing axes, one column
+    at a time: numpy's own left-to-right sum below 8 columns, at less cost."""
+    cols = a.reshape(a.shape[0], math.prod(a.shape[1:])).T
+    total = cols[0] * cols[0]
+    for col in cols[1:]:
+        total += col * col
+    return total
 
 
 # Paths per block when generation, loading and saving move paths between a

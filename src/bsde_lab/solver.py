@@ -131,7 +131,7 @@ class BasisSpec:
                              f"basis functions of degree {self.degree} in d = {d}")
 
 
-# Rows per block of the feature builder and of the regression's reductions.
+# Paths per block of the regression's reductions.
 _ROW_BLOCK = 8192
 
 
@@ -144,74 +144,68 @@ def _monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
 
 @functools.cache
 def _product_plan(d: int, degree: int):
-    """How polynomial_features fills its columns: (n_basis, linear, products).
+    """How polynomial_features fills its rows: (n_basis, linear, products).
 
-    linear holds (column, j) for the column x_j; products holds
-    (column, left, right) for each monomial of degree >= 2, whose column is
-    left * right.  For a mixed monomial, right is the pure power of its last
-    nonzero coordinate and left the monomial without it; a pure power is
-    x_j^(k-1) * x_j.  Both factors come earlier in column order.  These are
-    the products, in the same order, that multiplying per-coordinate power
-    tables performs, so the features are bit for bit theirs.
+    linear holds (row, j) for the row x_j; products holds (row, left, right)
+    for each monomial of degree >= 2, whose row is left * right.  For a mixed
+    monomial, right is the pure power of its last nonzero coordinate and left
+    the monomial without it; a pure power is x_j^(k-1) * x_j.  Both factors
+    come earlier in row order.  These are the products, in the same order,
+    that multiplying per-coordinate power tables performs, so the features
+    are bit for bit theirs.
     """
     exps = _monomial_exponents(d, degree)
-    index = {e: col for col, e in enumerate(exps)}
+    index = {e: row for row, e in enumerate(exps)}
     linear, products = [], []
-    for col, e in enumerate(exps):
+    for row, e in enumerate(exps):
         if sum(e) == 0:
             continue
         j = max(i for i, ei in enumerate(e) if ei)
         pure = tuple(e[j] if i == j else 0 for i in range(d))
         if sum(e) == 1:
-            linear.append((col, j))
+            linear.append((row, j))
         elif e == pure:
             lower = tuple(ei - (i == j) for i, ei in enumerate(e))
             unit = tuple(int(i == j) for i in range(d))
-            products.append((col, index[lower], index[unit]))
+            products.append((row, index[lower], index[unit]))
         else:
             rest = tuple(0 if i == j else ei for i, ei in enumerate(e))
-            products.append((col, index[rest], index[pure]))
+            products.append((row, index[rest], index[pure]))
     return len(exps), tuple(linear), tuple(products)
 
 
 def polynomial_features(state: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of total degree <= degree in the columns of state (M, d),
-    shaped (M, n_basis), ordered by degree and then by exponent tuple."""
+    """Monomials of total degree <= degree in the columns of state (M, d): one
+    contiguous row each of (n_basis, M), by degree and then exponent tuple."""
     state = np.atleast_2d(state)
     m, d = state.shape
     n_basis, linear, products = _product_plan(d, degree)
-    feats = np.empty((m, n_basis))
-    # A block of rows is built one feature per contiguous row of cols, one
-    # multiply per feature, and transposed into feats while it is in cache.
-    cols = np.empty((n_basis, min(m, _ROW_BLOCK)))
+    feats = np.empty((n_basis, m))
+    feats[0] = 1.0
+    for row, j in linear:
+        feats[row] = state[:, j]
     # a power that overflows is left infinite: _blocked_product reports it
     with np.errstate(over="ignore"):
-        for lo in range(0, m, _ROW_BLOCK):
-            block = cols[:, :min(m - lo, _ROW_BLOCK)]
-            block[0] = 1.0
-            for col, j in linear:
-                block[col] = state[lo:lo + _ROW_BLOCK, j]
-            for col, left, right in products:
-                np.multiply(block[left], block[right], out=block[col])
-            feats[lo:lo + _ROW_BLOCK] = block.T
+        for row, left, right in products:
+            np.multiply(feats[left], feats[right], out=feats[row])
     return feats
 
 
 def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """feats.T @ other summed over row blocks of fixed size in a fixed order;
-    FloatingPointError if a sum is not finite."""
-    out = np.zeros((feats.shape[1], other.shape[1]))
+    """feats (n_basis, M) @ other (M, m) summed over blocks of _ROW_BLOCK
+    paths in a fixed order; FloatingPointError if a sum is not finite."""
+    out = np.zeros((feats.shape[0], other.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, feats.shape[0], _ROW_BLOCK):
-            out += feats[lo:lo + _ROW_BLOCK].T @ other[lo:lo + _ROW_BLOCK]
+        for lo in range(0, feats.shape[1], _ROW_BLOCK):
+            out += feats[:, lo:lo + _ROW_BLOCK] @ other[lo:lo + _ROW_BLOCK]
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite regression moments")
     return out
 
 
 def _gram_factor(feats: np.ndarray, ridge: float):
-    """Lower Cholesky factor of the ridge Gram matrix of feats (M, n_basis)."""
-    gram = _blocked_product(feats, feats)
+    """Lower Cholesky factor of the ridge Gram matrix of feats (n_basis, M)."""
+    gram = _blocked_product(feats, feats.T)
     try:
         return np.linalg.cholesky(gram + ridge * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -223,7 +217,7 @@ def _project(feats: np.ndarray, factor, targets: np.ndarray):
     """Fitted values (M, m) and coefficients (n_basis, m) of targets (M, m)."""
     rhs = _blocked_product(feats, targets)
     coeffs = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-    return feats @ coeffs, coeffs
+    return feats.T @ coeffs, coeffs
 
 
 @dataclass(frozen=True)
@@ -285,9 +279,8 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
     squares) and the new y (a running max of its norm).  sup_dy and sum_dz
     may both be None, to fold the new y alone.
     """
-    grid = ens.grid
     m, k, d = ens.M, y.shape[2], ens.d
-    dt = grid.dt
+    dt, times = ens.grid.dt, ens.grid.times
     for i in range(i_hi - 1, i_lo - 1, -1):
         feats = polynomial_features(ens.values[:, i, :], basis.degree)
         try:
@@ -304,7 +297,7 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
         # an overflow is left non-finite: the check below, or picard_solve's
         # check of the distance folded here, reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
+            g = eval_generator_batch(gen, times[i], ens.values[:, i, :],
                                      y[:, i], z_i)
             y_i = cont + g * dt
             if not np.all(np.isfinite(y_i)):

@@ -205,6 +205,16 @@ def test_constants_overflow_names_its_cause(given, cause):
                               f"T = 1.0; {cause}")
 
 
+def test_constants_overflow_names_lambda_when_its_square_overflows():
+    # lambda^2 enters the z-bound prefactor and the derived c1 and c3; its
+    # overflow is lambda's, not that of a c3 the caller did not give
+    with pytest.raises(OverflowError) as exc:
+        bl.compute_constants(2.0, 1e200, 1.0, 0.0)
+    assert str(exc.value) == (
+        "the derived constants overflow at p = 2.0, T = 1.0; reduce the "
+        "z-Lipschitz constant lambda = 1e+200")
+
+
 # -------------------------------------------------------------- energy check
 
 def test_lemma1_zero_everything(small_ensemble):

@@ -1619,7 +1619,11 @@ _OVERFLOWS = "error: the derived constants overflow at p = 2.0, T = 1.0; " \
     ("constants", {"c": 1e200}, {}, _OVERFLOWS),
     ("bihari", {"c": 1e200}, {}, _OVERFLOWS),
     ("solve", {"c": 1e200}, {"split": "auto"}, _OVERFLOWS),
-], ids=["check-c", "check-b", "constants-c", "bihari-c", "solve-split-auto-c"])
+    ("constants", {"b": 1e200}, {},
+     "error: the derived constants overflow at p = 2.0, T = 1.0; reduce the "
+     "z-Lipschitz constant lambda = 1e+200\n"),
+], ids=["check-c", "check-b", "constants-c", "bihari-c", "solve-split-auto-c",
+        "constants-b"])
 def test_a_driver_whose_norm_overflows_exits_one(tmp_path, capsys, command,
                                                  params, solver, err):
     # g is finite, but norms of its values overflow a double: the checks

@@ -37,6 +37,34 @@ def test_example1h_eval_tangent_branch():
         slope * (x - delta) + h_delta, rel=1e-14)
 
 
+def _masked_example1h(mod, u):
+    """h evaluated branch by branch on the masked entries of u, each branch
+    on its own entries only: the bit-level reference."""
+    out = np.zeros_like(u)
+    small = (u > 0.0) & (u <= mod.delta)
+    big = u > mod.delta
+    out[small] = u[small] * (-np.log(u[small])) ** (1.0 / mod.p)
+    h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
+    slope = (-math.log(mod.delta)) ** (1.0 / mod.p) - (1.0 / mod.p) * (
+        -math.log(mod.delta)) ** (1.0 / mod.p - 1.0)
+    out[big] = slope * (u[big] - mod.delta) + h_delta
+    return out
+
+
+@pytest.mark.parametrize("p, delta", [(2.0, math.exp(-2.0)), (3.0, 0.1),
+                                      (1.5, 1e-3)])
+def test_example1h_eval_is_bytes_of_the_masked_formula(p, delta):
+    mod = bl.example1_h_modulus(p, delta=delta)
+    rng = np.random.default_rng(12)
+    u = np.concatenate([[0.0, 5e-324, delta, np.nextafter(delta, 0.0),
+                         np.nextafter(delta, 1.0), 1e300],
+                        rng.uniform(0.0, delta, 50),
+                        rng.uniform(delta, 20.0, 50)])
+    for arr in (u, u[u > delta], u[u <= delta], u.reshape(2, -1)):
+        assert bl.eval_modulus(mod, arr).tobytes() == \
+            _masked_example1h(mod, arr.ravel()).tobytes()
+
+
 @pytest.mark.parametrize("mod", [
     bl.linear_modulus(2.5),
     bl.power_modulus(1.3, 0.5),

@@ -91,8 +91,9 @@ def test_compare_constant_shift(small_ensemble):
 
 
 def test_compare_holds_one_time_step_of_the_oracle():
-    # The oracle is evaluated step by step: beside per-step temporaries the
-    # comparison holds only the (M, N) z squares, 1/(1 + 1/d) of z for k = 1.
+    # The oracle is evaluated step by step and folded per path, as the sweep
+    # folds its Picard distances: beside per-step temporaries the comparison
+    # holds two (M,) accumulators, less than one (M, N) array of z squares.
     # A full-size oracle (y, z) and z difference would take about twice y + z.
     ens = bl.generate_ensemble(M=4096, N=20, d=3, T=1.0, seed=5)
     form = match_oracle(bl.zero_generator(1), bl.coordinate_terminal(0))
@@ -105,9 +106,27 @@ def test_compare_holds_one_time_step_of_the_oracle():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - start) / (sol.y.nbytes + sol.z.nbytes) < 0.6
+    assert peak - start < ens.M * ens.grid.N * 8
     assert errs.sp_error == pytest.approx(0.25, rel=1e-12)
     assert errs.z_rms_error == pytest.approx(math.sqrt(3 * 0.25), rel=1e-12)
+
+
+def test_compare_z_rms_is_the_mean_over_every_cell():
+    # the per-path sums over steps, then their mean over paths, are the mean
+    # over all (path, step) cells up to the order of the additions
+    ens = bl.generate_ensemble(M=1024, N=12, d=2, T=1.0, seed=8)
+    form = match_oracle(bl.zero_generator(1), bl.square_norm_terminal())
+    sol, _ = bl.picard_solve(bl.zero_generator(1), bl.square_norm_terminal(),
+                             ens, bl.BasisSpec(2))
+    errs = bl.compare_to_oracle(sol, form, ens, p=2.0)
+    y, z = oracle_paths(form, ens)
+    cells = np.sum((sol.z - z) ** 2, axis=(2, 3))
+    assert errs.z_rms_error > 0.0
+    assert errs.z_rms_error == pytest.approx(math.sqrt(np.mean(cells)),
+                                             rel=1e-14, abs=0.0)
+    sup = np.max(np.abs(sol.y - y)[..., 0], axis=1)
+    assert errs.sp_error == pytest.approx(math.sqrt(np.mean(sup ** 2)),
+                                          rel=1e-14, abs=0.0)
 
 
 def test_compare_shape_mismatch(small_ensemble):

@@ -23,6 +23,25 @@ def test_grid_validation():
     assert np.all(np.diff(grid.times) > 0.0)
 
 
+_SQUARE_SHAPES = [(k,) for k in range(1, 8)] + [
+    (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 7), (7, 1)]
+
+
+@pytest.mark.parametrize("trailing", _SQUARE_SHAPES,
+                         ids=["x".join(map(str, t)) for t in _SQUARE_SHAPES])
+def test_sum_squares_is_bytes_of_numpys_reductions(trailing):
+    # below 8 columns numpy sums left to right, as sum_squares does
+    rng = np.random.default_rng(len(trailing) * 10 + trailing[-1])
+    a = rng.normal(size=(257, *trailing)) * rng.choice(
+        [1e-150, 1e-3, 1.0, 1e3, 1e100], size=(257, *trailing))
+    a.reshape(257, -1)[:4, 0] = [0.0, -0.0, 5e-324, -1e100]
+    axes = tuple(range(1, a.ndim))
+    got = paths_module.sum_squares(a)
+    assert got.tobytes() == np.sum(a * a, axis=axes).tobytes()
+    if a.ndim == 2:
+        assert np.sqrt(got).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+
 def test_paths_start_at_zero(small_ensemble):
     assert np.all(small_ensemble.values[:, 0, :] == 0.0)
 
