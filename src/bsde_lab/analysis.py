@@ -147,7 +147,6 @@ class ConstantsBundle:
     T: float
     A: float
     k_prime_p: float
-    k_doubleprime_p: float
     c2: float
     theta: float
     c_p: float
@@ -161,9 +160,9 @@ class ConstantsBundle:
 
 
 def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
-                      k_prime_p: float = 2.0, k_doubleprime_p: float = 2.0,
-                      c1: float | None = None, c3: float | None = None,
-                      c2: float | None = None, terminal_moment: float = 0.0,
+                      k_prime_p: float = 2.0, c1: float | None = None,
+                      c3: float | None = None, c2: float | None = None,
+                      terminal_moment: float = 0.0,
                       h3_moment: float = 0.0) -> ConstantsBundle:
     """Fill every derived constant by direct substitution.
 
@@ -177,9 +176,8 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         raise ValueError("needs p > 1")
     if lam < 0.0 or growth_a < 0.0 or horizon <= 0.0:
         raise ValueError("lambda, A must be >= 0 and T > 0")
-    if any(c is not None and c <= 0.0
-           for c in (k_prime_p, k_doubleprime_p, c1, c2, c3)):
-        raise ValueError("k'_p, k''_p, c1, c2 and c3 must be positive")
+    if any(c is not None and c <= 0.0 for c in (k_prime_p, c1, c2, c3)):
+        raise ValueError("k'_p, c1, c2 and c3 must be positive")
     c_p = p * min(p - 1.0, 1.0) / 2.0
     try:
         c_lambda_p_t = 2.0 ** (p + 4.0) * (3.0 + 2.0 * lam ** 2 * horizon
@@ -212,8 +210,7 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         candidates.append(horizon - 1.0 / (2.0 * growth_a))
     t1 = max(candidates)
     return ConstantsBundle(p=p, lam=lam, T=horizon, A=growth_a,
-                           k_prime_p=k_prime_p, k_doubleprime_p=k_doubleprime_p,
-                           c2=c2, theta=theta, c_p=c_p,
+                           k_prime_p=k_prime_p, c2=c2, theta=theta, c_p=c_p,
                            c_lambda_p_T=c_lambda_p_t, d_lambda_p_theta=d_lpt,
                            c1=c1, c3=c3, mu0=mu0, m_bound=m_bound, t1=t1)
 

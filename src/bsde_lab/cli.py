@@ -158,7 +158,6 @@ class SolverConfig:
 @dataclass
 class ConstantsConfig:
     k_prime_p: float = _ranged("> 0", default=2.0)
-    k_doubleprime_p: float = _ranged("> 0", default=2.0)
     c1: float | None = _ranged("> 0", default=None)
     c3: float | None = _ranged("> 0", default=None)
     c2: float | None = _ranged("> 0", default=None)
@@ -209,7 +208,7 @@ def _parse_block(cls, doc: dict, name: str):
 # time), the keys beside that key and params, and the default family.
 _TAGGED = {
     GeneratorSpec: ("family", GENERATOR_FAMILIES, ("k",), None),
-    TerminalSpec: ("kind", TERMINAL_KINDS, ("k",), None),
+    TerminalSpec: ("kind", TERMINAL_KINDS, (), None),
     ModulusSpec: ("family", MODULUS_FAMILIES, ("domain_cap",), None),
     ProcessSpec: ("kind", PROCESS_KINDS, (), "zero"),
 }
@@ -354,20 +353,15 @@ def _h1_modulus(cfg: RunConfig) -> ModulusSpec:
     return h1_modulus(cfg.generator, cfg.solver.p, 2 * SAMPLE_RADIUS)
 
 
-def _terminal(cfg: RunConfig, needed_for: str = "") -> TerminalSpec | None:
-    """cfg.terminal, once it agrees with generator.k; None when it is absent,
-    unless needed_for says what needs it."""
-    term, k = cfg.terminal, cfg.generator.k
-    if term is None and needed_for:
+def _terminal(cfg: RunConfig, needed_for: str) -> TerminalSpec:
+    """cfg.terminal, which needed_for says what needs."""
+    if cfg.terminal is None:
         raise ConfigError(f"terminal block required {needed_for}")
-    if term is not None and term.k != k:
-        raise ConfigError(f"terminal.k = {term.k} disagrees with generator.k = {k}")
-    return term
+    return cfg.terminal
 
 
 def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
-    gen, sc, cc = cfg.generator, cfg.solver, cfg.constants
-    term = _terminal(cfg)
+    gen, sc, cc, term = cfg.generator, cfg.solver, cfg.constants, cfg.terminal
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
         gen, ens).sampled
@@ -377,13 +371,12 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
         raise ConfigError(f"modulus: {exc}") from exc
     term_moment = 0.0
     if term is not None:
-        xi = terminal_values(term, ens)
+        xi = terminal_values(term, ens, gen.k)
         term_moment = float(np.mean(np.linalg.norm(xi, axis=1) ** sc.p))
     h3 = check_h3(gen, ens, sc.p)
     return analysis.compute_constants(
-        sc.p, lam, ens.grid.T, growth_a, k_prime_p=cc.k_prime_p,
-        k_doubleprime_p=cc.k_doubleprime_p, c1=cc.c1, c3=cc.c3, c2=cc.c2,
-        terminal_moment=term_moment, h3_moment=h3.estimate)
+        sc.p, lam, ens.grid.T, growth_a, k_prime_p=cc.k_prime_p, c1=cc.c1,
+        c3=cc.c3, c2=cc.c2, terminal_moment=term_moment, h3_moment=h3.estimate)
 
 
 def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
@@ -425,7 +418,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
                  f"tol={format_number(h1.tol)}"))
     lip = estimate_lipschitz_z(gen, ens)
     lip_ok = math.isfinite(lip.sampled) and (
-        lip.analytic is None or lip.sampled <= lip.analytic + 1e-9)
+        lip.analytic is None or lip.sampled <= lip.analytic * (1 + 1e-9))
     analytic = "" if lip.analytic is None else format_number(lip.analytic)
     rows.append(("h2_lipschitz_z", lip_ok, lip.sampled, f"analytic={analytic}"))
     h3 = check_h3(gen, ens, p)
@@ -504,18 +497,16 @@ def _cmd_solution_csv(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _infer_oracle(cfg: RunConfig):
-    term = _terminal(cfg, "for oracle comparison")
-    if (closed_form := oracle.match_oracle(cfg.generator, term)) is None:
-        raise ConfigError("no closed-form oracle matches this generator/terminal")
-    return closed_form
-
-
 _ORACLE_COLUMNS = ["sp_error", "z_rms_error", "iters", "converged"]
 
 
-def _oracle_row(cfg: RunConfig, closed_form, ens: PathEnsemble) -> tuple:
-    """The _ORACLE_COLUMNS of a solve on ens, compared to closed_form."""
+def _oracle_row(cfg: RunConfig, ens: PathEnsemble) -> tuple:
+    """The _ORACLE_COLUMNS of a solve on ens, compared to the closed form of
+    the generator and terminal, once the terminal fits generator.k."""
+    term = _terminal(cfg, "for oracle comparison")
+    terminal_values(term, ens, cfg.generator.k)
+    if (closed_form := oracle.match_oracle(cfg.generator, term)) is None:
+        raise ConfigError("no closed-form oracle matches this generator/terminal")
     sol, report = _solve(cfg, ens)
     errs = oracle.compare_to_oracle(sol, closed_form, ens, cfg.solver.p)
     return (errs.sp_error, errs.z_rms_error, report.iterations,
@@ -524,7 +515,7 @@ def _oracle_row(cfg: RunConfig, closed_form, ens: PathEnsemble) -> tuple:
 
 def _cmd_oracle_compare(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
-    row = _oracle_row(cfg, _infer_oracle(cfg), ens)
+    row = _oracle_row(cfg, ens)
     write_csv(_output(out, "oracle_errors.csv"), _ORACLE_COLUMNS, [row])
     return 0
 
@@ -580,7 +571,6 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
     if cfg.paths.paths_file:
         raise ConfigError("convergence-study generates one ensemble per (M, N) "
                           "and takes no paths file")
-    closed_form = _infer_oracle(cfg)
     for key in ("M", "N"):
         if key in cfg.paths.stated:
             raise ConfigError(
@@ -592,7 +582,7 @@ def _cmd_convergence_study(cfg: RunConfig, out: Path) -> int:
         for n in cfg.study.N_values:
             ens = generate_ensemble(m, n, cfg.paths.d, cfg.paths.T, cfg.paths.seed,
                                     antithetic=cfg.paths.antithetic)
-            rows.append((m, n) + _oracle_row(cfg, closed_form, ens))
+            rows.append((m, n) + _oracle_row(cfg, ens))
     write_csv(_output(out, "convergence.csv"), ["M", "N", *_ORACLE_COLUMNS], rows)
     return 0
 

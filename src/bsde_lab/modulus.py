@@ -92,6 +92,10 @@ def tabulated_modulus(breakpoints: list | None = None, csv_path: str | None = No
                          "breakpoints and csv_path")
     if csv_path is not None:
         return load_tabulated_csv(csv_path, domain_cap=domain_cap)
+    for i, point in enumerate(breakpoints):
+        if len(point) != 2:
+            raise ValueError(f"tabulated breakpoint [{i}] has {len(point)} "
+                             f"entries, not 2")
     pts = [(float(u), float(v)) for u, v in breakpoints]
     if len(pts) < 2:
         raise ValueError("tabulated modulus needs at least 2 breakpoints")
@@ -191,13 +195,15 @@ def _check_grid(cap: float) -> np.ndarray:
     return _grid(cap, 9, 5_000, 5_000)
 
 
-_SHAPE_TOL = 1e-9  # the shape defect that still passes
+_SHAPE_TOL = 1e-9  # the relative shape defect that still passes
 
 
 @dataclass(frozen=True)
 class ShapeReport:
     """Defects are signed so that defect <= tol = _SHAPE_TOL means the flag
-    passes; worst_violation = max defect - tol, hence <= 0 when all pass."""
+    passes; each is relative, divided by max(1, |rho|) at its grid point, so
+    round-off on large values passes.  worst_violation = max defect - tol,
+    hence <= 0 when all pass."""
 
     is_nondecreasing: bool
     is_concave: bool
@@ -218,11 +224,15 @@ def check_shape(mod: ModulusSpec) -> ShapeReport:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = eval_modulus(mod, grid)
         v0 = eval_modulus(mod, 0.0)
-        excess = (abs(v0), np.append(vals[:-1] - vals[1:], v0 - vals[0]),
-                  0.5 * (vals[:-1] + vals[1:]) - eval_modulus(mod, mids), -vals)
-    # a non-finite defect, as an overflowing modulus gives, is a violation of +inf
-    d_zero, d_mono, d_conc, d_pos = (
-        d if math.isfinite(d := float(np.max(e))) else math.inf for e in excess)
+        at_mids = eval_modulus(mod, mids)
+        # each defect beside the modulus at its grid point
+        excess = ((abs(v0), v0),
+                  (np.append(v0 - vals[0], vals[:-1] - vals[1:]), vals),
+                  (0.5 * (vals[:-1] + vals[1:]) - at_mids, at_mids), (-vals, vals))
+        # a non-finite defect, as an overflowing modulus gives, counts as +inf
+        d_zero, d_mono, d_conc, d_pos = (
+            d if math.isfinite(d := float(np.max(e / np.maximum(1.0, abs(rho)))))
+            else math.inf for e, rho in excess)
     worst = max(d_zero, d_mono, d_conc, d_pos) - _SHAPE_TOL
     return ShapeReport(
         is_nondecreasing=d_mono <= _SHAPE_TOL,

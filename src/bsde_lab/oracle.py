@@ -50,9 +50,9 @@ def match_oracle(gen, term):
     if gen.family == "zero" and term.kind == "square_norm":
         return _square
     if (gen.family == "linear" and term.kind == "constant" and gen.k == 1
-            and term.k == 1 and np.isscalar(gen.a) and gen.b == 0.0
-            and np.isscalar(gen.c)):
-        return partial(_drift, gen.a, gen.c, float(term.value[0]))
+            and np.size(term.value) == 1 and np.isscalar(gen.a)
+            and gen.b == 0.0 and np.isscalar(gen.c)):
+        return partial(_drift, gen.a, gen.c, float(np.ravel(term.value)[0]))
     return None
 
 

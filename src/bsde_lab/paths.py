@@ -20,7 +20,7 @@ class FileFormatError(ValueError):
 
 
 class DimensionError(ValueError):
-    """A spec needs a Brownian coordinate or dimension the ensemble lacks."""
+    """A spec does not fit the ensemble's d, or a terminal its driver's k."""
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,8 @@ class PicardDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TerminalSpec:
     kind: str
-    k: int = 1
     j: int = 0
-    value: tuple = (0.0,)
+    value: float | tuple = 0.0
 
     def __post_init__(self):
         if self.kind not in TERMINAL_KINDS:
@@ -45,59 +44,61 @@ class TerminalSpec:
 
 
 def coordinate_terminal(j: int = 0) -> TerminalSpec:
-    return TerminalSpec("coordinate", k=1, j=j)
+    return TerminalSpec("coordinate", j=j)
 
 
 def square_norm_terminal() -> TerminalSpec:
-    return TerminalSpec("square_norm", k=1)
+    return TerminalSpec("square_norm")
 
 
-def constant_terminal(value: float | list = 0.0,
-                      k: int | None = None) -> TerminalSpec:
-    """xi = value: a scalar, repeated over k coordinates, or a vector of length k."""
-    vals = (float(value),) if np.isscalar(value) else tuple(float(v) for v in value)
-    if k is not None and not np.isscalar(value) and len(vals) != k:
-        raise ValueError(f"constant terminal value has {len(vals)} entries, k = {k}")
-    return TerminalSpec("constant", k=k if k is not None else len(vals), value=vals)
+def constant_terminal(value: float | list = 0.0) -> TerminalSpec:
+    """xi = value: a scalar, repeated over the driver's k coordinates, or a
+    non-empty vector, which must have k entries."""
+    if np.isscalar(value):
+        return TerminalSpec("constant", value=float(value))
+    if len(value) == 0:
+        raise ValueError("constant terminal value needs at least one entry")
+    return TerminalSpec("constant", value=tuple(float(v) for v in value))
 
 
-def _eval_coordinate(term: TerminalSpec, b_T: np.ndarray) -> np.ndarray:
+def _eval_coordinate(term: TerminalSpec, b_T: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= term.j < b_T.shape[1]:
         raise DimensionError(f"terminal coordinate j = {term.j} is out of "
                              f"range for d = {b_T.shape[1]}")
     return b_T[:, [term.j]]
 
 
-def _eval_constant(term: TerminalSpec, b_T: np.ndarray) -> np.ndarray:
-    vals = np.asarray(term.value, dtype=float)
-    if vals.size == 1:
-        return np.full((b_T.shape[0], term.k), vals[0])
-    return np.tile(vals, (b_T.shape[0], 1))
+def _eval_constant(term: TerminalSpec, b_T: np.ndarray, k: int) -> np.ndarray:
+    return np.tile(term.value, (b_T.shape[0], k if np.isscalar(term.value) else 1))
 
 
 @dataclass(frozen=True)
 class TerminalKind:
     """A terminal kind: the factory its config block calls and the batched
-    evaluate(term, b_T), which maps B_T (M, d) to xi (M, k)."""
+    evaluate(term, b_T, k), which maps B_T (M, d) to xi (M, k) for the
+    driver's k."""
 
     factory: Callable[..., TerminalSpec]
-    evaluate: Callable[[TerminalSpec, np.ndarray], np.ndarray]
+    evaluate: Callable[[TerminalSpec, np.ndarray, int], np.ndarray]
 
 
 TERMINAL_KINDS = {
     "coordinate": TerminalKind(coordinate_terminal, _eval_coordinate),
     "square_norm": TerminalKind(
         square_norm_terminal,
-        lambda term, b_T: np.sum(b_T * b_T, axis=1, keepdims=True)),
+        lambda term, b_T, k: np.sum(b_T * b_T, axis=1, keepdims=True)),
     "constant": TerminalKind(constant_terminal, _eval_constant),
 }
 
 
-def terminal_values(term: TerminalSpec, ens: PathEnsemble) -> np.ndarray:
-    """Evaluate xi as a function of B_T, shaped (M, k)."""
-    out = TERMINAL_KINDS[term.kind].evaluate(term, ens.values[:, -1, :])
-    if out.shape != (ens.M, term.k):
-        raise ValueError(f"terminal kind '{term.kind}' returned wrong shape")
+def terminal_values(term: TerminalSpec, ens: PathEnsemble, k: int) -> np.ndarray:
+    """Evaluate xi as a function of B_T for a driver of k coordinates, shaped
+    (M, k): the one place a terminal can disagree with its driver."""
+    out = TERMINAL_KINDS[term.kind].evaluate(term, ens.values[:, -1, :], k)
+    if out.shape != (ens.M, k):
+        raise DimensionError(f"terminal kind '{term.kind}' gives xi of shape "
+                             f"{out.shape}, but generator.k = {k} needs "
+                             f"({ens.M}, {k})")
     return out
 
 
@@ -313,17 +314,6 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
         z[:, i] = z_i
 
 
-def _checked_terminal(gen: GeneratorSpec, terminal: TerminalSpec,
-                      ens: PathEnsemble, basis: BasisSpec) -> np.ndarray:
-    """xi (M, k), after checking that the generator's k is the terminal's
-    and that the ensemble has more paths than the basis has functions."""
-    xi = terminal_values(terminal, ens)
-    if gen.k != xi.shape[1]:
-        raise ValueError("generator k disagrees with the terminal's")
-    basis.require_samples(ens.M, ens.d)
-    return xi
-
-
 def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:
     """Backward partition of [0, N] into windows of length about T - t_split."""
     width = grid.T - t_split
@@ -358,8 +348,9 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    xi = _checked_terminal(gen, terminal, ens, basis)
-    k = xi.shape[1]
+    xi = terminal_values(terminal, ens, gen.k)
+    basis.require_samples(ens.M, ens.d)
+    k = gen.k
 
     family = GENERATOR_FAMILIES[gen.family]
     c_lip = family.lipschitz_z

@@ -169,7 +169,7 @@ def test_constants_validation():
 
 
 @pytest.mark.parametrize("given", [
-    {"k_prime_p": 0.0}, {"k_prime_p": -1.0}, {"k_doubleprime_p": -1.0},
+    {"k_prime_p": 0.0}, {"k_prime_p": -1.0}, {"c3": -1.0},
     {"c2": -1.0}, {"c1": -1.0}])
 def test_constants_martingale_moments_must_be_positive(given):
     with pytest.raises(ValueError, match="must be positive"):

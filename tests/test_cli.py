@@ -19,7 +19,7 @@ from bsde_lab.cli import ConfigError, main, parse_config, run
 from bsde_lab.generator import GENERATOR_FAMILIES, PROCESS_KINDS
 from bsde_lab.modulus import DIVERGENT, MODULUS_FAMILIES, ModulusFamily
 from bsde_lab.paths import save_solution_csv
-from bsde_lab.solver import TERMINAL_KINDS
+from bsde_lab.solver import TERMINAL_KINDS, terminal_values
 
 
 def _config(tmp_path, **overrides):
@@ -54,7 +54,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.solver.picard_tol == 1e-4
     assert cfg.solver.picard_max_iter == 25
     assert cfg.constants.k_prime_p == 2.0
-    assert cfg.constants.k_doubleprime_p == 2.0
 
 
 def test_unknown_key_named():
@@ -176,8 +175,7 @@ def test_parse_reads_every_field():
                   "antithetic": True, "paths_file": "p.bsde"},
         "solver": {"p": 3, "basis_degree": 2, "ridge": 0.5, "picard_tol": 1e-3,
                    "picard_max_iter": 7, "deterministic_reduction": True},
-        "constants": {"k_prime_p": 3.0, "k_doubleprime_p": 4.0, "c1": 1.0,
-                      "c3": 2.0, "c2": 0.5},
+        "constants": {"k_prime_p": 3.0, "c1": 1.0, "c3": 2.0, "c2": 0.5},
         "bihari": {"M_bound": 2.0, "T1": 0.25, "n_max": 5, "quad_steps": 64},
         "study": {"M_values": [32], "N_values": [2, 3]},
     }))
@@ -186,8 +184,8 @@ def test_parse_reads_every_field():
     assert isinstance(cfg.paths.T, float) and isinstance(cfg.solver.p, float)
     assert (cfg.solver.p, cfg.solver.basis_degree, cfg.solver.ridge,
             cfg.solver.picard_tol, cfg.solver.picard_max_iter) == (3.0, 2, 0.5, 1e-3, 7)
-    assert (cfg.constants.k_prime_p, cfg.constants.k_doubleprime_p,
-            cfg.constants.c1, cfg.constants.c3, cfg.constants.c2) == (3.0, 4.0, 1.0, 2.0, 0.5)
+    assert (cfg.constants.k_prime_p, cfg.constants.c1, cfg.constants.c3,
+            cfg.constants.c2) == (3.0, 1.0, 2.0, 0.5)
     assert (cfg.bihari.M_bound, cfg.bihari.T1, cfg.bihari.n_max,
             cfg.bihari.quad_steps) == (2.0, 0.25, 5, 64)
     assert (cfg.study.M_values, cfg.study.N_values) == ([32], [2, 3])
@@ -238,7 +236,6 @@ _RANGE_CASES = [
     ("solver", "picard_max_iter", 0, 1),
     ("solver", "split", -_TINY, 0.0), ("solver", "split", "half", "auto"),
     ("constants", "k_prime_p", 0.0, _TINY),
-    ("constants", "k_doubleprime_p", 0.0, _TINY),
     ("constants", "c1", 0.0, _TINY), ("constants", "c3", 0.0, _TINY),
     ("constants", "c2", 0.0, _TINY),
     ("bihari", "M_bound", -_TINY, 0.0), ("bihari", "T1", -_TINY, 0.0),
@@ -728,8 +725,8 @@ def _plain_linear_generator(a: float = 0.0, b: float = 0.0, c: float = 0.0,
     return bl.GeneratorSpec("plain_linear", k=k, a=a, b=b, c=c)
 
 
-def _last_coordinate_terminal(k: int = 1) -> bl.TerminalSpec:
-    return bl.TerminalSpec("last_coordinate", k=k)
+def _last_coordinate_terminal() -> bl.TerminalSpec:
+    return bl.TerminalSpec("last_coordinate")
 
 
 def test_runtime_records_run_like_the_builtins(tmp_path, monkeypatch):
@@ -739,7 +736,7 @@ def test_runtime_records_run_like_the_builtins(tmp_path, monkeypatch):
     monkeypatch.setitem(GENERATOR_FAMILIES, "plain_linear", bl.DriverFamily(
         _plain_linear_generator, GENERATOR_FAMILIES["linear"].evaluate))
     monkeypatch.setitem(TERMINAL_KINDS, "last_coordinate", bl.TerminalKind(
-        _last_coordinate_terminal, lambda term, b_T: b_T[:, -1:]))
+        _last_coordinate_terminal, lambda term, b_T, k: b_T[:, -1:]))
     params = {"a": 0.5, "b": 0.25, "c": 0.2}
     outputs = {}
     for generator, terminal in (
@@ -818,7 +815,8 @@ _RUNTIME_RECORDS = {
     ("generator", "scaled_y"): (GENERATOR_FAMILIES, bl.DriverFamily(
         _scaled_y_generator, lambda gen, t, brownian, y, z: gen.b * y)),
     ("terminal", "shifted"): (TERMINAL_KINDS, bl.TerminalKind(
-        _shifted_terminal, lambda term, b_T: b_T[:, [term.j]] + term.value[0])),
+        _shifted_terminal,
+        lambda term, b_T, k: b_T[:, [term.j]] + term.value[0])),
 }
 
 
@@ -985,25 +983,30 @@ def test_empty_process_block_means_zero(process):
 
 @pytest.mark.parametrize("block, bad, field", [
     ({"generator": {"family": "example1", "k": 2}}, "generator.k", "k = 1"),
-    ({"generator": {"family": "zero"},
-      "terminal": {"kind": "coordinate", "k": 3}}, "terminal.k", "k = 1"),
-    ({"generator": {"family": "zero"},
-      "terminal": {"kind": "square_norm", "k": 2}}, "terminal.k", "k = 1"),
-    ({"generator": {"family": "zero"},
-      "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]}, "k": 3}},
-     "terminal", "2 entries"),
 ])
 def test_k_must_agree_with_the_family(block, bad, field):
     with pytest.raises(ConfigError, match=f"{bad}.*{field}"):
         parse_config(json.dumps(block))
 
 
+@pytest.mark.parametrize("terminal", [
+    {"kind": "coordinate", "k": 3},
+    {"kind": "square_norm", "k": 1},
+    {"kind": "constant", "params": {"value": [1.0, 2.0]}, "k": 2},
+], ids=["coordinate", "square_norm", "constant"])
+def test_terminal_k_is_an_unknown_key(tmp_path, capsys, terminal):
+    # the driver alone states k: a terminal is evaluated for it
+    path = _write(tmp_path, _config(tmp_path, terminal=terminal))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'terminal.k'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_k_that_agrees_with_the_family_parses():
     cfg = parse_config(json.dumps({
-        "generator": {"family": "example1", "k": 1},
-        "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]},
-                     "k": 2}}))
-    assert cfg.generator.k == 1
+        "generator": {"family": "linear", "k": 2},
+        "terminal": {"kind": "constant", "params": {"value": [1.0, 2.0]}}}))
+    assert cfg.generator.k == 2
     assert cfg.terminal == bl.constant_terminal([1.0, 2.0])
 
 
@@ -1014,21 +1017,49 @@ def test_solve_rejects_terminal_k_unlike_generator_k(tmp_path, capsys):
     assert "generator.k = 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["constants", "bihari", "oracle-compare"])
+@pytest.mark.parametrize("command, overrides", [
+    ("constants", {}),
+    ("bihari", {}),
+    ("oracle-compare", {}),
+    ("solve", {}),
+    ("solve", {"solver": {"split": "auto"}}),
+    ("convergence-study", {"paths": {"seed": 3},
+                           "study": {"M_values": [64], "N_values": [4]}}),
+], ids=["constants", "bihari", "oracle-compare", "solve", "solve-split-auto",
+        "convergence-study"])
 def test_every_command_that_reads_the_terminal_rejects_its_k_unlike_generator_k(
-        tmp_path, capsys, command):
+        tmp_path, capsys, command, overrides):
+    # one line from the one check, terminal_values; the oracle commands name
+    # the mismatch, not the missing closed form
+    m = 64 if command == "convergence-study" else 1024
+    for generator, terminal, width, k in (
+            ({"family": "zero", "k": 1}, {"kind": "constant",
+                                          "params": {"value": [1.0, 2.0]}}, 2, 1),
+            ({"family": "zero", "k": 2}, {"kind": "coordinate"}, 1, 2)):
+        path = _write(tmp_path, _config(tmp_path, generator=generator,
+                                        terminal=terminal, **overrides))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: terminal kind '{terminal['kind']}' gives xi of shape "
+            f"({m}, {width}), but generator.k = {k} needs ({m}, {k})\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_scalar_constant_terminal_solves_at_any_k(tmp_path):
     path = _write(tmp_path, _config(
-        tmp_path, terminal={"kind": "constant", "params": {"value": [1.0, 2.0]}}))
-    assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: terminal.k = 2 disagrees with generator.k = 1\n")
-    assert not (tmp_path / "out").exists()
+        tmp_path, generator={"family": "linear", "params": {"c": 0.5}, "k": 3},
+        terminal={"kind": "constant", "params": {"value": 1.5}}))
+    assert main(["solve", str(path)]) == 0
+    sol = bl.load_solution(tmp_path / "out" / "solution.bsol")
+    assert sol.y.shape == (1024, 11, 3)
+    assert np.allclose(sol.y[:, -1], 1.5) and np.allclose(sol.y[:, 0], 2.0)
 
 
 def test_constant_terminal_rejects_vector_of_wrong_length():
-    with pytest.raises(ValueError, match="k = 3"):
-        bl.constant_terminal([1.0, 2.0], k=3)
-    assert bl.constant_terminal(2.0, k=3).k == 3
+    ens = bl.generate_ensemble(M=8, N=2, d=1, T=1.0, seed=0)
+    with pytest.raises(bl.paths.DimensionError, match="generator.k = 3"):
+        terminal_values(bl.constant_terminal([1.0, 2.0]), ens, 3)
+    assert terminal_values(bl.constant_terminal(2.0), ens, 3).shape == (8, 3)
 
 
 def test_tabulated_domain_cap_defaults_to_last_breakpoint():
@@ -1065,7 +1096,18 @@ def test_tabulated_domain_cap_defaults_to_last_breakpoint():
     ({"constants": {"c3": 0}}, "constants.c3 is 0"),
     ({"constants": {"k_prime_p": 0}}, "constants.k_prime_p is 0"),
     ({"constants": {"k_prime_p": -1}}, "constants.k_prime_p is -1"),
-    ({"constants": {"k_doubleprime_p": -1}}, "constants.k_doubleprime_p is -1"),
+    # the id keeps its old name; no constant reads k''_p, so the key is gone
+    pytest.param({"constants": {"k_doubleprime_p": -1}},
+                 "unknown key 'constants.k_doubleprime_p'",
+                 id="overrides15-constants.k_doubleprime_p is -1"),
+    ({"terminal": {"kind": "constant", "params": {"value": []}}},
+     "terminal: constant terminal value needs at least one entry"),
+    ({"modulus": {"family": "tabulated",
+                  "params": {"breakpoints": [[0, 0], [1]]}}},
+     "modulus: tabulated breakpoint [1] has 1 entries, not 2"),
+    ({"modulus": {"family": "tabulated",
+                  "params": {"breakpoints": [[0, 0], [1, 1, 5]]}}},
+     "modulus: tabulated breakpoint [1] has 3 entries, not 2"),
 ])
 def test_invalid_block_values_exit_two(tmp_path, capsys, overrides, message):
     path = _write(tmp_path, _config(tmp_path, **overrides))
@@ -1462,6 +1504,20 @@ def test_check_reports_a_modulus_block_that_is_not_concave(tmp_path):
     assert main(["check", str(path)]) == 1
     rows = (tmp_path / "out" / "check_report.csv").read_text().splitlines()
     assert rows[1].startswith("shape_rho,false,")
+
+
+@pytest.mark.parametrize("command, params", [
+    ("check", {"a": 1000.0}), ("bihari", {"a": 1000.0}), ("check", {"b": 1e4})],
+    ids=["check-a", "bihari-a", "check-b"])
+def test_a_steep_linear_driver_passes_despite_round_off(tmp_path, command,
+                                                        params):
+    # the default modulus of a = 1000 is 4e6 u on [0, 100], concave up to the
+    # round-off of its large values; the sampled z-Lipschitz constant of
+    # b = 1e4 exceeds the exact one by about 1e-13 relative
+    path = _write(tmp_path, _config(
+        tmp_path, paths={"M": 256, "N": 5, "seed": 3},
+        generator={"family": "linear", "params": params}))
+    assert main([command, str(path)]) == 0
 
 
 def test_check_reports_an_overflowing_modulus_as_a_shape_failure(tmp_path):

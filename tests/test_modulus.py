@@ -171,6 +171,13 @@ def test_shape_linear_all_flags():
     assert rep.worst_violation <= 0.0
 
 
+def test_shape_passes_a_steep_linear_modulus():
+    # each defect is relative to the modulus at its point: the round-off of
+    # 1e6 u near u = 100 is about 1e-8 absolute
+    rep = bl.check_shape(bl.linear_modulus(1e6, 100.0))
+    assert rep.all_ok and rep.worst_violation <= 0.0
+
+
 def test_shape_square_fails_concavity():
     rep = bl.check_shape(bl.power_modulus(1.0, 2.0, domain_cap=10.0))
     assert not rep.is_concave

@@ -143,7 +143,8 @@ def test_square_oracle_holds_in_every_dimension(d):
     ens = bl.generate_ensemble(M=2048, N=10, d=d, T=1.0, seed=11)
     form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
     y, z = oracle_paths(form, ens)
-    assert np.array_equal(y[:, -1], terminal_values(bl.square_norm_terminal(), ens))
+    assert np.array_equal(y[:, -1], terminal_values(bl.square_norm_terminal(), ens,
+                                                    1))
     assert np.all(y[:, 0] == d)
     assert np.array_equal(z, 2.0 * ens.values[:, :-1, None, :])
     assert np.mean(y[:, -1]) == pytest.approx(d, rel=0.15)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -28,31 +29,45 @@ BASIS = bl.BasisSpec(degree=3)
 
 def test_terminal_kinds(small_ensemble, monkeypatch):
     ens = small_ensemble
-    xi = terminal_values(bl.coordinate_terminal(0), ens)
+    xi = terminal_values(bl.coordinate_terminal(0), ens, 1)
     assert np.array_equal(xi, ens.values[:, -1, [0]])
-    xi = terminal_values(bl.square_norm_terminal(), ens)
+    xi = terminal_values(bl.square_norm_terminal(), ens, 1)
     assert np.allclose(xi[:, 0], ens.values[:, -1, 0] ** 2)
-    xi = terminal_values(bl.constant_terminal([1.0, 2.0]), ens)
+    xi = terminal_values(bl.constant_terminal([1.0, 2.0]), ens, 2)
     assert xi.shape == (ens.M, 2)
     assert np.all(xi == [1.0, 2.0])
+    # a scalar constant fills the driver's k coordinates
+    xi = terminal_values(bl.constant_terminal(1.5), ens, 3)
+    assert xi.shape == (ens.M, 3) and np.all(xi == 1.5)
     # a user-defined kind is one more record
     monkeypatch.setitem(TERMINAL_KINDS, "sin_bt", bl.TerminalKind(
-        lambda: bl.TerminalSpec("sin_bt"), lambda term, b_T: np.sin(b_T[:, [0]])))
-    xi = terminal_values(bl.TerminalSpec("sin_bt"), ens)
+        lambda: bl.TerminalSpec("sin_bt"),
+        lambda term, b_T, k: np.sin(b_T[:, [0]])))
+    xi = terminal_values(bl.TerminalSpec("sin_bt"), ens, 1)
     assert np.allclose(xi[:, 0], np.sin(ens.values[:, -1, 0]))
 
 
 def test_terminal_of_the_wrong_shape_is_rejected(small_ensemble, monkeypatch):
     monkeypatch.setitem(TERMINAL_KINDS, "flat", bl.TerminalKind(
-        lambda: bl.TerminalSpec("flat"), lambda term, b_T: b_T[:, 0]))
-    with pytest.raises(ValueError, match="terminal kind 'flat' returned wrong shape"):
-        terminal_values(bl.TerminalSpec("flat"), small_ensemble)
+        lambda: bl.TerminalSpec("flat"), lambda term, b_T, k: b_T[:, 0]))
+    m = small_ensemble.M
+    with pytest.raises(bl.paths.DimensionError, match=re.escape(
+            f"terminal kind 'flat' gives xi of shape ({m},), but "
+            f"generator.k = 1 needs ({m}, 1)")):
+        terminal_values(bl.TerminalSpec("flat"), small_ensemble, 1)
+    # a terminal of the right shape for another k is of the wrong shape here
+    for term, k in ((bl.coordinate_terminal(0), 2),
+                    (bl.square_norm_terminal(), 3),
+                    (bl.constant_terminal([1.0]), 3)):
+        with pytest.raises(bl.paths.DimensionError,
+                           match=f"terminal kind '{term.kind}' .* generator.k = {k}"):
+            terminal_values(term, small_ensemble, k)
 
 
 def test_terminal_coordinate_out_of_range(small_ensemble):
     for j in (3, 1, -1):
         with pytest.raises(bl.paths.DimensionError, match=f"j = {j} is out of range"):
-            terminal_values(bl.coordinate_terminal(j), small_ensemble)
+            terminal_values(bl.coordinate_terminal(j), small_ensemble, 1)
 
 
 # ---------------------------------------------------------------- regression
@@ -196,7 +211,7 @@ def test_drift_only_generator_matches_ode(small_ensemble):
 
 def test_terminal_pinning_is_exact(small_ensemble):
     gen = bl.example1_generator(p=2.0)
-    xi = terminal_values(bl.coordinate_terminal(0), small_ensemble)
+    xi = terminal_values(bl.coordinate_terminal(0), small_ensemble, 1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              BASIS)
     assert np.array_equal(sol.y[:, -1, :], xi)
@@ -615,7 +630,7 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
     n = small_ensemble.grid.N
     y, z = _zero_pair(small_ensemble)
     y[...] = 0.25
-    y[:, -1] = terminal_values(term, small_ensemble)
+    y[:, -1] = terminal_values(term, small_ensemble, 1)
     for _ in range(3):
         solver_module._backward_sweep(gen, y, z, small_ensemble, BASIS, 0, n,
                                       [None] * n)
