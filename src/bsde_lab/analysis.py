@@ -253,9 +253,9 @@ def check_lemma1(sol, gen: GeneratorSpec, p: float, t_index: int,
     zsq = np.sum(sol.z ** 2, axis=(2, 3))
 
     inner = np.zeros((m, grid.N))
-    for i in range(t_index, grid.N):
-        g = eval_generator_batch(gen, grid.times[i], ens.values[:, i, :],
-                                 sol.y[:, i], sol.z[:, i])
+    for i, b_i in ens.forward_states(t_index, grid.N):
+        g = eval_generator_batch(gen, grid.times[i], b_i, sol.y[:, i],
+                                 sol.z[:, i])
         inner[:, i] = np.sum(sol.y[:, i] * g, axis=1)
 
     rng = slice(t_index, grid.N)

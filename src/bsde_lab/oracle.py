@@ -62,7 +62,7 @@ def oracle_paths(closed_form, ens: PathEnsemble):
     ensemble and of the solutions, so a comparison subtracts arrays laid out
     alike."""
     y, z = closed_form((ens.grid.T - ens.grid.times)[:, None],
-                       ens.values.transpose(1, 0, 2))
+                       ens.all_states().transpose(1, 0, 2))
     return y.transpose(1, 0, 2), z[:-1].transpose(1, 0, 2, 3)
 
 
@@ -81,8 +81,8 @@ def compare_to_oracle(sol, closed_form, ens: PathEnsemble,
     if sol.y.shape != (m, n + 1, 1) or sol.z.shape != (m, n, 1, ens.d):
         raise ValueError("solution shape disagrees with the oracle/ensemble")
     sup, total = np.zeros(m), np.zeros(m)
-    for i in range(n + 1):
-        y_ref, z_ref = closed_form(np.asarray(tau[i]), ens.values[:, i])
+    for i, b_i in ens.forward_states():
+        y_ref, z_ref = closed_form(np.asarray(tau[i]), b_i)
         analysis.fold_sup(sup, sol.y[:, i] - y_ref)
         if i < n:
             analysis.fold_squares(total, sol.z[:, i] - z_ref)

@@ -4,6 +4,7 @@ which share one header reader and one path-major block writer, and CSVs."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -45,17 +46,32 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
+def _checkpoint_stride(n: int) -> int:
+    """c = ceil(sqrt(n)): an ensemble of n steps keeps B_t at every c-th step
+    and at n, about n / c + 1 slices, and a backward pass refills c more."""
+    return math.isqrt(n - 1) + 1
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M Brownian paths in d dimensions on a uniform grid.
+    """M Brownian paths in d dimensions on a uniform grid, held as their
+    increments (M, N, d) alone.
 
-    increments is (M, N, d) and values (M, N+1, d), with values[:, 0] = 0.
-    The ensembles that generate_ensemble and load_ensemble return hold them
-    step-major: each is the transpose view of an (N, M, d) or (N+1, M, d)
-    buffer, so the slice of one time step, values[:, i] or increments[:, i],
-    is contiguous.  The backward sweep reads one such slice per step.  Any
-    other layout of the same shapes solves to the same numbers, up to
-    round-off, only slower.
+    Every Brownian state follows one summation rule, B_0 = 0 and
+    B_{i+1} = B_i + increments[:, i], and no (N+1)-step array of them is
+    kept.  Construction makes one forward pass that keeps B_i at every c-th
+    step and at N, c = ceil(sqrt(N)), read-only; the accessors sum
+    every other state from the checkpoint at or below it by the same rule,
+    so each comes out bit for bit the running sum.  That holds N / c + 1
+    state slices against the N + 1 of a full array.  The accessors are
+    state(i), forward_states and backward_states over a window, gather at
+    (path, time index) pairs, and all_states, which builds the full array.
+
+    The ensembles that generate_ensemble and load_ensemble return hold the
+    increments step-major: the transpose view of an (N, M, d) buffer, so the
+    slice of one time step, increments[:, i], is contiguous, as are the
+    states the accessors give.  Any other layout of the same shape gives the
+    same states, only slower.
     """
 
     M: int
@@ -63,15 +79,106 @@ class PathEnsemble:
     grid: TimeGrid
     seed: int
     increments: np.ndarray = field(repr=False)  # (M, N, d)
-    values: np.ndarray = field(repr=False)      # (M, N+1, d), values[:, 0] = 0
     antithetic: bool = False
+    # the steps 0, c, 2c, ..., N and B at each, as (len(_marks), M, d)
+    _marks: tuple = field(init=False, repr=False, compare=False)
+    _checkpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n, d = self.M, self.grid.N, self.d
-        for name, shape in (("increments", (m, n, d)), ("values", (m, n + 1, d))):
-            if (found := getattr(self, name).shape) != shape:
-                raise ValueError(f"{name} have shape {found}, but M = {m}, "
-                                 f"N = {n} and d = {d} need {shape}")
+        if (found := self.increments.shape) != (m, n, d):
+            raise ValueError(f"increments have shape {found}, but M = {m}, "
+                             f"N = {n} and d = {d} need {(m, n, d)}")
+        marks = (*range(0, n, _checkpoint_stride(n)), n)
+        checkpoints = np.empty((len(marks), m, d))
+        checkpoints[0] = 0.0
+        # a path that overflows is left non-finite: load_ensemble names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, len(marks)):
+                state = checkpoints[j]
+                state[...] = checkpoints[j - 1]
+                for i in range(marks[j - 1], marks[j]):
+                    np.add(state, self.increments[:, i], out=state)
+        checkpoints.flags.writeable = False
+        object.__setattr__(self, "_marks", marks)
+        object.__setattr__(self, "_checkpoints", checkpoints)
+
+    def _below(self, i: int) -> int:
+        """The index of the checkpoint at or below step i, once 0 <= i <= N."""
+        if not 0 <= i <= self.grid.N:
+            raise IndexError(f"time index {i} is outside [0, {self.grid.N}]")
+        return bisect.bisect_right(self._marks, i) - 1
+
+    def state(self, i: int) -> np.ndarray:
+        """B_i (M, d): a read-only checkpoint, or a new array summed from the
+        checkpoint below i."""
+        j = self._below(i)
+        if self._marks[j] == i:
+            return self._checkpoints[j]
+        out = self._checkpoints[j].copy()
+        for s in range(self._marks[j], i):
+            np.add(out, self.increments[:, s], out=out)
+        return out
+
+    def forward_states(self, start: int = 0, stop: int | None = None):
+        """(i, B_i) for i = start, ..., stop - 1, stop = N + 1 by default.
+        Each B_i is a read-only view of one running buffer, which the next
+        step overwrites."""
+        stop = self.grid.N + 1 if stop is None else stop
+        state = np.array(self.state(start))
+        view = _read_only(state)
+        for i in range(start, stop):
+            if i > start:
+                np.add(state, self.increments[:, i - 1], out=state)
+            yield i, view
+
+    def backward_states(self, i_lo: int, i_hi: int):
+        """(i, B_i) for i = i_hi - 1 down to i_lo.  One buffer of c slices is
+        refilled forward from each checkpoint the window reaches; each B_i is
+        a read-only view of it, valid until the next refill."""
+        segment = np.empty((_checkpoint_stride(self.grid.N), self.M, self.d))
+        view = _read_only(segment)
+        hi = i_hi
+        while hi > i_lo:
+            j = self._below(hi - 1)
+            base = self._marks[j]
+            segment[0] = self._checkpoints[j]
+            for s in range(base, hi - 1):
+                np.add(segment[s - base], self.increments[:, s],
+                       out=segment[s - base + 1])
+            lo = max(base, i_lo)
+            for i in range(hi - 1, lo - 1, -1):
+                yield i, view[i - base]
+            hi = lo
+
+    def gather(self, path_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
+        """B at the pairs (path_idx[n], t_idx[n]), shaped (len(path_idx), d):
+        each summed from its checkpoint one increment at a time."""
+        path_idx, t_idx = np.asarray(path_idx), np.asarray(t_idx)
+        if t_idx.size and not 0 <= t_idx.min() <= t_idx.max() <= self.grid.N:
+            raise IndexError(f"time indices reach outside [0, {self.grid.N}]")
+        j = np.searchsorted(self._marks, t_idx, side="right") - 1
+        base = np.asarray(self._marks)[j]
+        out = self._checkpoints[j, path_idx]
+        for r in range(int(np.max(t_idx - base, initial=0))):
+            live = t_idx - base > r
+            out[live] += self.increments[path_idx[live], base[live] + r]
+        return out
+
+    def all_states(self) -> np.ndarray:
+        """Every B_i as one new (M, N+1, d) array, step-major like the
+        increments.  It holds N + 1 slices: tests and oracle_paths only."""
+        out = np.empty((self.grid.N + 1, self.M, self.d))
+        for i, state in self.forward_states():
+            out[i] = state
+        return out.transpose(1, 0, 2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of a that cannot write to it."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def sum_squares(a: np.ndarray) -> np.ndarray:
@@ -94,22 +201,6 @@ def _records(a: np.ndarray) -> np.ndarray:
     """a with its contiguous last axis viewed as one opaque record: moving
     d-tuples as records is faster than moving their d numbers one by one."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
-
-
-def _step_major_ensemble(steps: np.ndarray, grid: TimeGrid, seed: int,
-                         antithetic: bool) -> PathEnsemble:
-    """The ensemble of the step-major increments steps (N, M, d); its values
-    are summed one step at a time, values[i+1] = values[i] + steps[i], the
-    additions of a cumulative sum along each path."""
-    n, m, d = steps.shape
-    values = np.empty((n + 1, m, d))
-    values[0] = 0.0
-    for i in range(n):
-        np.add(values[i], steps[i], out=values[i + 1])
-    return PathEnsemble(M=m, d=d, grid=grid, seed=seed,
-                        increments=steps.transpose(1, 0, 2),
-                        values=values.transpose(1, 0, 2),
-                        antithetic=antithetic)
 
 
 def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
@@ -155,7 +246,8 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
         paths *= scale
         _records(steps)[:, lo:lo + len(paths)] = _records(paths).T
 
-    return _step_major_ensemble(steps, grid, seed, antithetic)
+    return PathEnsemble(M=M, d=d, grid=grid, seed=seed,
+                        increments=steps.transpose(1, 0, 2), antithetic=antithetic)
 
 
 @contextmanager
@@ -331,15 +423,28 @@ def save_ensemble(ens: PathEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read the format of save_ensemble into a step-major ensemble."""
+    """Read the format of save_ensemble into a step-major ensemble.  A path
+    whose Brownian values are not all finite is a FileFormatError that names
+    it and the step at which its values leave the finite numbers."""
     with open(path, "rb") as fh:
         fields, grid = _read_header(fh, _ENSEMBLE)
         if (flags := fields["flags"]) & ~_ANTITHETIC:
             raise FileFormatError(f"unknown header flags {flags:#x}")
         steps = np.empty((grid.N, fields["M"], fields["d"]))
         _read_records(fh, [steps.transpose(1, 0, 2)])
-    return _step_major_ensemble(steps, grid, fields["seed"],
-                                bool(flags & _ANTITHETIC))
+    ens = PathEnsemble(M=fields["M"], d=fields["d"], grid=grid,
+                       seed=fields["seed"], increments=steps.transpose(1, 0, 2),
+                       antithetic=bool(flags & _ANTITHETIC))
+    # a state that is not finite stays so, so B_N shows every such path
+    if not np.all(np.isfinite(end := ens.state(grid.N))):
+        j = int(np.argmin(np.isfinite(end).all(axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            walk = np.cumsum(ens.increments[j], axis=0)
+        s = int(np.argmin(np.isfinite(walk).all(axis=1)))
+        raise FileFormatError(
+            f"path {j} is not finite from time index {s + 1} on: its "
+            f"increment at step {s} is {ens.increments[j, s].tolist()}")
+    return ens
 
 
 def save_solution(sol: DiscreteSolution, path) -> None:

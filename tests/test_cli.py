@@ -5,6 +5,7 @@ import math
 import os
 import re
 import resource
+import struct
 import subprocess
 import sys
 import typing
@@ -521,6 +522,24 @@ def test_paths_file_with_unknown_flags_exits_two(tmp_path, capsys):
     assert main(["solve", str(path), "--paths-file", str(stored)]) == 2
     assert "flags" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("command", ["solve", "oracle-compare", "check"])
+def test_a_paths_file_that_is_not_finite_exits_two(tmp_path, capsys, command):
+    # a NaN in payload entry 37 is path 3, step 7: named at load, where the
+    # solve used to blame its regression at time index 9
+    stored = _stored(tmp_path, M=512, N=10)
+    raw = bytearray(stored.read_bytes())
+    struct.pack_into("<d", raw, bl.paths._ENSEMBLE.header.size + 8 * 37,
+                     math.nan)
+    stored.write_bytes(bytes(raw))
+    doc = _config(tmp_path, terminal={"kind": "coordinate"})
+    del doc["paths"]
+    path = _write(tmp_path, doc)
+    assert main([command, str(path), "--paths-file", str(stored)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: paths file '{stored}': path 3 is not finite from time index "
+        f"8 on: its increment at step 7 is [nan]\n")
+    assert not (tmp_path / "out").exists()
 
 def test_oracle_compare_takes_the_horizon_of_the_paths_file(tmp_path):
     stored = _stored(tmp_path, M=16384, N=10, T=2.0)
@@ -1507,13 +1526,16 @@ def test_check_reports_a_modulus_block_that_is_not_concave(tmp_path):
 
 
 @pytest.mark.parametrize("command, params", [
-    ("check", {"a": 1000.0}), ("bihari", {"a": 1000.0}), ("check", {"b": 1e4})],
-    ids=["check-a", "bihari-a", "check-b"])
+    ("check", {"a": 1000.0}), ("bihari", {"a": 1000.0}), ("check", {"b": 1e4}),
+    ("check", {"a": 1e7})],
+    ids=["check-a", "bihari-a", "check-b", "check-a-envelope"])
 def test_a_steep_linear_driver_passes_despite_round_off(tmp_path, command,
                                                         params):
     # the default modulus of a = 1000 is 4e6 u on [0, 100], concave up to the
     # round-off of its large values; the sampled z-Lipschitz constant of
-    # b = 1e4 exceeds the exact one by about 1e-13 relative
+    # b = 1e4 exceeds the exact one by about 1e-13 relative; the envelope of
+    # a = 1e7 bounds values near 5e7 with a defect of about 7e-9, their
+    # round-off
     path = _write(tmp_path, _config(
         tmp_path, paths={"M": 256, "N": 5, "seed": 3},
         generator={"family": "linear", "params": params}))

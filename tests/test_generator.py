@@ -228,6 +228,16 @@ def test_envelope_example1_passes(small_ensemble):
     assert rep.passed, rep.max_defect
 
 
+def test_envelope_tolerance_is_relative_to_the_bound(small_ensemble):
+    # |a y| near 5e7 leaves a round-off defect of about 7e-9 > tol = 1e-9,
+    # which passes; an a that the envelope understates by 1e-6 relative fails
+    gen = bl.linear_generator(a=1e7)
+    env = bl.auto_envelope(gen, 2.0, 1)
+    rep = bl.verify_envelope(gen, env, 2.0, small_ensemble)
+    assert rep.passed and rep.max_defect > rep.tol
+    steeper = bl.linear_generator(a=1e7 * (1 + 1e-6))
+    assert not bl.verify_envelope(steeper, env, 2.0, small_ensemble).passed
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("gen, mu", [
     (bl.zero_generator(1), lambda p: 0.0),
@@ -288,7 +298,7 @@ def test_process_kinds(small_ensemble_2d):
                                        path_idx, t_idx, ens), np.full(3, 0.5))
     out = eval_process(ProcessSpec("abs_brownian_coordinate", index=1),
                        path_idx, t_idx, ens)
-    assert np.array_equal(out, np.abs(ens.values[path_idx, t_idx, 1]))
+    assert np.array_equal(out, np.abs(ens.all_states()[path_idx, t_idx, 1]))
 
 
 @pytest.mark.parametrize("index", [2, -1])

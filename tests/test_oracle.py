@@ -9,26 +9,25 @@ from bsde_lab.oracle import match_oracle, oracle_paths
 from bsde_lab.solver import terminal_values
 
 
-def _one_path(values, horizon=1.0):
-    """A one-path ensemble in d = 1 whose Brownian values on the grid of
-    len(values) - 1 steps are values, values[0] = 0."""
-    values = np.asarray(values, dtype=float).reshape(1, -1, 1)
+def _one_path(increments, horizon=1.0):
+    """A one-path ensemble in d = 1 on len(increments) steps whose Brownian
+    values are the running sums of increments, from 0."""
+    increments = np.asarray(increments, dtype=float).reshape(1, -1, 1)
     return bl.PathEnsemble(M=1, d=1, grid=bl.TimeGrid(T=horizon,
-                                                      N=values.shape[1] - 1),
-                           seed=0, increments=np.diff(values, axis=1),
-                           values=values)
+                                                      N=increments.shape[1]),
+                           seed=0, increments=increments)
 
 
 def test_martingale_coordinate_terminal_pinning():
     form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
-    y, z = oracle_paths(form, _one_path([0.0, 0.7]))
+    y, z = oracle_paths(form, _one_path([0.7]))
     assert y[0, 1, 0] == 0.7
     assert np.array_equal(z[0, 0], [[1.0]])
 
 
 def test_martingale_square_at_origin():
     form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
-    y, z = oracle_paths(form, _one_path([0.0, 0.3]))
+    y, z = oracle_paths(form, _one_path([0.3]))
     assert y[0, 0, 0] == 1.0
     assert z[0, 0, 0, 0] == 0.0
 
@@ -36,7 +35,7 @@ def test_martingale_square_at_origin():
 def test_linear_drift_value():
     form = match_oracle(bl.linear_generator(a=0.5, c=0.0),
                         bl.constant_terminal(1.0))
-    y, z = oracle_paths(form, _one_path([0.0, 0.3]))
+    y, z = oracle_paths(form, _one_path([0.3]))
     assert y[0, 0, 0] == pytest.approx(math.exp(0.5), rel=1e-14)
     assert np.all(z == 0.0)
 
@@ -44,7 +43,7 @@ def test_linear_drift_value():
 def test_linear_drift_zero_a_limit():
     form = match_oracle(bl.linear_generator(a=0.0, c=0.3),
                         bl.constant_terminal(1.0))
-    y, _ = oracle_paths(form, _one_path([0.0, 0.1, 0.2, 0.3, 0.4], horizon=2.0))
+    y, _ = oracle_paths(form, _one_path([0.1] * 4, horizon=2.0))
     assert y[0, 1, 0] == pytest.approx(1.0 + 0.3 * 1.5, rel=1e-14)  # t = 0.5
 
 
@@ -146,7 +145,7 @@ def test_square_oracle_holds_in_every_dimension(d):
     assert np.array_equal(y[:, -1], terminal_values(bl.square_norm_terminal(), ens,
                                                     1))
     assert np.all(y[:, 0] == d)
-    assert np.array_equal(z, 2.0 * ens.values[:, :-1, None, :])
+    assert np.array_equal(z, 2.0 * ens.all_states()[:, :-1, None, :])
     assert np.mean(y[:, -1]) == pytest.approx(d, rel=0.15)
 
 

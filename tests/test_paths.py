@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bsde_lab as bl
 import bsde_lab.paths as paths_module
+import bsde_lab.solver as solver_module
 from bsde_lab.paths import FileFormatError, TimeGrid
 
 
@@ -43,11 +44,11 @@ def test_sum_squares_is_bytes_of_numpys_reductions(trailing):
 
 
 def test_paths_start_at_zero(small_ensemble):
-    assert np.all(small_ensemble.values[:, 0, :] == 0.0)
+    assert np.all(small_ensemble.state(0) == 0.0)
 
 
 def test_values_cumulate_increments(small_ensemble):
-    diffs = np.diff(small_ensemble.values, axis=1)
+    diffs = np.diff(small_ensemble.all_states(), axis=1)
     assert np.allclose(diffs, small_ensemble.increments, atol=1e-15)
 
 
@@ -55,7 +56,7 @@ def test_same_seed_identical():
     a = bl.generate_ensemble(64, 12, 2, 1.5, seed=123)
     b = bl.generate_ensemble(64, 12, 2, 1.5, seed=123)
     assert np.array_equal(a.increments, b.increments)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.all_states(), b.all_states())
 
 
 def test_different_seed_differs():
@@ -118,6 +119,79 @@ def test_each_path_is_its_jumped_philox_substream(antithetic, seed):
         assert ens.increments[j].tobytes() == expected.tobytes()
 
 
+def _reference_states(increments):
+    """B_0 = 0 and B_{i+1} = B_i + increments[:, i], one np.add a step."""
+    m, n, d = increments.shape
+    states = [np.zeros((m, d))]
+    for i in range(n):
+        states.append(np.add(states[-1], increments[:, i]))
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 50])
+@pytest.mark.parametrize("layout", [None, np.ascontiguousarray],
+                         ids=["step_major", "path_major"])
+def test_every_accessor_is_the_running_sum_bit_for_bit(n, layout):
+    ens = bl.generate_ensemble(5, n, 2, 1.0, seed=n)
+    if layout is not None:
+        ens = bl.PathEnsemble(M=ens.M, d=ens.d, grid=ens.grid, seed=ens.seed,
+                              increments=layout(ens.increments))
+    states = _reference_states(ens.increments)
+    ref = [b.tobytes() for b in states]
+    assert ens.all_states().tobytes() == np.stack(states, axis=1).tobytes()
+    for i in range(n + 1):
+        assert ens.state(i).tobytes() == ref[i]
+        for stop in (i, i + 1, n + 1):
+            got = [(j, b.tobytes()) for j, b in ens.forward_states(i, stop)]
+            assert got == [(j, ref[j]) for j in range(i, stop)]
+    # the whole horizon, and every window of a split solve at every width
+    windows = {(0, n)} | {w for width in range(1, n + 1) for w in
+                          solver_module._window_indices(
+                              ens.grid, ens.grid.T - width * ens.grid.dt)}
+    for lo, hi in sorted(windows):
+        got = [(j, b.tobytes()) for j, b in ens.backward_states(lo, hi)]
+        assert got == [(j, ref[j]) for j in range(hi - 1, lo - 1, -1)]
+    paths, times = (a.ravel() for a in np.meshgrid(np.arange(ens.M),
+                                                   np.arange(n + 1)))
+    gathered = ens.gather(paths, times)
+    assert gathered.tobytes() == np.stack(
+        [states[t][p] for p, t in zip(paths, times)]).tobytes()
+
+
+def test_the_states_an_ensemble_gives_are_read_only(small_ensemble):
+    ens = small_ensemble
+    _, forward = next(ens.forward_states())
+    _, backward = next(ens.backward_states(0, ens.grid.N))
+    for state in (ens.state(0), ens.state(ens.grid.N), forward, backward):
+        with pytest.raises(ValueError, match="read-only"):
+            state[0] = 1.0
+    with pytest.raises(IndexError, match="outside"):
+        ens.state(ens.grid.N + 1)
+    with pytest.raises(IndexError, match="outside"):
+        ens.gather(np.array([0]), np.array([-1]))
+
+
+@pytest.mark.parametrize("bad, path, index, shown", [
+    ({37: math.nan}, 3, 8, "[nan]"),
+    ({37: -math.inf}, 3, 8, "[-inf]"),
+    ({37: 1e308, 38: 1e308}, 3, 9, "[1e+308]"),
+], ids=["nan", "inf", "overflow"])
+def test_a_paths_file_that_is_not_finite_names_its_path_and_step(
+        tmp_path, bad, path, index, shown):
+    # in M = 512 paths of N = 10 steps and d = 1, payload entry 37 is path 3,
+    # step 7; the solvers would blame a regression at the last step
+    target = tmp_path / "e.bsde"
+    bl.save_ensemble(bl.generate_ensemble(512, 10, 1, 1.0, seed=3), target)
+    raw = bytearray(target.read_bytes())
+    for entry, value in bad.items():
+        struct.pack_into("<d", raw, paths_module._ENSEMBLE.header.size
+                         + 8 * entry, value)
+    target.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"path {path} is not finite from time index {index} on: its "
+            f"increment at step {index - 1} is {shown}")):
+        bl.load_ensemble(target)
+
 def test_round_trip(tmp_path, small_ensemble):
     target = tmp_path / "paths.bsde"
     bl.save_ensemble(small_ensemble, target)
@@ -127,7 +201,7 @@ def test_round_trip(tmp_path, small_ensemble):
     assert back.seed == small_ensemble.seed
     assert back.grid.T == small_ensemble.grid.T
     assert np.array_equal(back.increments, small_ensemble.increments)
-    assert np.array_equal(back.values, small_ensemble.values)
+    assert np.array_equal(back.all_states(), small_ensemble.all_states())
 
 
 class _FullDisk:
@@ -174,7 +248,7 @@ def test_round_trip_property(tmp_path_factory, m, n, d, horizon, seed,
     assert (back.M, back.d, back.grid, back.seed, back.antithetic) == (
         m, d, ens.grid, seed, antithetic)
     assert np.array_equal(back.increments, ens.increments)
-    assert np.array_equal(back.values, ens.values)
+    assert np.array_equal(back.all_states(), ens.all_states())
 
 
 def _flags(target):
@@ -216,7 +290,7 @@ def _traced_peak(fn, *args):
 
 def test_ensemble_io_holds_no_second_copy(tmp_path):
     # Saving gathers one block of paths at a time; loading scatters them into
-    # the increments and sums the values step by step.  A whole-payload
+    # the increments and sums the checkpoints step by step.  A whole-payload
     # tobytes() or astype() copy would add one payload to either peak.
     ens = bl.generate_ensemble(16384, 50, 1, 1.0, seed=3)
     payload = ens.increments.nbytes
@@ -224,35 +298,51 @@ def test_ensemble_io_holds_no_second_copy(tmp_path):
     _, saved = _traced_peak(bl.save_ensemble, ens, target)
     assert saved < 0.1 * payload
     back, loaded = _traced_peak(bl.load_ensemble, target)
-    assert loaded - back.increments.nbytes - back.values.nbytes < 0.1 * payload
+    # the checkpoints at steps 0, 8, ..., 48 and 50
+    checkpoints = 8 * back.state(0).nbytes
+    assert loaded - back.increments.nbytes - checkpoints < 0.1 * payload
     assert np.array_equal(back.increments, ens.increments)
+
+
+@pytest.mark.parametrize("acquire", ["generate", "load"])
+def test_acquisition_holds_the_increments_and_checkpoints(tmp_path, acquire):
+    # An ensemble holds its increments and about N / c + 1 state slices,
+    # c = ceil(sqrt(N)); a second (N+1)-slice array of the states, or a
+    # whole-payload copy, would lift the peak past the bound.
+    m, n, d = 16384, 50, 1
+    c = math.ceil(math.sqrt(n))
+    target = tmp_path / "e.bsde"
+    bl.save_ensemble(bl.generate_ensemble(m, n, d, 1.0, seed=3), target)
+    if acquire == "generate":
+        ens, peak = _traced_peak(bl.generate_ensemble, m, n, d, 1.0, 3)
+    else:
+        ens, peak = _traced_peak(bl.load_ensemble, target)
+    payload = ens.increments.nbytes
+    assert peak < payload + (2 * c + 1) * m * d * 8 + 0.1 * payload
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
 def test_saved_bytes_do_not_depend_on_the_layout(tmp_path, layout):
     ens = bl.generate_ensemble(3000, 7, 3, 1.0, seed=5, antithetic=True)
     hand = bl.PathEnsemble(M=ens.M, d=ens.d, grid=ens.grid, seed=ens.seed,
-                           increments=layout(ens.increments),
-                           values=ens.values, antithetic=True)
+                           increments=layout(ens.increments), antithetic=True)
     bl.save_ensemble(ens, tmp_path / "a.bsde")
     bl.save_ensemble(hand, tmp_path / "b.bsde")
     assert (tmp_path / "a.bsde").read_bytes() == (tmp_path / "b.bsde").read_bytes()
 
 
-@pytest.mark.parametrize("m, n, d, which, found, need", [
-    (5, 4, 1, "increments", (8, 4, 1), (5, 4, 1)),
-    (8, 3, 1, "increments", (8, 4, 1), (8, 3, 1)),
-    (8, 4, 2, "increments", (8, 4, 1), (8, 4, 2)),
-    (8, 4, 1, "values", (8, 4, 1), (8, 5, 1)),
-], ids=["M", "N", "d", "values"])
-def test_a_hand_built_ensemble_must_match_its_sizes(m, n, d, which, found, need):
+@pytest.mark.parametrize("m, n, d, found, need", [
+    (5, 4, 1, (8, 4, 1), (5, 4, 1)),
+    (8, 3, 1, (8, 4, 1), (8, 3, 1)),
+    (8, 4, 2, (8, 4, 1), (8, 4, 2)),
+], ids=["M", "N", "d"])
+def test_a_hand_built_ensemble_must_match_its_sizes(m, n, d, found, need):
     ens = bl.generate_ensemble(8, 4, 1, 1.0, seed=2)
-    values = ens.values[:, :-1] if which == "values" else ens.values
     with pytest.raises(ValueError, match=re.escape(
-            f"{which} have shape {found}, but M = {m}, N = {n} and d = {d} "
+            f"increments have shape {found}, but M = {m}, N = {n} and d = {d} "
             f"need {need}")):
         bl.PathEnsemble(M=m, d=d, grid=TimeGrid(T=1.0, N=n), seed=2,
-                        increments=ens.increments, values=values)
+                        increments=ens.increments)
 
 
 @pytest.mark.parametrize("m, d", [(0, 1), (4, 0)])

@@ -30,9 +30,10 @@ BASIS = bl.BasisSpec(degree=3)
 def test_terminal_kinds(small_ensemble, monkeypatch):
     ens = small_ensemble
     xi = terminal_values(bl.coordinate_terminal(0), ens, 1)
-    assert np.array_equal(xi, ens.values[:, -1, [0]])
+    b_T = ens.state(ens.grid.N)
+    assert np.array_equal(xi, b_T[:, [0]])
     xi = terminal_values(bl.square_norm_terminal(), ens, 1)
-    assert np.allclose(xi[:, 0], ens.values[:, -1, 0] ** 2)
+    assert np.allclose(xi[:, 0], b_T[:, 0] ** 2)
     xi = terminal_values(bl.constant_terminal([1.0, 2.0]), ens, 2)
     assert xi.shape == (ens.M, 2)
     assert np.all(xi == [1.0, 2.0])
@@ -44,7 +45,7 @@ def test_terminal_kinds(small_ensemble, monkeypatch):
         lambda: bl.TerminalSpec("sin_bt"),
         lambda term, b_T, k: np.sin(b_T[:, [0]])))
     xi = terminal_values(bl.TerminalSpec("sin_bt"), ens, 1)
-    assert np.allclose(xi[:, 0], np.sin(ens.values[:, -1, 0]))
+    assert np.allclose(xi[:, 0], np.sin(b_T[:, 0]))
 
 
 def test_terminal_of_the_wrong_shape_is_rejected(small_ensemble, monkeypatch):
@@ -146,8 +147,8 @@ def test_regress_exact_linear_representation():
 def test_regress_martingale_projection():
     ens = bl.generate_ensemble(M=2 ** 14, N=2, d=1, T=1.0, seed=21)
     t_idx = 1
-    state = ens.values[:, t_idx, :]
-    targets = ens.values[:, -1, :]
+    state = ens.state(t_idx)
+    targets = ens.state(ens.grid.N)
     feats = polynomial_features(state, BASIS.degree)
     fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(ens.M)),
                          targets)
@@ -194,7 +195,7 @@ def test_zero_generator_coordinate_terminal_tracks_martingale():
     ens = bl.generate_ensemble(M=2 ** 13, N=25, d=1, T=1.0, seed=31)
     gen = bl.zero_generator(1)
     sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), ens, BASIS)
-    err = np.sqrt(np.mean((sol.y[:, :, 0] - ens.values[:, :, 0]) ** 2))
+    err = np.sqrt(np.mean((sol.y[:, :, 0] - ens.all_states()[:, :, 0]) ** 2))
     assert err <= 0.05
     assert abs(np.mean(sol.z) - 1.0) <= 0.05
 
@@ -224,7 +225,7 @@ def test_martingale_consistency_for_zero_generator(small_ensemble):
     sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), small_ensemble,
                              BASIS)
     i = small_ensemble.grid.N // 2
-    feats = polynomial_features(small_ensemble.values[:, i, :], BASIS.degree)
+    feats = polynomial_features(small_ensemble.state(i), BASIS.degree)
     refit, _ = _project(feats, _gram_factor(
         feats, BASIS.ridge_for(small_ensemble.M)), sol.y[:, i + 1, :])
     assert np.allclose(refit, sol.y[:, i, :], atol=1e-10)
@@ -435,9 +436,9 @@ def test_ensemble_and_solution_bytes_are_pinned(tmp_path, antithetic,
                                                 ensemble_sha, solution_sha):
     ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11, antithetic=antithetic)
     bl.save_ensemble(ens, tmp_path / "paths.bsde")
+    b = ens.all_states()
     sol = bl.DiscreteSolution(
-        y=ens.values[:, :, :2],
-        z=ens.values[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        y=b[:, :, :2], z=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
         grid=ens.grid)
     save_solution_csv(sol, tmp_path / "solution.csv")
     # the CSV export of the binary file is the same text
@@ -486,9 +487,9 @@ def test_solution_file_bytes_are_pinned(tmp_path):
     # antithetic); the hash is that of the header and the records built
     # directly with struct and numpy
     ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11)
+    b = ens.all_states()
     sol = bl.DiscreteSolution(
-        y=ens.values[:, :, :2],
-        z=ens.values[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        y=b[:, :, :2], z=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
         grid=ens.grid)
     bl.save_solution(sol, tmp_path / "s.bsol")
     assert hashlib.sha256((tmp_path / "s.bsol").read_bytes()).hexdigest() == (
@@ -500,8 +501,9 @@ def test_solution_file_bytes_do_not_depend_on_the_layout(tmp_path, layout):
     ens = bl.generate_ensemble(1500, 4, 2, 1.0, seed=5)
     z = np.empty((4, 1500, 2, 2)).transpose(1, 0, 2, 3)
     z[...] = ens.increments[:, :, :, None] * ens.increments[:, :, None, :]
-    step_major = bl.DiscreteSolution(y=ens.values, z=z, grid=ens.grid)
-    hand = bl.DiscreteSolution(y=layout(ens.values), z=layout(z), grid=ens.grid)
+    b = ens.all_states()
+    step_major = bl.DiscreteSolution(y=b, z=z, grid=ens.grid)
+    hand = bl.DiscreteSolution(y=layout(b), z=layout(z), grid=ens.grid)
     bl.save_solution(step_major, tmp_path / "a.bsol")
     bl.save_solution(hand, tmp_path / "b.bsol")
     assert (tmp_path / "a.bsol").read_bytes() == (tmp_path / "b.bsol").read_bytes()
@@ -696,7 +698,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
         small_ensemble):
     ens = small_ensemble
     y = np.full((ens.M, ens.grid.N + 1, 1), 0.25)
-    y[:, -1] = ens.values[:, -1, :1]
+    y[:, -1] = ens.state(ens.grid.N)[:, :1]
     z = np.zeros((ens.M, ens.grid.N, 1, 1))
     assert solver_module._backward_sweep(
         bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
@@ -704,7 +706,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     # against a sweep on a fresh pair, stored step-major as the solver's
     ref_y, ref_z = _zero_pair(ens)
     ref_y[...] = 0.25
-    ref_y[:, -1] = ens.values[:, -1, :1]
+    ref_y[:, -1] = ens.state(ens.grid.N)[:, :1]
     solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
                                   ens, BASIS, 0, ens.grid.N, [None] * ens.grid.N)
     assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
@@ -767,7 +769,7 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     for acc in (None, tuple(np.zeros(ens.M) for _ in range(3))):
         y, z = _zero_pair(ens)
         y[...] = 0.25
-        y[:, i_hi] = ens.values[:, i_hi, :1]
+        y[:, i_hi] = ens.state(i_hi)[:, :1]
         z[...] = 0.5
         old_y, old_z = y.copy(), z.copy()
         if acc is not None:
@@ -801,8 +803,8 @@ def test_ensembles_and_solutions_are_stored_step_major(tmp_path):
     loaded = bl.load_ensemble(tmp_path / "e.bsde")
     for e in (ens, loaded):
         assert e.increments.shape == (m, n, d)
-        assert e.values.shape == (m, n + 1, d)
-        assert _step_major(e.increments) and _step_major(e.values)
+        assert e.all_states().shape == (m, n + 1, d)
+        assert _step_major(e.increments) and _step_major(e.all_states())
     gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
                               c=[0.1, 0.2], k=2)
     term = bl.constant_terminal([1.0, 2.0])
@@ -813,14 +815,14 @@ def test_ensembles_and_solutions_are_stored_step_major(tmp_path):
 
 def test_a_path_major_ensemble_gives_the_same_solution():
     # The layout is where the numbers are stored, not an option: an ensemble
-    # built by hand from path-major arrays solves as the step-major one
+    # built by hand from path-major increments solves as the step-major one
     # does.  The bits agree here; the tolerance leaves room for a BLAS that
     # sums strided operands in another order.
     ens = bl.generate_ensemble(M=1024, N=8, d=2, T=1.0, seed=103)
     hand = bl.PathEnsemble(M=ens.M, d=ens.d, grid=ens.grid, seed=ens.seed,
-                           increments=np.ascontiguousarray(ens.increments),
-                           values=np.ascontiguousarray(ens.values))
-    assert hand.values.flags.c_contiguous and not _step_major(hand.values)
+                           increments=np.ascontiguousarray(ens.increments))
+    assert hand.increments.flags.c_contiguous
+    assert not _step_major(hand.increments)
     gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
                               c=[0.1, 0.2], k=2)
     term = bl.constant_terminal([1.0, 2.0])
