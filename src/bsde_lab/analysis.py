@@ -291,15 +291,12 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
     dt = grid.dt
     m = sol.y.shape[0]
     rng = slice(t_index, grid.N)
-    steps = np.arange(t_index, grid.N)
 
-    all_paths = np.arange(m)
     phi = np.empty((m, grid.N))
     f_proc = np.empty((m, grid.N))
-    for i in steps:
-        t_idx = np.full(m, i)
-        phi[:, i] = eval_process(env.phi, all_paths, t_idx, ens)
-        f_proc[:, i] = eval_process(env.f, all_paths, t_idx, ens)
+    for i, b_i in ens.forward_states(t_index, grid.N):
+        phi[:, i] = eval_process(env.phi, b_i)
+        f_proc[:, i] = eval_process(env.f, b_i)
 
     e_sup = sup_moment(sol.y[:, t_index:], p)
     int_phi_p = float(np.mean(np.sum(phi[:, rng] ** p, axis=1) * dt))

@@ -213,14 +213,18 @@ class H3Report:
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_h3(gen: GeneratorSpec, ens: PathEnsemble, p: float) -> H3Report:
+    """The trapezoid rule on the grid, each step's panel added to one
+    per-path running sum as the forward walk reaches it."""
     grid, times = ens.grid, ens.grid.times
-    vals = np.empty((ens.M, grid.N + 1))
     y0 = np.zeros((ens.M, gen.k))
     z0 = np.zeros((ens.M, gen.k, ens.d))
+    total, prev = np.zeros(ens.M), None
     for i, b_i in ens.forward_states():
-        g = eval_generator_batch(gen, times[i], b_i, y0, z0)
-        vals[:, i] = np.linalg.norm(g, axis=1)
-    per_path = np.trapezoid(vals, dx=grid.dt, axis=1) ** p
+        g = np.linalg.norm(eval_generator_batch(gen, times[i], b_i, y0, z0), axis=1)
+        if prev is not None:
+            total += grid.dt * (prev + g) / 2.0
+        prev = g
+    per_path = total ** p
     estimate = float(np.mean(per_path))
     se = float(np.std(per_path) / math.sqrt(ens.M))
     half = float(np.mean(per_path[: max(1, ens.M // 2)]))
@@ -256,18 +260,20 @@ def abs_brownian_coordinate_process(index: int = 0) -> ProcessSpec:
     return ProcessSpec("abs_brownian_coordinate", index=index)
 
 
-def _eval_abs_brownian_coordinate(spec, path_idx, t_idx, ens):
-    if not 0 <= spec.index < ens.d:
+def _eval_abs_brownian_coordinate(spec, brownian):
+    d = brownian.shape[1]
+    if not 0 <= spec.index < d:
         raise DimensionError(f"abs_brownian_coordinate index = {spec.index} "
-                             f"is out of range for d = {ens.d}")
-    return np.abs(ens.gather(path_idx, t_idx)[:, spec.index])
+                             f"is out of range for d = {d}")
+    return np.abs(brownian[:, spec.index])
 
 
 @dataclass(frozen=True)
 class ProcessKind:
-    """A process kind: the factory its config block calls and
-    evaluate(spec, path_idx, t_idx, ens), the process at the sampled
-    (path, time index) pairs."""
+    """A process kind: the factory its config block calls and the batched
+    evaluate(spec, brownian), which maps Brownian values (n, d) to the
+    process at them, (n,): a process is a function of B_t, as a terminal is
+    of B_T."""
 
     factory: Callable[..., ProcessSpec]
     evaluate: Callable[..., np.ndarray]
@@ -275,17 +281,16 @@ class ProcessKind:
 
 PROCESS_KINDS = {
     "zero": ProcessKind(zero_process,
-                        lambda spec, path_idx, *_: np.zeros(len(path_idx))),
-    "constant": ProcessKind(constant_process, lambda spec, path_idx, *_:
-                            np.full(len(path_idx), spec.value)),
+                        lambda spec, brownian: np.zeros(len(brownian))),
+    "constant": ProcessKind(constant_process, lambda spec, brownian:
+                            np.full(len(brownian), spec.value)),
     "abs_brownian_coordinate": ProcessKind(abs_brownian_coordinate_process,
                                            _eval_abs_brownian_coordinate),
 }
 
 
-def eval_process(spec: ProcessSpec, path_idx: np.ndarray, t_idx: np.ndarray,
-                 ens: PathEnsemble) -> np.ndarray:
-    return PROCESS_KINDS[spec.kind].evaluate(spec, path_idx, t_idx, ens)
+def eval_process(spec: ProcessSpec, brownian: np.ndarray) -> np.ndarray:
+    return PROCESS_KINDS[spec.kind].evaluate(spec, brownian)
 
 
 @dataclass(frozen=True)
@@ -326,12 +331,14 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
     z = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (n, gen.k, ens.d))
 
     t = ens.grid.times[t_idx]
-    brownian = ens.gather(path_idx, t_idx)
+    brownian = np.empty((n, ens.d))
+    for i, b_i in ens.forward_states():
+        drawn = t_idx == i
+        brownian[drawn] = b_i[path_idx[drawn]]
     g = np.linalg.norm(eval_generator_batch(gen, t, brownian, y, z), axis=1)
     bound = (eval_modulus(env.psi, np.linalg.norm(y, axis=1) ** p) ** (1.0 / p)
              + env.lam * _frobenius(z)
-             + eval_process(env.phi, path_idx, t_idx, ens)
-             + eval_process(env.f, path_idx, t_idx, ens))
+             + eval_process(env.phi, brownian) + eval_process(env.f, brownian))
     defect = g - bound
     i = int(np.argmax(defect))
     witness = {"t": float(t[i]), "path": int(path_idx[i]), "y": y[i].copy(),

@@ -60,12 +60,12 @@ class PathEnsemble:
     Every Brownian state follows one summation rule, B_0 = 0 and
     B_{i+1} = B_i + increments[:, i], and no (N+1)-step array of them is
     kept.  Construction makes one forward pass that keeps B_i at every c-th
-    step and at N, c = ceil(sqrt(N)), read-only; the accessors sum
-    every other state from the checkpoint at or below it by the same rule,
-    so each comes out bit for bit the running sum.  That holds N / c + 1
-    state slices against the N + 1 of a full array.  The accessors are
-    state(i), forward_states and backward_states over a window, gather at
-    (path, time index) pairs, and all_states, which builds the full array.
+    step and at N, c = ceil(sqrt(N)), read-only; the walks sum every other
+    state from the checkpoint at or below it by the same rule, so each comes
+    out bit for bit the running sum.  That holds N / c + 1 state slices
+    against the N + 1 of a full array.  Every state is read by walking:
+    forward_states and backward_states over a window, and all_states, which
+    builds the full array; final_state is B_N, the last checkpoint.
 
     The ensembles that generate_ensemble and load_ensemble return hold the
     increments step-major: the transpose view of an (N, M, d) buffer, so the
@@ -109,23 +109,20 @@ class PathEnsemble:
             raise IndexError(f"time index {i} is outside [0, {self.grid.N}]")
         return bisect.bisect_right(self._marks, i) - 1
 
-    def state(self, i: int) -> np.ndarray:
-        """B_i (M, d): a read-only checkpoint, or a new array summed from the
-        checkpoint below i."""
-        j = self._below(i)
-        if self._marks[j] == i:
-            return self._checkpoints[j]
-        out = self._checkpoints[j].copy()
-        for s in range(self._marks[j], i):
-            np.add(out, self.increments[:, s], out=out)
-        return out
+    @property
+    def final_state(self) -> np.ndarray:
+        """B_N (M, d), the last checkpoint, read-only."""
+        return self._checkpoints[-1]
 
     def forward_states(self, start: int = 0, stop: int | None = None):
         """(i, B_i) for i = start, ..., stop - 1, stop = N + 1 by default.
         Each B_i is a read-only view of one running buffer, which the next
         step overwrites."""
         stop = self.grid.N + 1 if stop is None else stop
-        state = np.array(self.state(start))
+        j = self._below(start)
+        state = self._checkpoints[j].copy()
+        for s in range(self._marks[j], start):
+            np.add(state, self.increments[:, s], out=state)
         view = _read_only(state)
         for i in range(start, stop):
             if i > start:
@@ -150,20 +147,6 @@ class PathEnsemble:
             for i in range(hi - 1, lo - 1, -1):
                 yield i, view[i - base]
             hi = lo
-
-    def gather(self, path_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
-        """B at the pairs (path_idx[n], t_idx[n]), shaped (len(path_idx), d):
-        each summed from its checkpoint one increment at a time."""
-        path_idx, t_idx = np.asarray(path_idx), np.asarray(t_idx)
-        if t_idx.size and not 0 <= t_idx.min() <= t_idx.max() <= self.grid.N:
-            raise IndexError(f"time indices reach outside [0, {self.grid.N}]")
-        j = np.searchsorted(self._marks, t_idx, side="right") - 1
-        base = np.asarray(self._marks)[j]
-        out = self._checkpoints[j, path_idx]
-        for r in range(int(np.max(t_idx - base, initial=0))):
-            live = t_idx - base > r
-            out[live] += self.increments[path_idx[live], base[live] + r]
-        return out
 
     def all_states(self) -> np.ndarray:
         """Every B_i as one new (M, N+1, d) array, step-major like the
@@ -436,7 +419,7 @@ def load_ensemble(path) -> PathEnsemble:
                        seed=fields["seed"], increments=steps.transpose(1, 0, 2),
                        antithetic=bool(flags & _ANTITHETIC))
     # a state that is not finite stays so, so B_N shows every such path
-    if not np.all(np.isfinite(end := ens.state(grid.N))):
+    if not np.all(np.isfinite(end := ens.final_state)):
         j = int(np.argmin(np.isfinite(end).all(axis=1)))
         with np.errstate(over="ignore", invalid="ignore"):
             walk = np.cumsum(ens.increments[j], axis=0)

@@ -94,7 +94,7 @@ TERMINAL_KINDS = {
 def terminal_values(term: TerminalSpec, ens: PathEnsemble, k: int) -> np.ndarray:
     """Evaluate xi as a function of B_T for a driver of k coordinates, shaped
     (M, k): the one place a terminal can disagree with its driver."""
-    out = TERMINAL_KINDS[term.kind].evaluate(term, ens.state(ens.grid.N), k)
+    out = TERMINAL_KINDS[term.kind].evaluate(term, ens.final_state, k)
     if out.shape != (ens.M, k):
         raise DimensionError(f"terminal kind '{term.kind}' gives xi of shape "
                              f"{out.shape}, but generator.k = {k} needs "
@@ -278,11 +278,10 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
     solve reuse it.  The features are rebuilt, into one buffer per sweep:
     keeping them would hold M * n_basis numbers per time step.
 
-    acc, when given, is three (M,) arrays (sup_dy, sum_dz, sup_y) into which
-    each step folds, just before it overwrites the old iterate, the change
-    of y (a running max of its norm), the change of z (a running sum of its
-    squares) and the new y (a running max of its norm).  sup_dy and sum_dz
-    may both be None, to fold the new y alone.
+    acc, when given, is two (M,) arrays (sup_dy, sum_dz) into which each
+    step folds, just before it overwrites the old iterate, the change of y
+    (a running max of its norm) and the change of z (a running sum of its
+    squares).
     """
     m, k, d = ens.M, y.shape[2], ens.d
     dt, times = ens.grid.dt, ens.grid.times
@@ -309,11 +308,9 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
                 raise PicardDivergenceError(
                     f"non-finite solution values at time index {i}")
             if acc is not None:
-                sup_dy, sum_dz, sup_y = acc
-                if sup_dy is not None:
-                    analysis.fold_sup(sup_dy, y_i - y[:, i])
-                    analysis.fold_squares(sum_dz, z_i - z[:, i])
-                analysis.fold_sup(sup_y, y_i)
+                sup_dy, sum_dz = acc
+                analysis.fold_sup(sup_dy, y_i - y[:, i])
+                analysis.fold_squares(sum_dz, z_i - z[:, i])
         y[:, i] = y_i
         z[:, i] = z_i
 
@@ -379,37 +376,31 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     report = PicardReport(windows=windows)
     # Gram factors depend on the ensemble and the basis only: one per step.
     factors = [None] * grid.N
-    # A driver that does not read y gives every sweep the same result, so a
-    # window's first sweep is its limit and is measured as such.
+    # A driver that does not read y gives every sweep the same result, so the
+    # unmeasured sweep each window starts with is its limit.
     reads_y = family.reads_y(gen)
 
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        if reads_y:
-            _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
+        _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
         while not converged and len(dists) < max_iter:
-            # each measured sweep folds the distance to the iterate it
-            # overwrites and the sup of the new y, so no copy of the old
-            # iterate is kept; the window's terminal y enters the sup here
-            sup_y = np.zeros(ens.M)
-            analysis.fold_sup(sup_y, y[:, i_hi])
             if reads_y:
+                # each measured sweep folds the distance to the iterate it
+                # overwrites, so no copy of the old iterate is kept
                 sup_dy, sum_dz = np.zeros(ens.M), np.zeros(ens.M)
                 _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
-                                (sup_dy, sum_dz, sup_y))
+                                (sup_dy, sum_dz))
                 dy = analysis.sup_power_mean(sup_dy, p)
                 dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
             else:
                 # a second sweep would rebuild these bytes and measure 0
-                _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
-                                (None, None, sup_y))
                 dy = dz = 0.0
-            sp = analysis.sup_power_mean(sup_y, p) ** (1.0 / p)
             dists.append(dy)
-            report.entries.append(PicardEntry(w_idx, report.iterations + 1, dy,
-                                              dz, sp))
+            report.entries.append(PicardEntry(
+                w_idx, report.iterations + 1, dy, dz,
+                analysis.sp_norm(y[:, i_lo:i_hi + 1], p)))
             if not math.isfinite(dy):
                 raise PicardDivergenceError(
                     f"iterate distance became non-finite in window {w_idx}")

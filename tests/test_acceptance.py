@@ -128,7 +128,7 @@ def test_criterion_06_bihari(ensemble):
     h = bl.example1_h_modulus(2.0, domain_cap=5.0)
     chain = bl.power_root(h, 2.0)
     growth_a = bl.linear_growth_coefficient(chain)
-    xi = ensemble.state(ensemble.grid.N)[:, 0]
+    xi = ensemble.final_state[:, 0]
     cb = bl.compute_constants(
         2.0, bl.estimate_lipschitz_z(gen, ensemble).analytic, 1.0, growth_a,
         terminal_moment=float(np.mean(xi ** 2)),

@@ -6,6 +6,7 @@ import pytest
 import bsde_lab as bl
 from bsde_lab.analysis import (BihariOrderingError, iterate_distance_arrays,
                                lp_norm_arrays)
+from bsde_lab.generator import abs_brownian_coordinate_process, constant_process
 from bsde_lab.paths import TimeGrid
 
 from conftest import random_concave_tabulated
@@ -277,6 +278,32 @@ def test_apriori_brownian_terminal_default_constants(small_ensemble):
     env = bl.auto_envelope(gen, 2.0, 1)
     cb = bl.compute_constants(2.0, 0.0, 1.0, 0.0, terminal_moment=1.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)
+    assert rep.prop1_holds and rep.prop2_holds
+
+
+@pytest.mark.parametrize("t_index, pinned", [
+    (0, ("0x1.e7306292f677bp+1", "0x1.1e1847225308cp+14",
+         "0x1.6069fb39d5616p+4", "0x1.3e2c9b14c7656p+199")),
+    (7, ("0x1.2d9e88e18b3ecp+0", "0x1.7428855ea5ba2p+12",
+         "0x1.c276e6e4e8734p+2", "0x1.09b3f6dc007c2p+130")),
+    (20, ("0x0.0p+0", "0x1.92f4f611093d4p+9",
+          "0x1.e16806c1bfce5p-1", "0x1.e16806c1bfce5p+1")),
+])
+def test_apriori_bounds_read_the_walked_states_bit_for_bit(small_ensemble,
+                                                           t_index, pinned):
+    # phi and f are read on one forward walk from t_index.  The pinned bits
+    # were recorded when each state was summed on its own from the
+    # checkpoint below it, so they show the walk reads the same states.
+    gen = bl.example1_generator(2.0)
+    sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
+                             bl.BasisSpec(3), p=2.0)
+    env = bl.EnvelopeA(psi=bl.auto_envelope(gen, 2.0, 1).psi, lam=1.0,
+                       phi=constant_process(0.25),
+                       f=abs_brownian_coordinate_process(0))
+    cb = bl.compute_constants(2.0, 1.0, 1.0, 0.5, terminal_moment=1.0)
+    rep = bl.check_apriori_bounds(sol, env, cb, 2.0, t_index, small_ensemble)
+    got = (rep.prop1_lhs, rep.prop1_rhs, rep.prop2_lhs, rep.prop2_rhs)
+    assert tuple(x.hex() for x in got) == pinned
     assert rep.prop1_holds and rep.prop2_holds
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from scipy import integrate
 
 import bsde_lab as bl
 from bsde_lab.generator import (GENERATOR_FAMILIES, ProcessSpec,
-                                eval_generator_batch, eval_process)
+                                abs_brownian_coordinate_process,
+                                constant_process, eval_generator_batch,
+                                eval_process)
 
 
 def _box(seed: int, d: int = 1):
@@ -202,6 +205,31 @@ def test_h3_example1_against_quadrature_oracle():
     assert not rep.unstable
 
 
+def test_h3_folds_the_trapezoid_rule_without_a_buffer():
+    # Each step's panel goes into one per-path sum as the forward walk
+    # reaches it.  An (M, N+1) array of the driver norms alone would hold 51
+    # slices of M numbers; the fold holds a handful (measured: 9, 1.18 MB).
+    m, n = 16384, 50
+    ens = bl.generate_ensemble(M=m, N=n, d=1, T=1.0, seed=3)
+    gen = bl.example1_generator(2.0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        rep = bl.check_h3(gen, ens, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 16 * m * 8
+    # against the trapezoid rule over a built buffer, which sums in another
+    # order
+    zeros = np.zeros((m, 1)), np.zeros((m, 1, 1))
+    vals = np.stack([np.linalg.norm(eval_generator_batch(
+        gen, ens.grid.times[i], b_i, *zeros), axis=1)
+        for i, b_i in ens.forward_states()], axis=1)
+    ref = np.mean(np.trapezoid(vals, dx=ens.grid.dt, axis=1) ** 2.0)
+    assert rep.estimate == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_h3_rejects_non_finite(small_ensemble, add_driver):
     # a driver that is not finite at (y, z) = 0, or whose finite values
     # overflow their norm, gives a non-finite, unstable estimate
@@ -292,13 +320,12 @@ def test_envelope_rejects_bad_psi(small_ensemble):
 def test_process_kinds(small_ensemble_2d):
     ens = small_ensemble_2d
     path_idx, t_idx = np.array([0, 5, 7]), np.array([10, 3, 0])
-    assert np.array_equal(eval_process(ProcessSpec(), path_idx, t_idx, ens),
-                          np.zeros(3))
+    brownian = ens.all_states()[path_idx, t_idx]
+    assert np.array_equal(eval_process(ProcessSpec(), brownian), np.zeros(3))
     assert np.array_equal(eval_process(ProcessSpec("constant", value=0.5),
-                                       path_idx, t_idx, ens), np.full(3, 0.5))
-    out = eval_process(ProcessSpec("abs_brownian_coordinate", index=1),
-                       path_idx, t_idx, ens)
-    assert np.array_equal(out, np.abs(ens.all_states()[path_idx, t_idx, 1]))
+                                       brownian), np.full(3, 0.5))
+    out = eval_process(ProcessSpec("abs_brownian_coordinate", index=1), brownian)
+    assert np.array_equal(out, np.abs(brownian[:, 1]))
 
 
 @pytest.mark.parametrize("index", [2, -1])
@@ -306,4 +333,35 @@ def test_abs_brownian_coordinate_out_of_range(small_ensemble_2d, index):
     spec = ProcessSpec("abs_brownian_coordinate", index=index)
     with pytest.raises(bl.paths.DimensionError,
                        match=f"index = {index} is out of range for d = 2"):
-        eval_process(spec, np.array([0]), np.array([0]), small_ensemble_2d)
+        eval_process(spec, np.zeros((1, small_ensemble_2d.d)))
+
+
+@pytest.mark.parametrize("case, pinned", [
+    ("example1_auto", ("0x1.dc413d7e00000p-19", True, "0x1.4cccccccccccdp-1",
+                       487, ["0x1.02acd1ee19480p-3"],
+                       ["-0x1.f6917d91d2de1p+1"])),
+    ("abs_coordinate_d2", ("0x1.995823ee017c6p+1", False,
+                           "0x1.0000000000000p+0", 246,
+                           ["-0x1.6440731963720p-1"],
+                           ["0x1.1345d9baaa852p+2", "-0x1.bd316558216bep+1"])),
+])
+def test_envelope_reads_the_drawn_states_bit_for_bit(small_ensemble,
+                                                     small_ensemble_2d,
+                                                     case, pinned):
+    # The Brownian values of the draws come from one forward walk.  The
+    # pinned bits were recorded when each draw was summed on its own from
+    # the checkpoint below it, so they show the walk reads the same states.
+    gen = bl.example1_generator(2.0)
+    if case == "example1_auto":
+        ens, env = small_ensemble, bl.auto_envelope(gen, 2.0, 1)
+    else:
+        ens = small_ensemble_2d
+        env = bl.EnvelopeA(psi=bl.auto_envelope(gen, 2.0, 1).psi, lam=1.0,
+                           phi=abs_brownian_coordinate_process(1),
+                           f=constant_process(0.5))
+    rep = bl.verify_envelope(gen, env, 2.0, ens)
+    w = rep.witness
+    assert (rep.max_defect.hex(), rep.passed, w["t"].hex(), w["path"],
+            [x.hex() for x in w["y"]], [x.hex() for x in w["z"].ravel()]) \
+        == pinned
+    assert w["defect"] == rep.max_defect

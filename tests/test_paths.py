@@ -44,7 +44,7 @@ def test_sum_squares_is_bytes_of_numpys_reductions(trailing):
 
 
 def test_paths_start_at_zero(small_ensemble):
-    assert np.all(small_ensemble.state(0) == 0.0)
+    assert np.all(next(small_ensemble.forward_states())[1] == 0.0)
 
 
 def test_values_cumulate_increments(small_ensemble):
@@ -139,8 +139,8 @@ def test_every_accessor_is_the_running_sum_bit_for_bit(n, layout):
     states = _reference_states(ens.increments)
     ref = [b.tobytes() for b in states]
     assert ens.all_states().tobytes() == np.stack(states, axis=1).tobytes()
+    assert ens.final_state.tobytes() == ref[n]
     for i in range(n + 1):
-        assert ens.state(i).tobytes() == ref[i]
         for stop in (i, i + 1, n + 1):
             got = [(j, b.tobytes()) for j, b in ens.forward_states(i, stop)]
             assert got == [(j, ref[j]) for j in range(i, stop)]
@@ -151,24 +151,21 @@ def test_every_accessor_is_the_running_sum_bit_for_bit(n, layout):
     for lo, hi in sorted(windows):
         got = [(j, b.tobytes()) for j, b in ens.backward_states(lo, hi)]
         assert got == [(j, ref[j]) for j in range(hi - 1, lo - 1, -1)]
-    paths, times = (a.ravel() for a in np.meshgrid(np.arange(ens.M),
-                                                   np.arange(n + 1)))
-    gathered = ens.gather(paths, times)
-    assert gathered.tobytes() == np.stack(
-        [states[t][p] for p, t in zip(paths, times)]).tobytes()
 
 
 def test_the_states_an_ensemble_gives_are_read_only(small_ensemble):
     ens = small_ensemble
     _, forward = next(ens.forward_states())
     _, backward = next(ens.backward_states(0, ens.grid.N))
-    for state in (ens.state(0), ens.state(ens.grid.N), forward, backward):
+    for state in (ens.final_state, forward, backward):
         with pytest.raises(ValueError, match="read-only"):
             state[0] = 1.0
     with pytest.raises(IndexError, match="outside"):
-        ens.state(ens.grid.N + 1)
+        next(ens.forward_states(ens.grid.N + 1))
     with pytest.raises(IndexError, match="outside"):
-        ens.gather(np.array([0]), np.array([-1]))
+        next(ens.forward_states(-1))
+    with pytest.raises(IndexError, match="outside"):
+        next(ens.backward_states(0, ens.grid.N + 2))
 
 
 @pytest.mark.parametrize("bad, path, index, shown", [
@@ -299,7 +296,7 @@ def test_ensemble_io_holds_no_second_copy(tmp_path):
     assert saved < 0.1 * payload
     back, loaded = _traced_peak(bl.load_ensemble, target)
     # the checkpoints at steps 0, 8, ..., 48 and 50
-    checkpoints = 8 * back.state(0).nbytes
+    checkpoints = 8 * back.final_state.nbytes
     assert loaded - back.increments.nbytes - checkpoints < 0.1 * payload
     assert np.array_equal(back.increments, ens.increments)
 

@@ -30,7 +30,7 @@ BASIS = bl.BasisSpec(degree=3)
 def test_terminal_kinds(small_ensemble, monkeypatch):
     ens = small_ensemble
     xi = terminal_values(bl.coordinate_terminal(0), ens, 1)
-    b_T = ens.state(ens.grid.N)
+    b_T = ens.final_state
     assert np.array_equal(xi, b_T[:, [0]])
     xi = terminal_values(bl.square_norm_terminal(), ens, 1)
     assert np.allclose(xi[:, 0], b_T[:, 0] ** 2)
@@ -147,8 +147,8 @@ def test_regress_exact_linear_representation():
 def test_regress_martingale_projection():
     ens = bl.generate_ensemble(M=2 ** 14, N=2, d=1, T=1.0, seed=21)
     t_idx = 1
-    state = ens.state(t_idx)
-    targets = ens.state(ens.grid.N)
+    state = ens.all_states()[:, t_idx]
+    targets = ens.final_state
     feats = polynomial_features(state, BASIS.degree)
     fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(ens.M)),
                          targets)
@@ -225,7 +225,8 @@ def test_martingale_consistency_for_zero_generator(small_ensemble):
     sol, _ = bl.picard_solve(gen, bl.square_norm_terminal(), small_ensemble,
                              BASIS)
     i = small_ensemble.grid.N // 2
-    feats = polynomial_features(small_ensemble.state(i), BASIS.degree)
+    feats = polynomial_features(small_ensemble.all_states()[:, i],
+                                BASIS.degree)
     refit, _ = _project(feats, _gram_factor(
         feats, BASIS.ridge_for(small_ensemble.M)), sol.y[:, i + 1, :])
     assert np.allclose(refit, sol.y[:, i, :], atol=1e-10)
@@ -698,7 +699,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
         small_ensemble):
     ens = small_ensemble
     y = np.full((ens.M, ens.grid.N + 1, 1), 0.25)
-    y[:, -1] = ens.state(ens.grid.N)[:, :1]
+    y[:, -1] = ens.final_state[:, :1]
     z = np.zeros((ens.M, ens.grid.N, 1, 1))
     assert solver_module._backward_sweep(
         bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
@@ -706,7 +707,7 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     # against a sweep on a fresh pair, stored step-major as the solver's
     ref_y, ref_z = _zero_pair(ens)
     ref_y[...] = 0.25
-    ref_y[:, -1] = ens.state(ens.grid.N)[:, :1]
+    ref_y[:, -1] = ens.final_state[:, :1]
     solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
                                   ens, BASIS, 0, ens.grid.N, [None] * ens.grid.N)
     assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
@@ -718,11 +719,11 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 0.5, 1.7),
 ], ids=["zero_d3", "example1", "split"])
 def test_picard_solve_holds_one_iterate_pair(gen, term, d, split, bound):
-    # One (y, z) pair is Y + Z bytes.  The solve holds it, three (M,)
+    # One (y, z) pair is Y + Z bytes.  The solve holds it, two (M,)
     # distance accumulators and the temporaries of one step: each measured
     # sweep folds its distance into the accumulators as it overwrites the
-    # iterate, so no copy of a window is kept.  Measured: 1.94 pairs for
-    # zero_d3 and 1.55 for example1 and split.  A copy of the window, as the
+    # iterate, so no copy of a window is kept.  Measured: 1.67 pairs for
+    # zero_d3 and 1.52 for example1 and split.  A copy of the window, as the
     # solve kept before (2.91, 2.47 and 2.05), a second full pair, or
     # full-window distance temporaries would lift the peak past the bound.
     m, n = 4096, 20
@@ -766,20 +767,18 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     i_lo, i_hi = solver_module._window_indices(ens.grid, 0.5)[-1]
     assert 0 == i_lo < i_hi < n
     swept = []
-    for acc in (None, tuple(np.zeros(ens.M) for _ in range(3))):
+    for acc in (None, (np.zeros(ens.M), np.zeros(ens.M))):
         y, z = _zero_pair(ens)
         y[...] = 0.25
-        y[:, i_hi] = ens.state(i_hi)[:, :1]
+        y[:, i_hi] = ens.all_states()[:, i_hi, :1]
         z[...] = 0.5
         old_y, old_z = y.copy(), z.copy()
-        if acc is not None:
-            bl.analysis.fold_sup(acc[2], y[:, i_hi])
         solver_module._backward_sweep(gen, y, z, ens, BASIS, i_lo, i_hi,
                                       [None] * n, acc)
         swept.append((y, z))
     (y_ref, z_ref), (y, z) = swept
     assert y.tobytes() == y_ref.tobytes() and z.tobytes() == z_ref.tobytes()
-    sup_dy, sum_dz, sup_y = acc
+    sup_dy, sum_dz = acc
     win_y, win_z = slice(i_lo, i_hi + 1), slice(i_lo, i_hi)
     dy, dz = bl.analysis.iterate_distance_arrays(
         y[:, win_y], old_y[:, win_y], z[:, win_z], old_z[:, win_z],
@@ -787,8 +786,6 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     assert bl.analysis.sup_power_mean(sup_dy, p) == dy > 0.0
     assert bl.analysis.integral_power_mean(sum_dz, ens.grid.dt, p) == \
         pytest.approx(dz, rel=1e-14, abs=0.0)
-    assert bl.analysis.sup_power_mean(sup_y, p) ** (1 / p) == \
-        bl.analysis.sp_norm(y[:, win_y], p)
 
 
 def _step_major(a):
