@@ -248,21 +248,17 @@ def check_lemma1(sol, gen: GeneratorSpec, p: float, t_index: int,
     dt = grid.dt
     m = sol.y.shape[0]
 
-    y_norm = np.linalg.norm(sol.y, axis=2)
-    weight = _power_indicator(y_norm, p)
-    zsq = np.sum(sol.z ** 2, axis=(2, 3))
-
-    inner = np.zeros((m, grid.N))
+    # the two integrals, each step's term added per path as the walk reaches it
+    energy, drift = np.zeros(m), np.zeros(m)
     for i, b_i in ens.forward_states(t_index, grid.N):
-        g = eval_generator_batch(gen, grid.times[i], b_i, sol.y[:, i],
-                                 sol.z[:, i])
-        inner[:, i] = np.sum(sol.y[:, i] * g, axis=1)
+        y_i = sol.y[:, i]
+        g = eval_generator_batch(gen, grid.times[i], b_i, y_i, sol.z[:, i])
+        weight = _power_indicator(np.linalg.norm(y_i, axis=1), p)
+        energy += weight * sum_squares(sol.z[:, i])
+        drift += weight * np.sum(y_i * g, axis=1)
 
-    rng = slice(t_index, grid.N)
-    lhs_path = (y_norm[:, t_index] ** p
-                + c_p * np.sum(weight[:, rng] * zsq[:, rng], axis=1) * dt)
-    rhs_path = (y_norm[:, -1] ** p
-                + p * np.sum(weight[:, rng] * inner[:, rng], axis=1) * dt)
+    lhs_path = np.linalg.norm(sol.y[:, t_index], axis=1) ** p + c_p * energy * dt
+    rhs_path = np.linalg.norm(sol.y[:, -1], axis=1) ** p + p * drift * dt
     slack_path = rhs_path - lhs_path
     return Lemma1Report(lhs=float(np.mean(lhs_path)), rhs=float(np.mean(rhs_path)),
                         slack=float(np.mean(slack_path)),
@@ -290,27 +286,25 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
         raise ValueError("t_index out of range")
     dt = grid.dt
     m = sol.y.shape[0]
-    rng = slice(t_index, grid.N)
 
-    phi = np.empty((m, grid.N))
-    f_proc = np.empty((m, grid.N))
+    # per-path sums of phi^p and f, and E|y_t|^p at each step, folded on one
+    # forward walk
+    phi_p, f_sum, mean_y_p = np.zeros(m), np.zeros(m), []
     for i, b_i in ens.forward_states(t_index, grid.N):
-        phi[:, i] = eval_process(env.phi, b_i)
-        f_proc[:, i] = eval_process(env.f, b_i)
+        phi_p += eval_process(env.phi, b_i) ** p
+        f_sum += eval_process(env.f, b_i)
+        mean_y_p.append(np.mean(np.linalg.norm(sol.y[:, i], axis=1) ** p))
 
     e_sup = sup_moment(sol.y[:, t_index:], p)
-    int_phi_p = float(np.mean(np.sum(phi[:, rng] ** p, axis=1) * dt))
-    int_f_pow = float(np.mean((np.sum(f_proc[:, rng], axis=1) * dt) ** p))
+    int_phi_p = float(np.mean(phi_p * dt))
+    int_f_pow = float(np.mean((f_sum * dt) ** p))
 
     prop1_lhs = z_moment(sol.z[:, t_index:], dt, p)
     prop1_rhs = cb.c_lambda_p_T * (e_sup + eval_modulus(env.psi, e_sup)
                                    + int_phi_p + int_f_pow)
 
-    y_norm = np.linalg.norm(sol.y, axis=2)
-    xi_moment = float(np.mean(y_norm[:, -1] ** p))
-    mean_y_p = np.mean(y_norm ** p, axis=0)
-    psi_of_mean = eval_modulus(env.psi, mean_y_p[t_index:grid.N])
-    int_psi = float(np.sum(psi_of_mean) * dt)
+    xi_moment = float(np.mean(np.linalg.norm(sol.y[:, -1], axis=1) ** p))
+    int_psi = float(np.sum(eval_modulus(env.psi, np.array(mean_y_p))) * dt)
     m_p = 2.0 * cb.k_prime_p
     big_k = 2.0 * cb.k_prime_p * cb.d_lambda_p_theta
     prop2_lhs = e_sup

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -63,7 +64,9 @@ def example1_generator(p: float = 2.0, delta: float | None = None) -> GeneratorS
 
 
 def _frobenius(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(sum_squares(z))
+    """Per-path norm of z (M, ...), its square root taken in place."""
+    total = sum_squares(z)
+    return np.sqrt(total, out=total)
 
 
 def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
@@ -87,10 +90,17 @@ def _eval_linear(gen, t, brownian, y, z):
     return out + gen.b * _frobenius(z)[:, None] + np.asarray(gen.c, dtype=float)
 
 
+@cache
+def _example1_h(p: float, delta: float) -> ModulusSpec:
+    """example1's h, built and validated once per (p, delta)."""
+    return example1_h_modulus(p, delta)
+
+
 def _eval_example1(gen, t, brownian, y, z):
-    h = example1_h_modulus(gen.p, gen.delta)
-    return (eval_modulus(h, np.abs(y[:, 0])) + _frobenius(z)
-            + np.sqrt(sum_squares(brownian)))[:, None]
+    out = eval_modulus(_example1_h(gen.p, gen.delta), np.abs(y[:, 0]))
+    out += _frobenius(z)
+    out += _frobenius(brownian)
+    return out[:, None]
 
 
 # The sampling box of every sampled check: _SAMPLE_COUNT uniform draws from

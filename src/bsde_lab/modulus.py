@@ -117,12 +117,20 @@ def _example1_slope(p: float, delta: float) -> float:
 
 
 def _eval_example1h(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
+    """The tangent line on every entry, then x|ln x|^(1/p) by index on the
+    entries at or below delta only: few of them on a solve's iterates."""
     h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
-    out = _example1_slope(mod.p, mod.delta) * (u - mod.delta) + h_delta
-    if np.any(low := u <= mod.delta):
-        out[low] = 0.0
-        small = low & (u > 0.0)
-        out[small] = u[small] * (-np.log(u[small])) ** (1.0 / mod.p)
+    out = np.subtract(u, mod.delta, order="C")  # so out.reshape(-1) is a view
+    out *= _example1_slope(mod.p, mod.delta)
+    out += h_delta
+    flat_u = u.reshape(-1)
+    low = np.flatnonzero(flat_u <= mod.delta)
+    if low.size:
+        x = flat_u[low]
+        h = np.zeros_like(x)  # h(0) = 0
+        pos = x > 0.0
+        h[pos] = x[pos] * (-np.log(x[pos])) ** (1.0 / mod.p)
+        out.reshape(-1)[low] = h
     return out
 
 
@@ -170,9 +178,11 @@ MODULUS_FAMILIES = {
 def eval_modulus(mod: ModulusSpec, u):
     """Evaluate the modulus at finite u >= 0 (scalar or array)."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("modulus argument must be nonnegative")
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN if any entry is; a NaN beside a negative entry
+    # still reports the sign, as the sign is checked first
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        if np.any(arr < 0.0):
+            raise ValueError("modulus argument must be nonnegative")
         raise ValueError("modulus argument must be finite")
     out = MODULUS_FAMILIES[mod.family].evaluate(mod, np.atleast_1d(arr))
     if arr.ndim == 0:

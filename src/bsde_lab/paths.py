@@ -211,11 +211,15 @@ def generate_ensemble(M: int, N: int, d: int, T: float, seed: int,
     # One bit generator, moved to each path's substream: jumped(j) adds j to
     # counter word 2 of the zero counter and empties the output buffer.  The
     # state taken from the fresh generator has an empty buffer, so only its
-    # counter changes from path to path.  Each path is drawn whole into a
-    # path-major block, which is then scattered into the step-major array.
+    # counter changes from path to path.  Its words are held as Python ints,
+    # which the state setter reads faster than numpy's uint64 scalars.  Each
+    # path is drawn whole into a path-major block, which is then scattered
+    # into the step-major array.
     bitgen = np.random.Philox(key=seed)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
+    state["state"] = {word: v.tolist() for word, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     scale = math.sqrt(grid.dt)
     block = np.empty((min(M, _PATH_BLOCK), N, d))
     for lo in range(0, M, _PATH_BLOCK):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import bsde_lab as bl
 from bsde_lab.analysis import (BihariOrderingError, iterate_distance_arrays,
                                lp_norm_arrays)
-from bsde_lab.generator import abs_brownian_coordinate_process, constant_process
+from bsde_lab.generator import (abs_brownian_coordinate_process, constant_process,
+                                eval_generator_batch, eval_process)
 from bsde_lab.paths import TimeGrid
 
 from conftest import random_concave_tabulated
@@ -316,6 +318,110 @@ def test_apriori_collapsed_constant_reports_violation(small_ensemble):
                               terminal_moment=1.0)
     rep = bl.check_apriori_bounds(sol, env, cb, 2.0, 0, small_ensemble)
     assert not rep.prop2_holds  # advisory semantics: reported, not raised
+
+
+# ------------------------------------------------- the checks fold by step
+
+def _random_solution(ens, seed):
+    """A step-major (y, z) of ens's shape, as the solver lays it out, with
+    some y exactly zero: what the checks read of a solution."""
+    rng = np.random.default_rng(seed)
+    n, m = ens.grid.N, ens.M
+    y = rng.standard_normal((n + 1, m, 1))
+    y[:, ::17] = 0.0
+    z = rng.standard_normal((n, m, 1, ens.d))
+    return bl.DiscreteSolution(y=y.transpose(1, 0, 2), z=z.transpose(1, 0, 2, 3),
+                               grid=ens.grid)
+
+
+def _buffered_lemma1(sol, gen, p, t_index, ens):
+    """check_lemma1's (lhs, rhs, slack, standard_error) from (M, N) arrays
+    of the whole solution, summed over time at the end."""
+    grid, m = sol.grid, sol.y.shape[0]
+    c_p = p * min(p - 1.0, 1.0) / 2.0
+    y_norm = np.linalg.norm(sol.y, axis=2)
+    weight = np.zeros_like(y_norm)
+    weight[y_norm > 0.0] = y_norm[y_norm > 0.0] ** (p - 2.0)
+    zsq = np.sum(sol.z ** 2, axis=(2, 3))
+    inner = np.zeros((m, grid.N))
+    for i, b_i in ens.forward_states(t_index, grid.N):
+        g = eval_generator_batch(gen, grid.times[i], b_i, sol.y[:, i], sol.z[:, i])
+        inner[:, i] = np.sum(sol.y[:, i] * g, axis=1)
+    rng = slice(t_index, grid.N)
+    lhs = y_norm[:, t_index] ** p + c_p * np.sum(weight[:, rng] * zsq[:, rng],
+                                                 axis=1) * grid.dt
+    rhs = y_norm[:, -1] ** p + p * np.sum(weight[:, rng] * inner[:, rng],
+                                          axis=1) * grid.dt
+    return (np.mean(lhs), np.mean(rhs), np.mean(rhs - lhs),
+            np.std(rhs - lhs) / math.sqrt(m))
+
+
+def _buffered_apriori(sol, env, cb, p, t_index, ens):
+    """check_apriori_bounds' (prop1_rhs, prop2_rhs) from (M, N) arrays of
+    the processes and of |y|^p, summed over time at the end."""
+    grid, m = sol.grid, sol.y.shape[0]
+    rng = slice(t_index, grid.N)
+    phi, f_proc = np.empty((m, grid.N)), np.empty((m, grid.N))
+    for i, b_i in ens.forward_states(t_index, grid.N):
+        phi[:, i] = eval_process(env.phi, b_i)
+        f_proc[:, i] = eval_process(env.f, b_i)
+    e_sup = bl.analysis.sup_moment(sol.y[:, t_index:], p)
+    int_phi_p = np.mean(np.sum(phi[:, rng] ** p, axis=1) * grid.dt)
+    int_f_pow = np.mean((np.sum(f_proc[:, rng], axis=1) * grid.dt) ** p)
+    prop1_rhs = cb.c_lambda_p_T * (e_sup + bl.eval_modulus(env.psi, e_sup)
+                                   + int_phi_p + int_f_pow)
+    y_norm = np.linalg.norm(sol.y, axis=2)
+    mean_y_p = np.mean(y_norm ** p, axis=0)
+    int_psi = np.sum(bl.eval_modulus(env.psi, mean_y_p[rng])) * grid.dt
+    m_p = 2.0 * cb.k_prime_p
+    prop2_rhs = math.exp(2.0 * cb.k_prime_p * cb.d_lambda_p_theta
+                         * (grid.T - grid.times[t_index])) * (
+        m_p * np.mean(y_norm[:, -1] ** p) + m_p * int_f_pow + 0.5 * int_phi_p
+        + 0.5 * int_psi)
+    return prop1_rhs, prop2_rhs
+
+
+def _peak_bytes(fn):
+    """fn's result and the peak of memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+@pytest.mark.parametrize("t_index", [0, 31, 50])
+def test_energy_and_apriori_checks_fold_without_a_buffer(t_index):
+    # Each check adds one step's terms to (M,) sums as the walk reaches it.
+    # An (M, N) array of one term alone holds 50 slices of M numbers; the
+    # folds hold a handful (measured: 1.20 MB and 0.79 MB).  Against the
+    # buffered sums, which add in another order, they agree to N round-offs.
+    m, n, p = 16384, 50, 3.0
+    ens = bl.generate_ensemble(M=m, N=n, d=1, T=1.0, seed=41)
+    sol = _random_solution(ens, 42)
+    gen = bl.example1_generator(2.0)
+    env = bl.EnvelopeA(psi=bl.auto_envelope(gen, p, 1).psi, lam=1.0,
+                       phi=constant_process(0.25),
+                       f=abs_brownian_coordinate_process(0))
+    cb = bl.compute_constants(p, 1.0, 1.0, 0.5, terminal_moment=1.0)
+    tol = n * np.finfo(float).eps
+
+    lemma, peak = _peak_bytes(lambda: bl.check_lemma1(sol, gen, p, t_index, ens))
+    assert peak < 16 * m * 8
+    got = (lemma.lhs, lemma.rhs, lemma.slack, lemma.standard_error)
+    scale = max(abs(lemma.lhs), abs(lemma.rhs))
+    for x, ref in zip(got, _buffered_lemma1(sol, gen, p, t_index, ens)):
+        assert abs(x - ref) <= tol * scale
+
+    bounds, peak = _peak_bytes(
+        lambda: bl.check_apriori_bounds(sol, env, cb, p, t_index, ens))
+    assert peak < 16 * m * 8
+    for x, ref in zip((bounds.prop1_rhs, bounds.prop2_rhs),
+                      _buffered_apriori(sol, env, cb, p, t_index, ens)):
+        assert x == pytest.approx(ref, rel=tol, abs=0.0)
 
 
 def test_norms_and_distances_share_the_two_moments():

@@ -10,6 +10,7 @@ from bsde_lab.generator import (GENERATOR_FAMILIES, ProcessSpec,
                                 abs_brownian_coordinate_process,
                                 constant_process, eval_generator_batch,
                                 eval_process)
+from bsde_lab.paths import sum_squares
 
 
 def _box(seed: int, d: int = 1):
@@ -32,6 +33,26 @@ def test_example1_evaluation():
     out = eval_generator_batch(gen, 0.0, np.zeros((1, 1)),
                                np.array([[math.exp(-4)]]), np.zeros((1, 1, 1)))
     assert out[0, 0] == pytest.approx(2.0 * math.exp(-4), rel=1e-14)
+
+
+@pytest.mark.parametrize("p, delta, d", [(2.0, math.exp(-2.0), 1),
+                                         (3.0, 0.1, 2)])
+def test_example1_is_bytes_of_its_three_terms(p, delta, d):
+    # h(|y|) + |z| + |B_t|, summed left to right, byte for byte: at y = 0,
+    # on both sides of delta and at delta itself
+    gen = bl.example1_generator(p, delta)
+    h = bl.example1_h_modulus(p, delta)
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-1.0, 1.0, (64, 1))
+    y[:6, 0] = [0.0, -0.0, delta, -delta, np.nextafter(delta, 1.0),
+                -np.nextafter(delta, 0.0)]
+    z = rng.standard_normal((64, 1, d))
+    brownian = rng.standard_normal((64, d))
+    got = eval_generator_batch(gen, 0.5, brownian, y, z)
+    ref = (bl.eval_modulus(h, np.abs(y[:, 0])) + np.sqrt(sum_squares(z))) \
+        + np.sqrt(sum_squares(brownian))
+    assert got.shape == (64, 1)
+    assert got[:, 0].tobytes() == ref.tobytes()
 
 
 def test_linear_generator_scalar_a():

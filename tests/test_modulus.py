@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import bsde_lab as bl
 from bsde_lab.generator import GENERATOR_FAMILIES
-from bsde_lab.modulus import (CONVERGENT, DIVERGENT, ModulusShapeError,
-                              require_concave)
+from bsde_lab.modulus import (CONVERGENT, DIVERGENT, MODULUS_FAMILIES,
+                              ModulusShapeError, require_concave)
 
 from conftest import random_concave_tabulated
 
@@ -54,15 +54,26 @@ def _masked_example1h(mod, u):
 @pytest.mark.parametrize("p, delta", [(2.0, math.exp(-2.0)), (3.0, 0.1),
                                       (1.5, 1e-3)])
 def test_example1h_eval_is_bytes_of_the_masked_formula(p, delta):
+    # the family evaluates h by index on the entries at or below delta; any
+    # layout of u, and entries all on one side of delta, give the masked bytes
     mod = bl.example1_h_modulus(p, delta=delta)
+    evaluate = MODULUS_FAMILIES["example1h"].evaluate
     rng = np.random.default_rng(12)
     u = np.concatenate([[0.0, 5e-324, delta, np.nextafter(delta, 0.0),
                          np.nextafter(delta, 1.0), 1e300],
                         rng.uniform(0.0, delta, 50),
                         rng.uniform(delta, 20.0, 50)])
-    for arr in (u, u[u > delta], u[u <= delta], u.reshape(2, -1)):
-        assert bl.eval_modulus(mod, arr).tobytes() == \
-            _masked_example1h(mod, arr.ravel()).tobytes()
+    tiny = np.array([0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, delta])
+    for arr in (u, u[u > delta], u[u <= delta], u[::3], u.reshape(2, -1),
+                u.reshape(2, -1).T, u.reshape(2, -1)[:, ::-3], tiny):
+        before = arr.tobytes()
+        read_only = arr.view()
+        read_only.flags.writeable = False  # the family writes nothing into u
+        ref = _masked_example1h(mod, arr)
+        for got in (evaluate(mod, read_only), bl.eval_modulus(mod, read_only)):
+            assert got.shape == arr.shape
+            assert got.tobytes() == ref.tobytes()
+        assert arr.tobytes() == before
 
 
 @pytest.mark.parametrize("mod", [
@@ -76,8 +87,26 @@ def test_zero_maps_to_zero(mod):
 
 
 def test_negative_argument_rejected():
-    with pytest.raises(ValueError):
-        bl.eval_modulus(bl.linear_modulus(1.0), -0.1)
+    # the sign is checked before finiteness, so a negative entry is named
+    # whatever non-finite entries lie beside it
+    for bad in (-0.1, -math.inf, [0.2, -5e-324], [math.nan, -1.0],
+                [-1.0, math.nan], [math.inf, -1.0]):
+        with pytest.raises(ValueError,
+                           match="^modulus argument must be nonnegative$"):
+            bl.eval_modulus(bl.linear_modulus(1.0), bad)
+
+
+@pytest.mark.parametrize("mod", [
+    bl.linear_modulus(2.5),
+    bl.power_modulus(1.3, 0.5),
+    bl.example1_h_modulus(3.0),
+    bl.tabulated_modulus([(0.0, 0.0), (0.5, 0.4), (1.0, 0.6)]),
+])
+def test_empty_and_zero_dimensional_arguments_accepted(mod):
+    for shape in ((0,), (3, 0)):
+        assert bl.eval_modulus(mod, np.empty(shape)).shape == shape
+    assert isinstance(bl.eval_modulus(mod, np.float64(0.25)), float)
+    assert bl.eval_modulus(mod, np.array(0.25)) == bl.eval_modulus(mod, [0.25])[0]
 
 
 @pytest.mark.parametrize("mod", [
@@ -87,10 +116,9 @@ def test_negative_argument_rejected():
 ])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_argument_rejected(mod, bad):
-    with pytest.raises(ValueError, match="finite"):
-        bl.eval_modulus(mod, [bad, 0.1])
-    with pytest.raises(ValueError, match="finite"):
-        bl.eval_modulus(mod, bad)
+    for arg in ([bad, 0.1], bad, [0.0, bad, -0.0]):
+        with pytest.raises(ValueError, match="^modulus argument must be finite$"):
+            bl.eval_modulus(mod, arg)
 
 
 def test_tabulated_exact_at_breakpoints_and_linear_beyond():

@@ -107,7 +107,8 @@ def test_antithetic_pairs_negate():
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("seed", [0, 20240817, 2 ** 64 - 1])
 def test_each_path_is_its_jumped_philox_substream(antithetic, seed):
-    m, n, d, horizon = 9, 5, 3, 0.7
+    # the paths of two blocks, the second one partial (1030 at a block of 1024)
+    m, n, d, horizon = paths_module._PATH_BLOCK + 6, 5, 3, 0.7
     ens = bl.generate_ensemble(m, n, d, horizon, seed=seed,
                                antithetic=antithetic)
     for j in range(m):
