@@ -45,28 +45,27 @@ def integral_power_mean(total: np.ndarray, dt: float, p: float) -> float:
     return float(np.mean((total * dt) ** (p / 2.0)))
 
 
-def sup_moment(y: np.ndarray, p: float, ref: np.ndarray | None = None) -> float:
-    """E[sup_t |y_t - ref_t|^p] of y (M, N+1, k); ref None is zero.
+def sup_moment(y: np.ndarray, p: float) -> float:
+    """E[sup_t |y_t|^p] of y (M, N+1, k).
 
     The sup is a running max over the time steps, so one (M,) array is all
     the reduction holds, whatever N.
     """
     sup = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
-        fold_sup(sup, y[:, i] if ref is None else y[:, i] - ref[:, i])
+        fold_sup(sup, y[:, i])
     return sup_power_mean(sup, p)
 
 
-def z_moment(z: np.ndarray, dt: float, p: float,
-             ref: np.ndarray | None = None) -> float:
-    """E[(int |z_t - ref_t|^2 dt)^(p/2)] of z (M, N, k, d); ref None is zero.
+def z_moment(z: np.ndarray, dt: float, p: float) -> float:
+    """E[(int |z_t|^2 dt)^(p/2)] of z (M, N, k, d).
 
     The integral is a running sum over the time steps, one step's squares
     at a time.
     """
     total = np.zeros(z.shape[0])
     for i in range(z.shape[1]):
-        fold_squares(total, z[:, i] if ref is None else z[:, i] - ref[:, i])
+        fold_squares(total, z[:, i])
     return integral_power_mean(total, dt, p)
 
 
@@ -81,11 +80,11 @@ def lp_norm_arrays(y: np.ndarray, z: np.ndarray, dt: float, p: float):
 
 
 def iterate_distance_arrays(y_a, y_b, z_a, z_b, dt: float, p: float):
-    """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)]),
-    reduced one time step at a time, forward in time.  picard_solve folds
-    the same steps inside its sweep, backward in time, so its dist_z may
-    differ from this one in the last digits."""
-    return sup_moment(y_a, p, y_b), z_moment(z_a, dt, p, z_b)
+    """Raw p-power distances: (E[sup |dy|^p], E[(int |dz|^2 dt)^(p/2)]) of
+    the differences, each reduced one time step at a time, forward in time.
+    picard_solve folds the same steps inside its sweep, backward in time, so
+    its dist_z may differ from this one in the last digits."""
+    return sup_moment(y_a - y_b, p), z_moment(z_a - z_b, dt, p)
 
 
 @dataclass(frozen=True)

@@ -48,17 +48,24 @@ def _require_keys(block: dict, allowed: set, path: str) -> None:
 
 
 def _typed(block: dict, key: str, kind, path: str, default=None):
-    """block[key] checked against kind: a type, a union of types (None aside),
-    or a spec class, whose value is a nested tagged block."""
+    """block[key] checked against kind: a type or a union of types (None
+    aside), a spec class, whose value is a nested tagged block, or a config
+    dataclass, whose value is a block read by _kwargs."""
     if key not in block or block[key] is None:
         return default
     val = block[key]
     name = f"{path}.{key}" if path else key
-    if kind in _TAGGED:
-        return _parse_tagged(val, name, kind)
     kinds = (kind,)
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
         kinds = tuple(a for a in typing.get_args(kind) if a is not type(None))
+    if (spec := kinds[0]) in _TAGGED:
+        return _parse_tagged(val, name, spec)
+    if is_dataclass(spec):
+        kwargs = _kwargs(spec, val, name)
+        try:
+            return spec(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     if float in kinds and type(val) is int:
         try:
             val = float(val)
@@ -102,30 +109,31 @@ def _check_range(name: str, value, rule: str) -> None:
 def _kwargs(fn, block: dict, path: str, outer=(), **given) -> dict:
     """Keyword arguments for fn, a config dataclass or a factory, from block.
 
-    Key names, types and defaults come from fn's signature, and a dataclass
-    field's range from its metadata (see _ranged); an absent or null key keeps
-    its default.  given holds the arguments the caller read itself, and the
+    Names, types and defaults come from fn's signature, and a dataclass
+    field's range (see _ranged) and, where a config names it apart from the
+    field, its "key" from its metadata; an absent or null key keeps its
+    default.  given holds the arguments the caller read itself, and the
     names in outer belong to the enclosing block, not to this one.
     """
     signature = inspect.signature(fn).parameters
     hints = typing.get_type_hints(fn)
-    ranges = ({f.name: f.metadata.get("range") for f in fields(fn)}
-              if is_dataclass(fn) else {})
-    names = [n for n in signature if n not in outer]
-    _require_keys(block, set(names), path)
+    meta = {f.name: f.metadata for f in fields(fn)} if is_dataclass(fn) else {}
+    keys = {n: meta.get(n, {}).get("key", n) for n in signature if n not in outer}
+    _require_keys(block, set(keys.values()), path)
     kwargs = dict(given)
-    for n in names:
+    for n, key in keys.items():
         if n in given:
             continue
-        if block.get(n) is not None:
+        name = f"{path}.{key}" if path else key
+        if block.get(key) is not None:
             if n not in hints:
-                raise ConfigError(f"{path}.{n} cannot be read: the factory's "
+                raise ConfigError(f"{name} cannot be read: the factory's "
                                   f"parameter {n} has no type annotation")
-            kwargs[n] = _typed(block, n, hints[n], path)
-            if ranges.get(n) is not None:
-                _check_range(f"{path}.{n}", kwargs[n], ranges[n])
+            kwargs[n] = _typed(block, key, hints[n], path)
+            if (rule := meta.get(n, {}).get("range")) is not None:
+                _check_range(name, kwargs[n], rule)
         elif signature[n].default is inspect.Parameter.empty:
-            raise ConfigError(f"{path}.{n} required")
+            raise ConfigError(f"{name} required")
     return kwargs
 
 
@@ -179,29 +187,25 @@ class StudyConfig:
                              default_factory=lambda: [10, 25, 50])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    paths: PathsConfig
-    solver: SolverConfig
+    """The config document; each field is one top-level block or key."""
+
+    paths: PathsConfig = field(default_factory=PathsConfig)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     generator: GeneratorSpec
-    terminal: TerminalSpec | None
-    modulus: ModulusSpec | None
-    envelope: EnvelopeA | None
-    constants: ConstantsConfig
-    bihari: BihariConfig
-    study: StudyConfig
-    output_dir: str
+    terminal: TerminalSpec | None = None
+    modulus: ModulusSpec | None = None
+    envelope: EnvelopeA | None = None
+    constants: ConstantsConfig = field(default_factory=ConstantsConfig)
+    bihari: BihariConfig = field(default_factory=BihariConfig)
+    study: StudyConfig = field(default_factory=StudyConfig)
+    output_dir: str = "out"
 
 
 def _block(doc: dict, name: str):
     """doc[name], or {} when the key is absent or null."""
     return {} if doc.get(name) is None else doc[name]
-
-
-def _parse_block(cls, doc: dict, name: str):
-    """The config dataclass cls from doc[name]; an absent block keeps every
-    default."""
-    return cls(**_kwargs(cls, _block(doc, name), name))
 
 
 # Each tagged block: the key naming its family, family -> record (read at parse
@@ -244,20 +248,6 @@ def _parse_tagged(block, path: str, spec: type):
     return built
 
 
-def _parse_envelope(block: dict) -> EnvelopeA:
-    _require_keys(block, {"psi", "lambda", "phi", "f"}, "envelope")
-    psi = _typed(block, "psi", ModulusSpec, "envelope")
-    if psi is None:
-        raise ConfigError("envelope.psi required")
-    lam = _typed(block, "lambda", float, "envelope", 0.0)
-    phi = _typed(block, "phi", ProcessSpec, "envelope", ProcessSpec())
-    f = _typed(block, "f", ProcessSpec, "envelope", ProcessSpec())
-    try:
-        return EnvelopeA(psi=psi, lam=lam, phi=phi, f=f)
-    except ValueError as exc:
-        raise ConfigError(f"envelope: {exc}") from exc
-
-
 def _reject_constant(token: str):
     raise ConfigError(f"config holds {token}: numbers must be finite")
 
@@ -287,29 +277,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     if (name := _overflowed(doc)) is not None:
         raise ConfigError(f"field '{name}' does not fit a double")
-    _require_keys(doc, {f.name for f in fields(RunConfig)}, "")
-    if "generator" not in doc:
-        raise ConfigError("generator required")
-    paths = _parse_block(PathsConfig, doc, "paths")
-    paths.stated = frozenset(k for k, v in _block(doc, "paths").items()
-                             if v is not None)
-    solver = _parse_block(SolverConfig, doc, "solver")
-    if not solver.deterministic_reduction:
+    cfg = RunConfig(**_kwargs(RunConfig, doc, ""))
+    cfg.paths.stated = frozenset(k for k, v in _block(doc, "paths").items()
+                                 if v is not None)
+    if not cfg.solver.deterministic_reduction:
         raise ConfigError("solver.deterministic_reduction must be true: the "
                           "unblocked reduction path was removed")
-    gen = _parse_tagged(doc["generator"], "generator", GeneratorSpec)
-    terminal = _typed(doc, "terminal", TerminalSpec, "")
-    modulus = _typed(doc, "modulus", ModulusSpec, "")
-    envelope = (None if doc.get("envelope") is None
-                else _parse_envelope(doc["envelope"]))
-    constants = _parse_block(ConstantsConfig, doc, "constants")
-    bihari = _parse_block(BihariConfig, doc, "bihari")
-    study = _parse_block(StudyConfig, doc, "study")
-    output_dir = _typed(doc, "output_dir", str, "", "out")
-    return RunConfig(paths=paths, solver=solver, generator=gen,
-                     terminal=terminal, modulus=modulus, envelope=envelope,
-                     constants=constants, bihari=bihari, study=study,
-                     output_dir=output_dir)
+    return cfg
 
 
 def _require_agreement(name: str, found: dict, cfg: RunConfig) -> None:
@@ -360,13 +334,16 @@ def _terminal(cfg: RunConfig, needed_for: str) -> TerminalSpec:
     return cfg.terminal
 
 
-def _bundle(cfg: RunConfig, ens: PathEnsemble, mod: ModulusSpec | None):
+def _bundle(cfg: RunConfig, ens: PathEnsemble):
+    """The constants bundle, whose growth coefficient A is that of the H1
+    modulus (see _h1_modulus)."""
     gen, sc, cc, term = cfg.generator, cfg.solver, cfg.constants, cfg.terminal
+    mod = _h1_modulus(cfg)
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
     lam = exact(gen) if exact is not None else estimate_lipschitz_z(
         gen, ens).sampled
     try:
-        growth_a = linear_growth_coefficient(mod) if mod is not None else 0.0
+        growth_a = linear_growth_coefficient(mod)
     except ModulusShapeError as exc:
         raise ConfigError(f"modulus: {exc}") from exc
     term_moment = 0.0
@@ -383,7 +360,7 @@ def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
     if split == "auto":
         # T1 = 0 makes [0, T] one local interval: one window
-        return _bundle(cfg, ens, _h1_modulus(cfg)).t1
+        return _bundle(cfg, ens).t1
     if split is not None and split >= ens.grid.T:
         raise ConfigError(f"solver.split is {split}, but the ensemble's horizon "
                           f"T is {ens.grid.T}: the split needs T1 < T")
@@ -528,7 +505,7 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
         ens = _acquire_ensemble(cfg)
         horizon = ens.grid.T
         if m_bound is None or t1 is None:
-            cb = _bundle(cfg, ens, mod)
+            cb = _bundle(cfg, ens)
             m_bound = cb.m_bound if m_bound is None else m_bound
             t1 = cb.t1 if t1 is None else t1
     if bc.T1 is not None and bc.T1 >= horizon:
@@ -553,7 +530,7 @@ def _cmd_bihari(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_constants(cfg: RunConfig, out: Path) -> int:
     ens = _acquire_ensemble(cfg)
-    cb = _bundle(cfg, ens, cfg.modulus)
+    cb = _bundle(cfg, ens)
     rows = [(f.name, getattr(cb, f.name)) for f in fields(cb)]
     write_csv(_output(out, "constants.csv"), ["name", "value"], rows)
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -308,7 +308,8 @@ class EnvelopeA:
     """Growth envelope |g| <= psi^(1/p)(|y|^p) + lam |z| + phi_t + f_t."""
 
     psi: ModulusSpec
-    lam: float
+    # a config names it lambda, the one key that is not its field's name
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     phi: ProcessSpec = ProcessSpec()
     f: ProcessSpec = ProcessSpec()
 

@@ -109,6 +109,15 @@ class PathEnsemble:
             raise IndexError(f"time index {i} is outside [0, {self.grid.N}]")
         return bisect.bisect_right(self._marks, i) - 1
 
+    def _window(self, lo: int, hi: int) -> int:
+        """_below(lo), once the window [lo, hi) has 0 <= lo <= N and
+        lo <= hi <= N + 1; an IndexError names the bound that is not."""
+        j = self._below(lo)
+        if not lo <= hi <= self.grid.N + 1:
+            raise IndexError(f"window end {hi} is outside [{lo}, "
+                             f"{self.grid.N + 1}]")
+        return j
+
     @property
     def final_state(self) -> np.ndarray:
         """B_N (M, d), the last checkpoint, read-only."""
@@ -119,7 +128,7 @@ class PathEnsemble:
         Each B_i is a read-only view of one running buffer, which the next
         step overwrites."""
         stop = self.grid.N + 1 if stop is None else stop
-        j = self._below(start)
+        j = self._window(start, stop)
         state = self._checkpoints[j].copy()
         for s in range(self._marks[j], start):
             np.add(state, self.increments[:, s], out=state)
@@ -133,6 +142,7 @@ class PathEnsemble:
         """(i, B_i) for i = i_hi - 1 down to i_lo.  One buffer of c slices is
         refilled forward from each checkpoint the window reaches; each B_i is
         a read-only view of it, valid until the next refill."""
+        self._window(i_lo, i_hi)
         segment = np.empty((_checkpoint_stride(self.grid.N), self.M, self.d))
         view = _read_only(segment)
         hi = i_hi

@@ -252,18 +252,6 @@ class PicardReport:
         """True when every window converged."""
         return all(self.window_converged)
 
-    @property
-    def dist_y(self) -> list[float]:
-        return [e.dist_y for e in self.entries]
-
-    @property
-    def dist_z(self) -> list[float]:
-        return [e.dist_z for e in self.entries]
-
-    @property
-    def sp_norms(self) -> list[float]:
-        return [e.sp_norm for e in self.entries]
-
 
 def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
                     ens: PathEnsemble, basis: BasisSpec, i_lo: int, i_hi: int,

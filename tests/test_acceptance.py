@@ -91,7 +91,7 @@ def test_criterion_04_example1_contraction(ensemble):
     gen = bl.example1_generator(p=2.0)
     _, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), ensemble, BASIS,
                              p=2.0, tol=1e-12, max_iter=6)
-    dy = rep.dist_y
+    dy = [e.dist_y for e in rep.entries]
     nonincreasing = all(dy[i] >= dy[i + 1] for i in range(1, 4))
     contracted = dy[4] <= 0.1 * dy[0]
     _verdict(4, "fixed-point contraction", nonincreasing and contracted,

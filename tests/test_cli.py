@@ -308,6 +308,30 @@ def test_constants_csv_values(tmp_path):
     assert float(rows["lam"]) == 0.0
 
 
+def test_constants_take_a_from_the_h1_modulus_bihari_reads(tmp_path):
+    # no modulus block: A is the growth of the family's default modulus, as
+    # for bihari and split: "auto", not 0
+    cfg = parse_config(json.dumps(_config(
+        tmp_path, generator={"family": "example1", "params": {"p": 2.0}})))
+    assert run("constants", cfg) == 0
+    rows = dict(line.split(",") for line in
+                (tmp_path / "out" / "constants.csv").read_text()
+                .splitlines()[1:])
+    assert rows["A"] == "1.1239337037538191"
+    assert float(rows["A"]) == bl.linear_growth_coefficient(cli._h1_modulus(cfg))
+
+
+def test_constants_without_a_modulus_to_read_exit_two(tmp_path, capsys,
+                                                      add_driver):
+    # a family with no default modulus needs the block, as bihari does
+    add_driver("cli_no_h1", lambda t, b, y, z: -y)
+    path = _write(tmp_path, _config(tmp_path, generator={"family": "cli_no_h1"}))
+    assert main(["constants", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: this generator family needs an explicit modulus block\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_example1_passes(tmp_path):
     doc = _config(tmp_path,
                   paths={"M": 2048, "N": 20, "d": 1, "T": 1.0, "seed": 7},

@@ -169,6 +169,18 @@ def test_the_states_an_ensemble_gives_are_read_only(small_ensemble):
         next(ens.backward_states(0, ens.grid.N + 2))
 
 
+@pytest.mark.parametrize("walk, window, named", [
+    ("forward_states", (0, 10), "window end 10 is outside"),
+    ("forward_states", (3, 1), "window end 1 is outside"),
+    ("backward_states", (-1, 3), "time index -1 is outside"),
+])
+def test_a_walk_checks_its_window_before_its_first_state(walk, window, named):
+    # at N = 3 each window once gave states before it failed, or gave none
+    states = getattr(bl.generate_ensemble(4, 3, 1, 1.0, seed=1), walk)(*window)
+    with pytest.raises(IndexError, match=named):
+        next(states)
+
+
 @pytest.mark.parametrize("bad, path, index, shown", [
     ({37: math.nan}, 3, 8, "[nan]"),
     ({37: -math.inf}, 3, 8, "[-inf]"),

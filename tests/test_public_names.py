@@ -22,9 +22,6 @@ KEPT = {
                                "solutions",
     "lp_norm_arrays": "the benchmark's traced runs wrap it by name",
     "oracle_paths": "the tests' reference for the closed-form solutions",
-    "PicardReport.dist_y": "the README quickstart reads it",
-    "PicardReport.dist_z": "the README quickstart reads it",
-    "PicardReport.sp_norms": "the README quickstart reads it",
 }
 
 
@@ -33,9 +30,9 @@ def _unreferenced() -> set:
     __init__, which only re-exports, aside) that no module names, and public
     methods and properties of public classes whose name no module reads as
     an attribute.  A read of a name that is also a field of a class in the
-    method's module proves nothing, since it may be the field's: a
-    PicardReport property that lists the dist_y of its PicardEntry records
-    is not used where a record's dist_y is read."""
+    method's module proves nothing, since it may be the field's: a property
+    that lists one field of a class's records is not used where a record's
+    field of that name is read."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"]
     defined = {node.name for tree in trees for node in tree.body

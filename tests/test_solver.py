@@ -240,7 +240,7 @@ def test_picard_zero_generator_converges_at_one(small_ensemble):
                                BASIS, p=2.0)
     assert rep.converged
     assert rep.iterations == 1
-    assert rep.dist_y[0] == 0.0
+    assert rep.entries[0].dist_y == 0.0
 
 
 def test_picard_linear_generator_hits_exponential():
@@ -317,7 +317,8 @@ def test_picard_report_lengths(small_ensemble):
     _, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
                              BASIS, p=2.0, tol=1e-12, max_iter=4)
     assert rep.iterations == 4
-    assert len(rep.dist_y) == len(rep.dist_z) == len(rep.sp_norms) == 4
+    assert [(e.window, e.iteration) for e in rep.entries] == [
+        (0, 1), (0, 2), (0, 3), (0, 4)]
 
 
 def test_picard_determinism(small_ensemble):
@@ -327,7 +328,7 @@ def test_picard_determinism(small_ensemble):
     b, rep_b = bl.picard_solve(gen, term, small_ensemble, BASIS, p=2.0)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.z, b.z)
-    assert rep_a.dist_y == rep_b.dist_y
+    assert rep_a.entries == rep_b.entries
 
 
 def test_picard_split_windows_match_unsplit():
@@ -752,10 +753,11 @@ def test_in_sweep_distances_are_the_two_solution_distances(small_ensemble,
     assert rep.iterations == j and not rep.converged
     dy, dz = bl.analysis.iterate_distance_arrays(sol.y, prev.y, sol.z, prev.z,
                                                  sol.grid.dt, p)
-    assert rep.dist_y[-1] == dy > 0.0
-    assert rep.sp_norms[-1] == bl.analysis.sp_norm(sol.y, p)
+    last = rep.entries[-1]
+    assert last.dist_y == dy > 0.0
+    assert last.sp_norm == bl.analysis.sp_norm(sol.y, p)
     # the sweep sums the squares of dz backward in time, the reference forward
-    assert rep.dist_z[-1] == pytest.approx(dz, rel=1e-14, abs=0.0)
+    assert last.dist_z == pytest.approx(dz, rel=1e-14, abs=0.0)
 
 
 def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
@@ -878,7 +880,8 @@ def test_a_y_free_solve_is_the_two_sweep_solve(name, monkeypatch):
     assert rep.entries == ref_rep.entries
     assert rep.windows == ref_rep.windows
     assert rep.window_converged == ref_rep.window_converged
-    assert rep.dist_y == rep.dist_z == [0.0] * len(rep.windows)
+    assert [(e.dist_y, e.dist_z) for e in rep.entries] == \
+        [(0.0, 0.0)] * len(rep.windows)
     assert rep.converged
 
 
