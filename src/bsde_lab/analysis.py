@@ -158,6 +158,73 @@ class ConstantsBundle:
     t1: float
 
 
+def _check_constant_inputs(p, lam, horizon, growth_a, *positive) -> None:
+    if p <= 1.0:
+        raise ValueError("needs p > 1")
+    if lam < 0.0 or growth_a < 0.0 or horizon <= 0.0:
+        raise ValueError("lambda, A must be >= 0 and T > 0")
+    if any(c is not None and c <= 0.0 for c in positive):
+        raise ValueError("k'_p, c1, c2 and c3 must be positive")
+
+
+def _exponents(p: float, lam: float, k_prime_p: float, c1, c3):
+    """(theta, d, c1, c3): theta = 2^(p+2) k'_p, d = (p-1) theta^(1/(p-1)) +
+    p lam^2 / [1 ^ (p-1)], and the growth exponents, which default to
+    2 k'_p d.  A power that overflows raises OverflowError."""
+    theta = 2.0 ** (p + 2.0) * k_prime_p
+    d_lpt = ((p - 1.0) * theta ** (1.0 / (p - 1.0))
+             + p * lam ** 2 / min(1.0, p - 1.0))
+    return (theta, d_lpt, 2.0 * k_prime_p * d_lpt if c1 is None else c1,
+            2.0 * k_prime_p * d_lpt if c3 is None else c3)
+
+
+def _t1(horizon: float, c1: float, c3: float, growth_a: float) -> float:
+    """T1 = max(T - ln2/c1, T - ln2/c3, T - 1/(2A), 0), the term in A only
+    when A > 0."""
+    candidates = [horizon - math.log(2.0) / c1, horizon - math.log(2.0) / c3, 0.0]
+    if growth_a > 0.0:
+        candidates.append(horizon - 1.0 / (2.0 * growth_a))
+    return max(candidates)
+
+
+def _overflow(p: float, horizon: float, lam: float, terminal_moment: float,
+              h3_moment: float) -> OverflowError:
+    """The overflow of the derived constants, naming its causes: a moment
+    that is not finite, a lambda whose square overflows, else c3 T."""
+    causes = [f"{name} is not finite" for name, moment in (
+        ("E|xi|^p", terminal_moment),
+        ("E[(int |g(t,0,0)| dt)^p]", h3_moment)) if not math.isfinite(moment)]
+    if math.isinf(lam * lam):
+        causes.append(f"reduce the z-Lipschitz constant lambda = {lam}")
+    return OverflowError(f"the derived constants overflow at p = {p}, "
+                         f"T = {horizon}; "
+                         + ("; ".join(causes) or "reduce c3 or the horizon"))
+
+
+def split_time(p: float, lam: float, horizon: float, growth_a: float,
+               k_prime_p: float = 2.0, c1: float | None = None,
+               c3: float | None = None, terminal_moment: float = 0.0,
+               h3_moment: float = 0.0) -> float:
+    """compute_constants' T1, from c1, c3 and A alone: it is defined where
+    mu0 = c2 e^(c3 T) (...) overflows at finite moments.  The bound it rests
+    on needs both moments finite, so one that is not is compute_constants'
+    OverflowError; exponents that leave no local interval below T are
+    another."""
+    _check_constant_inputs(p, lam, horizon, growth_a, k_prime_p, c1, c3)
+    if not (math.isfinite(terminal_moment) and math.isfinite(h3_moment)):
+        raise _overflow(p, horizon, lam, terminal_moment, h3_moment)
+    try:
+        _, _, c1, c3 = _exponents(p, lam, k_prime_p, c1, c3)
+    except OverflowError:
+        c1 = c3 = math.inf
+    t1 = _t1(horizon, c1, c3, growth_a)
+    if not t1 < horizon:
+        raise OverflowError(f"the growth exponents c1 = {c1}, c3 = {c3} at "
+                            f"p = {p}, lambda = {lam} leave no local interval "
+                            f"below T = {horizon}")
+    return t1
+
+
 def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
                       k_prime_p: float = 2.0, c1: float | None = None,
                       c3: float | None = None, c2: float | None = None,
@@ -171,23 +238,12 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
     T1 = max(T - ln2/c1, T - ln2/c3, T - 1/(2A), 0).  The growth-exponent
     proxies default to c1 = c3 = 2 k'_p d and c2 = 2 k'_p; all are overridable.
     """
-    if p <= 1.0:
-        raise ValueError("needs p > 1")
-    if lam < 0.0 or growth_a < 0.0 or horizon <= 0.0:
-        raise ValueError("lambda, A must be >= 0 and T > 0")
-    if any(c is not None and c <= 0.0 for c in (k_prime_p, c1, c2, c3)):
-        raise ValueError("k'_p, c1, c2 and c3 must be positive")
+    _check_constant_inputs(p, lam, horizon, growth_a, k_prime_p, c1, c2, c3)
     c_p = p * min(p - 1.0, 1.0) / 2.0
     try:
         c_lambda_p_t = 2.0 ** (p + 4.0) * (3.0 + 2.0 * lam ** 2 * horizon
                                           + horizon ** p)
-        theta = 2.0 ** (p + 2.0) * k_prime_p
-        d_lpt = ((p - 1.0) * theta ** (1.0 / (p - 1.0))
-                 + p * lam ** 2 / min(1.0, p - 1.0))
-        if c1 is None:
-            c1 = 2.0 * k_prime_p * d_lpt
-        if c3 is None:
-            c3 = 2.0 * k_prime_p * d_lpt
+        theta, d_lpt, c1, c3 = _exponents(p, lam, k_prime_p, c1, c3)
         if c2 is None:
             c2 = 2.0 * k_prime_p
         mu0 = c2 * math.exp(c3 * horizon) * (terminal_moment + h3_moment)
@@ -196,22 +252,12 @@ def compute_constants(p: float, lam: float, horizon: float, growth_a: float,
         m_bound = math.inf
     # m_bound is not finite whenever mu0 is not, and also when 2 mu0 overflows
     if not math.isfinite(m_bound):
-        causes = [f"{name} is not finite" for name, moment in (
-            ("E|xi|^p", terminal_moment),
-            ("E[(int |g(t,0,0)| dt)^p]", h3_moment)) if not math.isfinite(moment)]
-        if math.isinf(lam * lam):
-            causes.append(f"reduce the z-Lipschitz constant lambda = {lam}")
-        raise OverflowError(f"the derived constants overflow at p = {p}, "
-                            f"T = {horizon}; "
-                            + ("; ".join(causes) or "reduce c3 or the horizon"))
-    candidates = [horizon - math.log(2.0) / c1, horizon - math.log(2.0) / c3, 0.0]
-    if growth_a > 0.0:
-        candidates.append(horizon - 1.0 / (2.0 * growth_a))
-    t1 = max(candidates)
+        raise _overflow(p, horizon, lam, terminal_moment, h3_moment)
     return ConstantsBundle(p=p, lam=lam, T=horizon, A=growth_a,
                            k_prime_p=k_prime_p, c2=c2, theta=theta, c_p=c_p,
                            c_lambda_p_T=c_lambda_p_t, d_lambda_p_theta=d_lpt,
-                           c1=c1, c3=c3, mu0=mu0, m_bound=m_bound, t1=t1)
+                           c1=c1, c3=c3, mu0=mu0, m_bound=m_bound,
+                           t1=_t1(horizon, c1, c3, growth_a))
 
 
 def _power_indicator(y_norm: np.ndarray, p: float) -> np.ndarray:
@@ -249,11 +295,12 @@ def check_lemma1(sol, gen: GeneratorSpec, p: float, t_index: int,
 
     # the two integrals, each step's term added per path as the walk reaches it
     energy, drift = np.zeros(m), np.zeros(m)
-    for i, b_i in ens.forward_states(t_index, grid.N):
+    for (i, b_i), (_, z_i) in zip(ens.forward_states(t_index, grid.N),
+                                  sol.z_steps(t_index)):
         y_i = sol.y[:, i]
-        g = eval_generator_batch(gen, grid.times[i], b_i, y_i, sol.z[:, i])
+        g = eval_generator_batch(gen, grid.times[i], b_i, y_i, z_i)
         weight = _power_indicator(np.linalg.norm(y_i, axis=1), p)
-        energy += weight * sum_squares(sol.z[:, i])
+        energy += weight * sum_squares(z_i)
         drift += weight * np.sum(y_i * g, axis=1)
 
     lhs_path = np.linalg.norm(sol.y[:, t_index], axis=1) ** p + c_p * energy * dt
@@ -286,19 +333,21 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
     dt = grid.dt
     m = sol.y.shape[0]
 
-    # per-path sums of phi^p and f, and E|y_t|^p at each step, folded on one
-    # forward walk
-    phi_p, f_sum, mean_y_p = np.zeros(m), np.zeros(m), []
-    for i, b_i in ens.forward_states(t_index, grid.N):
+    # per-path sums of phi^p, f and |z|^2, and E|y_t|^p at each step, folded
+    # on one forward walk beside the solution's walk of z
+    phi_p, f_sum, z_sq, mean_y_p = np.zeros(m), np.zeros(m), np.zeros(m), []
+    for (i, b_i), (_, z_i) in zip(ens.forward_states(t_index, grid.N),
+                                  sol.z_steps(t_index)):
         phi_p += eval_process(env.phi, b_i) ** p
         f_sum += eval_process(env.f, b_i)
+        fold_squares(z_sq, z_i)
         mean_y_p.append(np.mean(np.linalg.norm(sol.y[:, i], axis=1) ** p))
 
     e_sup = sup_moment(sol.y[:, t_index:], p)
     int_phi_p = float(np.mean(phi_p * dt))
     int_f_pow = float(np.mean((f_sum * dt) ** p))
 
-    prop1_lhs = z_moment(sol.z[:, t_index:], dt, p)
+    prop1_lhs = integral_power_mean(z_sq, dt, p)
     prop1_rhs = cb.c_lambda_p_T * (e_sup + eval_modulus(env.psi, e_sup)
                                    + int_phi_p + int_f_pow)
 

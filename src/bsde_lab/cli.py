@@ -334,9 +334,11 @@ def _terminal(cfg: RunConfig, needed_for: str) -> TerminalSpec:
     return cfg.terminal
 
 
-def _bundle(cfg: RunConfig, ens: PathEnsemble):
-    """The constants bundle, whose growth coefficient A is that of the H1
-    modulus (see _h1_modulus)."""
+def _constant_inputs(cfg: RunConfig, ens: PathEnsemble) -> dict:
+    """The arguments compute_constants shares with split_time: lambda is the
+    family's exact z-Lipschitz constant, else a sampled estimate, A the
+    growth coefficient of the H1 modulus (see _h1_modulus), and the moments
+    are E|xi|^p, 0 without a terminal, and the H3 estimate."""
     gen, sc, cc, term = cfg.generator, cfg.solver, cfg.constants, cfg.terminal
     mod = _h1_modulus(cfg)
     exact = GENERATOR_FAMILIES[gen.family].lipschitz_z
@@ -350,17 +352,23 @@ def _bundle(cfg: RunConfig, ens: PathEnsemble):
     if term is not None:
         xi = terminal_values(term, ens, gen.k)
         term_moment = float(np.mean(np.linalg.norm(xi, axis=1) ** sc.p))
-    h3 = check_h3(gen, ens, sc.p)
-    return analysis.compute_constants(
-        sc.p, lam, ens.grid.T, growth_a, k_prime_p=cc.k_prime_p, c1=cc.c1,
-        c3=cc.c3, c2=cc.c2, terminal_moment=term_moment, h3_moment=h3.estimate)
+    return dict(p=sc.p, lam=lam, horizon=ens.grid.T, growth_a=growth_a,
+                k_prime_p=cc.k_prime_p, c1=cc.c1, c3=cc.c3,
+                terminal_moment=term_moment,
+                h3_moment=check_h3(gen, ens, sc.p).estimate)
+
+
+def _bundle(cfg: RunConfig, ens: PathEnsemble):
+    """The constants bundle (see _constant_inputs)."""
+    return analysis.compute_constants(c2=cfg.constants.c2,
+                                      **_constant_inputs(cfg, ens))
 
 
 def _resolve_split(cfg: RunConfig, ens: PathEnsemble) -> float | None:
     split = cfg.solver.split
     if split == "auto":
         # T1 = 0 makes [0, T] one local interval: one window
-        return _bundle(cfg, ens).t1
+        return analysis.split_time(**_constant_inputs(cfg, ens))
     if split is not None and split >= ens.grid.T:
         raise ConfigError(f"solver.split is {split}, but the ensemble's horizon "
                           f"T is {ens.grid.T}: the split needs T1 < T")
@@ -468,7 +476,7 @@ def _cmd_solution_csv(cfg: RunConfig, out: Path) -> int:
         raise ConfigError(f"solution file '{source}': {exc}") from exc
     m, n_plus, k = sol.y.shape
     _require_agreement(f"solution file '{source}'", {
-        "M": m, "N": n_plus - 1, "T": sol.grid.T, "k": k, "d": sol.z.shape[3]},
+        "M": m, "N": n_plus - 1, "T": sol.grid.T, "k": k, "d": sol.z_shape[3]},
         cfg)
     save_solution_csv(sol, _output(out, "solution.csv"))
     return 0

@@ -402,7 +402,10 @@ class DriverFamily:
     reads_y(gen) says whether the driver depends on y at all.  picard_solve
     solves a driver that does not in one sweep per window, so False must be
     exact; True, the default for a family that does not state it, is always
-    safe and only costs the sweeps that measure a zero distance."""
+    safe and only costs the sweeps that measure a zero distance.  Likewise
+    a sweep gives a driver whose lipschitz_z(gen) is 0 zeros for z, and
+    fits no per-path z for it, so 0 must be exact too: the driver on any z
+    must be the driver on zeros, bit for bit."""
 
     factory: Callable[..., GeneratorSpec]
     evaluate: Callable[..., np.ndarray]

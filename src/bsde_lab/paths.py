@@ -11,8 +11,12 @@ import struct
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .solver import RegressedZ
 
 
 class FileFormatError(ValueError):
@@ -297,42 +301,98 @@ def _move(dst: np.ndarray, src: np.ndarray) -> None:
         dst[...] = src
 
 
-def _path_blocks(parts):
-    """(block, pairs) for each block of at most _PATH_BLOCK paths of the
-    (M, ...) arrays parts.  block is one reused little-endian f64 buffer
-    whose row j is the record of the block's path j: its rows of each part
-    in turn, flattened.  pairs holds, for each part, the block's columns of
-    that part, shaped as the part's rows of these paths, and those rows."""
-    m = len(parts[0])
-    widths = [math.prod(part.shape[1:]) for part in parts]
-    buffer = np.empty((min(m, _PATH_BLOCK), sum(widths)), dtype="<f8")
-    for lo in range(0, m, _PATH_BLOCK):
-        block = buffer[:min(m - lo, _PATH_BLOCK)]
-        rows = [part[lo:lo + len(block)] for part in parts]
-        columns = np.split(block, np.cumsum(widths)[:-1], axis=1)
-        yield block, [(col.reshape(r.shape), r) for col, r in zip(columns, rows)]
+def _path_blocks(groups):
+    """(block, pairs) for each block of at most _PATH_BLOCK paths of each
+    group of paths in turn: groups yields, for each, the list of its
+    (m, ...) arrays, parts, and every group but the last holds a multiple of
+    _PATH_BLOCK paths.  block is one little-endian f64 buffer, reused by
+    every group, whose row j is the record of the block's path j: its rows
+    of each part in turn, flattened.  pairs holds, for each part, the
+    block's columns of that part, shaped as the part's rows of these paths,
+    and those rows."""
+    buffer = None
+    for parts in groups:
+        m = len(parts[0])
+        widths = [math.prod(part.shape[1:]) for part in parts]
+        if buffer is None:
+            buffer = np.empty((min(m, _PATH_BLOCK), sum(widths)), dtype="<f8")
+        for lo in range(0, m, _PATH_BLOCK):
+            block = buffer[:min(m - lo, _PATH_BLOCK)]
+            rows = [part[lo:lo + len(block)] for part in parts]
+            columns = np.split(block, np.cumsum(widths)[:-1], axis=1)
+            yield block, [(col.reshape(r.shape), r)
+                          for col, r in zip(columns, rows)]
 
 
 @dataclass
 class DiscreteSolution:
-    """Pathwise (y, z) on the grid: y (M, N+1, k), z (M, N, k, d).
+    """Pathwise (y, z) on the grid: y (M, N+1, k), held step-major, so that
+    y[:, i] is contiguous, and z (M, N, k, d), which z_source holds in one
+    of two forms: the per-path array itself, step-major, as load_solution
+    reads it from a file, or each step's regression coefficients, a
+    solver.RegressedZ, as picard_solve returns it.
 
-    The solvers and load_solution hold them step-major, as zeros builds
-    them, so y[:, i] and z[:, i] are contiguous.
+    z_steps walks z one time step at a time in either form: it is how the
+    writers, the oracle comparison and the checks read z.  The property z
+    gives the whole array.
     """
 
     y: np.ndarray
-    z: np.ndarray
+    z_source: np.ndarray | RegressedZ
     grid: TimeGrid
 
-    @classmethod
-    def zeros(cls, m: int, k: int, d: int, grid: TimeGrid) -> DiscreteSolution:
-        """A zero solution of m paths stored step-major like the ensemble:
-        y and z are transpose views of (N+1, M, k) and (N, M, k, d) buffers,
-        so each time step of a sweep reads and writes contiguous slices."""
-        n = grid.N
-        return cls(y=np.zeros((n + 1, m, k)).transpose(1, 0, 2),
-                   z=np.zeros((n, m, k, d)).transpose(1, 0, 2, 3), grid=grid)
+    @property
+    def z_shape(self) -> tuple:
+        """(M, N, k, d), without building z."""
+        return self.z_source.shape
+
+    def z_steps(self, start: int = 0, stop: int | None = None,
+                rows: slice = slice(None)):
+        """(i, z_i) for i = start, ..., stop - 1, stop = N by default: z_i
+        (m, k, d) of the paths in rows.  A rebuilt z_i is one buffer, which
+        the next step overwrites."""
+        stop = self.grid.N if stop is None else stop
+        if isinstance(self.z_source, np.ndarray):
+            return ((i, self.z_source[rows, i]) for i in range(start, stop))
+        return self.z_source.steps(start, stop, rows)
+
+    def _z_rows(self, rows: slice, out: np.ndarray | None = None):
+        """z of the paths in rows, (m, N, k, d): a view of a per-path
+        z_source; else built by one walk into out (N, m, k, d), a new array
+        by default, and returned as its step-major view."""
+        if isinstance(self.z_source, np.ndarray):
+            return self.z_source[rows]
+        m, n, k, d = self.z_shape
+        if out is None:
+            out = np.empty((n, len(range(*rows.indices(m))), k, d))
+        for i, z_i in self.z_steps(rows=rows):
+            out[i] = z_i
+        return out.transpose(1, 0, 2, 3)
+
+    @property
+    def z(self) -> np.ndarray:
+        """z (M, N, k, d), step-major: the per-path z_source itself, or one
+        new array of every path's z at every step, which a RegressedZ does
+        not hold."""
+        return self._z_rows(slice(None))
+
+
+# Paths per group of the solution writers, which build a RegressedZ's z one
+# group at a time, into one buffer.
+_SOLUTION_GROUP = 8 * _PATH_BLOCK
+
+
+def _solution_groups(sol: DiscreteSolution):
+    """(lo, y, z) of each group of at most _SOLUTION_GROUP paths from path
+    lo on: the group's rows of y and of z (see DiscreteSolution._z_rows),
+    valid until the next group."""
+    m, n, k, d = sol.z_shape
+    buffer = (None if isinstance(sol.z_source, np.ndarray)
+              else np.empty((n, min(m, _SOLUTION_GROUP), k, d)))
+    for lo in range(0, m, _SOLUTION_GROUP):
+        rows = slice(lo, min(lo + _SOLUTION_GROUP, m))
+        out = None if buffer is None else buffer[:, :rows.stop - lo]
+        yield lo, sol.y[rows], sol._z_rows(rows, out)
 
 
 @dataclass(frozen=True)
@@ -360,13 +420,14 @@ _SOLUTION = _Format("solution", b"BSOL", struct.Struct("<4sIQQIId"),
                     lambda f: (f["N"] + 1) * f["k"] + f["N"] * f["k"] * f["d"])
 
 
-def _save(path, fmt: _Format, fields: tuple, parts) -> None:
-    """Write fmt's header of fields, then the records of the (M, ...) arrays
-    parts, gathered one block of paths at a time, so no path-major copy of
-    parts is held.  path is replaced only by a complete file."""
+def _save(path, fmt: _Format, fields: tuple, groups) -> None:
+    """Write fmt's header of fields, then the records of the groups of paths
+    (see _path_blocks), gathered one block of paths at a time, so no
+    path-major copy of them is held.  path is replaced only by a complete
+    file."""
     with atomic_open(path, "wb") as fh:
         fh.write(fmt.header.pack(fmt.magic, _VERSION, *fields))
-        for block, pairs in _path_blocks(parts):
+        for block, pairs in _path_blocks(groups):
             for columns, rows in pairs:
                 _move(columns, rows)
             fh.write(block.data)
@@ -403,7 +464,7 @@ def _read_header(fh, fmt: _Format) -> tuple[dict, TimeGrid]:
 def _read_records(fh, parts) -> None:
     """Fill the (M, ...) arrays parts from the records that follow the
     header, one block of paths at a time."""
-    for block, pairs in _path_blocks(parts):
+    for block, pairs in _path_blocks([parts]):
         if fh.readinto(block.data) != block.nbytes:
             raise FileFormatError("file ended inside its payload")
         for columns, rows in pairs:
@@ -416,7 +477,7 @@ def save_ensemble(ens: PathEnsemble, path) -> None:
     antithetic; the other bits are zero."""
     _save(path, _ENSEMBLE, (ens.M, ens.grid.N, ens.d,
                             _ANTITHETIC if ens.antithetic else 0,
-                            ens.grid.T, ens.seed), [ens.increments])
+                            ens.grid.T, ens.seed), [[ens.increments]])
 
 
 def load_ensemble(path) -> PathEnsemble:
@@ -447,19 +508,23 @@ def load_ensemble(path) -> PathEnsemble:
 def save_solution(sol: DiscreteSolution, path) -> None:
     """Write the binary solution format: magic 'BSOL', version, M, N, k, d,
     T, then each path's record: its y over steps 0..N (k each), then its z
-    over steps 0..N-1 (k d each)."""
-    m, n_plus, k = sol.y.shape
-    _save(path, _SOLUTION, (m, n_plus - 1, k, sol.z.shape[3], sol.grid.T),
-          [sol.y, sol.z])
+    over steps 0..N-1 (k d each).  Whichever form holds z, the file holds
+    per-path z, built _SOLUTION_GROUP paths at a time."""
+    m, n, k, d = sol.z_shape
+    _save(path, _SOLUTION, (m, n, k, d, sol.grid.T),
+          ([y, z] for _, y, z in _solution_groups(sol)))
 
 
 def load_solution(path) -> DiscreteSolution:
-    """Read the format of save_solution into a step-major solution."""
+    """Read the format of save_solution into a solution whose z_source is the
+    file's per-path z; y and z are step-major."""
     with open(path, "rb") as fh:
         fields, grid = _read_header(fh, _SOLUTION)
-        sol = DiscreteSolution.zeros(fields["M"], fields["k"], fields["d"], grid)
-        _read_records(fh, [sol.y, sol.z])
-    return sol
+        m, n, k, d = (fields[key] for key in _SIZES)
+        y = np.empty((n + 1, m, k)).transpose(1, 0, 2)
+        z = np.empty((n, m, k, d)).transpose(1, 0, 2, 3)
+        _read_records(fh, [y, z])
+    return DiscreteSolution(y=y, z_source=z, grid=grid)
 
 
 # Rows per chunk of the solution writer, about 250 KB of text at k = d = 1:
@@ -475,8 +540,8 @@ def save_solution_csv(sol: DiscreteSolution, path) -> None:
     already formatted; paths go out in chunks, so the text is never held
     whole.
     """
-    m, n_plus, k = sol.y.shape
-    d = sol.z.shape[3]
+    _, n, k, d = sol.z_shape
+    n_plus = n + 1
     header = (["path", "step", "t"]
               + [f"y_{i + 1}" for i in range(k)]
               + [f"z_{i + 1}{j + 1}" for i in range(k) for j in range(d)])
@@ -487,11 +552,13 @@ def save_solution_csv(sol: DiscreteSolution, path) -> None:
     chunk = max(1, _SOLUTION_CHUNK_ROWS // n_plus)
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            block = np.zeros((hi - lo, n_plus, k + k * d))
-            block[:, :, :k] = sol.y[lo:hi]
-            block[:, :-1, k:] = sol.z[lo:hi].reshape(hi - lo, n_plus - 1, k * d)
-            fh.writelines((format_number(pth) + ",").join(rows) % tuple(values)
-                          for pth, values in enumerate(
-                              block.reshape(hi - lo, -1).tolist(), lo))
+        for first, y, z in _solution_groups(sol):
+            for lo in range(0, len(y), chunk):
+                hi = min(lo + chunk, len(y))
+                block = np.zeros((hi - lo, n_plus, k + k * d))
+                block[:, :, :k] = y[lo:hi]
+                block[:, :-1, k:] = z[lo:hi].reshape(hi - lo, n, k * d)
+                fh.writelines((format_number(pth) + ",").join(rows)
+                              % tuple(values) for pth, values in enumerate(
+                                  block.reshape(hi - lo, -1).tolist(),
+                                  first + lo))

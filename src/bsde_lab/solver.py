@@ -216,13 +216,62 @@ def _gram_factor(feats: np.ndarray, ridge: float):
             "normal equations are singular; pass a ridge > 0") from exc
 
 
-def _project(feats: np.ndarray, factor, targets: np.ndarray):
-    """Fitted values (M, m) and coefficients (n_basis, m) of targets (M, m)."""
+def _coefficients(feats: np.ndarray, factor, targets: np.ndarray) -> np.ndarray:
+    """Ridge regression coefficients (n_basis, m) of targets (M, m)."""
     rhs = _blocked_product(feats, targets)
-    coeffs = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+
+
+def _fitted(coeffs: np.ndarray, feats: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Fitted values (M, m) of coefficients (n_basis, m) on feats (n_basis, M),
+    written, when out (m, M) is given, into out, whose transpose they are:
+    the one product by which the sweep fits y and z and RegressedZ rebuilds z.
+    Each value is one path's sum over its own features, so a block of paths
+    gets the bits of the whole."""
     # the same sums as feats.T @ coeffs, over twice as fast: BLAS
     # reads feats along its contiguous rows
-    return (coeffs.T @ feats).T, coeffs
+    return np.matmul(coeffs.T, feats, out=out).T
+
+
+@dataclass(frozen=True)
+class RegressedZ:
+    """z held as each time step's regression coefficients, coeffs (N, n_basis,
+    k d), on the polynomial features of the given degree of the ensemble's
+    Brownian states: z_i = _fitted(coeffs[i], features(B_i)), shaped
+    (M, k, d), the product by which the sweep fitted it, so every rebuilt
+    z_i has the bits the sweep had."""
+
+    coeffs: np.ndarray = field(repr=False)
+    degree: int
+    ens: PathEnsemble = field(repr=False)
+
+    @property
+    def shape(self) -> tuple:
+        """(M, N, k, d), the shape of the per-path z these coefficients give."""
+        n, _, kd = self.coeffs.shape
+        return self.ens.M, n, kd // self.ens.d, self.ens.d
+
+    def steps(self, start: int, stop: int, rows: slice):
+        """(i, z_i) for i = start, ..., stop - 1: z_i (m, k, d) of the
+        ensemble's paths in rows, rebuilt _ROW_BLOCK paths at a time, so that
+        a block's features stay in cache.  Each z_i is a view of one
+        (k d, m) buffer, which the next step overwrites."""
+        m, _, k, d = self.shape
+        m = len(range(*rows.indices(m)))
+        width = min(m, _ROW_BLOCK)
+        # rows a power of two bytes apart map to the same cache sets, which
+        # made the product a third slower at 8192 paths: pad the row stride
+        feats = np.empty((self.coeffs.shape[1], width + 8))[:, :width]
+        z_t = np.empty((k * d, m))
+        for i, b_i in self.ens.forward_states(start, stop):
+            states = b_i[rows]
+            for lo in range(0, m, _ROW_BLOCK):
+                block = states[lo:lo + _ROW_BLOCK]
+                f = polynomial_features(block, self.degree,
+                                        out=feats[:, :len(block)])
+                _fitted(self.coeffs[i], f, out=z_t[:, lo:lo + len(block)])
+            yield i, z_t.T.reshape(m, k, d)
 
 
 @dataclass(frozen=True)
@@ -253,13 +302,17 @@ class PicardReport:
         return all(self.window_converged)
 
 
-def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
+def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
                     ens: PathEnsemble, basis: BasisSpec, i_lo: int, i_hi: int,
                     factors: list, acc: tuple | None = None) -> None:
     """One frozen-argument sweep on grid indices [i_lo, i_hi], in place.
 
-    y[:, i_hi] is the terminal value.  Step i reads the frozen y[:, i], which
-    only its own driver term needs, then overwrites y[:, i] and z[:, i].
+    y[:, i_hi] is the terminal value, and zc (N, n_basis, k d) holds each
+    step's z coefficients (see RegressedZ).  Step i reads the frozen
+    y[:, i], which only its own driver term needs, then overwrites y[:, i]
+    and zc[i].  It fits the per-path z_i only where something reads it: the
+    driver, unless its family's lipschitz_z is exactly 0, when it is given
+    zeros, and acc's z fold.
 
     factors holds the Gram factor of each time index, or None where none has
     been built; the sweep fills what it builds, so later sweeps of the same
@@ -269,28 +322,33 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
     acc, when given, is two (M,) arrays (sup_dy, sum_dz) into which each
     step folds, just before it overwrites the old iterate, the change of y
     (a running max of its norm) and the change of z (a running sum of its
-    squares).
+    squares), whose old z_i it rebuilds from zc[i] on the step's features.
     """
     m, k, d = ens.M, y.shape[2], ens.d
     dt, times = ens.grid.dt, ens.grid.times
+    c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
+    reads_z = c_lip is None or c_lip(gen) != 0.0
+    zero_z = np.broadcast_to(0.0, (m, k, d))
     feats = np.empty((basis.size(d), m))
     for i, b_i in ens.backward_states(i_lo, i_hi):
         polynomial_features(b_i, basis.degree, out=feats)
         try:
             if factors[i] is None:
                 factors[i] = _gram_factor(feats, basis.ridge_for(m))
-            cont, _ = _project(feats, factors[i], y[:, i + 1])
+            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]), feats)
             # martingale residual keeps the z targets mean-zero given the state
             resid = y[:, i + 1] - cont
             z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
-            z_fit, _ = _project(feats, factors[i], z_targets.reshape(m, k * d))
+            coeffs = _coefficients(feats, factors[i], z_targets.reshape(m, k * d))
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc
-        z_i = z_fit.reshape(m, k, d)
+        if reads_z or acc is not None:
+            z_i = _fitted(coeffs, feats).reshape(m, k, d)
         # an overflow is left non-finite: the check below, or picard_solve's
         # check of the distance folded here, reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            g = eval_generator_batch(gen, times[i], b_i, y[:, i], z_i)
+            g = eval_generator_batch(gen, times[i], b_i, y[:, i],
+                                     z_i if reads_z else zero_z)
             y_i = cont + g * dt
             if not np.all(np.isfinite(y_i)):
                 raise PicardDivergenceError(
@@ -298,9 +356,10 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: np.ndarray,
             if acc is not None:
                 sup_dy, sum_dz = acc
                 analysis.fold_sup(sup_dy, y_i - y[:, i])
-                analysis.fold_squares(sum_dz, z_i - z[:, i])
+                analysis.fold_squares(
+                    sum_dz, z_i - _fitted(zc[i], feats).reshape(m, k, d))
         y[:, i] = y_i
-        z[:, i] = z_i
+        zc[i] = coeffs
 
 
 def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:
@@ -331,7 +390,8 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     With split = T1, windows of length T - T1 are processed backward from T,
     each chained to the previous window's boundary values.
 
-    Returns (DiscreteSolution, PicardReport).
+    Returns (DiscreteSolution, PicardReport); the solution holds z as a
+    RegressedZ, each step's coefficients.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -353,11 +413,12 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     if vals.size != k:
         raise ValueError("constant initial field must have length k")
     grid = ens.grid
-    # (y, z) is at once the frozen argument of every sweep, the new iterate
+    # (y, zc) is at once the frozen argument of every sweep, the new iterate
     # and, window by window, the solution: each sweep overwrites it in place,
     # and a window's terminal value y[:, i_hi] is xi or the earlier window's.
-    sol = DiscreteSolution.zeros(ens.M, k, ens.d, grid)
-    y, z = sol.y, sol.z
+    # y is step-major like the ensemble, so y[:, i] is contiguous.
+    y = np.empty((grid.N + 1, ens.M, k)).transpose(1, 0, 2)
+    zc = np.zeros((grid.N, basis.size(ens.d), k * ens.d))
     y[...] = vals
     y[:, -1] = xi
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
@@ -369,7 +430,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     reads_y = family.reads_y(gen)
 
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors)
+        _backward_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
@@ -378,7 +439,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
                 # each measured sweep folds the distance to the iterate it
                 # overwrites, so no copy of the old iterate is kept
                 sup_dy, sum_dz = np.zeros(ens.M), np.zeros(ens.M)
-                _backward_sweep(gen, y, z, ens, basis, i_lo, i_hi, factors,
+                _backward_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
                                 (sup_dy, sum_dz))
                 dy = analysis.sup_power_mean(sup_dy, p)
                 dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
@@ -403,4 +464,5 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
             converged = dy <= tol
         report.window_converged.append(converged)
 
-    return sol, report
+    return (DiscreteSolution(y=y, z_source=RegressedZ(zc, basis.degree, ens),
+                             grid=grid), report)

@@ -218,6 +218,57 @@ def test_constants_overflow_names_lambda_when_its_square_overflows():
         "z-Lipschitz constant lambda = 1e+200")
 
 
+@pytest.mark.parametrize("args, given", [
+    ((2.0, 0.0, 2.0, 0.5), {"c1": math.log(2.0), "c3": math.log(2.0)}),
+    ((2.0, 1.0, 1.0, 1.0), {}),
+    ((3.0, 0.3, 1.0, 0.0), {"k_prime_p": 0.5}),
+    ((2.0, 0.0, 0.004, 0.5), {}),
+    ((2.0, 0.0, 1.0, 4.0), {"c1": 1.0, "c3": 2.0}),
+])
+def test_split_time_is_the_t1_of_the_constants(args, given):
+    assert bl.analysis.split_time(*args, **given) == \
+        bl.compute_constants(*args, **given).t1
+
+
+def test_split_time_is_defined_where_mu0_overflows():
+    # at p = 1.5, lambda = 1 the default c3 = 2 k'_p d is 1036, which sends
+    # e^(c3 T) past the float range, so the bundle overflows; T1 does not
+    # read mu0
+    given = {"terminal_moment": 1.0, "h3_moment": 0.5}
+    with pytest.raises(OverflowError, match="derived constants overflow"):
+        bl.compute_constants(1.5, 1.0, 1.0, 0.5, **given)
+    assert bl.analysis.split_time(1.5, 1.0, 1.0, 0.5, **given) == \
+        pytest.approx(1.0 - math.log(2.0) / 1036.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("given", [{"h3_moment": math.inf},
+                                   {"terminal_moment": math.nan}])
+def test_split_time_needs_finite_moments(given):
+    # the bound T1 rests on needs both moments finite, whatever T1 is
+    with pytest.raises(OverflowError) as exc:
+        bl.analysis.split_time(2.0, 0.0, 1.0, 0.0, **given)
+    with pytest.raises(OverflowError) as ref:
+        bl.compute_constants(2.0, 0.0, 1.0, 0.0, **given)
+    assert str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("p, given", [(1.001, {}),
+                                      (2.0, {"c1": 1e300, "c3": 1e300})],
+                         ids=["exponent_overflows", "no_room_below_T"])
+def test_split_time_without_a_local_interval_is_an_overflow(p, given):
+    # theta^(1/(p-1)) overflows at p = 1.001; ln2 / 1e300 is below half an
+    # ulp of T
+    with pytest.raises(OverflowError, match="leave no local interval"):
+        bl.analysis.split_time(p, 0.0, 1.0, 0.0, **given)
+
+
+def test_split_time_validation():
+    with pytest.raises(ValueError, match="needs p > 1"):
+        bl.analysis.split_time(1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        bl.analysis.split_time(2.0, 0.0, 1.0, 0.0, c3=0.0)
+
+
 # -------------------------------------------------------------- energy check
 
 def test_lemma1_zero_everything(small_ensemble):
@@ -330,7 +381,7 @@ def _random_solution(ens, seed):
     y = rng.standard_normal((n + 1, m, 1))
     y[:, ::17] = 0.0
     z = rng.standard_normal((n, m, 1, ens.d))
-    return bl.DiscreteSolution(y=y.transpose(1, 0, 2), z=z.transpose(1, 0, 2, 3),
+    return bl.DiscreteSolution(y=y.transpose(1, 0, 2), z_source=z.transpose(1, 0, 2, 3),
                                grid=ens.grid)
 
 

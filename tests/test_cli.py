@@ -675,6 +675,24 @@ def test_split_auto_at_t1_zero_solves_in_one_window(tmp_path):
     assert {row.split(",")[0] for row in report[1:]} == {"0"}
 
 
+def test_split_auto_is_defined_where_mu0_overflows(tmp_path, capsys):
+    # example1 at p = 1.5: c3 = 1036 sends mu0 = c2 e^(c3 T) (...) past the
+    # float range, which constants reports, but T1 = T - ln2/1036 does not
+    # read mu0, and the solve takes one window per step
+    doc = _config(tmp_path, paths={"M": 2048, "N": 10, "T": 1.0, "seed": 3},
+                  solver={"p": 1.5, "split": "auto", "picard_tol": 1e-6},
+                  generator={"family": "example1", "params": {"p": 2.0}},
+                  terminal={"kind": "coordinate"})
+    path = _write(tmp_path, doc)
+    assert main(["constants", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the derived constants overflow at p = 1.5, T = 1.0; reduce c3 "
+        "or the horizon\n")
+    assert main(["solve", str(path)]) == 0
+    report = (tmp_path / "out" / "picard_report.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in report[1:]} == {str(w) for w in range(10)}
+
+
 _LINEAR = {"family": "linear", "params": {"a": 0.5, "c": 0.2}}
 
 

@@ -74,7 +74,7 @@ def test_discrete_residual_has_small_conditional_mean(name, params,
 def test_compare_identical_is_zero(small_ensemble):
     form = match_oracle(bl.zero_generator(), bl.square_norm_terminal())
     y, z = oracle_paths(form, small_ensemble)
-    sol = bl.DiscreteSolution(y=y, z=z, grid=small_ensemble.grid)
+    sol = bl.DiscreteSolution(y=y, z_source=z, grid=small_ensemble.grid)
     errs = bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
     assert errs.sp_error == 0.0
     assert errs.z_rms_error == 0.0
@@ -83,7 +83,7 @@ def test_compare_identical_is_zero(small_ensemble):
 def test_compare_constant_shift(small_ensemble):
     form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
     y, z = oracle_paths(form, small_ensemble)
-    sol = bl.DiscreteSolution(y=y + 0.25, z=z, grid=small_ensemble.grid)
+    sol = bl.DiscreteSolution(y=y + 0.25, z_source=z, grid=small_ensemble.grid)
     errs = bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
     assert errs.sp_error == pytest.approx(0.25, rel=1e-12)
     assert errs.z_rms_error == 0.0
@@ -97,7 +97,7 @@ def test_compare_holds_one_time_step_of_the_oracle():
     ens = bl.generate_ensemble(M=4096, N=20, d=3, T=1.0, seed=5)
     form = match_oracle(bl.zero_generator(1), bl.coordinate_terminal(0))
     y, z = oracle_paths(form, ens)
-    sol = bl.DiscreteSolution(y=y + 0.25, z=z + 0.5, grid=ens.grid)
+    sol = bl.DiscreteSolution(y=y + 0.25, z_source=z + 0.5, grid=ens.grid)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -131,7 +131,7 @@ def test_compare_z_rms_is_the_mean_over_every_cell():
 def test_compare_shape_mismatch(small_ensemble):
     form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
     y, z = oracle_paths(form, small_ensemble)
-    sol = bl.DiscreteSolution(y=y[:, :-1], z=z, grid=small_ensemble.grid)
+    sol = bl.DiscreteSolution(y=y[:, :-1], z_source=z, grid=small_ensemble.grid)
     with pytest.raises(ValueError):
         bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
 

@@ -22,6 +22,9 @@ KEPT = {
                                "solutions",
     "lp_norm_arrays": "the benchmark's traced runs wrap it by name",
     "oracle_paths": "the tests' reference for the closed-form solutions",
+    "DiscreteSolution.z": "the whole z array, which the benchmark's finiteness "
+                          "gate and the tests read; the library walks "
+                          "z_steps",
 }
 
 

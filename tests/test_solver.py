@@ -18,11 +18,18 @@ from bsde_lab.cli import save_picard_report_csv
 from bsde_lab.paths import (FileFormatError, format_number, save_solution_csv,
                             write_csv)
 from bsde_lab.solver import (TERMINAL_KINDS, PicardDivergenceError,
-                             SingularRegressionError, _gram_factor, _project,
+                             RegressedZ, SingularRegressionError,
+                             _coefficients, _fitted, _gram_factor,
                              polynomial_features, terminal_values)
 
 
 BASIS = bl.BasisSpec(degree=3)
+
+
+def _project(feats, factor, targets):
+    """Fitted values and coefficients of targets, as the sweep regresses."""
+    coeffs = _coefficients(feats, factor, targets)
+    return _fitted(coeffs, feats), coeffs
 
 
 # ----------------------------------------------------------------- terminals
@@ -380,7 +387,7 @@ def test_solution_csv_layout(tmp_path, small_ensemble):
 def test_solution_csv_bytes(tmp_path):
     y = np.array([[[0.1, 2.0], [1.0 / 3.0, -0.0]]])
     z = np.array([[[[0.5], [1e-20]]]])
-    sol = bl.DiscreteSolution(y=y, z=z, grid=bl.TimeGrid(T=0.3, N=1))
+    sol = bl.DiscreteSolution(y=y, z_source=z, grid=bl.TimeGrid(T=0.3, N=1))
     target = tmp_path / "solution.csv"
     save_solution_csv(sol, target)
     assert target.read_text() == (
@@ -406,7 +413,7 @@ def test_solution_csv_is_the_generic_rendering(tmp_path_factory, m, n, k, d,
                                max_size=m * (n + 1) * k + m * n * k * d))
     y = np.array(cells[:m * (n + 1) * k]).reshape(m, n + 1, k)
     z = np.array(cells[m * (n + 1) * k:]).reshape(m, n, k, d)
-    sol = bl.DiscreteSolution(y=y, z=z, grid=bl.TimeGrid(T=horizon, N=n))
+    sol = bl.DiscreteSolution(y=y, z_source=z, grid=bl.TimeGrid(T=horizon, N=n))
     out = tmp_path_factory.mktemp("solution")
     # a small chunk puts chunk boundaries inside the solution
     with mock.patch.object(paths_module, "_SOLUTION_CHUNK_ROWS", chunk_rows):
@@ -440,7 +447,7 @@ def test_ensemble_and_solution_bytes_are_pinned(tmp_path, antithetic,
     bl.save_ensemble(ens, tmp_path / "paths.bsde")
     b = ens.all_states()
     sol = bl.DiscreteSolution(
-        y=b[:, :, :2], z=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        y=b[:, :, :2], z_source=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
         grid=ens.grid)
     save_solution_csv(sol, tmp_path / "solution.csv")
     # the CSV export of the binary file is the same text
@@ -456,7 +463,7 @@ def _random_solution(m, n, k, d, layout=np.ascontiguousarray, seed=0):
     """A solution of standard normals; layout shapes its path-major arrays."""
     rng = np.random.default_rng(seed)
     return bl.DiscreteSolution(y=layout(rng.standard_normal((m, n + 1, k))),
-                               z=layout(rng.standard_normal((m, n, k, d))),
+                               z_source=layout(rng.standard_normal((m, n, k, d))),
                                grid=bl.TimeGrid(T=1.5, N=n))
 
 
@@ -491,7 +498,7 @@ def test_solution_file_bytes_are_pinned(tmp_path):
     ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11)
     b = ens.all_states()
     sol = bl.DiscreteSolution(
-        y=b[:, :, :2], z=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
+        y=b[:, :, :2], z_source=b[:, :-1, :2, None] * ens.increments[:, :, None, :],
         grid=ens.grid)
     bl.save_solution(sol, tmp_path / "s.bsol")
     assert hashlib.sha256((tmp_path / "s.bsol").read_bytes()).hexdigest() == (
@@ -504,8 +511,8 @@ def test_solution_file_bytes_do_not_depend_on_the_layout(tmp_path, layout):
     z = np.empty((4, 1500, 2, 2)).transpose(1, 0, 2, 3)
     z[...] = ens.increments[:, :, :, None] * ens.increments[:, :, None, :]
     b = ens.all_states()
-    step_major = bl.DiscreteSolution(y=b, z=z, grid=ens.grid)
-    hand = bl.DiscreteSolution(y=layout(b), z=layout(z), grid=ens.grid)
+    step_major = bl.DiscreteSolution(y=b, z_source=z, grid=ens.grid)
+    hand = bl.DiscreteSolution(y=layout(b), z_source=layout(z), grid=ens.grid)
     bl.save_solution(step_major, tmp_path / "a.bsol")
     bl.save_solution(hand, tmp_path / "b.bsol")
     assert (tmp_path / "a.bsol").read_bytes() == (tmp_path / "b.bsol").read_bytes()
@@ -517,7 +524,7 @@ def test_solution_file_io_holds_no_second_copy(tmp_path):
     sol = _random_solution(m, n, 1, 1, seed=3)
     step_major = bl.DiscreteSolution(
         y=np.ascontiguousarray(sol.y.transpose(1, 0, 2)).transpose(1, 0, 2),
-        z=np.ascontiguousarray(sol.z.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+        z_source=np.ascontiguousarray(sol.z.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
         grid=sol.grid)
     payload = sol.y.nbytes + sol.z.nbytes
     target = tmp_path / "s.bsol"
@@ -618,9 +625,10 @@ def test_picard_report_flags_each_window(tmp_path):
 
 
 def _zero_pair(ens):
-    """A zero scalar (y, z) on ens, stored step-major as the solver's."""
-    sol = bl.DiscreteSolution.zeros(ens.M, 1, ens.d, ens.grid)
-    return sol.y, sol.z
+    """A zero scalar y on ens, stored step-major as the solver's, and zero
+    z coefficients (N, n_basis, d) on BASIS."""
+    y = np.zeros((ens.grid.N + 1, ens.M, 1)).transpose(1, 0, 2)
+    return y, np.zeros((ens.grid.N, BASIS.size(ens.d), ens.d))
 
 
 def test_picard_solve_is_the_frozen_iteration(small_ensemble):
@@ -632,13 +640,16 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
                                max_iter=2, init=0.25)
     assert rep.iterations == 2 and not rep.converged
     n = small_ensemble.grid.N
-    y, z = _zero_pair(small_ensemble)
+    y, zc = _zero_pair(small_ensemble)
     y[...] = 0.25
     y[:, -1] = terminal_values(term, small_ensemble, 1)
     for _ in range(3):
-        solver_module._backward_sweep(gen, y, z, small_ensemble, BASIS, 0, n,
+        solver_module._backward_sweep(gen, y, zc, small_ensemble, BASIS, 0, n,
                                       [None] * n)
-    assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
+    assert np.array_equal(sol.y, y)
+    assert np.array_equal(sol.z_source.coeffs, zc)
+    assert (sol.z_source.degree, sol.z_source.ens) == (BASIS.degree,
+                                                       small_ensemble)
 
 
 # sha256 of picard_solve's y and z bytes, hashed in their logical (M, ...)
@@ -701,17 +712,17 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     ens = small_ensemble
     y = np.full((ens.M, ens.grid.N + 1, 1), 0.25)
     y[:, -1] = ens.final_state[:, :1]
-    z = np.zeros((ens.M, ens.grid.N, 1, 1))
+    zc = np.zeros((ens.grid.N, BASIS.size(1), 1))
     assert solver_module._backward_sweep(
-        bl.example1_generator(2.0), y, z, ens, BASIS, 0, ens.grid.N,
+        bl.example1_generator(2.0), y, zc, ens, BASIS, 0, ens.grid.N,
         [None] * ens.grid.N) is None
-    # against a sweep on a fresh pair, stored step-major as the solver's
-    ref_y, ref_z = _zero_pair(ens)
+    # against a sweep on a fresh pair, y stored step-major as the solver's
+    ref_y, ref_zc = _zero_pair(ens)
     ref_y[...] = 0.25
     ref_y[:, -1] = ens.final_state[:, :1]
-    solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
+    solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_zc,
                                   ens, BASIS, 0, ens.grid.N, [None] * ens.grid.N)
-    assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
+    assert np.array_equal(y, ref_y) and np.array_equal(zc, ref_zc)
 
 
 @pytest.mark.parametrize("gen, term, d, split, bound", [
@@ -720,11 +731,12 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     (bl.example1_generator(2.0), bl.coordinate_terminal(0), 1, 0.5, 1.7),
 ], ids=["zero_d3", "example1", "split"])
 def test_picard_solve_holds_one_iterate_pair(gen, term, d, split, bound):
-    # One (y, z) pair is Y + Z bytes.  The solve holds it, two (M,)
-    # distance accumulators and the temporaries of one step: each measured
-    # sweep folds its distance into the accumulators as it overwrites the
-    # iterate, so no copy of a window is kept.  Measured: 1.67 pairs for
-    # zero_d3 and 1.52 for example1 and split.  A copy of the window, as the
+    # One (y, z) pair is Y + Z bytes.  The solve holds y, z's coefficients,
+    # two (M,) distance accumulators and the temporaries of one step: each
+    # measured sweep folds its distance into the accumulators as it
+    # overwrites the iterate, so no copy of a window is kept.  Measured: 0.90
+    # pairs for zero_d3, 1.04 for example1 and 1.09 for split (1.67, 1.52
+    # and 1.57 while z was held per path).  A copy of the window, as the
     # solve kept before (2.91, 2.47 and 2.05), a second full pair, or
     # full-window distance temporaries would lift the peak past the bound.
     m, n = 4096, 20
@@ -770,16 +782,18 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     assert 0 == i_lo < i_hi < n
     swept = []
     for acc in (None, (np.zeros(ens.M), np.zeros(ens.M))):
-        y, z = _zero_pair(ens)
+        y, zc = _zero_pair(ens)
         y[...] = 0.25
         y[:, i_hi] = ens.all_states()[:, i_hi, :1]
-        z[...] = 0.5
-        old_y, old_z = y.copy(), z.copy()
-        solver_module._backward_sweep(gen, y, z, ens, BASIS, i_lo, i_hi,
+        zc[...] = 0.5
+        old_y, old_zc = y.copy(), zc.copy()
+        solver_module._backward_sweep(gen, y, zc, ens, BASIS, i_lo, i_hi,
                                       [None] * n, acc)
-        swept.append((y, z))
-    (y_ref, z_ref), (y, z) = swept
-    assert y.tobytes() == y_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+        swept.append((y, zc))
+    (y_ref, zc_ref), (y, zc) = swept
+    assert y.tobytes() == y_ref.tobytes() and zc.tobytes() == zc_ref.tobytes()
+    z, old_z = (bl.DiscreteSolution(y, RegressedZ(c, BASIS.degree, ens),
+                                    ens.grid).z for c in (zc, old_zc))
     sup_dy, sum_dz = acc
     win_y, win_z = slice(i_lo, i_hi + 1), slice(i_lo, i_hi)
     dy, dz = bl.analysis.iterate_distance_arrays(
@@ -906,3 +920,96 @@ def test_sweeps_per_solve(name):
     else:
         assert rep.iterations > len(rep.windows)
         assert sweep.call_count == rep.iterations + len(rep.windows)
+
+
+# ------------------------------------------------ z held as coefficients
+
+def test_a_zero_driver_solve_holds_no_per_path_z():
+    # The solve keeps z as each step's coefficients, and a driver whose
+    # lipschitz_z is 0 never has z fitted per path.  Measured: 14.2 MB
+    # beyond the ensemble, against 34.2 MB while z was held per path; the
+    # per-path z store alone is 19.7 MB.
+    m, n, d = 16384, 50, 3
+    ens = bl.generate_ensemble(M=m, N=n, d=d, T=1.0, seed=43)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sol, _ = bl.picard_solve(bl.zero_generator(1), bl.coordinate_terminal(0),
+                                 ens, BASIS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < m * n * 1 * d * 8
+    assert sol.z_source.coeffs.shape == (n, BASIS.size(d), d)
+
+
+def _z_free_drivers():
+    """Every builtin spec whose exact lipschitz_z is 0."""
+    return [bl.zero_generator(1), bl.zero_generator(3),
+            bl.linear_generator(a=0.5, c=0.2),
+            bl.linear_generator(a=0.0, b=0.0, c=-1.0),
+            bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], c=[0.1, 0.2], k=2),
+            bl.linear_generator(a=[[0.0, 0.0], [0.0, 0.0]], b=-0.0, k=2)]
+
+
+@pytest.mark.parametrize("gen", _z_free_drivers(),
+                         ids=["zero", "zero_k3", "linear", "linear_a0",
+                              "linear_matrix", "linear_matrix_a0"])
+def test_a_driver_whose_lipschitz_z_is_zero_does_not_read_z(gen):
+    # the sweep gives such a driver zeros for z, so lipschitz_z == 0 must be
+    # exact: the driver on any z is the driver on zeros, bit for bit
+    assert bl.generator.GENERATOR_FAMILIES[gen.family].lipschitz_z(gen) == 0.0
+    rng = np.random.default_rng(5)
+    m, d = 1000, 2
+    t, b = 0.3, rng.standard_normal((m, d))
+    y = rng.standard_normal((m, gen.k))
+    z = 10.0 * rng.standard_normal((m, gen.k, d))
+    got = bl.generator.eval_generator_batch(gen, t, b, y, z)
+    zero = bl.generator.eval_generator_batch(
+        gen, t, b, y, np.broadcast_to(0.0, (m, gen.k, d)))
+    assert got.tobytes() == zero.tobytes()
+    assert got.tobytes() == bl.generator.eval_generator_batch(
+        gen, t, b, y, np.zeros((m, gen.k, d))).tobytes()
+
+
+def test_a_family_that_states_no_lipschitz_z_gets_the_fitted_z(add_driver):
+    # lipschitz_z None: each step's driver reads the z the sweep fits, which
+    # is the z the solution rebuilds from its coefficients
+    seen = []
+
+    def driver(t, b, y, z):
+        seen.append(z.copy())
+        return 0.1 * np.sin(z[:, :, 0])
+
+    gen = add_driver("user_reads_z", driver)
+    ens = bl.generate_ensemble(M=1024, N=6, d=1, T=1.0, seed=44)
+    sol, rep = bl.picard_solve(gen, bl.coordinate_terminal(0), ens, BASIS,
+                               tol=1e-12)
+    assert rep.converged
+    last = seen[-ens.grid.N:][::-1]  # the last sweep, forward in time
+    assert all(z_i.tobytes() == sol.z[:, i].tobytes()
+               for i, z_i in enumerate(last))
+    assert np.all(np.abs(sol.z[:, :, 0, 0].mean(axis=0) - 1.0) < 0.2)
+
+
+def test_a_regressed_z_writes_the_bytes_of_its_per_path_array(tmp_path):
+    # 9000 paths put a group boundary of the writers and a block boundary of
+    # the rebuild inside the solution
+    ens = bl.generate_ensemble(M=9000, N=4, d=2, T=1.0, seed=45)
+    gen = bl.linear_generator(a=[[0.3, 0.1], [0.0, -0.2]], b=0.4,
+                              c=[0.1, 0.2], k=2)
+    sol, _ = bl.picard_solve(gen, bl.constant_terminal([1.0, 2.0]), ens,
+                             BASIS, tol=1e-8)
+    per_path = bl.DiscreteSolution(y=sol.y, z_source=sol.z, grid=sol.grid)
+    assert sol.z_shape == per_path.z_shape == (9000, 4, 2, 2)
+    for name, writer in (("bsol", bl.save_solution), ("csv", save_solution_csv)):
+        writer(sol, tmp_path / f"a.{name}")
+        writer(per_path, tmp_path / f"b.{name}")
+        assert (tmp_path / f"a.{name}").read_bytes() == \
+            (tmp_path / f"b.{name}").read_bytes()
+    back = bl.load_solution(tmp_path / "a.bsol")
+    assert back.z.tobytes() == sol.z.tobytes()
+    rows = slice(8000, 8500)
+    for (i, z_i), (j, ref) in zip(sol.z_steps(1, 3, rows),
+                                  back.z_steps(1, 3, rows)):
+        assert i == j and z_i.tobytes() == ref.tobytes()
