@@ -10,7 +10,7 @@ import numpy as np
 
 from .generator import EnvelopeA, GeneratorSpec, eval_generator_batch, eval_process
 from .modulus import ModulusSpec, eval_modulus, require_concave
-from .paths import PathEnsemble, sum_squares
+from .paths import PathEnsemble, norms, sum_squares
 
 
 class BihariOrderingError(RuntimeError):
@@ -27,7 +27,7 @@ class BihariOverflowError(BihariBoundError):
 
 def fold_sup(sup: np.ndarray, step: np.ndarray) -> None:
     """sup = max(sup, |step|) per path, in place: sup (M,), step (M, k)."""
-    np.maximum(sup, np.sqrt(sum_squares(step)), out=sup)
+    np.maximum(sup, norms(step), out=sup)
 
 
 def fold_squares(total: np.ndarray, step: np.ndarray) -> None:
@@ -295,8 +295,7 @@ def check_lemma1(sol, gen: GeneratorSpec, p: float, t_index: int,
 
     # the two integrals, each step's term added per path as the walk reaches it
     energy, drift = np.zeros(m), np.zeros(m)
-    for (i, b_i), (_, z_i) in zip(ens.forward_states(t_index, grid.N),
-                                  sol.z_steps(t_index)):
+    for i, b_i, z_i in sol.z_along(ens.forward_states(t_index, grid.N)):
         y_i = sol.y[:, i]
         g = eval_generator_batch(gen, grid.times[i], b_i, y_i, z_i)
         weight = _power_indicator(np.linalg.norm(y_i, axis=1), p)
@@ -334,10 +333,9 @@ def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
     m = sol.y.shape[0]
 
     # per-path sums of phi^p, f and |z|^2, and E|y_t|^p at each step, folded
-    # on one forward walk beside the solution's walk of z
+    # on one forward walk, which the solution's z is read along
     phi_p, f_sum, z_sq, mean_y_p = np.zeros(m), np.zeros(m), np.zeros(m), []
-    for (i, b_i), (_, z_i) in zip(ens.forward_states(t_index, grid.N),
-                                  sol.z_steps(t_index)):
+    for i, b_i, z_i in sol.z_along(ens.forward_states(t_index, grid.N)):
         phi_p += eval_process(env.phi, b_i) ** p
         f_sum += eval_process(env.f, b_i)
         fold_squares(z_sq, z_i)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .modulus import (ModulusSpec, eval_modulus, example1_h_modulus, linear_modulus,
                       power_root, require_concave)
-from .paths import DimensionError, PathEnsemble, sum_squares
+from .paths import DimensionError, PathEnsemble, norms
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -63,12 +63,6 @@ def example1_generator(p: float = 2.0, delta: float | None = None) -> GeneratorS
     return GeneratorSpec("example1", k=1, p=h.p, delta=h.delta)
 
 
-def _frobenius(z: np.ndarray) -> np.ndarray:
-    """Per-path norm of z (M, ...), its square root taken in place."""
-    total = sum_squares(z)
-    return np.sqrt(total, out=total)
-
-
 def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
                          y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized driver evaluation over a batch of states.
@@ -87,7 +81,7 @@ def eval_generator_batch(gen: GeneratorSpec, t, brownian: np.ndarray,
 
 def _eval_linear(gen, t, brownian, y, z):
     out = gen.a * y if np.isscalar(gen.a) else y @ np.asarray(gen.a).T
-    return out + gen.b * _frobenius(z)[:, None] + np.asarray(gen.c, dtype=float)
+    return out + gen.b * norms(z)[:, None] + np.asarray(gen.c, dtype=float)
 
 
 @cache
@@ -98,8 +92,8 @@ def _example1_h(p: float, delta: float) -> ModulusSpec:
 
 def _eval_example1(gen, t, brownian, y, z):
     out = eval_modulus(_example1_h(gen.p, gen.delta), np.abs(y[:, 0]))
-    out += _frobenius(z)
-    out += _frobenius(brownian)
+    out += norms(z)
+    out += norms(brownian)
     return out[:, None]
 
 
@@ -199,7 +193,7 @@ def estimate_lipschitz_z(gen: GeneratorSpec,
 
     g1 = eval_generator_batch(gen, t, brownian, y, z1)
     g2 = eval_generator_batch(gen, t, brownian, y, z2)
-    dz = _frobenius(z1 - z2)
+    dz = norms(z1 - z2)
     valid = dz > 0.0
     ratio = np.linalg.norm(g1 - g2, axis=1)[valid] / dz[valid]
     sampled = float(np.max(ratio)) if ratio.size else 0.0
@@ -348,7 +342,7 @@ def verify_envelope(gen: GeneratorSpec, env: EnvelopeA, p: float,
         brownian[drawn] = b_i[path_idx[drawn]]
     g = np.linalg.norm(eval_generator_batch(gen, t, brownian, y, z), axis=1)
     bound = (eval_modulus(env.psi, np.linalg.norm(y, axis=1) ** p) ** (1.0 / p)
-             + env.lam * _frobenius(z)
+             + env.lam * norms(z)
              + eval_process(env.phi, brownian) + eval_process(env.f, brownian))
     defect = g - bound
     i = int(np.argmax(defect))

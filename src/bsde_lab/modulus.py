@@ -117,20 +117,19 @@ def _example1_slope(p: float, delta: float) -> float:
 
 
 def _eval_example1h(mod: ModulusSpec, u: np.ndarray) -> np.ndarray:
-    """The tangent line on every entry, then x|ln x|^(1/p) by index on the
-    entries at or below delta only: few of them on a solve's iterates."""
+    """The tangent line on every entry, h(0) = 0 through a mask, then
+    x|ln x|^(1/p) by index on the entries in (0, delta] only: few of them on
+    a solve's iterates, and none on its zero starting iterate."""
     h_delta = mod.delta * (-math.log(mod.delta)) ** (1.0 / mod.p)
     out = np.subtract(u, mod.delta, order="C")  # so out.reshape(-1) is a view
     out *= _example1_slope(mod.p, mod.delta)
     out += h_delta
-    flat_u = u.reshape(-1)
-    low = np.flatnonzero(flat_u <= mod.delta)
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    np.copyto(flat_out, 0.0, where=flat_u == 0.0)
+    low = np.flatnonzero((flat_u > 0.0) & (flat_u <= mod.delta))
     if low.size:
         x = flat_u[low]
-        h = np.zeros_like(x)  # h(0) = 0
-        pos = x > 0.0
-        h[pos] = x[pos] * (-np.log(x[pos])) ** (1.0 / mod.p)
-        out.reshape(-1)[low] = h
+        flat_out[low] = x * (-np.log(x)) ** (1.0 / mod.p)
     return out
 
 

@@ -75,14 +75,15 @@ class OracleErrors:
 def compare_to_oracle(sol, closed_form, ens: PathEnsemble,
                       p: float) -> OracleErrors:
     """S^p norm of the pathwise y error plus RMS of the z error over path, step:
-    the closed form one time step at a time, beside the solution's walk of
-    z, folded per path as the sweep does."""
+    the closed form one time step at a time, on one forward walk of the
+    ensemble that the solution's z is read along, folded per path as the
+    sweep does."""
     tau = ens.grid.T - ens.grid.times
     m, n = ens.M, ens.grid.N
     if sol.y.shape != (m, n + 1, 1) or sol.z_shape != (m, n, 1, ens.d):
         raise ValueError("solution shape disagrees with the oracle/ensemble")
     sup, total = np.zeros(m), np.zeros(m)
-    for (i, b_i), (_, z_i) in zip(ens.forward_states(0, n), sol.z_steps()):
+    for i, b_i, z_i in sol.z_along(ens.forward_states(0, n)):
         y_ref, z_ref = closed_form(np.asarray(tau[i]), b_i)
         analysis.fold_sup(sup, sol.y[:, i] - y_ref)
         analysis.fold_squares(total, z_i - z_ref)

@@ -1,6 +1,7 @@
-"""Brownian-motion ensembles on uniform time grids, per-path sums of squares,
-and every file format of the lab: the binary ensemble and solution files,
-which share one header reader and one path-major block writer, and CSVs."""
+"""Brownian-motion ensembles on uniform time grids, per-path sums of squares
+and norms, and every file format of the lab: the binary ensemble and
+solution files, which share one header reader and one path-major block
+writer, and CSVs."""
 
 from __future__ import annotations
 
@@ -188,6 +189,20 @@ def sum_squares(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def norms(a: np.ndarray) -> np.ndarray:
+    """Per-path Euclidean norm of a (M, ...) over its trailing axes: the
+    absolute value of a single trailing column, else the square root of
+    sum_squares.  For one column the two agree bit for bit wherever
+    2^-511 <= |x| < 2^512, the range in which x * x neither underflows nor
+    overflows: a correctly rounded root of a correctly rounded square gives
+    |x| back.  Outside it the absolute value is exact, where the root of the
+    square would be 0 or inf."""
+    if math.prod(a.shape[1:]) == 1:
+        return np.abs(a.reshape(a.shape[0]))
+    total = sum_squares(a)
+    return np.sqrt(total, out=total)
+
+
 # Paths per block when generation, loading and saving move paths between a
 # path-major block and the step-major ensemble.  Even, so that the two paths
 # of an antithetic pair fall in one block.
@@ -332,9 +347,9 @@ class DiscreteSolution:
     reads it from a file, or each step's regression coefficients, a
     solver.RegressedZ, as picard_solve returns it.
 
-    z_steps walks z one time step at a time in either form: it is how the
-    writers, the oracle comparison and the checks read z.  The property z
-    gives the whole array.
+    z_along walks z one time step at a time in either form, beside a walk
+    of the ensemble's Brownian states: it is how the writers, the oracle
+    comparison and the checks read z.  The property z gives the whole array.
     """
 
     y: np.ndarray
@@ -346,15 +361,14 @@ class DiscreteSolution:
         """(M, N, k, d), without building z."""
         return self.z_source.shape
 
-    def z_steps(self, start: int = 0, stop: int | None = None,
-                rows: slice = slice(None)):
-        """(i, z_i) for i = start, ..., stop - 1, stop = N by default: z_i
-        (m, k, d) of the paths in rows.  A rebuilt z_i is one buffer, which
-        the next step overwrites."""
-        stop = self.grid.N if stop is None else stop
+    def z_along(self, walk, rows: slice = slice(None)):
+        """(i, b_i, z_i) for each (i, b_i) of walk, a forward walk of the
+        Brownian states of the ensemble the solution was solved on: z_i
+        (m, k, d) of the paths in rows, which a RegressedZ fits on b_i.  A
+        fitted z_i is one buffer, which the next step overwrites."""
         if isinstance(self.z_source, np.ndarray):
-            return ((i, self.z_source[rows, i]) for i in range(start, stop))
-        return self.z_source.steps(start, stop, rows)
+            return ((i, b_i, self.z_source[rows, i]) for i, b_i in walk)
+        return self.z_source.along(walk, rows)
 
     def _z_rows(self, rows: slice, out: np.ndarray | None = None):
         """z of the paths in rows, (m, N, k, d): a view of a per-path
@@ -365,7 +379,8 @@ class DiscreteSolution:
         m, n, k, d = self.z_shape
         if out is None:
             out = np.empty((n, len(range(*rows.indices(m))), k, d))
-        for i, z_i in self.z_steps(rows=rows):
+        walk = self.z_source.ens.forward_states(0, n)
+        for i, _, z_i in self.z_source.along(walk, rows):
             out[i] = z_i
         return out.transpose(1, 0, 2, 3)
 

@@ -252,11 +252,12 @@ class RegressedZ:
         n, _, kd = self.coeffs.shape
         return self.ens.M, n, kd // self.ens.d, self.ens.d
 
-    def steps(self, start: int, stop: int, rows: slice):
-        """(i, z_i) for i = start, ..., stop - 1: z_i (m, k, d) of the
-        ensemble's paths in rows, rebuilt _ROW_BLOCK paths at a time, so that
-        a block's features stay in cache.  Each z_i is a view of one
-        (k d, m) buffer, which the next step overwrites."""
+    def along(self, walk, rows: slice):
+        """(i, b_i, z_i) for each (i, b_i) of walk, a walk of the ensemble's
+        Brownian states such as forward_states: z_i (m, k, d) of the paths
+        in rows, fitted on their states b_i[rows] _ROW_BLOCK paths at a
+        time, so that a block's features stay in cache.  Each z_i is a view
+        of one (k d, m) buffer, which the next step overwrites."""
         m, _, k, d = self.shape
         m = len(range(*rows.indices(m)))
         width = min(m, _ROW_BLOCK)
@@ -264,14 +265,14 @@ class RegressedZ:
         # made the product a third slower at 8192 paths: pad the row stride
         feats = np.empty((self.coeffs.shape[1], width + 8))[:, :width]
         z_t = np.empty((k * d, m))
-        for i, b_i in self.ens.forward_states(start, stop):
+        for i, b_i in walk:
             states = b_i[rows]
             for lo in range(0, m, _ROW_BLOCK):
                 block = states[lo:lo + _ROW_BLOCK]
                 f = polynomial_features(block, self.degree,
                                         out=feats[:, :len(block)])
                 _fitted(self.coeffs[i], f, out=z_t[:, lo:lo + len(block)])
-            yield i, z_t.T.reshape(m, k, d)
+            yield i, b_i, z_t.T.reshape(m, k, d)
 
 
 @dataclass(frozen=True)
@@ -323,6 +324,11 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
     step folds, just before it overwrites the old iterate, the change of y
     (a running max of its norm) and the change of z (a running sum of its
     squares), whose old z_i it rebuilds from zc[i] on the step's features.
+
+    Every (M, k) and (M, k, d) array a step writes is one buffer of the
+    sweep, which each step overwrites through the same ufuncs, in the same
+    order, that would build it anew; a z buffer exists only where a step
+    fills it.
     """
     m, k, d = ens.M, y.shape[2], ens.d
     dt, times = ens.grid.dt, ens.grid.times
@@ -330,34 +336,47 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
     reads_z = c_lip is None or c_lip(gen) != 0.0
     zero_z = np.broadcast_to(0.0, (m, k, d))
     feats = np.empty((basis.size(d), m))
+    # cont and the fitted z are the transposes of (k, M) and (k d, M)
+    # buffers, the layout _fitted writes
+    cont_t, resid, y_i = np.empty((k, m)), np.empty((m, k)), np.empty((m, k))
+    z_targets = np.empty((m, k, d))
+    z_t = np.empty((k * d, m)) if reads_z or acc is not None else None
+    if acc is not None:
+        sup_dy, sum_dz = acc
+        old_z_t, dy = np.empty((k * d, m)), np.empty((m, k))
     for i, b_i in ens.backward_states(i_lo, i_hi):
         polynomial_features(b_i, basis.degree, out=feats)
         try:
             if factors[i] is None:
                 factors[i] = _gram_factor(feats, basis.ridge_for(m))
-            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]), feats)
+            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]),
+                           feats, out=cont_t)
             # martingale residual keeps the z targets mean-zero given the state
-            resid = y[:, i + 1] - cont
-            z_targets = (resid[:, :, None] * ens.increments[:, i, None, :] / dt)
-            coeffs = _coefficients(feats, factors[i], z_targets.reshape(m, k * d))
+            np.subtract(y[:, i + 1], cont, out=resid)
+            np.multiply(resid[:, :, None], ens.increments[:, i, None, :],
+                        out=z_targets)
+            np.divide(z_targets, dt, out=z_targets)
+            coeffs = _coefficients(feats, factors[i],
+                                   z_targets.reshape(m, k * d))
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc
-        if reads_z or acc is not None:
-            z_i = _fitted(coeffs, feats).reshape(m, k, d)
+        if z_t is not None:
+            z_i = _fitted(coeffs, feats, out=z_t).reshape(m, k, d)
         # an overflow is left non-finite: the check below, or picard_solve's
         # check of the distance folded here, reports it
         with np.errstate(over="ignore", invalid="ignore"):
             g = eval_generator_batch(gen, times[i], b_i, y[:, i],
                                      z_i if reads_z else zero_z)
-            y_i = cont + g * dt
+            np.multiply(g, dt, out=y_i)
+            np.add(cont, y_i, out=y_i)
             if not np.all(np.isfinite(y_i)):
                 raise PicardDivergenceError(
                     f"non-finite solution values at time index {i}")
             if acc is not None:
-                sup_dy, sum_dz = acc
-                analysis.fold_sup(sup_dy, y_i - y[:, i])
-                analysis.fold_squares(
-                    sum_dz, z_i - _fitted(zc[i], feats).reshape(m, k, d))
+                analysis.fold_sup(sup_dy, np.subtract(y_i, y[:, i], out=dy))
+                old_z = _fitted(zc[i], feats, out=old_z_t).reshape(m, k, d)
+                analysis.fold_squares(sum_dz,
+                                      np.subtract(z_i, old_z, out=old_z))
         y[:, i] = y_i
         zc[i] = coeffs
 

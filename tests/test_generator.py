@@ -55,6 +55,17 @@ def test_example1_is_bytes_of_its_three_terms(p, delta, d):
     assert got[:, 0].tobytes() == ref.tobytes()
 
 
+def test_example1_is_finite_where_the_square_of_z_overflows():
+    # |z| is the absolute value of z's one column, which is exact where
+    # sqrt(z * z) would be inf (and 0 where z * z underflows)
+    gen = bl.example1_generator(2.0)
+    y = np.zeros((3, 1))
+    z = np.array([1e200, -1e300, 1e-200]).reshape(3, 1, 1)
+    got = eval_generator_batch(gen, 0.5, np.zeros((3, 1)), y, z)
+    assert np.all(np.isfinite(got))
+    assert got[:, 0].tolist() == [1e200, 1e300, 1e-200]
+
+
 def test_linear_generator_scalar_a():
     gen = bl.linear_generator(a=1.0, b=0.0, c=0.0, k=1)
     out = eval_generator_batch(gen, 0.0, np.zeros((1, 2)), np.array([[3.0]]),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,35 @@ def test_example1h_eval_is_bytes_of_the_masked_formula(p, delta):
 ])
 def test_zero_maps_to_zero(mod):
     assert bl.eval_modulus(mod, 0.0) == 0.0
+
+
+def _eval_peak(evaluate, mod, u):
+    """The tracemalloc peak of one evaluate(mod, u), in bytes."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        evaluate(mod, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_example1h_scratch_on_zeros_is_that_of_real_iterates():
+    # h(0) = 0 is written through a mask: an all-zero u, a solve's starting
+    # iterate, gathers nothing by index, so its scratch is at most that of
+    # |y| on an example1 solve's iterate plus two boolean masks
+    ens = bl.generate_ensemble(M=16384, N=10, d=1, T=1.0, seed=20240817)
+    sol, _ = bl.picard_solve(bl.example1_generator(2.0),
+                             bl.coordinate_terminal(0), ens, bl.BasisSpec(3))
+    mod = bl.example1_h_modulus(2.0)
+    evaluate = MODULUS_FAMILIES["example1h"].evaluate
+    real = np.abs(sol.y[:, ens.grid.N // 2, 0])
+    assert 0.0 < np.mean(real <= mod.delta) < 0.5
+    zeros = np.zeros(ens.M)
+    assert evaluate(mod, zeros).tobytes() == zeros.tobytes()
+    assert _eval_peak(evaluate, mod, zeros) <= \
+        _eval_peak(evaluate, mod, real) + 2 * ens.M
 
 
 def test_negative_argument_rejected():

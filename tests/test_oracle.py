@@ -128,6 +128,31 @@ def test_compare_z_rms_is_the_mean_over_every_cell():
                                           rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("term, sp_hex, z_hex", [
+    (bl.coordinate_terminal(0), "0x1.82f9a5b13c58ep-5", "0x1.7c1d3dadae394p-4"),
+    (bl.square_norm_terminal(), "0x1.8a0a6f3f471b3p-3", "0x1.8aa1f7e032a70p-2"),
+], ids=["coordinate", "square_norm"])
+def test_compare_walks_the_ensemble_once(term, sp_hex, z_hex, monkeypatch):
+    # 9000 paths put a block boundary of z's fit inside the comparison; the
+    # fitted z is read on the comparison's own walk, and the errors are the
+    # pinned bits, which a per-path copy of z gives too
+    ens = bl.generate_ensemble(M=9000, N=6, d=3, T=1.0, seed=109)
+    sol, _ = bl.picard_solve(bl.zero_generator(1), term, ens, bl.BasisSpec(3))
+    form = match_oracle(bl.zero_generator(1), term)
+    per_path = bl.compare_to_oracle(
+        bl.DiscreteSolution(y=sol.y, z_source=sol.z, grid=sol.grid), form,
+        ens, p=2.0)
+    walks = []
+    forward = bl.PathEnsemble.forward_states
+    monkeypatch.setattr(bl.PathEnsemble, "forward_states",
+                        lambda self, *args: walks.append(args)
+                        or forward(self, *args))
+    errs = bl.compare_to_oracle(sol, form, ens, p=2.0)
+    assert walks == [(0, ens.grid.N)]
+    assert (errs.sp_error.hex(), errs.z_rms_error.hex()) == (sp_hex, z_hex)
+    assert errs == per_path
+
+
 def test_compare_shape_mismatch(small_ensemble):
     form = match_oracle(bl.zero_generator(), bl.coordinate_terminal(0))
     y, z = oracle_paths(form, small_ensemble)

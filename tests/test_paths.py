@@ -43,6 +43,38 @@ def test_sum_squares_is_bytes_of_numpys_reductions(trailing):
         assert np.sqrt(got).tobytes() == np.linalg.norm(a, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("trailing", [(), (1,), (1, 1)])
+def test_a_one_column_norm_is_bytes_of_the_root_of_its_square(trailing):
+    # sqrt(fl(x * x)) is |x| exactly wherever x * x is a normal double and
+    # finite: 2^-511 <= |x| < 2^512
+    rng = np.random.default_rng(30)
+    x = (rng.uniform(1.0, 2.0, 200_000)
+         * np.exp2(rng.integers(-511, 512, 200_000))
+         * rng.choice([-1.0, 1.0], 200_000))
+    x[:4] = [2.0 ** -511, -(2.0 ** -511), np.nextafter(2.0 ** 512, 0.0), 0.0]
+    a = x.reshape(-1, *trailing)
+    got = paths_module.norms(a)
+    assert got.shape == (len(x),)
+    assert got.tobytes() == np.sqrt(paths_module.sum_squares(a)).tobytes()
+
+
+def test_a_one_column_norm_is_exact_where_its_square_is_not():
+    a = np.array([[1e-200], [-1e300], [5e-324], [-np.finfo(float).max]])
+    with np.errstate(under="ignore", over="ignore"):
+        assert np.sqrt(paths_module.sum_squares(a)).tolist() == \
+            [0.0, np.inf, 0.0, np.inf]
+    assert paths_module.norms(a).tolist() == \
+        [1e-200, 1e300, 5e-324, np.finfo(float).max]
+
+
+@pytest.mark.parametrize("trailing", [(2,), (3,), (2, 2), (1, 3), (3, 1)])
+def test_a_norm_of_several_columns_is_the_root_of_sum_squares(trailing):
+    rng = np.random.default_rng(sum(trailing))
+    a = rng.normal(size=(257, *trailing))
+    assert paths_module.norms(a).tobytes() == \
+        np.sqrt(paths_module.sum_squares(a)).tobytes()
+
+
 def test_paths_start_at_zero(small_ensemble):
     assert np.all(next(small_ensemble.forward_states())[1] == 0.0)
 

@@ -24,7 +24,7 @@ KEPT = {
     "oracle_paths": "the tests' reference for the closed-form solutions",
     "DiscreteSolution.z": "the whole z array, which the benchmark's finiteness "
                           "gate and the tests read; the library walks "
-                          "z_steps",
+                          "z_along",
 }
 
 

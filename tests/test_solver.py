@@ -707,6 +707,26 @@ def test_picard_solve_bytes_are_pinned(name, iterations, sha):
     assert digest.hexdigest() == sha
 
 
+@pytest.mark.parametrize("name, sha", [
+    ("example1",
+     "cfa8ae2092d8a7604aaf71b6be74eb3af77a22ea63ef49bdf255f6e5dcef6127"),
+    ("zero_d3",
+     "77dfdd05bbc15615cccafae2712317ad027a6c829cc086611a0882a9c87298e4"),
+    ("split",
+     "7b4cf168c9856bb9b54e399ccfb8b258e971419b2acba78cae6fe7d7feb1af4a"),
+    ("degree0",
+     "c86e7d410baa15dbc20c3255db06238ee039dd05613a981b7d227dce4c09bd7d"),
+    ("degree5",
+     "38f04cdc3e72c85c6391a0f88a63512cc14e9ae1ac31e35bd1666841412e291a"),
+])
+def test_picard_report_bytes_are_pinned(name, sha):
+    # the folded distances and the S^p norm of every entry, which the y and
+    # z bytes above do not cover
+    _, rep = _solve_case(name)
+    rows = np.array([(e.dist_y, e.dist_z, e.sp_norm) for e in rep.entries])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == sha
+
+
 def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
         small_ensemble):
     ens = small_ensemble
@@ -1010,6 +1030,7 @@ def test_a_regressed_z_writes_the_bytes_of_its_per_path_array(tmp_path):
     back = bl.load_solution(tmp_path / "a.bsol")
     assert back.z.tobytes() == sol.z.tobytes()
     rows = slice(8000, 8500)
-    for (i, z_i), (j, ref) in zip(sol.z_steps(1, 3, rows),
-                                  back.z_steps(1, 3, rows)):
+    for (i, _, z_i), (j, _, ref) in zip(
+            sol.z_along(ens.forward_states(1, 3), rows),
+            back.z_along(ens.forward_states(1, 3), rows)):
         assert i == j and z_i.tobytes() == ref.tobytes()
