@@ -275,13 +275,21 @@ class OsgoodReport:
     integrand_unbounded: bool
 
 
-# Gauss-Legendre rule in ln u on the decade [1, 10]: 64 panels of 8 nodes.
 _PANELS = 64
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_DECADE_NODES = 10.0 ** ((np.arange(_PANELS)[:, None] + 0.5 * (_GL_X + 1.0))
-                         / _PANELS).ravel()
-_DECADE_WEIGHTS = np.tile(0.5 * _GL_W * math.log(10.0) / _PANELS, _PANELS)
 _OSGOOD_DECADES = 8
+
+
+@lru_cache(maxsize=None)
+def _decade_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule in ln u on the decade
+    [1, 10]: _PANELS panels of 8 nodes.  Built on first use, so that only a
+    process that classifies a modulus imports numpy.polynomial."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    nodes = 10.0 ** ((np.arange(_PANELS)[:, None] + 0.5 * (gl_x + 1.0))
+                     / _PANELS).ravel()
+    weights = np.tile(0.5 * gl_w * math.log(10.0) / _PANELS, _PANELS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0) -> OsgoodReport:
@@ -300,14 +308,15 @@ def osgood_classify(mod: ModulusSpec, weight_exponent: float = 1.0) -> OsgoodRep
     if w < 1.0:
         raise ValueError("weight_exponent must be >= 1")
 
+    decade_nodes, decade_weights = _decade_rule()
     eps = mod.domain_cap * 10.0 ** (-np.arange(1, _OSGOOD_DECADES + 1))
-    nodes = eps[:, None] * _DECADE_NODES
+    nodes = eps[:, None] * decade_nodes
     increments = np.full(_OSGOOD_DECADES, np.inf)
     with np.errstate(over="ignore"):  # an overflow is judged by its value, inf
         vals = eval_modulus(mod, nodes)
         unbounded = bool(np.any(vals <= 0.0))
         if not unbounded:
-            increments = (nodes / vals) ** w @ _DECADE_WEIGHTS
+            increments = (nodes / vals) ** w @ decade_weights
     if not np.all(np.isfinite(increments)):
         unbounded = True
     integrals = np.cumsum(increments)

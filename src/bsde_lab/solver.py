@@ -134,6 +134,9 @@ class BasisSpec:
 
 # Paths per block of the regression's reductions.
 _ROW_BLOCK = 8192
+# Bytes of the features of one slab of paths (_FeatureSlab): held in a core's
+# L2 cache while the products of a time step read it.
+_SLAB_BYTES = 1 << 20
 
 
 def _monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -194,21 +197,67 @@ def polynomial_features(state: np.ndarray, degree: int,
     return feats
 
 
-def _blocked_product(feats: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """feats (n_basis, M) @ other (M, m) summed over blocks of _ROW_BLOCK
-    paths in a fixed order; FloatingPointError if a sum is not finite."""
-    out = np.zeros((feats.shape[0], other.shape[1]))
+class _FeatureSlab:
+    """One reused buffer of the polynomial features of a slab of paths: a
+    whole number of _ROW_BLOCK paths, at least one, whose features fit
+    _SLAB_BYTES, or all m paths if fewer.  The regression's products read a
+    slab while it is still in cache; its slabs are cut at block boundaries,
+    so they sum each product over the blocks of the whole."""
+
+    def __init__(self, n_basis: int, degree: int, m: int):
+        blocks = max(1, _SLAB_BYTES // (8 * n_basis * _ROW_BLOCK))
+        self.width = max(1, min(m, blocks * _ROW_BLOCK))
+        self.degree = degree
+        # rows a power of two bytes apart map to the same cache sets, which
+        # made the product a third slower at 8192 paths, so the row stride is
+        # padded; it is a whole number of 64-byte lines and the buffer starts
+        # on a line, which halves the time of a feature's multiply
+        stride = -(-self.width // 8) * 8 + 8
+        raw = np.empty(n_basis * stride + 8)
+        lo = -raw.ctypes.data % 64 // 8
+        self._buf = raw[lo:lo + n_basis * stride].reshape(n_basis, stride)
+        self._holds = None
+
+    def over(self, states: np.ndarray, key):
+        """(rows, features of states[rows]) for each slab of states (m, d),
+        in path order.  A slab's features are built unless the buffer holds
+        them for the same key, as on a second pass of a one-slab step."""
+        for lo in range(0, len(states), self.width):
+            rows = slice(lo, lo + self.width)
+            block = states[rows]
+            feats = self._buf[:, :len(block)]
+            if self._holds != (key, lo):
+                polynomial_features(block, self.degree, out=feats)
+                self._holds = (key, lo)
+            yield rows, feats
+
+
+def _blocked_product(feats: np.ndarray, other: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Add feats (n_basis, m) @ other (m, c), summed over blocks of _ROW_BLOCK
+    paths in a fixed order, into out (n_basis, c), zeros if not given, and
+    return it: the one summation rule of the regression's moments.  A slab
+    loop adds each slab's blocks into one out, in path order, so its sums
+    have the bits of the whole-array product.  The sums are not checked:
+    see _finite."""
+    if out is None:
+        out = np.zeros((feats.shape[0], other.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, feats.shape[1], _ROW_BLOCK):
             out += feats[:, lo:lo + _ROW_BLOCK] @ other[lo:lo + _ROW_BLOCK]
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite regression moments")
     return out
 
 
-def _gram_factor(feats: np.ndarray, ridge: float):
-    """Lower Cholesky factor of the ridge Gram matrix of feats (n_basis, M)."""
-    gram = _blocked_product(feats, feats.T)
+def _finite(moments: np.ndarray) -> np.ndarray:
+    """moments, once summed over every path; FloatingPointError if a sum is
+    not finite."""
+    if not np.all(np.isfinite(moments)):
+        raise FloatingPointError("non-finite regression moments")
+    return moments
+
+
+def _cholesky(gram: np.ndarray, ridge: float):
+    """Lower Cholesky factor of the ridge Gram matrix gram + ridge I."""
     try:
         return np.linalg.cholesky(gram + ridge * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -216,10 +265,20 @@ def _gram_factor(feats: np.ndarray, ridge: float):
             "normal equations are singular; pass a ridge > 0") from exc
 
 
+def _solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients (n_basis, c) of the normal equations of cross-moments
+    rhs (n_basis, c), given the Gram factor."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+
+
+def _gram_factor(feats: np.ndarray, ridge: float):
+    """Lower Cholesky factor of the ridge Gram matrix of feats (n_basis, M)."""
+    return _cholesky(_finite(_blocked_product(feats, feats.T)), ridge)
+
+
 def _coefficients(feats: np.ndarray, factor, targets: np.ndarray) -> np.ndarray:
     """Ridge regression coefficients (n_basis, m) of targets (M, m)."""
-    rhs = _blocked_product(feats, targets)
-    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    return _solve(factor, _finite(_blocked_product(feats, targets)))
 
 
 def _fitted(coeffs: np.ndarray, feats: np.ndarray,
@@ -255,23 +314,16 @@ class RegressedZ:
     def along(self, walk, rows: slice):
         """(i, b_i, z_i) for each (i, b_i) of walk, a walk of the ensemble's
         Brownian states such as forward_states: z_i (m, k, d) of the paths
-        in rows, fitted on their states b_i[rows] _ROW_BLOCK paths at a
-        time, so that a block's features stay in cache.  Each z_i is a view
-        of one (k d, m) buffer, which the next step overwrites."""
+        in rows, fitted on their states b_i[rows] one feature slab at a
+        time.  Each z_i is a view of one (k d, m) buffer, which the next
+        step overwrites."""
         m, _, k, d = self.shape
         m = len(range(*rows.indices(m)))
-        width = min(m, _ROW_BLOCK)
-        # rows a power of two bytes apart map to the same cache sets, which
-        # made the product a third slower at 8192 paths: pad the row stride
-        feats = np.empty((self.coeffs.shape[1], width + 8))[:, :width]
+        slab = _FeatureSlab(self.coeffs.shape[1], self.degree, m)
         z_t = np.empty((k * d, m))
         for i, b_i in walk:
-            states = b_i[rows]
-            for lo in range(0, m, _ROW_BLOCK):
-                block = states[lo:lo + _ROW_BLOCK]
-                f = polynomial_features(block, self.degree,
-                                        out=feats[:, :len(block)])
-                _fitted(self.coeffs[i], f, out=z_t[:, lo:lo + len(block)])
+            for sub, feats in slab.over(b_i[rows], i):
+                _fitted(self.coeffs[i], feats, out=z_t[:, sub])
             yield i, b_i, z_t.T.reshape(m, k, d)
 
 
@@ -317,8 +369,15 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
 
     factors holds the Gram factor of each time index, or None where none has
     been built; the sweep fills what it builds, so later sweeps of the same
-    solve reuse it.  The features are rebuilt, into one buffer per sweep:
-    keeping them would hold M * n_basis numbers per time step.
+    solve reuse it.
+
+    Each step streams its paths through one _FeatureSlab in two passes: the
+    first builds a slab's features and adds its Gram and y cross-moments,
+    the second fits the continuation, the residual and the z targets and
+    adds the z cross-moments; the z fits, where any, take a third.  A pass
+    rebuilds a slab's features unless the slab still holds them, so a
+    one-slab step builds them once; keeping them would hold M * n_basis
+    numbers per time step.
 
     acc, when given, is two (M,) arrays (sup_dy, sum_dz) into which each
     step folds, just before it overwrites the old iterate, the change of y
@@ -331,37 +390,54 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
     fills it.
     """
     m, k, d = ens.M, y.shape[2], ens.d
+    n_basis = basis.size(d)
     dt, times = ens.grid.dt, ens.grid.times
     c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
     reads_z = c_lip is None or c_lip(gen) != 0.0
     zero_z = np.broadcast_to(0.0, (m, k, d))
-    feats = np.empty((basis.size(d), m))
+    slab = _FeatureSlab(n_basis, basis.degree, m)
+    gram = np.empty((n_basis, n_basis))
+    rhs_y, rhs_z = np.empty((n_basis, k)), np.empty((n_basis, k * d))
     # cont and the fitted z are the transposes of (k, M) and (k d, M)
     # buffers, the layout _fitted writes
     cont_t, resid, y_i = np.empty((k, m)), np.empty((m, k)), np.empty((m, k))
+    cont = cont_t.T
     z_targets = np.empty((m, k, d))
+    z_flat = z_targets.reshape(m, k * d)
     z_t = np.empty((k * d, m)) if reads_z or acc is not None else None
     if acc is not None:
         sup_dy, sum_dz = acc
         old_z_t, dy = np.empty((k * d, m)), np.empty((m, k))
     for i, b_i in ens.backward_states(i_lo, i_hi):
-        polynomial_features(b_i, basis.degree, out=feats)
+        y_next, new_factor = y[:, i + 1], factors[i] is None
+        gram[...], rhs_y[...], rhs_z[...] = 0.0, 0.0, 0.0
         try:
-            if factors[i] is None:
-                factors[i] = _gram_factor(feats, basis.ridge_for(m))
-            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]),
-                           feats, out=cont_t)
-            # martingale residual keeps the z targets mean-zero given the state
-            np.subtract(y[:, i + 1], cont, out=resid)
-            np.multiply(resid[:, :, None], ens.increments[:, i, None, :],
-                        out=z_targets)
-            np.divide(z_targets, dt, out=z_targets)
-            coeffs = _coefficients(feats, factors[i],
-                                   z_targets.reshape(m, k * d))
+            for rows, feats in slab.over(b_i, i):
+                if new_factor:
+                    _blocked_product(feats, feats.T, out=gram)
+                _blocked_product(feats, y_next[rows], out=rhs_y)
+            if new_factor:
+                factors[i] = _cholesky(_finite(gram), basis.ridge_for(m))
+            coeffs_y = _solve(factors[i], _finite(rhs_y))
+            for rows, feats in slab.over(b_i, i):
+                _fitted(coeffs_y, feats, out=cont_t[:, rows])
+                # martingale residual keeps the z targets mean-zero given
+                # the state
+                np.subtract(y_next[rows], cont[rows], out=resid[rows])
+                np.multiply(resid[rows, :, None],
+                            ens.increments[rows, i, None, :],
+                            out=z_targets[rows])
+                np.divide(z_targets[rows], dt, out=z_targets[rows])
+                _blocked_product(feats, z_flat[rows], out=rhs_z)
+            coeffs = _solve(factors[i], _finite(rhs_z))
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc
         if z_t is not None:
-            z_i = _fitted(coeffs, feats, out=z_t).reshape(m, k, d)
+            for rows, feats in slab.over(b_i, i):
+                _fitted(coeffs, feats, out=z_t[:, rows])
+                if acc is not None:
+                    _fitted(zc[i], feats, out=old_z_t[:, rows])
+            z_i = z_t.T.reshape(m, k, d)
         # an overflow is left non-finite: the check below, or picard_solve's
         # check of the distance folded here, reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -374,7 +450,7 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
                     f"non-finite solution values at time index {i}")
             if acc is not None:
                 analysis.fold_sup(sup_dy, np.subtract(y_i, y[:, i], out=dy))
-                old_z = _fitted(zc[i], feats, out=old_z_t).reshape(m, k, d)
+                old_z = old_z_t.T.reshape(m, k, d)
                 analysis.fold_squares(sum_dz,
                                       np.subtract(z_i, old_z, out=old_z))
         y[:, i] = y_i

@@ -1841,6 +1841,23 @@ def test_runtime_loads_only_the_declared_dependencies(tmp_path):
     assert loaded - _third_party_modules("") == declared | {"bsde_lab"}
 
 
+def test_only_a_classification_imports_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre table of osgood_classify is built on first use, so a
+    # solve and an oracle comparison never import numpy.polynomial, which
+    # costs a process 3-5 ms
+    path = _write(tmp_path, _config(
+        tmp_path, terminal={"kind": "coordinate", "params": {"j": 0}}))
+    out = _python("-c", "import sys\nimport bsde_lab as bl\n"
+                  "from bsde_lab.cli import main\n"
+                  f"assert main(['solve', {str(path)!r}]) == 0\n"
+                  f"assert main(['oracle-compare', {str(path)!r}]) == 0\n"
+                  "print('numpy.polynomial' in sys.modules)\n"
+                  "bl.osgood_classify(bl.linear_modulus(1.0))\n"
+                  "print('numpy.polynomial' in sys.modules)", timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["False", "True"]
+
+
 # ----------------------------------------------------- traced bindings
 # perfbench/worker.py times each stage and layer by replacing these module
 # attributes, so each must stay bound and reached through that binding.

@@ -217,6 +217,15 @@ def test_family_records_are_pinned(family):
     assert hashlib.sha256(increments.tobytes()).hexdigest() == osgood_sha
 
 
+def test_the_decade_rule_keeps_its_bytes():
+    # sha256 of the nodes' bytes, then the weights', recorded while the rule
+    # was built at import
+    nodes, weights = bl.modulus._decade_rule()
+    assert nodes.shape == weights.shape == (512,)
+    assert hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest() == \
+        "22ea5d80d3911d0cbf3b3f035b9ccb27593e10f192c7a891d737232f50ca5350"
+
+
 def test_pins_cover_every_builtin_family():
     assert sorted(_PINNED) == sorted(bl.modulus.MODULUS_FAMILIES)
 

@@ -1,9 +1,12 @@
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import math
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1034,3 +1037,203 @@ def test_a_regressed_z_writes_the_bytes_of_its_per_path_array(tmp_path):
             sol.z_along(ens.forward_states(1, 3), rows),
             back.z_along(ens.forward_states(1, 3), rows)):
         assert i == j and z_i.tobytes() == ref.tobytes()
+
+
+# ------------------------------------------------------------ feature slabs
+
+def _whole_buffer_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
+                        acc=None):
+    """The sweep as it was before it streamed its paths through feature
+    slabs: each step's features in one (n_basis, M) array, regressed by the
+    whole-array callers _gram_factor and _coefficients.  Kept as the
+    bit-level reference of _backward_sweep, with its signature."""
+    m, k, d = ens.M, y.shape[2], ens.d
+    dt = ens.grid.dt
+    c_lip = bl.generator.GENERATOR_FAMILIES[gen.family].lipschitz_z
+    reads_z = c_lip is None or c_lip(gen) != 0.0
+    for i, b_i in ens.backward_states(i_lo, i_hi):
+        feats = polynomial_features(b_i, basis.degree)
+        try:
+            if factors[i] is None:
+                factors[i] = _gram_factor(feats, basis.ridge_for(m))
+            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]), feats)
+            z_targets = ((y[:, i + 1] - cont)[:, :, None]
+                         * ens.increments[:, i, None, :]) / dt
+            coeffs = _coefficients(feats, factors[i],
+                                   z_targets.reshape(m, k * d))
+        except FloatingPointError as exc:
+            raise PicardDivergenceError(f"{exc} at time index {i}") from exc
+        z_i = _fitted(coeffs, feats).reshape(m, k, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = bl.generator.eval_generator_batch(
+                gen, ens.grid.times[i], b_i, y[:, i],
+                z_i if reads_z else np.broadcast_to(0.0, (m, k, d)))
+            y_i = cont + g * dt
+            if not np.all(np.isfinite(y_i)):
+                raise PicardDivergenceError(
+                    f"non-finite solution values at time index {i}")
+            if acc is not None:
+                bl.analysis.fold_sup(acc[0], y_i - y[:, i])
+                old_z = _fitted(zc[i], feats).reshape(m, k, d)
+                bl.analysis.fold_squares(acc[1], z_i - old_z)
+        y[:, i] = y_i
+        zc[i] = coeffs
+
+
+# two whole row blocks and a ragged third: one slab at d = 1 and degree <= 3,
+# two at degree 5, three at d >= 2 and degree >= 3
+_SLAB_M = 2 * solver_module._ROW_BLOCK + 777
+
+
+@functools.cache
+def _slab_ensemble(d):
+    return bl.generate_ensemble(M=_SLAB_M, N=4, d=d, T=1.0, seed=110 + d)
+
+
+_SLAB_DRIVERS = {"example1": bl.example1_generator(2.0),
+                 "linear_b": bl.linear_generator(a=0.5, b=0.4, c=0.2),
+                 "zero": bl.zero_generator(1)}
+
+
+def _openblas_thread_setters():
+    """(get, set) of the thread count of each OpenBLAS this process loaded."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return []
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line.lower() and line.split()[-1].startswith("/")}
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            if get is not None:
+                put = getattr(lib, name.format("set"))
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                found.append((get, put))
+                break
+    return found
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread for the test.  A threaded product cuts its
+    paths among the threads where the path count says, and OpenBLAS sums the
+    last one to three rows of each piece in another order: so the
+    whole-buffer sweep's bits depend on the thread count, and are the
+    streamed sweep's at one thread."""
+    setters = _openblas_thread_setters()
+    saved = [get() for get, _ in setters]
+    for _, put in setters:
+        put(1)
+    yield
+    for (_, put), n in zip(setters, saved):
+        put(n)
+
+
+def _against_the_whole_buffer_sweep(monkeypatch, *args, **kwargs):
+    """picard_solve(*args, **kwargs) and the same solve by
+    _whole_buffer_sweep."""
+    got = bl.picard_solve(*args, **kwargs)
+    monkeypatch.setattr(solver_module, "_backward_sweep", _whole_buffer_sweep)
+    return got, bl.picard_solve(*args, **kwargs)
+
+
+def _same_solve(got, ref):
+    (sol, rep), (ref_sol, ref_rep) = got, ref
+    assert sol.y.tobytes() == ref_sol.y.tobytes()
+    assert sol.z_source.coeffs.tobytes() == ref_sol.z_source.coeffs.tobytes()
+    assert rep.entries == ref_rep.entries
+    assert rep.window_converged == ref_rep.window_converged
+
+
+@pytest.mark.parametrize("driver", list(_SLAB_DRIVERS))
+@pytest.mark.parametrize("degree", [0, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_slab_streamed_solve_is_the_whole_buffer_solve(d, degree, driver,
+                                                         monkeypatch,
+                                                         one_blas_thread):
+    ens = _slab_ensemble(d)
+    got, ref = _against_the_whole_buffer_sweep(
+        monkeypatch, _SLAB_DRIVERS[driver], bl.coordinate_terminal(0), ens,
+        bl.BasisSpec(degree), tol=1e-8, max_iter=3)
+    _same_solve(got, ref)
+    assert got[1].iterations == (1 if driver == "zero" else 3)
+
+
+def test_a_slab_streamed_split_solve_is_the_whole_buffer_solve(
+        monkeypatch, one_blas_thread):
+    got, ref = _against_the_whole_buffer_sweep(
+        monkeypatch, _SLAB_DRIVERS["linear_b"], bl.square_norm_terminal(),
+        _slab_ensemble(2), BASIS, tol=1e-8, max_iter=3, split=0.5)
+    _same_solve(got, ref)
+    assert len(got[1].windows) == 2
+
+
+@pytest.mark.parametrize("d, degree, slabs", [
+    (1, 0, 1), (1, 3, 1), (1, 5, 2), (2, 3, 3), (3, 3, 3), (3, 5, 3)])
+def test_a_slab_is_whole_row_blocks_within_its_budget(d, degree, slabs):
+    n_basis = bl.BasisSpec(degree).size(d)
+    slab = solver_module._FeatureSlab(n_basis, degree, _SLAB_M)
+    assert -(-_SLAB_M // slab.width) == slabs
+    if slab.width < _SLAB_M:
+        assert slab.width % solver_module._ROW_BLOCK == 0
+    assert (8 * n_basis * slab.width <= solver_module._SLAB_BYTES
+            or slab.width == solver_module._ROW_BLOCK)
+    # each feature row starts on a 64-byte cache line
+    assert slab._buf.ctypes.data % 64 == 0 and slab._buf.strides[0] % 64 == 0
+
+
+@pytest.mark.parametrize("case, builds_per_step", [
+    ("example1_d1", 1), ("zero_d3", 2 * 3), ("linear_b_d3", 3 * 3)])
+def test_features_are_built_once_per_slab_and_pass(case, builds_per_step,
+                                                   monkeypatch):
+    # One slab (example1's 4 features of 16384 paths are 512 KiB) is built
+    # once per step of a sweep, as the one (n_basis, M) buffer was.  Three
+    # slabs are built in each pass: two, and a third for the z fits.
+    driver, d = case.rsplit("_", 1)
+    ens = (bl.generate_ensemble(M=16384, N=6, d=1, T=1.0, seed=112)
+           if case == "example1_d1" else _slab_ensemble(int(d[1:])))
+    calls = []
+    features = solver_module.polynomial_features
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return features(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "polynomial_features", counting)
+    with mock.patch.object(solver_module, "_backward_sweep",
+                           wraps=solver_module._backward_sweep) as sweep:
+        _, rep = bl.picard_solve(_SLAB_DRIVERS[driver],
+                                 bl.coordinate_terminal(0), ens, BASIS,
+                                 tol=1e-8, max_iter=3)
+    assert sweep.call_count == (1 if driver == "zero" else 4)
+    assert len(calls) == builds_per_step * ens.grid.N * sweep.call_count
+
+
+def test_a_sweep_holds_one_slab_of_features():
+    # A d = 3, degree-3 sweep over five slabs against a degree-0 sweep of the
+    # same ensemble, whose every other buffer is the same size: the features
+    # add at most one slab of 20 x 8192 to the peak.  Measured 1.06 MB; the
+    # (20, M) array the sweep held before is 5.4 MB, and added 5.1 MB.
+    m, n = 4 * solver_module._ROW_BLOCK + 777, 4
+    ens = bl.generate_ensemble(M=m, N=n, d=3, T=1.0, seed=113)
+    peaks = []
+    for degree in (0, 3):
+        basis = bl.BasisSpec(degree)
+        y = np.zeros((n + 1, m, 1)).transpose(1, 0, 2)
+        y[:, -1] = ens.final_state[:, :1]
+        zc = np.zeros((n, basis.size(3), 3))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            solver_module._backward_sweep(bl.zero_generator(1), y, zc, ens,
+                                          basis, 0, n, [None] * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - start)
+    n_basis = BASIS.size(3)
+    assert peaks[1] - peaks[0] < 8 * n_basis * (solver_module._ROW_BLOCK + 8)
