@@ -286,6 +286,7 @@ def check_lemma1(sol, gen: GeneratorSpec, p: float, t_index: int,
     mean and drops out.  Left-endpoint sums match the solver's adapted,
     piecewise-constant z.  slack = RHS - LHS with its pathwise standard error.
     """
+    sol.require_ensemble(ens)
     grid = sol.grid
     if not 0 <= t_index <= grid.N:
         raise ValueError("t_index out of range")
@@ -326,6 +327,7 @@ class AprioriReport:
 
 def check_apriori_bounds(sol, env: EnvelopeA, cb: ConstantsBundle, p: float,
                          t_index: int, ens: PathEnsemble) -> AprioriReport:
+    sol.require_ensemble(ens)
     grid = sol.grid
     if not 0 <= t_index <= grid.N:
         raise ValueError("t_index out of range")

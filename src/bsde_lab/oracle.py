@@ -78,6 +78,7 @@ def compare_to_oracle(sol, closed_form, ens: PathEnsemble,
     the closed form one time step at a time, on one forward walk of the
     ensemble that the solution's z is read along, folded per path as the
     sweep does."""
+    sol.require_ensemble(ens)
     tau = ens.grid.T - ens.grid.times
     m, n = ens.M, ens.grid.N
     if sol.y.shape != (m, n + 1, 1) or sol.z_shape != (m, n, 1, ens.d):

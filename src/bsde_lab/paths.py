@@ -57,7 +57,7 @@ def _checkpoint_stride(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """M Brownian paths in d dimensions on a uniform grid, held as their
     increments (M, N, d) alone.
@@ -86,8 +86,8 @@ class PathEnsemble:
     increments: np.ndarray = field(repr=False)  # (M, N, d)
     antithetic: bool = False
     # the steps 0, c, 2c, ..., N and B at each, as (len(_marks), M, d)
-    _marks: tuple = field(init=False, repr=False, compare=False)
-    _checkpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    _marks: tuple = field(init=False, repr=False)
+    _checkpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, n, d = self.M, self.grid.N, self.d
@@ -339,7 +339,7 @@ def _path_blocks(groups):
                           for col, r in zip(columns, rows)]
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteSolution:
     """Pathwise (y, z) on the grid: y (M, N+1, k), held step-major, so that
     y[:, i] is contiguous, and z (M, N, k, d), which z_source holds in one
@@ -360,6 +360,13 @@ class DiscreteSolution:
     def z_shape(self) -> tuple:
         """(M, N, k, d), without building z."""
         return self.z_source.shape
+
+    def require_ensemble(self, ens: PathEnsemble) -> None:
+        """ValueError if z is a RegressedZ fitted on an ensemble not ens."""
+        source = self.z_source
+        if not isinstance(source, np.ndarray) and source.ens is not ens:
+            raise ValueError("the solution's z was regressed on another "
+                             "ensemble: pass the ensemble it was solved on")
 
     def z_along(self, walk, rows: slice = slice(None)):
         """(i, b_i, z_i) for each (i, b_i) of walk, a forward walk of the

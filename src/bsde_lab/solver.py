@@ -140,10 +140,9 @@ _SLAB_BYTES = 1 << 20
 
 
 def _monomial_exponents(d: int, degree: int) -> list[tuple[int, ...]]:
-    exps = [e for e in itertools.product(range(degree + 1), repeat=d)
-            if sum(e) <= degree]
-    exps.sort(key=lambda e: (sum(e), e))
-    return exps
+    exps = [tuple(map(c.count, range(d))) for total in range(degree + 1)
+            for c in itertools.combinations_with_replacement(range(d), total)]
+    return sorted(exps, key=lambda e: (sum(e), e))
 
 
 @functools.cache
@@ -198,16 +197,17 @@ def polynomial_features(state: np.ndarray, degree: int,
 
 
 class _FeatureSlab:
-    """One reused buffer of the polynomial features of a slab of paths: a
-    whole number of _ROW_BLOCK paths, at least one, whose features fit
-    _SLAB_BYTES, or all m paths if fewer.  The regression's products read a
-    slab while it is still in cache; its slabs are cut at block boundaries,
-    so they sum each product over the blocks of the whole."""
+    """One reused buffer of the features of basis on a slab of m paths in d
+    dimensions: a whole number of _ROW_BLOCK paths, at least one, whose
+    features fit _SLAB_BYTES, or all m if fewer.  The regression's products
+    read a slab while it is still in cache; its slabs are cut at block
+    boundaries, so they sum each product over the blocks of the whole."""
 
-    def __init__(self, n_basis: int, degree: int, m: int):
+    def __init__(self, basis: BasisSpec, d: int, m: int):
+        n_basis = basis.size(d)
         blocks = max(1, _SLAB_BYTES // (8 * n_basis * _ROW_BLOCK))
         self.width = max(1, min(m, blocks * _ROW_BLOCK))
-        self.degree = degree
+        self.basis = basis
         # rows a power of two bytes apart map to the same cache sets, which
         # made the product a third slower at 8192 paths, so the row stride is
         # padded; it is a whole number of 64-byte lines and the buffer starts
@@ -227,21 +227,18 @@ class _FeatureSlab:
             block = states[rows]
             feats = self._buf[:, :len(block)]
             if self._holds != (key, lo):
-                polynomial_features(block, self.degree, out=feats)
+                polynomial_features(block, self.basis.degree, out=feats)
                 self._holds = (key, lo)
             yield rows, feats
 
 
 def _blocked_product(feats: np.ndarray, other: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray) -> np.ndarray:
     """Add feats (n_basis, m) @ other (m, c), summed over blocks of _ROW_BLOCK
-    paths in a fixed order, into out (n_basis, c), zeros if not given, and
-    return it: the one summation rule of the regression's moments.  A slab
-    loop adds each slab's blocks into one out, in path order, so its sums
-    have the bits of the whole-array product.  The sums are not checked:
-    see _finite."""
-    if out is None:
-        out = np.zeros((feats.shape[0], other.shape[1]))
+    paths in a fixed order, into out (n_basis, c), and return it: the one
+    summation rule of the regression's moments.  A slab loop adds each
+    slab's blocks into one out, in path order, so its sums have the bits of
+    the whole-array product.  The sums are not checked: see _finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, feats.shape[1], _ROW_BLOCK):
             out += feats[:, lo:lo + _ROW_BLOCK] @ other[lo:lo + _ROW_BLOCK]
@@ -271,16 +268,6 @@ def _solve(factor, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
-def _gram_factor(feats: np.ndarray, ridge: float):
-    """Lower Cholesky factor of the ridge Gram matrix of feats (n_basis, M)."""
-    return _cholesky(_finite(_blocked_product(feats, feats.T)), ridge)
-
-
-def _coefficients(feats: np.ndarray, factor, targets: np.ndarray) -> np.ndarray:
-    """Ridge regression coefficients (n_basis, m) of targets (M, m)."""
-    return _solve(factor, _finite(_blocked_product(feats, targets)))
-
-
 def _fitted(coeffs: np.ndarray, feats: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """Fitted values (M, m) of coefficients (n_basis, m) on feats (n_basis, M),
@@ -293,16 +280,16 @@ def _fitted(coeffs: np.ndarray, feats: np.ndarray,
     return np.matmul(coeffs.T, feats, out=out).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressedZ:
     """z held as each time step's regression coefficients, coeffs (N, n_basis,
-    k d), on the polynomial features of the given degree of the ensemble's
-    Brownian states: z_i = _fitted(coeffs[i], features(B_i)), shaped
-    (M, k, d), the product by which the sweep fitted it, so every rebuilt
-    z_i has the bits the sweep had."""
+    k d), on the features of basis of the Brownian states of ens: z_i =
+    _fitted(coeffs[i], features(B_i)), shaped (M, k, d), the product by which
+    the sweep fitted it, so every rebuilt z_i has the bits the sweep had.
+    picard_solve makes one of zeros, which its sweeps fill."""
 
     coeffs: np.ndarray = field(repr=False)
-    degree: int
+    basis: BasisSpec
     ens: PathEnsemble = field(repr=False)
 
     @property
@@ -319,7 +306,7 @@ class RegressedZ:
         step overwrites."""
         m, _, k, d = self.shape
         m = len(range(*rows.indices(m)))
-        slab = _FeatureSlab(self.coeffs.shape[1], self.degree, m)
+        slab = _FeatureSlab(self.basis, d, m)
         z_t = np.empty((k * d, m))
         for i, b_i in walk:
             for sub, feats in slab.over(b_i[rows], i):
@@ -355,17 +342,18 @@ class PicardReport:
         return all(self.window_converged)
 
 
-def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
-                    ens: PathEnsemble, basis: BasisSpec, i_lo: int, i_hi: int,
-                    factors: list, acc: tuple | None = None) -> None:
+def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: RegressedZ,
+                    i_lo: int, i_hi: int, factors: list,
+                    acc: tuple | None = None) -> None:
     """One frozen-argument sweep on grid indices [i_lo, i_hi], in place.
 
-    y[:, i_hi] is the terminal value, and zc (N, n_basis, k d) holds each
-    step's z coefficients (see RegressedZ).  Step i reads the frozen
+    y[:, i_hi] is the terminal value, and z is the RegressedZ the sweep
+    fills, on z.basis and the states of z.ens.  Step i reads the frozen
     y[:, i], which only its own driver term needs, then overwrites y[:, i]
-    and zc[i].  It fits the per-path z_i only where something reads it: the
-    driver, unless its family's lipschitz_z is exactly 0, when it is given
-    zeros, and acc's z fold.
+    and z.coeffs[i].  It fits the per-path z_i only where something reads
+    it: the driver, unless its family's lipschitz_z is exactly 0, when it is
+    given zeros, and acc's z fold.  The z target and the y update are
+    inline, as each has one rule.
 
     factors holds the Gram factor of each time index, or None where none has
     been built; the sweep fills what it builds, so later sweeps of the same
@@ -382,20 +370,21 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
     acc, when given, is two (M,) arrays (sup_dy, sum_dz) into which each
     step folds, just before it overwrites the old iterate, the change of y
     (a running max of its norm) and the change of z (a running sum of its
-    squares), whose old z_i it rebuilds from zc[i] on the step's features.
+    squares), the old z_i refit from z.coeffs[i] on the step's features.
 
     Every (M, k) and (M, k, d) array a step writes is one buffer of the
     sweep, which each step overwrites through the same ufuncs, in the same
     order, that would build it anew; a z buffer exists only where a step
     fills it.
     """
+    ens, basis = z.ens, z.basis
     m, k, d = ens.M, y.shape[2], ens.d
     n_basis = basis.size(d)
     dt, times = ens.grid.dt, ens.grid.times
     c_lip = GENERATOR_FAMILIES[gen.family].lipschitz_z
     reads_z = c_lip is None or c_lip(gen) != 0.0
     zero_z = np.broadcast_to(0.0, (m, k, d))
-    slab = _FeatureSlab(n_basis, basis.degree, m)
+    slab = _FeatureSlab(basis, d, m)
     gram = np.empty((n_basis, n_basis))
     rhs_y, rhs_z = np.empty((n_basis, k)), np.empty((n_basis, k * d))
     # cont and the fitted z are the transposes of (k, M) and (k d, M)
@@ -436,7 +425,7 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
             for rows, feats in slab.over(b_i, i):
                 _fitted(coeffs, feats, out=z_t[:, rows])
                 if acc is not None:
-                    _fitted(zc[i], feats, out=old_z_t[:, rows])
+                    _fitted(z.coeffs[i], feats, out=old_z_t[:, rows])
             z_i = z_t.T.reshape(m, k, d)
         # an overflow is left non-finite: the check below, or picard_solve's
         # check of the distance folded here, reports it
@@ -454,7 +443,7 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, zc: np.ndarray,
                 analysis.fold_squares(sum_dz,
                                       np.subtract(z_i, old_z, out=old_z))
         y[:, i] = y_i
-        zc[i] = coeffs
+        z.coeffs[i] = coeffs
 
 
 def _window_indices(grid: TimeGrid, t_split: float) -> list[tuple[int, int]]:
@@ -502,18 +491,17 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
         warnings.warn("explicit z step may be unstable: dt * C > 0.5",
                       RuntimeWarning)
 
-    vals = np.zeros(k) if init is None else np.asarray(init, dtype=float).reshape(-1)
-    if vals.size == 1:
-        vals = np.full(k, vals[0])
-    if vals.size != k:
+    vals = np.asarray(0.0 if init is None else init, dtype=float).reshape(-1)
+    if vals.size not in (1, k):
         raise ValueError("constant initial field must have length k")
     grid = ens.grid
-    # (y, zc) is at once the frozen argument of every sweep, the new iterate
+    # (y, z) is at once the frozen argument of every sweep, the new iterate
     # and, window by window, the solution: each sweep overwrites it in place,
     # and a window's terminal value y[:, i_hi] is xi or the earlier window's.
     # y is step-major like the ensemble, so y[:, i] is contiguous.
     y = np.empty((grid.N + 1, ens.M, k)).transpose(1, 0, 2)
-    zc = np.zeros((grid.N, basis.size(ens.d), k * ens.d))
+    z = RegressedZ(np.zeros((grid.N, basis.size(ens.d), k * ens.d)), basis,
+                   ens)
     y[...] = vals
     y[:, -1] = xi
     windows = [(0, grid.N)] if split is None else _window_indices(grid, split)
@@ -525,7 +513,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
     reads_y = family.reads_y(gen)
 
     for w_idx, (i_lo, i_hi) in enumerate(windows):
-        _backward_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors)
+        _backward_sweep(gen, y, z, i_lo, i_hi, factors)
         converged = False
         growth_streak = 0
         dists: list[float] = []
@@ -534,7 +522,7 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
                 # each measured sweep folds the distance to the iterate it
                 # overwrites, so no copy of the old iterate is kept
                 sup_dy, sum_dz = np.zeros(ens.M), np.zeros(ens.M)
-                _backward_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
+                _backward_sweep(gen, y, z, i_lo, i_hi, factors,
                                 (sup_dy, sum_dz))
                 dy = analysis.sup_power_mean(sup_dy, p)
                 dz = analysis.integral_power_mean(sum_dz, grid.dt, p)
@@ -559,5 +547,4 @@ def picard_solve(gen: GeneratorSpec, terminal: TerminalSpec, ens: PathEnsemble,
             converged = dy <= tol
         report.window_converged.append(converged)
 
-    return (DiscreteSolution(y=y, z_source=RegressedZ(zc, basis.degree, ens),
-                             grid=grid), report)
+    return DiscreteSolution(y=y, z_source=z, grid=grid), report

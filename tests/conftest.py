@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -22,6 +25,45 @@ def add_driver(monkeypatch):
             lambda gen, t, brownian, y, z: fn(t, brownian, y, z)))
         return bl.GeneratorSpec(name, k=k)
     return add
+
+
+def _openblas_thread_setters():
+    """(get, set) of the thread count of each OpenBLAS this process loaded."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return []
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line.lower() and line.split()[-1].startswith("/")}
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            if get is not None:
+                put = getattr(lib, name.format("set"))
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                found.append((get, put))
+                break
+    return found
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread for the test, as the byte-identity checks run
+    it.  A threaded product cuts its paths among the threads where the path
+    count says, and OpenBLAS sums the last one to three rows of each piece
+    in another order: so a solve's bits can depend on the thread count."""
+    setters = _openblas_thread_setters()
+    saved = [get() for get, _ in setters]
+    for _, put in setters:
+        put(1)
+    yield
+    for (_, put), n in zip(setters, saved):
+        put(n)
+
+
 
 
 @pytest.fixture(scope="session")

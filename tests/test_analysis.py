@@ -311,6 +311,25 @@ def test_lemma1_index_validation(small_ensemble):
                         small_ensemble)
 
 
+@pytest.mark.parametrize("m", [512, 256])
+@pytest.mark.parametrize("check", ["lemma1", "apriori"])
+def test_the_checks_reject_a_z_regressed_on_another_ensemble(small_ensemble,
+                                                             check, m):
+    # each check walks the solution's z along the ensemble it is given
+    gen = bl.example1_generator(p=2.0)
+    sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
+                             bl.BasisSpec(3), p=2.0)
+    env = bl.auto_envelope(gen, 2.0, 1)
+    cb = bl.compute_constants(2.0, 1.0, 1.0, 0.0, terminal_moment=1.0)
+    run = {"lemma1": lambda ens: bl.check_lemma1(sol, gen, 2.0, 0, ens),
+           "apriori": lambda ens: bl.check_apriori_bounds(sol, env, cb, 2.0,
+                                                          0, ens)}[check]
+    other = bl.generate_ensemble(M=m, N=20, d=1, T=1.0, seed=8)
+    with pytest.raises(ValueError, match="regressed on another ensemble"):
+        run(other)
+    run(small_ensemble)
+
+
 # ------------------------------------------------------------ a-priori bounds
 
 def test_apriori_zero_instance(small_ensemble):

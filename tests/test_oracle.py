@@ -161,6 +161,20 @@ def test_compare_shape_mismatch(small_ensemble):
         bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
 
 
+@pytest.mark.parametrize("m", [512, 256])
+def test_compare_rejects_a_z_regressed_on_another_ensemble(small_ensemble, m):
+    # another seed's ensemble of the same shape would fit z on its states
+    # against y from the solve's paths; one of another M, too
+    term = bl.coordinate_terminal(0)
+    sol, _ = bl.picard_solve(bl.zero_generator(1), term, small_ensemble,
+                             bl.BasisSpec(3))
+    form = match_oracle(bl.zero_generator(1), term)
+    other = bl.generate_ensemble(M=m, N=20, d=1, T=1.0, seed=8)
+    with pytest.raises(ValueError, match="regressed on another ensemble"):
+        bl.compare_to_oracle(sol, form, other, p=2.0)
+    assert bl.compare_to_oracle(sol, form, small_ensemble, p=2.0).sp_error < 0.1
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_square_oracle_holds_in_every_dimension(d):
     # y = |B_t|^2 + d (T - t) ends at xi = |B_T|^2, and E[y_T] = y_0

@@ -1,12 +1,12 @@
-import ctypes
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import re
 import struct
+import time
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,16 +22,30 @@ from bsde_lab.paths import (FileFormatError, format_number, save_solution_csv,
                             write_csv)
 from bsde_lab.solver import (TERMINAL_KINDS, PicardDivergenceError,
                              RegressedZ, SingularRegressionError,
-                             _coefficients, _fitted, _gram_factor,
-                             polynomial_features, terminal_values)
+                             _blocked_product, _cholesky, _finite, _fitted,
+                             _solve, polynomial_features, terminal_values)
 
 
 BASIS = bl.BasisSpec(degree=3)
 
 
+def _moments(feats, other):
+    """feats (n_basis, M) @ other (M, c) by the sweep's blocked sums, once
+    they are finite."""
+    out = np.zeros((feats.shape[0], other.shape[1]))
+    return _finite(_blocked_product(feats, other, out))
+
+
+def _factor(feats, ridge):
+    """The sweep's Cholesky factor of the ridge Gram matrix of whole-array
+    features (n_basis, M)."""
+    return _cholesky(_moments(feats, feats.T), ridge)
+
+
 def _project(feats, factor, targets):
-    """Fitted values and coefficients of targets, as the sweep regresses."""
-    coeffs = _coefficients(feats, factor, targets)
+    """Fitted values and coefficients of targets (M, c), as the sweep
+    regresses them on whole-array features."""
+    coeffs = _solve(factor, _moments(feats, targets))
     return _fitted(coeffs, feats), coeffs
 
 
@@ -134,12 +148,34 @@ def test_features_across_row_blocks_match_the_power_table_products():
     assert feats.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monomials_are_the_brute_force_enumeration(d):
+    # the reference filters all (degree + 1)^d exponent tuples
+    for degree in range(7):
+        ref = [e for e in itertools.product(range(degree + 1), repeat=d)
+               if sum(e) <= degree]
+        ref.sort(key=lambda e: (sum(e), e))
+        assert solver_module._monomial_exponents(d, degree) == ref
+
+
+@pytest.mark.parametrize("d, degree", [(20, 2), (30, 1)])
+def test_a_product_plan_in_many_dimensions_is_quick(d, degree):
+    # 3^20 and 2^30 exponent tuples to filter, for 231 and 31 monomials:
+    # the plan must enumerate only the monomials
+    solver_module._product_plan.cache_clear()
+    start = time.perf_counter()
+    n_basis, linear, products = solver_module._product_plan(d, degree)
+    assert time.perf_counter() - start < 0.5
+    assert n_basis == bl.BasisSpec(degree).size(d)
+    assert n_basis == 1 + len(linear) + len(products)
+
+
 def test_regress_constant_targets():
     rng = np.random.default_rng(0)
     state = rng.normal(size=(500, 1))
     targets = np.full((500, 1), 3.25)
     feats = polynomial_features(state, BASIS.degree)
-    fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(500)),
+    fitted, _ = _project(feats, _factor(feats, BASIS.ridge_for(500)),
                          targets)
     assert np.allclose(fitted, 3.25, atol=1e-9)
 
@@ -149,7 +185,7 @@ def test_regress_exact_linear_representation():
     state = rng.normal(size=(400, 1))
     targets = 3.0 * state
     feats = polynomial_features(state, 2)
-    fitted, coeffs = _project(feats, _gram_factor(feats, 0.0), targets)
+    fitted, coeffs = _project(feats, _factor(feats, 0.0), targets)
     assert np.allclose(fitted, targets, atol=1e-10)
     assert coeffs[1, 0] == pytest.approx(3.0, abs=1e-10)
 
@@ -160,7 +196,7 @@ def test_regress_martingale_projection():
     state = ens.all_states()[:, t_idx]
     targets = ens.final_state
     feats = polynomial_features(state, BASIS.degree)
-    fitted, _ = _project(feats, _gram_factor(feats, BASIS.ridge_for(ens.M)),
+    fitted, _ = _project(feats, _factor(feats, BASIS.ridge_for(ens.M)),
                          targets)
     sd = math.sqrt(1.0 - ens.grid.times[t_idx])
     rms = float(np.sqrt(np.mean((fitted - state) ** 2)))
@@ -171,7 +207,7 @@ def test_regress_martingale_projection():
 def test_regress_singular_without_ridge():
     state = np.zeros((100, 1))  # rank-deficient features beyond the constant
     with pytest.raises(SingularRegressionError, match="ridge"):
-        _gram_factor(polynomial_features(state, 2), 0.0)
+        _factor(polynomial_features(state, 2), 0.0)
 
 
 def test_regress_needs_more_samples_than_basis():
@@ -237,7 +273,7 @@ def test_martingale_consistency_for_zero_generator(small_ensemble):
     i = small_ensemble.grid.N // 2
     feats = polynomial_features(small_ensemble.all_states()[:, i],
                                 BASIS.degree)
-    refit, _ = _project(feats, _gram_factor(
+    refit, _ = _project(feats, _factor(
         feats, BASIS.ridge_for(small_ensemble.M)), sol.y[:, i + 1, :])
     assert np.allclose(refit, sol.y[:, i, :], atol=1e-10)
 
@@ -444,6 +480,7 @@ def test_solution_csv_is_the_generic_rendering(tmp_path_factory, m, n, k, d,
     (True, "3d4377273da397afd2c7cf75c84692f59c7bb6b5e2d4f8e63aabd3b06b142139",
      "b4028ed3f48931e13196533a64c58b668cccf2f3ab446ad13655b47436de9efb"),
 ])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_ensemble_and_solution_bytes_are_pinned(tmp_path, antithetic,
                                                 ensemble_sha, solution_sha):
     ens = bl.generate_ensemble(301, 6, 3, 1.5, seed=11, antithetic=antithetic)
@@ -494,6 +531,7 @@ def test_solution_file_is_path_major(tmp_path):
                                                           sol.z[j].ravel()]))
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 def test_solution_file_bytes_are_pinned(tmp_path):
     # the solution of test_ensemble_and_solution_bytes_are_pinned (not
     # antithetic); the hash is that of the header and the records built
@@ -627,11 +665,12 @@ def test_picard_report_flags_each_window(tmp_path):
     assert [(r[0], r[-1]) for r in rows] == [("0", "true")] * 4 + [("1", "false")] * 4
 
 
-def _zero_pair(ens):
-    """A zero scalar y on ens, stored step-major as the solver's, and zero
-    z coefficients (N, n_basis, d) on BASIS."""
+def _zero_pair(ens, basis=BASIS):
+    """A zero scalar y on ens, stored step-major as the solver's, and a
+    RegressedZ of zero coefficients (N, n_basis, d) on basis."""
     y = np.zeros((ens.grid.N + 1, ens.M, 1)).transpose(1, 0, 2)
-    return y, np.zeros((ens.grid.N, BASIS.size(ens.d), ens.d))
+    zc = np.zeros((ens.grid.N, basis.size(ens.d), ens.d))
+    return y, RegressedZ(zc, basis, ens)
 
 
 def test_picard_solve_is_the_frozen_iteration(small_ensemble):
@@ -643,16 +682,14 @@ def test_picard_solve_is_the_frozen_iteration(small_ensemble):
                                max_iter=2, init=0.25)
     assert rep.iterations == 2 and not rep.converged
     n = small_ensemble.grid.N
-    y, zc = _zero_pair(small_ensemble)
+    y, z = _zero_pair(small_ensemble)
     y[...] = 0.25
     y[:, -1] = terminal_values(term, small_ensemble, 1)
     for _ in range(3):
-        solver_module._backward_sweep(gen, y, zc, small_ensemble, BASIS, 0, n,
-                                      [None] * n)
+        solver_module._backward_sweep(gen, y, z, 0, n, [None] * n)
     assert np.array_equal(sol.y, y)
-    assert np.array_equal(sol.z_source.coeffs, zc)
-    assert (sol.z_source.degree, sol.z_source.ens) == (BASIS.degree,
-                                                       small_ensemble)
+    assert np.array_equal(sol.z_source.coeffs, z.coeffs)
+    assert sol.z_source.basis is BASIS and sol.z_source.ens is small_ensemble
 
 
 # sha256 of picard_solve's y and z bytes, hashed in their logical (M, ...)
@@ -702,6 +739,7 @@ def _solve_case(name):
     ("degree5", 5,
      "e1cf794a36326bf5ebaa780945b406b0dfe236559fb6e688a1ec5b64e1b2e379"),
 ])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_picard_solve_bytes_are_pinned(name, iterations, sha):
     sol, rep = _solve_case(name)
     assert rep.iterations == iterations
@@ -722,6 +760,7 @@ def test_picard_solve_bytes_are_pinned(name, iterations, sha):
     ("degree5",
      "38f04cdc3e72c85c6391a0f88a63512cc14e9ae1ac31e35bd1666841412e291a"),
 ])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_picard_report_bytes_are_pinned(name, sha):
     # the folded distances and the S^p norm of every entry, which the y and
     # z bytes above do not cover
@@ -735,17 +774,17 @@ def test_backward_sweep_overwrites_the_iterate_and_returns_nothing(
     ens = small_ensemble
     y = np.full((ens.M, ens.grid.N + 1, 1), 0.25)
     y[:, -1] = ens.final_state[:, :1]
-    zc = np.zeros((ens.grid.N, BASIS.size(1), 1))
+    z = RegressedZ(np.zeros((ens.grid.N, BASIS.size(1), 1)), BASIS, ens)
     assert solver_module._backward_sweep(
-        bl.example1_generator(2.0), y, zc, ens, BASIS, 0, ens.grid.N,
+        bl.example1_generator(2.0), y, z, 0, ens.grid.N,
         [None] * ens.grid.N) is None
     # against a sweep on a fresh pair, y stored step-major as the solver's
-    ref_y, ref_zc = _zero_pair(ens)
+    ref_y, ref_z = _zero_pair(ens)
     ref_y[...] = 0.25
     ref_y[:, -1] = ens.final_state[:, :1]
-    solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_zc,
-                                  ens, BASIS, 0, ens.grid.N, [None] * ens.grid.N)
-    assert np.array_equal(y, ref_y) and np.array_equal(zc, ref_zc)
+    solver_module._backward_sweep(bl.example1_generator(2.0), ref_y, ref_z,
+                                  0, ens.grid.N, [None] * ens.grid.N)
+    assert np.array_equal(y, ref_y) and np.array_equal(z.coeffs, ref_z.coeffs)
 
 
 @pytest.mark.parametrize("gen, term, d, split, bound", [
@@ -805,17 +844,17 @@ def test_sweep_accumulators_leave_the_iterate_bytes(small_ensemble):
     assert 0 == i_lo < i_hi < n
     swept = []
     for acc in (None, (np.zeros(ens.M), np.zeros(ens.M))):
-        y, zc = _zero_pair(ens)
+        y, regressed = _zero_pair(ens)
         y[...] = 0.25
         y[:, i_hi] = ens.all_states()[:, i_hi, :1]
-        zc[...] = 0.5
-        old_y, old_zc = y.copy(), zc.copy()
-        solver_module._backward_sweep(gen, y, zc, ens, BASIS, i_lo, i_hi,
+        regressed.coeffs[...] = 0.5
+        old_y, old_zc = y.copy(), regressed.coeffs.copy()
+        solver_module._backward_sweep(gen, y, regressed, i_lo, i_hi,
                                       [None] * n, acc)
-        swept.append((y, zc))
+        swept.append((y, regressed.coeffs))
     (y_ref, zc_ref), (y, zc) = swept
     assert y.tobytes() == y_ref.tobytes() and zc.tobytes() == zc_ref.tobytes()
-    z, old_z = (bl.DiscreteSolution(y, RegressedZ(c, BASIS.degree, ens),
+    z, old_z = (bl.DiscreteSolution(y, RegressedZ(c, BASIS, ens),
                                     ens.grid).z for c in (zc, old_zc))
     sup_dy, sum_dz = acc
     win_y, win_z = slice(i_lo, i_hi + 1), slice(i_lo, i_hi)
@@ -966,6 +1005,19 @@ def test_a_zero_driver_solve_holds_no_per_path_z():
     assert sol.z_source.coeffs.shape == (n, BASIS.size(d), d)
 
 
+def test_records_holding_arrays_compare_by_identity():
+    # two ensembles of one seed, and the solves on them, hold equal arrays:
+    # == is identity, a bool, where comparing the arrays would raise
+    a, b = (bl.generate_ensemble(M=64, N=4, d=2, T=1.0, seed=3)
+            for _ in range(2))
+    sol_a, sol_b = (bl.picard_solve(bl.zero_generator(1),
+                                    bl.square_norm_terminal(), ens, BASIS)[0]
+                    for ens in (a, b))
+    for x, y in ((a, b), (sol_a.z_source, sol_b.z_source), (sol_a, sol_b)):
+        assert (x == x) is True and (x == y) is False and (x != y) is True
+        assert len({x, y, x}) == 2
+
+
 def _z_free_drivers():
     """Every builtin spec whose exact lipschitz_z is 0."""
     return [bl.zero_generator(1), bl.zero_generator(3),
@@ -1041,12 +1093,12 @@ def test_a_regressed_z_writes_the_bytes_of_its_per_path_array(tmp_path):
 
 # ------------------------------------------------------------ feature slabs
 
-def _whole_buffer_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
-                        acc=None):
+def _whole_buffer_sweep(gen, y, z, i_lo, i_hi, factors, acc=None):
     """The sweep as it was before it streamed its paths through feature
-    slabs: each step's features in one (n_basis, M) array, regressed by the
-    whole-array callers _gram_factor and _coefficients.  Kept as the
-    bit-level reference of _backward_sweep, with its signature."""
+    slabs: each step's features in one (n_basis, M) array, regressed as
+    whole arrays by _factor and _project.  Kept as the bit-level reference
+    of _backward_sweep, with its signature."""
+    ens, basis = z.ens, z.basis
     m, k, d = ens.M, y.shape[2], ens.d
     dt = ens.grid.dt
     c_lip = bl.generator.GENERATOR_FAMILIES[gen.family].lipschitz_z
@@ -1055,15 +1107,15 @@ def _whole_buffer_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
         feats = polynomial_features(b_i, basis.degree)
         try:
             if factors[i] is None:
-                factors[i] = _gram_factor(feats, basis.ridge_for(m))
-            cont = _fitted(_coefficients(feats, factors[i], y[:, i + 1]), feats)
+                factors[i] = _factor(feats, basis.ridge_for(m))
+            cont, _ = _project(feats, factors[i], y[:, i + 1])
             z_targets = ((y[:, i + 1] - cont)[:, :, None]
                          * ens.increments[:, i, None, :]) / dt
-            coeffs = _coefficients(feats, factors[i],
-                                   z_targets.reshape(m, k * d))
+            z_fit, coeffs = _project(feats, factors[i],
+                                     z_targets.reshape(m, k * d))
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc
-        z_i = _fitted(coeffs, feats).reshape(m, k, d)
+        z_i = z_fit.reshape(m, k, d)
         with np.errstate(over="ignore", invalid="ignore"):
             g = bl.generator.eval_generator_batch(
                 gen, ens.grid.times[i], b_i, y[:, i],
@@ -1074,10 +1126,10 @@ def _whole_buffer_sweep(gen, y, zc, ens, basis, i_lo, i_hi, factors,
                     f"non-finite solution values at time index {i}")
             if acc is not None:
                 bl.analysis.fold_sup(acc[0], y_i - y[:, i])
-                old_z = _fitted(zc[i], feats).reshape(m, k, d)
+                old_z = _fitted(z.coeffs[i], feats).reshape(m, k, d)
                 bl.analysis.fold_squares(acc[1], z_i - old_z)
         y[:, i] = y_i
-        zc[i] = coeffs
+        z.coeffs[i] = coeffs
 
 
 # two whole row blocks and a ragged third: one slab at d = 1 and degree <= 3,
@@ -1093,44 +1145,6 @@ def _slab_ensemble(d):
 _SLAB_DRIVERS = {"example1": bl.example1_generator(2.0),
                  "linear_b": bl.linear_generator(a=0.5, b=0.4, c=0.2),
                  "zero": bl.zero_generator(1)}
-
-
-def _openblas_thread_setters():
-    """(get, set) of the thread count of each OpenBLAS this process loaded."""
-    maps = Path("/proc/self/maps")
-    if not maps.exists():
-        return []
-    paths = {line.split()[-1] for line in maps.read_text().splitlines()
-             if "openblas" in line.lower() and line.split()[-1].startswith("/")}
-    found = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            if get is not None:
-                put = getattr(lib, name.format("set"))
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                found.append((get, put))
-                break
-    return found
-
-
-@pytest.fixture
-def one_blas_thread():
-    """OpenBLAS at one thread for the test.  A threaded product cuts its
-    paths among the threads where the path count says, and OpenBLAS sums the
-    last one to three rows of each piece in another order: so the
-    whole-buffer sweep's bits depend on the thread count, and are the
-    streamed sweep's at one thread."""
-    setters = _openblas_thread_setters()
-    saved = [get() for get, _ in setters]
-    for _, put in setters:
-        put(1)
-    yield
-    for (_, put), n in zip(setters, saved):
-        put(n)
 
 
 def _against_the_whole_buffer_sweep(monkeypatch, *args, **kwargs):
@@ -1175,8 +1189,9 @@ def test_a_slab_streamed_split_solve_is_the_whole_buffer_solve(
 @pytest.mark.parametrize("d, degree, slabs", [
     (1, 0, 1), (1, 3, 1), (1, 5, 2), (2, 3, 3), (3, 3, 3), (3, 5, 3)])
 def test_a_slab_is_whole_row_blocks_within_its_budget(d, degree, slabs):
-    n_basis = bl.BasisSpec(degree).size(d)
-    slab = solver_module._FeatureSlab(n_basis, degree, _SLAB_M)
+    basis = bl.BasisSpec(degree)
+    n_basis = basis.size(d)
+    slab = solver_module._FeatureSlab(basis, d, _SLAB_M)
     assert -(-_SLAB_M // slab.width) == slabs
     if slab.width < _SLAB_M:
         assert slab.width % solver_module._ROW_BLOCK == 0
@@ -1222,15 +1237,13 @@ def test_a_sweep_holds_one_slab_of_features():
     ens = bl.generate_ensemble(M=m, N=n, d=3, T=1.0, seed=113)
     peaks = []
     for degree in (0, 3):
-        basis = bl.BasisSpec(degree)
-        y = np.zeros((n + 1, m, 1)).transpose(1, 0, 2)
+        y, z = _zero_pair(ens, bl.BasisSpec(degree))
         y[:, -1] = ens.final_state[:, :1]
-        zc = np.zeros((n, basis.size(3), 3))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            solver_module._backward_sweep(bl.zero_generator(1), y, zc, ens,
-                                          basis, 0, n, [None] * n)
+            solver_module._backward_sweep(bl.zero_generator(1), y, z, 0, n,
+                                          [None] * n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
