@@ -362,11 +362,19 @@ class DiscreteSolution:
         return self.z_source.shape
 
     def require_ensemble(self, ens: PathEnsemble) -> None:
-        """ValueError if z is a RegressedZ fitted on an ensemble not ens."""
+        """ValueError if z is a RegressedZ fitted on an ensemble not ens, or
+        if y (M, N+1, k) and z (M, N, k, d), in either form, are not of the
+        M, N and d of ens and of one k.  A per-path solution of these shapes
+        names no ensemble, so it is read on ens as it stands."""
         source = self.z_source
         if not isinstance(source, np.ndarray) and source.ens is not ens:
             raise ValueError("the solution's z was regressed on another "
                              "ensemble: pass the ensemble it was solved on")
+        m, n, d, k = ens.M, ens.grid.N, ens.d, self.y.shape[-1]
+        if self.y.shape != (m, n + 1, k) or self.z_shape != (m, n, k, d):
+            raise ValueError(
+                f"the solution's y {self.y.shape} and z {self.z_shape} "
+                f"disagree with the ensemble's (M, N, d) = ({m}, {n}, {d})")
 
     def z_along(self, walk, rows: slice = slice(None)):
         """(i, b_i, z_i) for each (i, b_i) of walk, a forward walk of the

@@ -132,7 +132,8 @@ class BasisSpec:
                              f"basis functions of degree {self.degree} in d = {d}")
 
 
-# Paths per block of the regression's reductions.
+# Paths per block of the regression's reductions and of the oracle
+# comparison's folds.
 _ROW_BLOCK = 8192
 # Bytes of the features of one slab of paths (_FeatureSlab): held in a core's
 # L2 cache while the products of a time step read it.
@@ -372,10 +373,12 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: RegressedZ,
     (a running max of its norm) and the change of z (a running sum of its
     squares), the old z_i refit from z.coeffs[i] on the step's features.
 
-    Every (M, k) and (M, k, d) array a step writes is one buffer of the
-    sweep, which each step overwrites through the same ufuncs, in the same
-    order, that would build it anew; a z buffer exists only where a step
-    fills it.
+    Every array a step writes is one buffer of the sweep, which each step
+    overwrites through the same ufuncs, in the same order, that would build
+    it anew: the (M, k) continuation and y, the (M, k d) z fits, only where
+    a step fills them, and the residual and z targets of one slab, which
+    nothing reads outside it.  The z targets are formed one column of d at
+    a time, in the (paths, k d) layout the cross-moments read.
     """
     ens, basis = z.ens, z.basis
     m, k, d = ens.M, y.shape[2], ens.d
@@ -389,10 +392,12 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: RegressedZ,
     rhs_y, rhs_z = np.empty((n_basis, k)), np.empty((n_basis, k * d))
     # cont and the fitted z are the transposes of (k, M) and (k d, M)
     # buffers, the layout _fitted writes
-    cont_t, resid, y_i = np.empty((k, m)), np.empty((m, k)), np.empty((m, k))
+    cont_t, y_i = np.empty((k, m)), np.empty((m, k))
     cont = cont_t.T
-    z_targets = np.empty((m, k, d))
-    z_flat = z_targets.reshape(m, k * d)
+    # the residual and the z targets are read only within their slab
+    resid = np.empty((slab.width, k))
+    z_targets = np.empty((slab.width, k, d))
+    z_flat = z_targets.reshape(slab.width, k * d)
     z_t = np.empty((k * d, m)) if reads_z or acc is not None else None
     if acc is not None:
         sup_dy, sum_dz = acc
@@ -410,14 +415,18 @@ def _backward_sweep(gen: GeneratorSpec, y: np.ndarray, z: RegressedZ,
             coeffs_y = _solve(factors[i], _finite(rhs_y))
             for rows, feats in slab.over(b_i, i):
                 _fitted(coeffs_y, feats, out=cont_t[:, rows])
+                w = feats.shape[1]
                 # martingale residual keeps the z targets mean-zero given
                 # the state
-                np.subtract(y_next[rows], cont[rows], out=resid[rows])
-                np.multiply(resid[rows, :, None],
-                            ens.increments[rows, i, None, :],
-                            out=z_targets[rows])
-                np.divide(z_targets[rows], dt, out=z_targets[rows])
-                _blocked_product(feats, z_flat[rows], out=rhs_z)
+                np.subtract(y_next[rows], cont[rows], out=resid[:w])
+                # one column of d at a time: a (w, k, d) broadcast would
+                # run its inner loop d long
+                inc_i = ens.increments[rows, i]
+                for j in range(d):
+                    np.multiply(resid[:w], inc_i[:, None, j],
+                                out=z_targets[:w, :, j])
+                np.divide(z_targets[:w], dt, out=z_targets[:w])
+                _blocked_product(feats, z_flat[:w], out=rhs_z)
             coeffs = _solve(factors[i], _finite(rhs_z))
         except FloatingPointError as exc:
             raise PicardDivergenceError(f"{exc} at time index {i}") from exc

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,28 @@ def test_the_checks_reject_a_z_regressed_on_another_ensemble(small_ensemble,
     run(small_ensemble)
 
 
+@pytest.mark.parametrize("check", ["lemma1", "apriori"])
+def test_the_checks_reject_a_per_path_solution_of_another_shape(
+        small_ensemble, check):
+    # a per-path z names no ensemble, so its shape is checked against the
+    # one given: the driver, or a broadcast, used to fail on it instead
+    gen = bl.example1_generator(p=2.0)
+    sol, _ = bl.picard_solve(gen, bl.coordinate_terminal(0), small_ensemble,
+                             bl.BasisSpec(3), p=2.0)
+    per_path = bl.DiscreteSolution(y=sol.y, z_source=sol.z, grid=sol.grid)
+    env = bl.auto_envelope(gen, 2.0, 1)
+    cb = bl.compute_constants(2.0, 1.0, 1.0, 0.0, terminal_moment=1.0)
+    run = {"lemma1": lambda ens: bl.check_lemma1(per_path, gen, 2.0, 0, ens),
+           "apriori": lambda ens: bl.check_apriori_bounds(per_path, env, cb,
+                                                          2.0, 0, ens)}[check]
+    other = bl.generate_ensemble(M=256, N=20, d=1, T=1.0, seed=8)
+    with pytest.raises(ValueError, match=re.escape(
+            "y (512, 21, 1) and z (512, 20, 1, 1) disagree with the "
+            "ensemble's (M, N, d) = (256, 20, 1)")):
+        run(other)
+    run(small_ensemble)
+
+
 # ------------------------------------------------------------ a-priori bounds
 
 def test_apriori_zero_instance(small_ensemble):
@@ -361,6 +384,7 @@ def test_apriori_brownian_terminal_default_constants(small_ensemble):
     (20, ("0x0.0p+0", "0x1.92f4f611093d4p+9",
           "0x1.e16806c1bfce5p-1", "0x1.e16806c1bfce5p+1")),
 ])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_apriori_bounds_read_the_walked_states_bit_for_bit(small_ensemble,
                                                            t_index, pinned):
     # phi and f are read on one forward walk from t_index.  The pinned bits

@@ -1,12 +1,15 @@
+import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import bsde_lab as bl
+from bsde_lab import analysis, oracle
 from bsde_lab.oracle import match_oracle, oracle_paths
-from bsde_lab.solver import terminal_values
+from bsde_lab.solver import _ROW_BLOCK, terminal_values
 
 
 def _one_path(increments, horizon=1.0):
@@ -132,6 +135,7 @@ def test_compare_z_rms_is_the_mean_over_every_cell():
     (bl.coordinate_terminal(0), "0x1.82f9a5b13c58ep-5", "0x1.7c1d3dadae394p-4"),
     (bl.square_norm_terminal(), "0x1.8a0a6f3f471b3p-3", "0x1.8aa1f7e032a70p-2"),
 ], ids=["coordinate", "square_norm"])
+@pytest.mark.usefixtures("one_blas_thread")
 def test_compare_walks_the_ensemble_once(term, sp_hex, z_hex, monkeypatch):
     # 9000 paths put a block boundary of z's fit inside the comparison; the
     # fitted z is read on the comparison's own walk, and the errors are the
@@ -173,6 +177,110 @@ def test_compare_rejects_a_z_regressed_on_another_ensemble(small_ensemble, m):
     with pytest.raises(ValueError, match="regressed on another ensemble"):
         bl.compare_to_oracle(sol, form, other, p=2.0)
     assert bl.compare_to_oracle(sol, form, small_ensemble, p=2.0).sp_error < 0.1
+
+
+def test_compare_rejects_a_per_path_solution_of_another_shape(
+        small_ensemble):
+    term = bl.coordinate_terminal(0)
+    sol, _ = bl.picard_solve(bl.zero_generator(1), term, small_ensemble,
+                             bl.BasisSpec(3))
+    per_path = bl.DiscreteSolution(y=sol.y, z_source=sol.z, grid=sol.grid)
+    form = match_oracle(bl.zero_generator(1), term)
+    other = bl.generate_ensemble(M=256, N=20, d=1, T=1.0, seed=8)
+    with pytest.raises(ValueError, match=re.escape(
+            "y (512, 21, 1) and z (512, 20, 1, 1) disagree with the "
+            "ensemble's (M, N, d) = (256, 20, 1)")):
+        bl.compare_to_oracle(per_path, form, other, p=2.0)
+    assert bl.compare_to_oracle(per_path, form, small_ensemble,
+                                p=2.0) == bl.compare_to_oracle(
+        sol, form, small_ensemble, p=2.0)
+
+
+def test_compare_rejects_a_solution_of_two_coordinates(small_ensemble):
+    sol, _ = bl.picard_solve(bl.linear_generator(a=0.5, k=2),
+                             bl.constant_terminal([1.0, 2.0]), small_ensemble,
+                             bl.BasisSpec(2))
+    form = match_oracle(bl.zero_generator(1), bl.coordinate_terminal(0))
+    with pytest.raises(ValueError, match="closed forms have k = 1"):
+        bl.compare_to_oracle(sol, form, small_ensemble, p=2.0)
+
+
+# The closed forms as they were built before they returned views and
+# broadcasts: the references of their values.
+
+def _built_coordinate(j, tau, b):
+    z = np.zeros(b.shape[:-1] + (1, b.shape[-1]))
+    z[..., 0, j] = 1.0
+    return b[..., [j]], z
+
+
+def _built_drift(a, c, v, tau, b):
+    y, _ = oracle._drift(a, c, v, tau, b)
+    return y.copy(), np.zeros(b.shape[:-1] + (1, b.shape[-1]))
+
+
+def _whole_array_compare(sol, closed_form, ens, p):
+    """compare_to_oracle as it was before it folded blocks of paths: each
+    step's closed form and differences on every path at once."""
+    tau = ens.grid.T - ens.grid.times
+    m, n = ens.M, ens.grid.N
+    sup, total = np.zeros(m), np.zeros(m)
+    for i, b_i, z_i in sol.z_along(ens.forward_states(0, n)):
+        y_ref, z_ref = closed_form(np.asarray(tau[i]), b_i)
+        analysis.fold_sup(sup, sol.y[:, i] - y_ref)
+        analysis.fold_squares(total, z_i - z_ref)
+    y_ref, _ = closed_form(np.asarray(tau[n]), ens.final_state)
+    analysis.fold_sup(sup, sol.y[:, n] - y_ref)
+    return oracle.OracleErrors(
+        sp_error=analysis.sup_power_mean(sup, p) ** (1.0 / p),
+        z_rms_error=math.sqrt(float(np.mean(total)) / n))
+
+
+def test_closed_forms_return_views_and_read_only_broadcasts():
+    ens = bl.generate_ensemble(M=300, N=5, d=3, T=1.0, seed=12)
+    b = ens.all_states()
+    tau = (ens.grid.T - ens.grid.times)[None, :]
+    y, z = oracle._coordinate(1, tau, b)
+    ref_y, ref_z = _built_coordinate(1, tau, b)
+    assert np.shares_memory(y, b) and not z.flags.writeable
+    assert np.array_equal(y, ref_y) and np.array_equal(z, ref_z)
+    assert z.shape == ref_z.shape and y.shape == ref_y.shape
+    y, z = oracle._drift(0.5, 0.2, 1.5, tau, b)
+    ref_y, ref_z = _built_drift(0.5, 0.2, 1.5, tau, b)
+    assert not y.flags.writeable and not z.flags.writeable
+    assert y.tobytes() == ref_y.tobytes() and z.tobytes() == ref_z.tobytes()
+
+
+@pytest.mark.parametrize("gen, term", [
+    (bl.zero_generator(1), bl.coordinate_terminal(2)),
+    (bl.zero_generator(1), bl.square_norm_terminal()),
+    (bl.linear_generator(a=0.5, c=0.2), bl.constant_terminal(1.0)),
+], ids=["coordinate", "square_norm", "drift"])
+def test_block_folds_are_the_whole_array_fold(gen, term):
+    # two whole blocks and a ragged third; the reference reads the closed
+    # forms as they were built
+    ens = bl.generate_ensemble(M=2 * _ROW_BLOCK + 777, N=4, d=3, T=1.0,
+                               seed=13)
+    sol, _ = bl.picard_solve(gen, term, ens, bl.BasisSpec(2), tol=1e-8)
+    form = match_oracle(gen, term)
+    built = {oracle._coordinate: _built_coordinate, oracle._drift: _built_drift}
+    if isinstance(form, functools.partial):
+        ref_form = functools.partial(built[form.func], *form.args)
+    else:
+        ref_form = form
+    # a terminal y moved by 1 on every path, where a solve has no error,
+    # makes the last step's fold the sup
+    moved = sol.y.copy()
+    moved[:, -1] += 1.0
+    for solution in (sol, bl.DiscreteSolution(y=sol.y, z_source=sol.z,
+                                              grid=sol.grid),
+                     bl.DiscreteSolution(y=moved, z_source=sol.z_source,
+                                         grid=sol.grid)):
+        ref = _whole_array_compare(solution, ref_form, ens, 2.0)
+        assert ref.sp_error > 0.0 and ref.z_rms_error > 0.0
+        errs = bl.compare_to_oracle(solution, form, ens, p=2.0)
+        assert (errs.sp_error.hex(), errs.z_rms_error.hex()) == (
+            ref.sp_error.hex(), ref.z_rms_error.hex())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

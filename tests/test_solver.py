@@ -1144,7 +1144,10 @@ def _slab_ensemble(d):
 
 _SLAB_DRIVERS = {"example1": bl.example1_generator(2.0),
                  "linear_b": bl.linear_generator(a=0.5, b=0.4, c=0.2),
-                 "zero": bl.zero_generator(1)}
+                 "zero": bl.zero_generator(1),
+                 "linear_k2": bl.linear_generator(a=0.5, k=2)}
+# the terminal of each driver's solve, where it is not coordinate 0
+_SLAB_TERMINALS = {"linear_k2": bl.constant_terminal([1.0, 2.0])}
 
 
 def _against_the_whole_buffer_sweep(monkeypatch, *args, **kwargs):
@@ -1171,7 +1174,8 @@ def test_a_slab_streamed_solve_is_the_whole_buffer_solve(d, degree, driver,
                                                          one_blas_thread):
     ens = _slab_ensemble(d)
     got, ref = _against_the_whole_buffer_sweep(
-        monkeypatch, _SLAB_DRIVERS[driver], bl.coordinate_terminal(0), ens,
+        monkeypatch, _SLAB_DRIVERS[driver],
+        _SLAB_TERMINALS.get(driver, bl.coordinate_terminal(0)), ens,
         bl.BasisSpec(degree), tol=1e-8, max_iter=3)
     _same_solve(got, ref)
     assert got[1].iterations == (1 if driver == "zero" else 3)
